@@ -21,7 +21,7 @@ from .engine import (Counterexample, GeneratorSymbol, OrbitGraph, PresetResult,
                      components_by_dual_equivalence, eval_word, orbit_graph,
                      parse_word, run_preset, search_counterexample,
                      verify_cactus_action, verify_relation,
-                     verify_relation_over)
+                     verify_relation_over, word_permutation)
 
 __version__ = "0.1.0"
 

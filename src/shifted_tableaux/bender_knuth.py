@@ -8,8 +8,6 @@ re-canonicalized if the prime toggle rule demands it.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .core import Cell, Entry, ShiftedTableau, TableauError, canonicalize
 from .switching import PerforatedFilling, TraceStep, switch_pair
 
@@ -63,35 +61,55 @@ def bk_trace(t: ShiftedTableau, i: int
     return canonicalize(t.shape, relabelled, t.n), steps
 
 
-@lru_cache(maxsize=None)
 def bk(t: ShiftedTableau, i: int) -> ShiftedTableau:
     """The shifted Bender-Knuth involution t_i."""
     return bk_trace(t, i)[0]
+
+
+# The composite generators as words in the t_k, listed in the order the
+# factors act (rightmost factor of the written product first).  Both the
+# per-tableau operators below and the engine's family tables fold over
+# these sequences.
+
+def promotion_word(i: int) -> tuple[int, ...]:
+    """p_i = t_i t_{i-1} ... t_1."""
+    return tuple(range(1, i + 1))
+
+
+def q_word(i: int) -> tuple[int, ...]:
+    """q_i = t_1 (t_2 t_1) ... (t_i ... t_1)."""
+    return tuple(k for block in range(i, 0, -1) for k in range(1, block + 1))
+
+
+def q_interval_word(i: int, j: int) -> tuple[int, ...]:
+    """q_{i,j} = q_{j-1} q_{j-i} q_{j-1} for i < j (so q_{1,j} = q_{j-1})."""
+    if i == 1:
+        return q_word(j - 1)
+    return q_word(j - 1) + q_word(j - i) + q_word(j - 1)
+
+
+def _fold(t: ShiftedTableau, word: tuple[int, ...]) -> ShiftedTableau:
+    for k in word:
+        t = bk(t, k)
+    return t
 
 
 def promotion(t: ShiftedTableau, i: int) -> ShiftedTableau:
     """p_i = t_i t_{i-1} ... t_1, rightmost factor applied first."""
     if not (1 <= i <= t.n - 1):
         raise TableauError(f"invalid promotion index i={i} for n={t.n}")
-    for k in range(1, i + 1):
-        t = bk(t, k)
-    return t
+    return _fold(t, promotion_word(i))
 
 
 def q(t: ShiftedTableau, i: int) -> ShiftedTableau:
     """q_i = t_1 (t_2 t_1) ... (t_i ... t_1), rightmost factor first."""
     if not (1 <= i <= t.n - 1):
         raise TableauError(f"invalid index i={i} for n={t.n}")
-    for block in range(i, 0, -1):
-        for k in range(1, block + 1):
-            t = bk(t, k)
-    return t
+    return _fold(t, q_word(i))
 
 
 def q_interval(t: ShiftedTableau, i: int, j: int) -> ShiftedTableau:
     """q_{i,j} = q_{j-1} q_{j-i} q_{j-1} for i < j (so q_{1,j} = q_{j-1})."""
     if not (1 <= i < j <= t.n):
         raise TableauError(f"invalid interval [{i},{j}] for n={t.n}")
-    if i == 1:
-        return q(t, j - 1)
-    return q(q(q(t, j - 1), j - i), j - 1)
+    return _fold(t, q_interval_word(i, j))

@@ -2,7 +2,8 @@
 rectification, relation verification, counterexample search, orbit export.
 
 Exit codes: 0 success (or relation holds / witness found for search), 1
-relation fails (or search exhausted), 2 usage error.
+relation fails (or search exhausted), 2 usage, input, capacity or
+integrity error (one "error: ..." line on stderr).
 """
 
 from __future__ import annotations
@@ -343,7 +344,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (TableauError, engine.WordError, switching.SwitchingError,
-            FileNotFoundError, ValueError) as exc:
+            FileNotFoundError, ValueError, RuntimeError) as exc:
+        # RuntimeError covers CapacityError and the integrity checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

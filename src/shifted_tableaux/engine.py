@@ -4,12 +4,17 @@ the operators acting on shifted tableau families.
 Words evaluate rightmost symbol first everywhere.  Relation schemata are
 data: two word templates with index variables in braces plus a constraint,
 instantiated over all index assignments in range.
+
+Verification evaluates words on member positions of a family: every
+generator keeps the cell set, so on ShST(shape, n) it is a permutation,
+stored as a lazily filled table on the family.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -69,6 +74,13 @@ def parse_symbol(token: str) -> GeneratorSymbol:
 
 Word = tuple[GeneratorSymbol, ...]
 
+MAX_WORD_LENGTH = 10_000
+
+
+def _check_length(length: int) -> None:
+    if length > MAX_WORD_LENGTH:
+        raise WordError(f"word expands to more than {MAX_WORD_LENGTH} symbols")
+
 
 def parse_word(text: str) -> Word:
     """A whitespace-separated word, with (...)^k powers; 'e' is the
@@ -102,18 +114,21 @@ def _parse_seq(tokens: list[str], pos: int) -> tuple[list[GeneratorSymbol], int]
             if pos < len(tokens) and tokens[pos].startswith("^"):
                 power = int(tokens[pos][1:])
                 pos += 1
+            _check_length(len(word) + len(inner) * power)
             word.extend(inner * power)
             continue
         if tok.startswith("^"):
             if not word:
                 raise WordError("power without a base")
             power = int(tok[1:])
+            _check_length(len(word) + power - 1)
             word.extend([word[-1]] * (power - 1))
             pos += 1
             continue
         if tok == "e":
             pos += 1
             continue
+        _check_length(len(word) + 1)
         word.append(parse_symbol(tok))
         pos += 1
     return word, pos
@@ -148,6 +163,64 @@ def eval_word(word: Sequence[GeneratorSymbol], t: ShiftedTableau) -> ShiftedTabl
     for sym in reversed(tuple(word)):
         t = apply_symbol(t, sym)
     return t
+
+
+# ---------------------------------------------------------------------------
+# words as permutations of a family
+
+# the composite generators as words in the t_k, in the order they act
+_T_FACTORS: dict[str, Callable[[GeneratorSymbol], tuple[int, ...]]] = {
+    "p": lambda s: bender_knuth.promotion_word(s.i),
+    "q": lambda s: bender_knuth.q_word(s.i),
+    "qij": lambda s: bender_knuth.q_interval_word(s.i, s.j),
+}
+
+_Steps = list[tuple[GeneratorSymbol, array]]
+
+
+def _table(family: TableauFamily, sym: GeneratorSymbol) -> array:
+    table = family.tables.get(sym)
+    if table is None:
+        table = family.tables[sym] = array("i", [-1]) * len(family)
+    return table
+
+
+def _steps(family: TableauFamily, word: Sequence[GeneratorSymbol]) -> _Steps:
+    """The family tables of a word's symbols, in the order they act."""
+    return [(sym, _table(family, sym)) for sym in reversed(tuple(word))]
+
+
+def _follow(family: TableauFamily, steps: _Steps, x: int) -> int:
+    for sym, table in steps:
+        y = table[x]
+        x = y if y >= 0 else _fill(family, sym, table, x)
+    return x
+
+
+def _fill(family: TableauFamily, sym: GeneratorSymbol, table: array, x: int) -> int:
+    """Compute table[x] once: composite symbols fold over the t tables,
+    the others apply to the member and look the result up."""
+    factors = _T_FACTORS.get(sym.kind)
+    if factors is not None:
+        if not sym.valid_for(family.n):
+            raise WordError(f"generator {sym} out of range for n={family.n}")
+        t_syms = (GeneratorSymbol("t", k) for k in factors(sym))
+        y = _follow(family, [(t, _table(family, t)) for t in t_syms], x)
+    else:
+        y = family.index.get(apply_symbol(family.members[x], sym), -1)
+        if y < 0:
+            raise RuntimeError(f"{sym} took member {x} of ShST({family.shape}, "
+                               f"{family.n}) out of its family")
+    table[x] = y
+    return y
+
+
+def word_permutation(family: TableauFamily, word: Sequence[GeneratorSymbol]
+                     ) -> array:
+    """The permutation a word induces on the family: entry x is the
+    position of eval_word(word, family.members[x])."""
+    steps = _steps(family, word)
+    return array("i", (_follow(family, steps, x) for x in range(len(family))))
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +329,16 @@ def verify_relation(schema: RelationSchema, family: TableauFamily,
     checked = 0
     first: Counterexample | None = None
     for subs, lhs, rhs in schema.instantiations(family.n):
-        for t in family:
+        left, right = _steps(family, lhs), _steps(family, rhs)
+        for x, t in enumerate(family):
             checked += 1
-            lres = eval_word(lhs, t)
-            rres = eval_word(rhs, t)
-            if lres != rres:
-                ce = Counterexample(t, tuple(sorted(subs.items())), lres, rres,
-                                    family.shape)
-                if not exhaustive:
-                    return Verdict(False, checked, ce)
+            if _follow(family, left, x) != _follow(family, right, x):
                 if first is None:
-                    first = ce
+                    first = Counterexample(t, tuple(sorted(subs.items())),
+                                           eval_word(lhs, t), eval_word(rhs, t),
+                                           family.shape)
+                if not exhaustive:
+                    return Verdict(False, checked, first)
     return Verdict(first is None, checked, first)
 
 
@@ -323,49 +395,52 @@ def verify_cactus_action(route: str, families: Iterable[TableauFamily]) -> Verdi
     if route not in CACTUS_ROUTES:
         raise WordError(f"unknown cactus route {route!r}")
     checked = 0
-    families = list(families)
     for family in families:
         n = family.n
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         words = {(i, j): parse_word(_substitute(route_word(route, str(i), str(j)), {}))
                  for (i, j) in pairs}
-        for t in family:
+        steps = {p: _steps(family, w) for p, w in words.items()}
+
+        def image(x: int, *ps: tuple[int, int]) -> int:
+            for p in reversed(ps):  # rightmost factor first
+                x = _follow(family, steps[p], x)
+            return x
+
+        def result(t: ShiftedTableau, *ps: tuple[int, int]) -> ShiftedTableau:
+            return eval_word(sum((words[p] for p in ps), ()), t)
+
+        for x, t in enumerate(family):
             for (i, j) in pairs:
                 checked += 1
-                if eval_word(words[(i, j)] + words[(i, j)], t) != t:
+                if image(x, (i, j), (i, j)) != x:
                     return Verdict(False, checked, Counterexample(
-                        t, (("i", i), ("j", j)), eval_word(words[(i, j)] + words[(i, j)], t), t,
+                        t, (("i", i), ("j", j)), result(t, (i, j), (i, j)), t,
                         family.shape), note="s_ij^2 = 1 fails")
             for (i, j) in pairs:
                 for (k, l) in pairs:
                     if j < k or l < i:  # disjoint
                         checked += 1
-                        lhs = eval_word(words[(i, j)], eval_word(words[(k, l)], t))
-                        rhs = eval_word(words[(k, l)], eval_word(words[(i, j)], t))
-                        if lhs != rhs:
+                        if image(x, (i, j), (k, l)) != image(x, (k, l), (i, j)):
                             return Verdict(False, checked, Counterexample(
                                 t, (("i", i), ("j", j), ("k", k), ("l", l)),
-                                lhs, rhs, family.shape), note="disjoint commutation fails")
+                                result(t, (i, j), (k, l)), result(t, (k, l), (i, j)),
+                                family.shape), note="disjoint commutation fails")
                     elif i <= k and l <= j:  # nested
                         checked += 1
                         a, b = i + j - l, i + j - k
-                        lhs = eval_word(words[(i, j)], eval_word(words[(k, l)], t))
-                        rhs = eval_word(words[(a, b)], eval_word(words[(i, j)], t))
-                        if lhs != rhs:
+                        if image(x, (i, j), (k, l)) != image(x, (a, b), (i, j)):
                             return Verdict(False, checked, Counterexample(
                                 t, (("i", i), ("j", j), ("k", k), ("l", l)),
-                                lhs, rhs, family.shape), note="nested folding fails")
+                                result(t, (i, j), (k, l)), result(t, (a, b), (i, j)),
+                                family.shape), note="nested folding fails")
             for (i, j) in pairs:
                 checked += 1
-                direct = eval_word(words[(i, j)], t)
-                via = eval_word(words[(1, j)], t)
-                if j - i + 1 >= 2:
-                    via = eval_word(words[(1, j - i + 1)], via)
-                via = eval_word(words[(1, j)], via)
-                if direct != via:
+                via = ((1, j), (1, j - i + 1), (1, j))
+                if image(x, (i, j)) != image(x, *via):
                     return Verdict(False, checked, Counterexample(
-                        t, (("i", i), ("j", j)), direct, via, family.shape),
-                        note="s_ij = s_1j s_1,j-i+1 s_1j fails")
+                        t, (("i", i), ("j", j)), result(t, (i, j)), result(t, *via),
+                        family.shape), note="s_ij = s_1j s_1,j-i+1 s_1j fails")
     return Verdict(True, checked)
 
 
@@ -546,10 +621,11 @@ def _preset_evac_agreement(n: int) -> list[PresetResult]:
     v = _check_pointwise(families, switching.evac_switch, jdt.evacuation_jdt)
     out.append(PresetResult("evac via switching = rectify after complement",
                             v.holds, v))
+    skew = skew_families(n)
     for i in range(1, n):
         word = " ".join(f"p{k}" for k in range(1, i + 1))
         for template, fams in ((f"evac{i + 1}", families),
-                               (f"evacs{i + 1}", skew_families(n))):
+                               (f"evacs{i + 1}", skew)):
             schema = RelationSchema(template, word,
                                     name=f"{template} = {word}")
             v = verify_relation_over(schema, fams)

@@ -8,8 +8,10 @@ lexicographic so that golden outputs stay byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from array import array
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any, Iterator
 
 from .core import (Cell, Entry, ShiftedSkewShape, ShiftedTableau,
                    reading_word, InvalidTableauError, _validate_filling)
@@ -17,11 +19,23 @@ from .core import (Cell, Entry, ShiftedSkewShape, ShiftedTableau,
 
 @dataclass(frozen=True)
 class TableauFamily:
-    """The complete family ShST(shape, n), deterministically ordered."""
+    """The complete family ShST(shape, n), deterministically ordered.
+
+    Every generator keeps the cell set, so on a family it is a permutation
+    of the member positions; tables maps a generator to that permutation
+    as an array('i') filled lazily by the engine (-1 marks an entry not
+    yet computed).  The tables live and die with the family."""
 
     shape: ShiftedSkewShape
     n: int
     members: tuple[ShiftedTableau, ...]
+    tables: dict[Any, array] = field(default_factory=dict, init=False,
+                                     repr=False, compare=False)
+
+    @cached_property
+    def index(self) -> dict[ShiftedTableau, int]:
+        """Member -> position."""
+        return {t: k for k, t in enumerate(self.members)}
 
     def __iter__(self) -> Iterator[ShiftedTableau]:
         return iter(self.members)

@@ -226,7 +226,6 @@ def reversal(t: ShiftedTableau) -> ShiftedTableau:
     return cur
 
 
-@lru_cache(maxsize=None)
 def eta(t: ShiftedTableau, i: int | None = None, j: int | None = None) -> ShiftedTableau:
     """Restriction of the Schuetzenberger involution to the letters i..j.
 

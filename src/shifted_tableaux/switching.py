@@ -348,7 +348,6 @@ def _evac_k(t: ShiftedTableau, k: int) -> ShiftedTableau:
     return reassemble([out, suffix], t.n)
 
 
-@lru_cache(maxsize=None)
 def evac_k_switch(t: ShiftedTableau, k: int) -> ShiftedTableau:
     """Evacuate the letters 1..k of a straight tableau, fixing the rest."""
     if not t.shape.straight:
@@ -356,13 +355,11 @@ def evac_k_switch(t: ShiftedTableau, k: int) -> ShiftedTableau:
     return _evac_k(t, k)
 
 
-@lru_cache(maxsize=None)
 def evac_k_skew(t: ShiftedTableau, k: int) -> ShiftedTableau:
     """Skew variant of evac_k."""
     return _evac_k(t, k)
 
 
-@lru_cache(maxsize=None)
 def evac_interval_skew(t: ShiftedTableau, i: int, j: int) -> ShiftedTableau:
     """Apply the skew evacuation to the letter band i..j, fixing the rest."""
     if not (1 <= i <= j <= t.n):

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from shifted_tableaux import engine
 from shifted_tableaux.cli import main
+from shifted_tableaux.core import CapacityError
 
 
 def run(capsys, *argv):
@@ -133,3 +135,14 @@ class TestErrors:
         code, _, _ = run(capsys, "rectify", "--in", "/nonexistent/t.txt",
                          "--n", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("exc", [CapacityError("orbit exceeds configured bound"),
+                                     RuntimeError("orbit exceeds configured bound")])
+    def test_runtime_failure_is_one_line(self, capsys, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(engine, "orbit_graph", fail)
+        code, out, err = run(capsys, "orbit", "--gens", "t1", "--in", "1 2",
+                             "--n", "2")
+        assert code == 2 and out == ""
+        assert err == "error: orbit exceeds configured bound\n"

@@ -2,13 +2,16 @@
 
 import pytest
 
+from shifted_tableaux import engine
 from shifted_tableaux.core import ShiftedSkewShape, parse_tableau, render_text
 from shifted_tableaux.enumeration import enumerate_tableaux
-from shifted_tableaux.engine import (RelationSchema, WordError,
+from shifted_tableaux.engine import (MAX_WORD_LENGTH, GeneratorSymbol,
+                                     RelationSchema, WordError, apply_symbol,
                                      components_by_dual_equivalence, eval_word,
                                      orbit_graph, parse_word, run_preset,
-                                     search_counterexample, verify_relation,
-                                     verify_relation_over, straight_families)
+                                     search_counterexample, verify_cactus_action,
+                                     verify_relation, verify_relation_over,
+                                     straight_families, word_permutation)
 from shifted_tableaux.bender_knuth import bk, q_interval
 from shifted_tableaux.jdt import eta
 
@@ -33,6 +36,14 @@ class TestWords:
 
     def test_bad_words(self):
         for text in ("t", "frob1", "t1)^2", "(t1", "t1 ^2x"):
+            with pytest.raises(WordError):
+                parse_word(text)
+
+    def test_length_bound(self):
+        assert len(parse_word(f"(t1 t2)^{MAX_WORD_LENGTH // 2}")) \
+            == MAX_WORD_LENGTH
+        for text in ("t1^99999999", f"(t1 t2)^{MAX_WORD_LENGTH // 2 + 1}",
+                     "((t1 t2)^1000)^1000", "t1 " * (MAX_WORD_LENGTH + 1)):
             with pytest.raises(WordError):
                 parse_word(text)
 
@@ -72,6 +83,75 @@ class TestSchemas:
         v = verify_relation_over(RelationSchema("t1 t1", "e"),
                                  straight_families(2))
         assert v.holds
+
+
+N = 4
+FAMILY_SHAPES = [((3, 1), ()), ((3, 2), ()), ((3, 1), (1,)), ((4, 2), (2,))]
+
+
+def all_symbols(n, straight):
+    kinds = ["t", "p", "q", "sigma", "evacs"] + (["evac"] if straight else [])
+    one = [GeneratorSymbol(k, i) for k in kinds for i in range(1, n + 1)]
+    two = [GeneratorSymbol(k, i, j) for k in ("qij", "eta", "evacsij")
+           for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return [s for s in one + two if s.valid_for(n)]
+
+
+def cycle_length(perm, start):
+    length, x = 1, perm[start]
+    while x != start:
+        length, x = length + 1, perm[x]
+    return length
+
+
+class TestFamilyTables:
+    @pytest.mark.parametrize("outer,inner", FAMILY_SHAPES)
+    def test_tables_are_permutations(self, outer, inner):
+        fam = enumerate_tableaux(ShiftedSkewShape(outer, inner), N)
+        for sym in all_symbols(N, not inner):
+            perm = word_permutation(fam, (sym,))
+            assert fam.tables[sym] == perm, sym
+            for x, t in enumerate(fam):
+                assert fam.members[perm[x]] == apply_symbol(t, sym), sym
+            assert sorted(perm) == list(range(len(fam))), sym
+            if sym.kind != "p":
+                assert all(perm[perm[x]] == x for x in range(len(fam))), sym
+
+    def test_word_is_composition(self):
+        fam = enumerate_tableaux(ShiftedSkewShape((3, 2), ()), N)
+        perm = word_permutation(fam, parse_word("q:2,4 t1"))
+        for x, t in enumerate(fam):
+            assert fam.members[perm[x]] == \
+                eval_word(parse_word("q:2,4 t1"), t)
+
+    def test_skew_five_cycle(self):
+        # t1 q_{3,4} permutes the five standard fillings of (4,2)/(2) in
+        # one 5-cycle
+        fam = enumerate_tableaux(ShiftedSkewShape((4, 2), (2,)), 4)
+        perm = word_permutation(fam, parse_word("t1 q:3,4"))
+        standard = [x for x, t in enumerate(fam)
+                    if sorted(e.value for _, e in t.entries) == [1, 2, 3, 4]]
+        assert len(standard) == 5
+        assert sorted(perm[x] for x in standard) == standard
+        assert cycle_length(perm, standard[0]) == 5
+
+    def test_cactus_counterexample_golden(self):
+        # the q-realization is not a cactus action on skew shapes
+        fam = enumerate_tableaux(ShiftedSkewShape((4, 2), (2,)), 4)
+        v = verify_cactus_action("q", [fam])
+        assert (v.holds, v.instances_checked, v.note) == \
+            (False, 878, "disjoint commutation fails")
+        ce = v.counterexample
+        assert ce.substitution == (("i", 1), ("j", 2), ("k", 3), ("l", 4))
+        assert [rt(t) for t in (ce.tableau, ce.left_result, ce.right_result)] \
+            == [". . 2 4 / 1 3", ". . 1 3 / 2 4", ". . 1 4 / 2 3"]
+
+    def test_output_outside_family_is_integrity_error(self, monkeypatch):
+        fam = enumerate_tableaux(ShiftedSkewShape((2,), ()), 2)
+        other = parse_tableau("1 1\n2", 2)
+        monkeypatch.setattr(engine, "apply_symbol", lambda t, sym: other)
+        with pytest.raises(RuntimeError, match="out of its family"):
+            verify_relation(RelationSchema("t1", "e"), fam)
 
 
 class TestSearch:
