@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, total_ordering
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 Cell = tuple[int, int]
 
@@ -202,29 +202,34 @@ def _validate_filling(
     shape: ShiftedSkewShape,
     entries: Mapping[Cell, Entry],
     n: int,
-    require_canonical: bool = True,
 ) -> None:
     cells = shape.cells
-    if set(entries) != set(cells):
-        extra = set(entries) - set(cells)
-        missing = set(cells) - set(entries)
-        bad = (sorted(extra) or sorted(missing))[0] if (extra or missing) else None
+    if entries.keys() != cells:
+        extra = set(entries) - cells
+        missing = cells - set(entries)
+        bad = (sorted(extra) or sorted(missing))[0]
         raise InvalidTableauError(
             f"filling does not cover shape exactly (extra={sorted(extra)}, missing={sorted(missing)})",
             cell=bad, rule="coverage")
-    for cell, e in sorted(entries.items()):
+    items = sorted(entries.items())
+    key = {cell: 2 * e.value - e.primed for cell, e in items}
+    for cell, e in items:
         if e.value > n:
             raise InvalidTableauError(
                 f"entry {e} at {cell} exceeds alphabet bound n={n}", cell=cell, rule="alphabet")
         r, c = cell
+        k = key[cell]
         for nbr, what in (((r, c + 1), "row"), ((r + 1, c), "column")):
-            if nbr in entries and entries[nbr] < e:
+            if key.get(nbr, k) < k:
                 raise InvalidTableauError(
                     f"{what} not weakly increasing at {cell}: {e} > {entries[nbr]}",
                     cell=nbr, rule=f"{what}-order")
     seen_col: set[tuple[int, int]] = set()
     seen_row: set[tuple[int, int]] = set()
-    for (r, c), e in sorted(entries.items()):
+    # first[v]: the first cell holding v in the reading word (bottom row
+    # first, each row left to right) and whether it is primed
+    first: dict[int, tuple[Cell, bool]] = {}
+    for (r, c), e in items:
         if e.primed:
             if (r, e.value) in seen_row:
                 raise InvalidTableauError(
@@ -235,16 +240,13 @@ def _validate_filling(
                 raise InvalidTableauError(
                     f"two {e.value} in column {c}", cell=(r, c), rule="column-multiplicity")
             seen_col.add((c, e.value))
-    if require_canonical:
-        first: dict[int, Entry] = {}
-        for cell in reading_cells(shape):
-            e = entries[cell]
-            first.setdefault(e.value, e)
-        for value, e in first.items():
-            if e.primed:
-                raise InvalidTableauError(
-                    f"first occurrence of letter {value} in reading word is primed",
-                    rule="canonical-form")
+        if e.value not in first or first[e.value][0][0] < r:
+            first[e.value] = ((r, c), e.primed)
+    primed_first = [(-r, c, v) for v, ((r, c), primed) in first.items() if primed]
+    if primed_first:
+        raise InvalidTableauError(
+            f"first occurrence of letter {min(primed_first)[2]} in reading word is primed",
+            rule="canonical-form")
 
 
 @dataclass(frozen=True)
@@ -332,19 +334,24 @@ def canonicalize(shape: ShiftedSkewShape, entries: Mapping[Cell, Entry],
 
 # ---------------------------------------------------------------------------
 # standardization
+#
+# The operators slide and evacuate plain cell -> entry maps and build one
+# tableau per result; the public functions wrap the map-level ones.
+
+def standardize_map(entries: Iterable[tuple[Cell, Entry]]) -> dict[Cell, int]:
+    """Replace entries by 1..N: for each letter, primed cells top to bottom,
+    then unprimed cells left to right."""
+    order = sorted(entries, key=lambda ce: (
+        (ce[1].value, 0, ce[0][0], ce[0][1]) if ce[1].primed
+        else (ce[1].value, 1, ce[0][1], ce[0][0])))
+    return {cell: i for i, (cell, _) in enumerate(order, start=1)}
+
 
 def standardize(t: ShiftedTableau) -> ShiftedTableau:
     """Replace entries by 1..N: for each letter, primed cells top to bottom,
     then unprimed cells left to right."""
-    order: list[Cell] = []
-    for k in range(1, t.n + 1):
-        primed = sorted((c for c, e in t.entries if e.value == k and e.primed))
-        unprimed = sorted((c for c, e in t.entries if e.value == k and not e.primed),
-                          key=lambda rc: (rc[1], rc[0]))
-        order.extend(primed)
-        order.extend(unprimed)
-    entries = {cell: Entry(i) for i, cell in enumerate(order, start=1)}
-    return ShiftedTableau.from_map(entries, len(order), t.shape)
+    entries = {cell: Entry(i) for cell, i in standardize_map(t.entries).items()}
+    return ShiftedTableau.from_map(entries, len(entries), t.shape)
 
 
 def _letter_split_ok(cells_in_order: list[Cell], s: int) -> bool:
@@ -362,91 +369,66 @@ def _letter_split_ok(cells_in_order: list[Cell], s: int) -> bool:
     return True
 
 
-def destandardize(std: ShiftedTableau, wt: tuple[int, ...]) -> ShiftedTableau:
-    """Inverse of standardize for a given weight vector.
+def destandardize_map(std: Mapping[Cell, int], wt: tuple[int, ...]) -> dict[Cell, Entry]:
+    """Inverse of standardize_map for a given weight vector.
 
     For each letter, the cells holding its standard values split into a
     primed prefix and unprimed suffix; the split is forced by semistandard
     validity plus canonical form.
     """
-    if sum(wt) != std.size:
-        raise TableauError(f"weight {wt} does not sum to {std.size} cells")
-    n = len(wt)
-    by_value = {e.value: c for c, e in std.entries}
+    if sum(wt) != len(std):
+        raise TableauError(f"weight {wt} does not sum to {len(std)} cells")
+    by_value = {v: c for c, v in std.items()}
     entries: dict[Cell, Entry] = {}
-    reading = reading_cells(std.shape)
     offset = 0
     for k, w in enumerate(wt, start=1):
         group = [by_value[v] for v in range(offset + 1, offset + w + 1)]
         offset += w
         if not group:
             continue
-        first_read = min(group, key=reading.index)
+        # the first reading occurrence (bottom row, then leftmost) must be unprimed
+        first_read = min(group, key=lambda rc: (-rc[0], rc[1]))
         chosen = None
         for s in range(len(group) + 1):
-            if not _letter_split_ok(group, s):
+            if first_read in group[:s] or not _letter_split_ok(group, s):
                 continue
-            if first_read in group[:s]:
-                continue  # first reading occurrence must be unprimed
-            filling = {c: Entry(k, True) for c in group[:s]}
-            filling.update({c: Entry(k) for c in group[s:]})
-            # in-band row order: a primed entry may not sit right of an
-            # unprimed one in the same row (covered by _letter_split_ok),
-            # remaining checks are done by the final validation
             if chosen is not None:
                 raise InvalidTableauError(
                     f"ambiguous destandardization for letter {k}", rule="destandardize")
-            chosen = filling
+            chosen = s
         if chosen is None:
             raise InvalidTableauError(
                 f"no valid destandardization for letter {k}", rule="destandardize")
-        entries.update(chosen)
-    return ShiftedTableau.from_map(entries, n, std.shape)
+        entries.update((c, Entry(k, True)) for c in group[:chosen])
+        entries.update((c, Entry(k)) for c in group[chosen:])
+    return entries
+
+
+def destandardize(std: ShiftedTableau, wt: tuple[int, ...]) -> ShiftedTableau:
+    """Inverse of standardize for a given weight vector."""
+    values = {c: e.value for c, e in std.entries}
+    return ShiftedTableau.from_map(destandardize_map(values, wt), len(wt), std.shape)
 
 
 # ---------------------------------------------------------------------------
 # interval restriction
 
-def _partial_shape(t: ShiftedTableau, k: int) -> frozenset[Cell]:
-    """Cells of the inner shape plus the letters 1..k of t."""
-    return frozenset(c for c, e in t.entries if e.value <= k)
-
-
-def reindex(t: ShiftedTableau, offset: int, n: int) -> ShiftedTableau:
-    """Shift every letter by offset and rebind the alphabet bound."""
-    entries = {c: e.shift(offset) for c, e in t.entries}
-    return ShiftedTableau.from_map(entries, n, t.shape)
-
-
-def restrict_interval(t: ShiftedTableau, i: int, j: int
-                      ) -> tuple[ShiftedTableau, ShiftedTableau, ShiftedTableau]:
-    """Split t into the prefix (letters < i), band (letters i..j) and
-    suffix (letters > j), all positioned as in t."""
-    if not (1 <= i <= j <= t.n):
-        raise TableauError(f"invalid interval [{i},{j}] for n={t.n}")
-    pre = {c: e for c, e in t.entries if e.value < i}
-    band = {c: e for c, e in t.entries if i <= e.value <= j}
-    suf = {c: e for c, e in t.entries if e.value > j}
-
-    def build(part: dict[Cell, Entry]) -> ShiftedTableau:
-        if not part:
-            return ShiftedTableau(ShiftedSkewShape(), (), t.n)
-        return ShiftedTableau.from_map(part, t.n)
-
-    return build(pre), build(band), build(suf)
-
-
-def reassemble(parts: Iterable[ShiftedTableau], n: int) -> ShiftedTableau:
-    """Union of disjointly-positioned tableaux back into one tableau."""
-    entries: dict[Cell, Entry] = {}
-    for p in parts:
-        for c, e in p.entries:
-            if c in entries:
-                raise TableauError(f"overlapping cell {c} while reassembling")
-            entries[c] = e
-    if not entries:
-        return ShiftedTableau(ShiftedSkewShape(), (), n)
-    return ShiftedTableau.from_map(entries, n)
+def act_on_band(t: ShiftedTableau, i: int, j: int,
+                op: Callable[[ShiftedTableau], ShiftedTableau]) -> ShiftedTableau:
+    """Apply a cell-preserving op to the letters i..j of t, re-indexed to
+    the alphabet 1..j-i+1, and put the result back beside the other
+    letters; t itself when no letter lies in the band."""
+    # with i == 1 the entries are shared, not copied: the band tableau is
+    # kept as a cache key by op
+    band = {c: e if i == 1 else e.shift(1 - i)
+            for c, e in t.entries if i <= e.value <= j}
+    if not band:
+        return t
+    done = op(ShiftedTableau.from_map(band, j - i + 1))
+    out = dict(t.entries)
+    out.update(done.entries if i == 1 else
+               ((c, e.shift(i - 1)) for c, e in done.entries))
+    return ShiftedTableau.from_map(out, t.n)
 
 
 # ---------------------------------------------------------------------------

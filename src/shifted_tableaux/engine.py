@@ -226,7 +226,7 @@ def word_permutation(family: TableauFamily, word: Sequence[GeneratorSymbol]
 # ---------------------------------------------------------------------------
 # relation schemata
 
-_VAR_RE = re.compile(r"\{([a-z0-9+\-* ]+)\}")
+_VAR_RE = re.compile(r"\{([a-z0-9+\-* ()]+)\}")
 
 
 @dataclass(frozen=True)
@@ -267,9 +267,9 @@ class RelationSchema:
             subs = dict(zip(names, values))
             if not _eval_constraint(self.constraint, subs):
                 continue
+            left, right = _substitute(self.left, subs), _substitute(self.right, subs)
             try:
-                lhs = parse_word(_substitute(self.left, subs))
-                rhs = parse_word(_substitute(self.right, subs))
+                lhs, rhs = parse_word(left), parse_word(right)
             except WordError:
                 continue
             if all(s.valid_for(n) for s in lhs + rhs):
@@ -280,7 +280,14 @@ class RelationSchema:
 _EXPR_RE = re.compile(r"^[\sa-z0-9+\-*<>=!&()%,]*$")
 
 
+def _reject_power(expr: str) -> None:
+    # eval of a chain like i**i**i**i runs for as long as it likes
+    if "**" in "".join(expr.split()):
+        raise WordError(f"'**' is not allowed in schema expressions: {expr!r}")
+
+
 def _eval_index(expr: str, subs: dict[str, int]) -> int:
+    _reject_power(expr)
     if not _EXPR_RE.match(expr):
         raise WordError(f"unsupported index expression {expr!r}")
     return int(eval(expr, {"__builtins__": {}}, dict(subs)))  # noqa: S307
@@ -297,6 +304,7 @@ def _eval_constraint(expr: str, subs: dict[str, int]) -> bool:
         return True
     # |x| is shorthand for abs(x)
     expr = re.sub(r"\|([^|]*)\|", r"abs(\1)", expr)
+    _reject_power(expr)
     if not _EXPR_RE.match(expr.replace("abs", "").replace("and", "")
                           .replace("or", "").replace("not", "")):
         raise WordError(f"unsupported constraint {expr!r}")

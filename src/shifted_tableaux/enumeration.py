@@ -1,9 +1,10 @@
 """Exhaustive generation of canonical shifted semistandard tableaux.
 
-Generation backtracks over cells in row-reading order with per-cell
-pruning (row/column order, multiplicity rules); canonical form is applied
-as a final filter.  The family order is fixed as reading-word
-lexicographic so that golden outputs stay byte-stable.
+Generation backtracks over cells in row order with per-cell pruning
+(row/column order, multiplicity rules); canonical form is applied as a
+final filter, and every kept filling is validated as a tableau.  The
+family order is fixed as reading-word lexicographic so that golden
+outputs stay byte-stable.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterator
 
-from .core import (Cell, Entry, ShiftedSkewShape, ShiftedTableau,
-                   reading_word, InvalidTableauError, _validate_filling)
+from .core import Cell, Entry, ShiftedSkewShape, ShiftedTableau, reading_cells
 
 
 @dataclass(frozen=True)
@@ -85,34 +85,40 @@ def _iter_fillings(shape: ShiftedSkewShape, n: int) -> Iterator[dict[Cell, Entry
     yield from place(0)
 
 
-def _is_canonical(shape: ShiftedSkewShape, filling: dict[Cell, Entry]) -> bool:
-    try:
-        _validate_filling(shape, filling, max((e.value for e in filling.values()), default=0) or 1,
-                          require_canonical=True)
-    except InvalidTableauError:
-        return False
+def _is_canonical(reading: list[Cell], filling: dict[Cell, Entry]) -> bool:
+    """The first occurrence of each letter in reading order is unprimed;
+    the backtracking already enforces every other rule."""
+    seen: set[int] = set()
+    for cell in reading:
+        e = filling[cell]
+        if e.value not in seen:
+            if e.primed:
+                return False
+            seen.add(e.value)
     return True
+
+
+def _canonical_fillings(shape: ShiftedSkewShape, n: int
+                        ) -> Iterator[tuple[tuple[int, ...], dict[Cell, Entry]]]:
+    """Canonical fillings with their reading-word order keys."""
+    reading = reading_cells(shape)
+    for filling in _iter_fillings(shape, n):
+        if _is_canonical(reading, filling):
+            yield tuple(filling[c].order_key for c in reading), filling
 
 
 def enumerate_tableaux(shape: ShiftedSkewShape, n: int) -> TableauFamily:
     """All members of ShST(shape, n) in reading-word lexicographic order."""
     if n < 0:
         raise ValueError("alphabet bound must be >= 0")
-    members = []
-    for filling in _iter_fillings(shape, n):
-        if _is_canonical(shape, filling):
-            members.append(ShiftedTableau.from_map(filling, n, shape))
-    members.sort(key=lambda t: tuple(e.order_key for e in reading_word(t)))
-    return TableauFamily(shape, n, tuple(members))
+    fillings = sorted(_canonical_fillings(shape, n), key=lambda kf: kf[0])
+    members = tuple(ShiftedTableau.from_map(f, n, shape) for _, f in fillings)
+    return TableauFamily(shape, n, members)
 
 
 def count(shape: ShiftedSkewShape, n: int) -> int:
     """len(enumerate_tableaux(shape, n)) without keeping the members."""
-    total = 0
-    for filling in _iter_fillings(shape, n):
-        if _is_canonical(shape, filling):
-            total += 1
-    return total
+    return sum(1 for _ in _canonical_fillings(shape, n))
 
 
 def straight_shapes(max_cells: int, max_part: int | None = None

@@ -1,10 +1,12 @@
 """Shifted jeu de taquin, rectification, complement, evacuation, reversal
 and the restricted Schuetzenberger involutions.
 
-Slides are implemented directly for standard tableaux (plain inner/outer
-moves on the shifted diagram); semistandard slides go through
-standardize -> slide -> destandardize, which is the bridge that makes the
-primed bookkeeping unambiguous.
+Slides are implemented directly for standard fillings (plain inner/outer
+moves of a cell -> value map on the shifted diagram); semistandard slides
+go through standardize -> slide -> destandardize, which is the bridge that
+makes the primed bookkeeping unambiguous.  Standardization commutes with
+shifted jeu de taquin (Worley 1984), so rectify and reversal standardize
+once, run all their slides, and destandardize once.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (CapacityError, Cell, Entry, ShiftedSkewShape, ShiftedTableau,
-                   StrictPartition, TableauError, canonicalize, destandardize,
-                   reassemble, reindex, restrict_interval, standardize, weight)
+                   StrictPartition, TableauError, act_on_band, canonicalize,
+                   destandardize_map, standardize_map, weight)
 
 DUAL_EQUIV_MAX_CELLS = 6
 
@@ -54,50 +56,35 @@ def inner_corners(shape: ShiftedSkewShape) -> list[Cell]:
     return out
 
 
-def _standard_inner_slide(t: ShiftedTableau, corner: Cell) -> tuple[ShiftedTableau, Cell]:
-    entries = dict(t.entry_map)
-    r, c = corner
+def _slide_standard(entries: dict[Cell, int], cell: Cell, outer: bool) -> Cell:
+    """Slide a standard cell -> value map in place, into the inner corner
+    cell, or outward from the outside position cell; returns the cell the
+    slide vacates (inner) or ends in (outer)."""
+    r, c = cell
+    if outer and (c < r or cell in entries):
+        raise TableauError(f"{cell} is not a valid outer slide start")
+    # an inner slide pulls the smaller of its east and south neighbours in,
+    # an outer slide the larger of its west and north neighbours
+    step = -1 if outer else 1
     while True:
-        east = entries.get((r, c + 1))
-        south = entries.get((r + 1, c))
-        if east is None and south is None:
-            break
-        if south is None or (east is not None and east < south):
-            entries[(r, c)] = entries.pop((r, c + 1))
-            c += 1
+        across = entries.get((r, c + step)) if c + step >= r else None
+        down = entries.get((r + step, c))
+        if across is None and down is None:
+            return r, c
+        if down is None or (across is not None and (across < down) != outer):
+            entries[(r, c)] = entries.pop((r, c + step))
+            c += step
         else:
-            entries[(r, c)] = entries.pop((r + 1, c))
-            r += 1
-    shape = ShiftedSkewShape.from_cells(entries.keys()) if entries else ShiftedSkewShape()
-    return ShiftedTableau.from_map(entries, t.n, shape) if entries else \
-        ShiftedTableau(shape, (), t.n), (r, c)
-
-
-def _standard_outer_slide(t: ShiftedTableau, start: Cell) -> tuple[ShiftedTableau, Cell]:
-    entries = dict(t.entry_map)
-    r, c = start
-    if c < r or start in entries:
-        raise TableauError(f"{start} is not a valid outer slide start")
-    while True:
-        west = entries.get((r, c - 1)) if c - 1 >= r else None
-        north = entries.get((r - 1, c))
-        if west is None and north is None:
-            break
-        if north is None or (west is not None and west > north):
-            entries[(r, c)] = entries.pop((r, c - 1))
-            c -= 1
-        else:
-            entries[(r, c)] = entries.pop((r - 1, c))
-            r -= 1
-    return ShiftedTableau.from_map(entries, t.n), (r, c)
+            entries[(r, c)] = entries.pop((r + step, c))
+            r += step
 
 
 def _slide(t: ShiftedTableau, cell: Cell, outer: bool) -> tuple[ShiftedTableau, Cell]:
     if t.size == 0:
         raise TableauError("cannot slide an empty tableau")
-    std = standardize(t)
-    slid, exit_cell = (_standard_outer_slide if outer else _standard_inner_slide)(std, cell)
-    return destandardize(slid, weight(t)), exit_cell
+    std = standardize_map(t.entries)
+    exit_cell = _slide_standard(std, cell, outer)
+    return ShiftedTableau.from_map(destandardize_map(std, weight(t)), t.n), exit_cell
 
 
 def inner_slide(t: ShiftedTableau, corner: Cell) -> ShiftedTableau:
@@ -132,17 +119,18 @@ def rectify(t: ShiftedTableau, strategy: str = "first"
         # covers shapes like lambda/lambda
         return ShiftedTableau(ShiftedSkewShape(), (), t.n), SlideRecord()
     record: list[tuple[Cell, Cell]] = []
-    cur = t
-    while True:
-        corners = inner_corners(cur.shape)
-        if not corners:
-            break
+    shape, std = t.shape, None
+    while corners := inner_corners(shape):
+        if std is None:
+            std = standardize_map(t.entries)
         corner = _pick_corner(corners, strategy)
-        cur, exit_cell = _slide(cur, corner, outer=False)
-        record.append((corner, exit_cell))
-    if not cur.shape.straight:
-        raise RuntimeError(f"rectification did not reach a straight shape: {cur.shape}")
-    return cur, SlideRecord(tuple(record))
+        record.append((corner, _slide_standard(std, corner, outer=False)))
+        shape = ShiftedSkewShape.from_cells(std)
+    rect = t if std is None else \
+        ShiftedTableau.from_map(destandardize_map(std, weight(t)), t.n)
+    if not rect.shape.straight:
+        raise RuntimeError(f"rectification did not reach a straight shape: {rect.shape}")
+    return rect, SlideRecord(tuple(record))
 
 
 def knuth_equivalent(t1: ShiftedTableau, t2: ShiftedTableau) -> bool:
@@ -218,12 +206,15 @@ def reversal(t: ShiftedTableau) -> ShiftedTableau:
     """The unique tableau Knuth equivalent to c_n(T) and dual equivalent to T:
     rectify, evacuate, then replay the recorded slides outward in reverse."""
     rect, record = rectify(t)
-    cur = evacuation_jdt(rect)
-    for _, exit_cell in reversed(record.slides):
-        cur = outer_slide(cur, exit_cell)
-    if cur.cells != t.cells:
+    out = evacuation_jdt(rect)
+    if record.slides:
+        std = standardize_map(out.entries)
+        for _, exit_cell in reversed(record.slides):
+            _slide_standard(std, exit_cell, outer=True)
+        out = ShiftedTableau.from_map(destandardize_map(std, weight(out)), out.n)
+    if out.cells != t.cells:
         raise RuntimeError("reversal did not restore the original shape")
-    return cur
+    return out
 
 
 def eta(t: ShiftedTableau, i: int | None = None, j: int | None = None) -> ShiftedTableau:
@@ -235,13 +226,7 @@ def eta(t: ShiftedTableau, i: int | None = None, j: int | None = None) -> Shifte
         i, j = 1, t.n
     if not (1 <= i <= j <= t.n):
         raise TableauError(f"invalid interval [{i},{j}] for n={t.n}")
-    prefix, band, suffix = restrict_interval(t, i, j)
-    if band.size == 0:
-        return t
-    local = reindex(band, 1 - i, j - i + 1)
-    reversed_local = reversal(local)
-    back = reindex(reversed_local, i - 1, t.n)
-    return reassemble([prefix, back, suffix], t.n)
+    return act_on_band(t, i, j, reversal)
 
 
 def sigma(t: ShiftedTableau, i: int) -> ShiftedTableau:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (Cell, Entry, ShiftedSkewShape, ShiftedTableau, TableauError,
-                   canonicalize, reassemble, restrict_interval)
+                   act_on_band, canonicalize)
 
 
 class SwitchingError(TableauError):
@@ -339,13 +339,7 @@ def evac_skew(t: ShiftedTableau) -> ShiftedTableau:
 def _evac_k(t: ShiftedTableau, k: int) -> ShiftedTableau:
     if not (1 <= k <= t.n):
         raise TableauError(f"invalid restriction index k={k} for n={t.n}")
-    _, band, suffix = restrict_interval(t, 1, k)
-    if band.size == 0:
-        return t
-    local = ShiftedTableau(band.shape, band.entries, k)
-    done = _evac_core(local)
-    out = ShiftedTableau(done.shape, done.entries, t.n)
-    return reassemble([out, suffix], t.n)
+    return act_on_band(t, 1, k, _evac_core)
 
 
 def evac_k_switch(t: ShiftedTableau, k: int) -> ShiftedTableau:
@@ -364,11 +358,4 @@ def evac_interval_skew(t: ShiftedTableau, i: int, j: int) -> ShiftedTableau:
     """Apply the skew evacuation to the letter band i..j, fixing the rest."""
     if not (1 <= i <= j <= t.n):
         raise TableauError(f"invalid interval [{i},{j}] for n={t.n}")
-    prefix, band, suffix = restrict_interval(t, i, j)
-    if band.size == 0:
-        return t
-    from .core import reindex
-    local = reindex(band, 1 - i, j - i + 1)
-    done = _evac_core(local)
-    back = reindex(done, i - 1, t.n)
-    return reassemble([prefix, back, suffix], t.n)
+    return act_on_band(t, i, j, _evac_core)

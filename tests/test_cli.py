@@ -131,6 +131,14 @@ class TestErrors:
                            "--n", "2")
         assert code == 2
 
+    def test_schema_power_is_one_line(self, capsys):
+        code, out, err = run(capsys, "verify", "--schema",
+                             "t1 = e : i**i**i**i**i > 0", "--n", "9",
+                             "--outer", "2")
+        assert code == 2 and out == ""
+        assert err == "error: '**' is not allowed in schema expressions: " \
+            "'i**i**i**i**i > 0'\n"
+
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "rectify", "--in", "/nonexistent/t.txt",
                          "--n", "2")

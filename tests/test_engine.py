@@ -84,6 +84,35 @@ class TestSchemas:
                                  straight_families(2))
         assert v.holds
 
+    @pytest.mark.parametrize("text", ["t{i**i**i**i**i} = e",
+                                      "t1 = e : i**i**i**i**i > 0",
+                                      "t1 = e : i * * i > 0",
+                                      "t1 = e : |i**9| > 0"])
+    def test_power_rejected_before_eval(self, text):
+        with pytest.raises(WordError, match=r"'\*\*' is not allowed"):
+            RelationSchema.parse(text).instantiations(9)
+
+
+class TestCactusEvacRoute:
+    """The route s_ij = evac_j evac_{j-i+1} evac_j on straight shapes."""
+
+    @pytest.fixture(scope="class")
+    def families(self):
+        return {n: straight_families(n) for n in (3, 4)}
+
+    @pytest.mark.parametrize("n, instances", [(3, 2596), (4, 37613)])
+    def test_route_holds(self, families, n, instances):
+        v = verify_cactus_action("evac", families[n])
+        assert v.holds and v.instances_checked == instances
+
+    def test_schemas_hold(self, families):
+        counts = []
+        for schema in engine.cactus_schemas("evac"):
+            v = verify_relation_over(schema, families[4])
+            assert v.holds, schema.name
+            counts.append(v.instances_checked)
+        assert counts == [7782, 1297, 19455]
+
 
 N = 4
 FAMILY_SHAPES = [((3, 1), ()), ((3, 2), ()), ((3, 1), (1,)), ((4, 2), (2,))]

@@ -1,0 +1,185 @@
+"""The operators slide and evacuate plain cell maps and build one tableau
+per result.  These tests keep the step-by-step path, one validated
+tableau per slide and per band, as the reference, over every straight
+and skew family of at most 6 cells with outer_1 <= 4 at n=4."""
+
+import pytest
+
+from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape,
+                                   ShiftedTableau, destandardize, parse_tableau,
+                                   render_text, standardize, weight)
+from shifted_tableaux.enumeration import enumerate_tableaux, skew_shapes
+from shifted_tableaux.jdt import (SlideRecord, eta, evacuation_jdt, inner_corners,
+                                  inner_slide, outer_slide, rectify, reversal)
+from shifted_tableaux.switching import (_evac_core, evac_interval_skew,
+                                        evac_k_skew)
+
+N = 4
+INTERVALS = [(i, j) for i in range(1, N + 1) for j in range(i + 1, N + 1)]
+
+
+@pytest.fixture(scope="module")
+def members():
+    return [t for shape in skew_shapes(6, 4, include_straight=True)
+            for t in enumerate_tableaux(shape, N)]
+
+
+def same(a, b):
+    """Equal as tableaux and in their (outer, inner) representation."""
+    return (a == b and render_text(a) == render_text(b)
+            and (a.shape.outer, a.shape.inner) == (b.shape.outer, b.shape.inner))
+
+
+# -- the step-by-step reference ---------------------------------------------
+
+def standard_slide(std, cell, outer):
+    """One slide of a standard tableau, rebuilt as a validated tableau."""
+    entries = dict(std.entry_map)
+    r, c = cell
+    while True:
+        if outer:
+            west = entries.get((r, c - 1)) if c - 1 >= r else None
+            north = entries.get((r - 1, c))
+            if west is None and north is None:
+                break
+            if north is None or (west is not None and west > north):
+                entries[(r, c)] = entries.pop((r, c - 1))
+                c -= 1
+            else:
+                entries[(r, c)] = entries.pop((r - 1, c))
+                r -= 1
+        else:
+            east = entries.get((r, c + 1))
+            south = entries.get((r + 1, c))
+            if east is None and south is None:
+                break
+            if south is None or (east is not None and east < south):
+                entries[(r, c)] = entries.pop((r, c + 1))
+                c += 1
+            else:
+                entries[(r, c)] = entries.pop((r + 1, c))
+                r += 1
+    return ShiftedTableau.from_map(entries, std.n), (r, c)
+
+
+def reference_slide(t, cell, outer):
+    """standardize -> slide -> destandardize, a tableau at every stage."""
+    slid, end = standard_slide(standardize(t), cell, outer)
+    return destandardize(slid, weight(t)), end
+
+
+def reference_rectify(t, strategy):
+    """Slide by slide; the first slide is also checked against inner_slide."""
+    cur, record = t, []
+    while corners := inner_corners(cur.shape):
+        corner = min(corners) if strategy == "first" else max(corners)
+        nxt, exit_cell = reference_slide(cur, corner, outer=False)
+        if not record:
+            assert same(inner_slide(cur, corner), nxt)
+        record.append((corner, exit_cell))
+        cur = nxt
+    return cur, SlideRecord(tuple(record))
+
+
+def reference_reversal(t):
+    """Slide by slide; the first slide is also checked against outer_slide."""
+    rect, record = rectify(t)
+    cur = evacuation_jdt(rect)
+    for k, (_, exit_cell) in enumerate(reversed(record.slides)):
+        nxt = reference_slide(cur, exit_cell, outer=True)[0]
+        if k == 0:
+            assert same(outer_slide(cur, exit_cell), nxt)
+        cur = nxt
+    return cur
+
+
+def reference_split(t, i, j):
+    """The prefix (letters < i), band (i..j) and suffix (> j) tableaux."""
+    def part(keep):
+        entries = {c: e for c, e in t.entries if keep(e.value)}
+        if not entries:
+            return ShiftedTableau(ShiftedSkewShape(), (), t.n)
+        return ShiftedTableau.from_map(entries, t.n)
+
+    return (part(lambda v: v < i), part(lambda v: i <= v <= j),
+            part(lambda v: v > j))
+
+
+def reference_band(t, i, j, split, op):
+    """Re-index the band to 1..j-i+1, apply op, re-index back and
+    reassemble the three parts."""
+    prefix, band, suffix = split
+    if band.size == 0:
+        return t
+    local = ShiftedTableau.from_map({c: e.shift(1 - i) for c, e in band.entries},
+                                    j - i + 1, band.shape)
+    done = op(local)
+    back = ShiftedTableau.from_map({c: e.shift(i - 1) for c, e in done.entries},
+                                   t.n, done.shape)
+    entries = {}
+    for p in (prefix, back, suffix):
+        for c, e in p.entries:
+            assert c not in entries
+            entries[c] = e
+    return ShiftedTableau.from_map(entries, t.n)
+
+
+# -- the operators against it ------------------------------------------------
+
+def test_family_size(members):
+    assert len(members) == 5134
+
+
+@pytest.mark.parametrize("strategy", ["first", "last"])
+def test_rectify_matches_slide_by_slide(members, strategy):
+    for t in members:
+        rect, record = rectify(t, strategy)
+        ref_rect, ref_record = reference_rectify(t, strategy)
+        assert same(rect, ref_rect), render_text(t)
+        assert record == ref_record, render_text(t)
+
+
+def test_reversal_matches_outer_slides(members):
+    for t in members:
+        assert same(reversal(t), reference_reversal(t)), render_text(t)
+
+
+def test_band_operators_match_band_composition(members):
+    """eta, evac_interval_skew and evac_k_skew."""
+    for t in members:
+        for i, j in INTERVALS:
+            split = reference_split(t, i, j)
+            where = (render_text(t), i, j)
+            assert same(eta(t, i, j), reference_band(t, i, j, split, reversal)), where
+            evac = reference_band(t, i, j, split, _evac_core)
+            assert same(evac_interval_skew(t, i, j), evac), where
+            if i == 1:
+                assert same(evac_k_skew(t, j), evac), where
+
+
+# -- validation messages -----------------------------------------------------
+
+@pytest.mark.parametrize("build, rule, message, cell", [
+    (lambda: ShiftedTableau.from_map({(1, 1): Entry(1), (1, 2): Entry(2)}, 2,
+                                     ShiftedSkewShape((3,))),
+     "coverage", "filling does not cover shape exactly (extra=[], missing=[(1, 3)])",
+     (1, 3)),
+    (lambda: parse_tableau("1 3", 2),
+     "alphabet", "entry 3 at (1, 2) exceeds alphabet bound n=2", (1, 2)),
+    (lambda: parse_tableau("2 1", 2),
+     "row-order", "row not weakly increasing at (1, 1): 2 > 1", (1, 2)),
+    (lambda: parse_tableau("1 2\n1", 2),
+     "column-order", "column not weakly increasing at (1, 2): 2 > 1", (2, 2)),
+    (lambda: parse_tableau("1 2' 2'", 2),
+     "primed-row-multiplicity", "two 2' in row 1", (1, 3)),
+    (lambda: parse_tableau("1 2\n2", 2),
+     "column-multiplicity", "two 2 in column 2", (2, 2)),
+    # letters 3 and 2 both start primed; 3 comes first in the reading word
+    (lambda: parse_tableau("1 2' 3' 3\n3'", 3),
+     "canonical-form", "first occurrence of letter 3 in reading word is primed", None),
+], ids=["coverage", "alphabet", "row-order", "column-order",
+        "primed-row-multiplicity", "column-multiplicity", "canonical-form"])
+def test_bad_filling_rule_and_message(build, rule, message, cell):
+    with pytest.raises(InvalidTableauError) as info:
+        build()
+    assert (info.value.rule, str(info.value), info.value.cell) == (rule, message, cell)
