@@ -9,7 +9,7 @@ re-canonicalized if the prime toggle rule demands it.
 from __future__ import annotations
 
 from .core import Cell, Entry, ShiftedTableau, TableauError, canonicalize
-from .switching import PerforatedFilling, TraceStep, switch_pair
+from .switching import TraceStep, _run, _State
 
 
 def theta(e: Entry, i: int) -> Entry:
@@ -28,42 +28,45 @@ def theta_interval(e: Entry, i: int, j: int) -> Entry:
     return e
 
 
-def _bk_state(t: ShiftedTableau, i: int
-              ) -> tuple[dict[Cell, Entry], list[TraceStep]]:
-    rest = {c: e for c, e in t.entries if e.value not in (i, i + 1)}
-    a_cells = {c: e.primed for c, e in t.entries if e.value == i}
-    b_cells = {c: e.primed for c, e in t.entries if e.value == i + 1}
-    steps: list[TraceStep] = []
-    if a_cells and b_cells:
-        a = PerforatedFilling.from_map(i, a_cells)
-        b = PerforatedFilling.from_map(i + 1, b_cells)
-        new_b, new_a, raw = switch_pair(a, b)
+def _bk(t: ShiftedTableau, i: int, steps: list[TraceStep] | None
+        ) -> ShiftedTableau:
+    """t_i(T); each switch appends a TraceStep to steps unless it is None."""
+    if not (1 <= i <= t.n - 1):
+        raise TableauError(f"invalid Bender-Knuth index i={i} for n={t.n}")
+    rest: dict[Cell, Entry] = {}
+    st: _State = {}  # the i-band plays a, the (i+1)-band b
+    for c, e in t.entries:
+        if e.value == i:
+            st[c] = ("a", e.primed)
+        elif e.value == i + 1:
+            st[c] = ("b", e.primed)
+        else:
+            rest[c] = e
+    on_step = None
+    if steps is not None:
         fixed = tuple(sorted(rest.items()))
-        for rule, pair in raw:
-            moving = dict(pair.a.entries())
-            moving.update(pair.b.entries())
+
+        def on_step(rule: str) -> None:
+            moving = {c: Entry(i if side == "a" else i + 1, p)
+                      for c, (side, p) in st.items()}
             steps.append(TraceStep(rule, tuple(sorted(moving.items())), fixed))
-        a_cells = new_a.cell_map
-        b_cells = new_b.cell_map
-    switched = dict(rest)
-    switched.update({c: Entry(i, p) for c, p in a_cells.items()})
-    switched.update({c: Entry(i + 1, p) for c, p in b_cells.items()})
-    return switched, steps
+
+    _run(st, on_step)
+    # after the switch the a-cells hold i and the b-cells i+1; theta swaps them
+    rest.update((c, Entry(i + 1 if side == "a" else i, p)) for c, (side, p) in st.items())
+    return canonicalize(t.shape, rest, t.n)
 
 
 def bk_trace(t: ShiftedTableau, i: int
              ) -> tuple[ShiftedTableau, list[TraceStep]]:
     """t_i(T) together with the intermediate switch chain."""
-    if not (1 <= i <= t.n - 1):
-        raise TableauError(f"invalid Bender-Knuth index i={i} for n={t.n}")
-    switched, steps = _bk_state(t, i)
-    relabelled = {c: theta(e, i) for c, e in switched.items()}
-    return canonicalize(t.shape, relabelled, t.n), steps
+    steps: list[TraceStep] = []
+    return _bk(t, i, steps), steps
 
 
 def bk(t: ShiftedTableau, i: int) -> ShiftedTableau:
     """The shifted Bender-Knuth involution t_i."""
-    return bk_trace(t, i)[0]
+    return _bk(t, i, None)
 
 
 # The composite generators as words in the t_k, listed in the order the

@@ -110,12 +110,9 @@ def cmd_enum(args: argparse.Namespace) -> int:
     if args.count_only:
         _emit(args, _report(args, count=len(family)), str(len(family)))
         return EXIT_OK
-    rendered = [_render(t, "text") for t in family]
-    report = _report(args, count=len(family), members=rendered)
-    _emit(args, report, "\n\n".join(_render(t, args.format) for t in family)
-          if args.format == "text" else "")
-    if args.format == "json":
-        return EXIT_OK
+    rendered = [render_text(t) for t in family]
+    _emit(args, _report(args, count=len(family), members=rendered),
+          "\n\n".join(rendered))
     return EXIT_OK
 
 

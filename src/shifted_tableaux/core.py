@@ -265,7 +265,12 @@ class ShiftedTableau:
     def __post_init__(self):
         ent = tuple(sorted(self.entries))
         object.__setattr__(self, "entries", ent)
-        _validate_filling(self.shape, dict(ent), self.n)
+        entry_map = dict(ent)
+        if len(entry_map) != len(ent):
+            cell = next(c for (c, _), (d, _) in zip(ent, ent[1:]) if c == d)
+            raise InvalidTableauError(f"cell {cell} is filled more than once",
+                                      cell=cell, rule="coverage")
+        _validate_filling(self.shape, entry_map, self.n)
 
     @cached_property
     def entry_map(self) -> dict[Cell, Entry]:

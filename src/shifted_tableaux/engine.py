@@ -418,37 +418,27 @@ def verify_cactus_action(route: str, families: Iterable[TableauFamily]) -> Verdi
         def result(t: ShiftedTableau, *ps: tuple[int, int]) -> ShiftedTableau:
             return eval_word(sum((words[p] for p in ps), ()), t)
 
+        # (note, substitution, left factors, right factors) per relation
+        checks = [("s_ij^2 = 1 fails", (("i", i), ("j", j)), ((i, j), (i, j)), ())
+                  for (i, j) in pairs]
+        for (i, j) in pairs:
+            for (k, l) in pairs:
+                subs = (("i", i), ("j", j), ("k", k), ("l", l))
+                if j < k or l < i:
+                    checks.append(("disjoint commutation fails", subs,
+                                   ((i, j), (k, l)), ((k, l), (i, j))))
+                elif i <= k and l <= j:
+                    checks.append(("nested folding fails", subs, ((i, j), (k, l)),
+                                   ((i + j - l, i + j - k), (i, j))))
+        checks += [("s_ij = s_1j s_1,j-i+1 s_1j fails", (("i", i), ("j", j)),
+                    ((i, j),), ((1, j), (1, j - i + 1), (1, j))) for (i, j) in pairs]
         for x, t in enumerate(family):
-            for (i, j) in pairs:
+            for note, subs, left, right in checks:
                 checked += 1
-                if image(x, (i, j), (i, j)) != x:
+                if image(x, *left) != image(x, *right):
                     return Verdict(False, checked, Counterexample(
-                        t, (("i", i), ("j", j)), result(t, (i, j), (i, j)), t,
-                        family.shape), note="s_ij^2 = 1 fails")
-            for (i, j) in pairs:
-                for (k, l) in pairs:
-                    if j < k or l < i:  # disjoint
-                        checked += 1
-                        if image(x, (i, j), (k, l)) != image(x, (k, l), (i, j)):
-                            return Verdict(False, checked, Counterexample(
-                                t, (("i", i), ("j", j), ("k", k), ("l", l)),
-                                result(t, (i, j), (k, l)), result(t, (k, l), (i, j)),
-                                family.shape), note="disjoint commutation fails")
-                    elif i <= k and l <= j:  # nested
-                        checked += 1
-                        a, b = i + j - l, i + j - k
-                        if image(x, (i, j), (k, l)) != image(x, (a, b), (i, j)):
-                            return Verdict(False, checked, Counterexample(
-                                t, (("i", i), ("j", j), ("k", k), ("l", l)),
-                                result(t, (i, j), (k, l)), result(t, (a, b), (i, j)),
-                                family.shape), note="nested folding fails")
-            for (i, j) in pairs:
-                checked += 1
-                via = ((1, j), (1, j - i + 1), (1, j))
-                if image(x, (i, j)) != image(x, *via):
-                    return Verdict(False, checked, Counterexample(
-                        t, (("i", i), ("j", j)), result(t, (i, j)), result(t, *via),
-                        family.shape), note="s_ij = s_1j s_1,j-i+1 s_1j fails")
+                        t, subs, result(t, *left), result(t, *right),
+                        family.shape), note=note)
     return Verdict(True, checked)
 
 
@@ -657,20 +647,12 @@ def _preset_non_relations(n: int) -> list[PresetResult]:
         v = search_counterexample(schema, n, SEARCH_MAX_CELLS, skew=skew,
                                   max_part=STRAIGHT_MAX_PART)
         out.append(PresetResult(label, not v.holds, v))
-    # skew evacuation need not be Knuth equivalent to the complement
-    checked = 0
-    witness: Counterexample | None = None
-    for shape in skew_shapes(SEARCH_MAX_CELLS, STRAIGHT_MAX_PART):
-        for t in enumerate_tableaux(shape, n):
-            checked += 1
-            lres = jdt.rectify(switching.evac_skew(t))[0]
-            rres = jdt.rectify(jdt.complement(t))[0]
-            if lres != rres:
-                witness = Counterexample(t, (), lres, rres, shape)
-                break
-        if witness:
-            break
-    v = Verdict(witness is None, checked, witness)
+    # skew evacuation need not be Knuth equivalent to the complement; the
+    # families are enumerated lazily, so the scan stops at the witness
+    v = _check_pointwise(
+        (enumerate_tableaux(s, n) for s in skew_shapes(SEARCH_MAX_CELLS, STRAIGHT_MAX_PART)),
+        lambda t: jdt.rectify(switching.evac_skew(t))[0],
+        lambda t: jdt.rectify(jdt.complement(t))[0])
     out.append(PresetResult("skew evac not Knuth equivalent to complement",
                             not v.holds, v))
     return out

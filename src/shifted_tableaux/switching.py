@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .core import (Cell, Entry, ShiftedSkewShape, ShiftedTableau, TableauError,
                    act_on_band, canonicalize)
@@ -110,13 +111,6 @@ def _select(st: _State) -> Cell | None:
     return None
 
 
-def select_switch_box(pair: PerforatedPair) -> Cell | None:
-    """The a-box the switching process acts on next, or None when the pair
-    is fully switched: the rightmost a-box north or west of a b-box, else
-    the bottommost such a'-box."""
-    return _select(_state(pair))
-
-
 def _step(st: _State, x: Cell) -> str:
     """Apply the matching switch rule in place; returns the rule name."""
     r, c = x
@@ -155,17 +149,21 @@ def _step(st: _State, x: Cell) -> str:
     raise SwitchingError(f"selected box {x} is not adjacent to a b-box")
 
 
-def switch_step(pair: PerforatedPair) -> tuple[PerforatedPair, str]:
-    """One application of the switching map.  Raises if fully switched."""
-    st = _state(pair)
-    x = _select(st)
-    if x is None:
-        raise SwitchingError("pair is fully switched; no box to select")
-    rule = _step(st, x)
-    return _pair(pair, st), rule
+def _run(st: _State, on_step: Callable[[str], None] | None) -> None:
+    """The switching process: apply switch rules to st in place until no
+    a-box lies north or west of a b-box.  on_step, if given, is called
+    with each rule name right after the rule fires."""
+    for _ in range(max(4 * len(st) * len(st), 16)):
+        x = _select(st)
+        if x is None:
+            return
+        rule = _step(st, x)
+        if on_step is not None:
+            on_step(rule)
+    raise SwitchingError("switching process did not terminate")
 
 
-def switch_pair(a: PerforatedFilling, b: PerforatedFilling, validate: bool = False
+def switch_pair(a: PerforatedFilling, b: PerforatedFilling
                 ) -> tuple[PerforatedFilling, PerforatedFilling, list[tuple[str, PerforatedPair]]]:
     """Run the switching process to completion.
 
@@ -173,30 +171,15 @@ def switch_pair(a: PerforatedFilling, b: PerforatedFilling, validate: bool = Fal
     a-letters after switching, and the per-step (rule, state) trace.
     """
     pair = PerforatedPair(a, b)
-    if validate:
-        pair.validate()
     st = _state(pair)
     trace: list[tuple[str, PerforatedPair]] = []
-    limit = max(4 * len(st) * len(st), 16)
-    for _ in range(limit):
-        x = _select(st)
-        if x is None:
-            result = _pair(pair, st)
-            return result.b, result.a, trace
-        rule = _step(st, x)
-        trace.append((rule, _pair(pair, st)))
-    raise SwitchingError("switching process did not terminate")
+    _run(st, lambda rule: trace.append((rule, _pair(pair, st))))
+    result = _pair(pair, st)
+    return result.b, result.a, trace
 
 
 # ---------------------------------------------------------------------------
 # tableau-level switching
-
-def _bands(t: ShiftedTableau) -> dict[int, dict[Cell, bool]]:
-    out: dict[int, dict[Cell, bool]] = {}
-    for cell, e in t.entries:
-        out.setdefault(e.value, {})[cell] = e.primed
-    return out
-
 
 def _check_extends(s: ShiftedTableau, t: ShiftedTableau) -> None:
     if s.cells & t.cells:
@@ -229,22 +212,17 @@ def _switch_bands(state: dict[Cell, tuple[int, int, bool]],
                   trace: list[TraceStep] | None) -> None:
     """Switch the (side_a, letter_a) band through the (side_b, letter_b)
     band inside a combined cell -> (side, letter, primed) state."""
-    a_cells = {c: p for c, (sd, lt, p) in state.items() if sd == side_a and lt == letter_a}
-    b_cells = {c: p for c, (sd, lt, p) in state.items() if sd == side_b and lt == letter_b}
-    if not a_cells or not b_cells:
-        return
-    region = set(a_cells) | set(b_cells)
-    st: _State = {c: ("a", p) for c, p in a_cells.items()}
-    st.update({c: ("b", p) for c, p in b_cells.items()})
-    for cell in region:
+    st: _State = {}
+    for cell, (sd, lt, p) in state.items():
+        if sd == side_a and lt == letter_a:
+            st[cell] = ("a", p)
+        elif sd == side_b and lt == letter_b:
+            st[cell] = ("b", p)
+    for cell in st:
         del state[cell]
-    limit = max(4 * len(st) * len(st), 16)
-    for _ in range(limit):
-        x = _select(st)
-        if x is None:
-            break
-        rule = _step(st, x)
-        if trace is not None:
+    on_step = None
+    if trace is not None:
+        def on_step(rule: str) -> None:
             moving, fixed = {}, {}
             for cell, (side, lt, p) in state.items():
                 (moving if side == side_a else fixed)[cell] = Entry(lt, p)
@@ -253,21 +231,17 @@ def _switch_bands(state: dict[Cell, tuple[int, int, bool]],
                 (moving if side == "a" else fixed)[cell] = Entry(letter, p)
             trace.append(TraceStep(rule, tuple(sorted(moving.items())),
                                    tuple(sorted(fixed.items()))))
-    else:
-        raise SwitchingError("switching process did not terminate")
+
+    _run(st, on_step)
     for cell, (side, p) in st.items():
-        if side == "a":
-            state[cell] = (side_a, letter_a, p)
-        else:
-            state[cell] = (side_b, letter_b, p)
+        state[cell] = (side_a, letter_a, p) if side == "a" else (side_b, letter_b, p)
 
 
-def full_switch(s: ShiftedTableau, t: ShiftedTableau, validate: bool = True
+def full_switch(s: ShiftedTableau, t: ShiftedTableau
                 ) -> tuple[ShiftedTableau, ShiftedTableau, list[TraceStep]]:
     """Move S through T: switch the pairs (S^m, T^1), ..., (S^m, T^n), ...,
     (S^1, T^1), ..., (S^1, T^n).  Returns (^S T, S_T, trace)."""
-    if validate:
-        _check_extends(s, t)
+    _check_extends(s, t)
     state: dict[Cell, tuple[int, int, bool]] = {}
     for cell, e in s.entries:
         state[cell] = (0, e.value, e.primed)
@@ -295,25 +269,14 @@ def _evac_entries(t: ShiftedTableau) -> dict[Cell, Entry]:
     """Expel bands 1..n-1 outward in turn; the k-th expelled band is
     relabelled to letter n-k+1 (the auxiliary-alphabet bookkeeping)."""
     n = t.n
-    state: dict[Cell, tuple[int, int, bool]] = {}
-    for cell, e in t.entries:
-        state[cell] = (1, e.value, e.primed)  # side 1 = still active
-    displaced: dict[int, dict[Cell, bool]] = {}
-    for k in range(1, n + 1):
-        if k < n:
-            for j in range(k + 1, n + 1):
-                # temporarily mark band k as side 0 so it plays the a-role
-                for cell, (sd, lt, p) in list(state.items()):
-                    if lt == k:
-                        state[cell] = (0, lt, p)
-                _switch_bands(state, 0, k, 1, j, None)
-        displaced[k] = {c: p for c, (sd, lt, p) in state.items() if lt == k}
-        for cell in list(displaced[k]):
-            del state[cell]
+    # one side throughout: the letters alone tell the bands apart
+    state = {cell: (0, e.value, e.primed) for cell, e in t.entries}
     out: dict[Cell, Entry] = {}
-    for k, cells in displaced.items():
-        for cell, primed in cells.items():
-            out[cell] = Entry(n - k + 1, primed)
+    for k in range(1, n + 1):
+        for j in range(k + 1, n + 1):
+            _switch_bands(state, 0, k, 0, j, None)
+        for cell in [c for c, (_, lt, _) in state.items() if lt == k]:
+            out[cell] = Entry(n - k + 1, state.pop(cell)[2])
     return out
 
 

@@ -44,6 +44,23 @@ class TestGolden:
         assert [s.rule for s in steps] == ["S3", "S2"]
         assert rt(res) == "1 1 2 3 / 2 3' / 3"
 
+    def test_trace_layouts(self):
+        # moving holds both switched bands, fixed the rest, after each rule
+        def layout(items):
+            return " ".join(f"{r}{c}:{e}" for (r, c), e in items)
+
+        def steps(i):
+            return [(s.rule, layout(s.moving), layout(s.fixed))
+                    for s in bk_trace(self.t, i)[1]]
+
+        assert steps(1) == [
+            ("S5", "11:1 12:2' 13:1 14:2 22:2", "23:3' 33:3"),
+            ("S1", "11:1 12:2' 13:2 14:1 22:2", "23:3' 33:3"),
+            ("S3", "11:2 12:2 13:2 14:1 22:1", "23:3' 33:3")]
+        assert steps(2) == [
+            ("S3", "13:2' 14:2 22:3 23:3 33:2", "11:1 12:1"),
+            ("S2", "13:3 14:2 22:3 23:2' 33:2", "11:1 12:1")]
+
     def test_order_twelve_witness(self):
         w = parse_tableau("1 1 2' 2 3\n2 3' 3\n3", 3)
         cur = w

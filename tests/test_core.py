@@ -81,6 +81,14 @@ class TestValidation:
         with pytest.raises(InvalidTableauError):
             parse_tableau("2 1", 2)
 
+    def test_repeated_cell_rejected(self):
+        entries = (((1, 1), Entry(1)), ((1, 1), Entry(2)))
+        with pytest.raises(InvalidTableauError) as exc:
+            ShiftedTableau(ShiftedSkewShape((1,)), entries, 2)
+        assert exc.value.rule == "coverage"
+        assert exc.value.cell == (1, 1)
+        assert "(1, 1)" in str(exc.value)
+
     def test_bad_skew_rejected(self):
         with pytest.raises(TableauError):
             parse_tableau("1 2'\n. 2", 2)

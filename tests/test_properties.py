@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape,
                                    canonicalize, weight)
+from shifted_tableaux.bender_knuth import bk, bk_trace
 from shifted_tableaux.engine import GeneratorSymbol, apply_symbol
 from shifted_tableaux.jdt import eta, rectify, reversal
+from shifted_tableaux.switching import PerforatedFilling, switch_pair
 
 MAX_CELLS = 10
 MAX_N = 5
@@ -111,3 +113,23 @@ def test_operators_keep_the_cells(t):
     for sym in symbols:
         assert apply_symbol(t, sym).cells == t.cells, sym
     assert reversal(t).cells == t.cells
+
+
+@PROPERTY
+@given(tableaux(), st.data())
+def test_bk_is_a_weight_swapping_involution_built_from_switching(t, data):
+    i = data.draw(st.integers(1, t.n - 1))
+    out = bk(t, i)
+    assert bk_trace(t, i)[0] == out
+    assert bk(out, i) == t
+    before, after = list(weight(t)), list(weight(out))
+    before[i - 1], before[i] = before[i], before[i - 1]
+    assert after == before
+    a = {c: e.primed for c, e in t.entries if e.value == i}
+    b = {c: e.primed for c, e in t.entries if e.value == i + 1}
+    new_b, new_a, _ = switch_pair(PerforatedFilling.from_map(i, a),
+                                  PerforatedFilling.from_map(i + 1, b))
+    assert new_a.cell_map.keys() | new_b.cell_map.keys() == a.keys() | b.keys()
+    back_a, back_b, _ = switch_pair(PerforatedFilling.from_map(i, new_b.cell_map),
+                                    PerforatedFilling.from_map(i + 1, new_a.cell_map))
+    assert (back_a.cell_map, back_b.cell_map) == (a, b)
