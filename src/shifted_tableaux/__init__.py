@@ -6,7 +6,7 @@ from .core import (CapacityError, Entry, InvalidTableauError, ShiftedSkewShape,
                    ShiftedTableau, StrictPartition, TableauError, canonicalize,
                    from_json, parse_tableau, reading_word, render_text,
                    standardize, to_json, weight)
-from .enumeration import TableauFamily, count, enumerate_tableaux, skew_shapes, \
+from .enumeration import TableauFamily, enumerate_tableaux, skew_shapes, \
     straight_shapes
 from .jdt import (SlideRecord, complement, dual_equivalent, evacuation_jdt, eta,
                   inner_slide, knuth_equivalent, outer_slide, rectify, reversal,

@@ -97,6 +97,13 @@ def _ce_doc(ce: engine.Counterexample | None) -> dict[str, Any] | None:
     }
 
 
+def _ce_text(heading: list[str], ce: engine.Counterexample) -> str:
+    return "\n".join([*heading, f"substitution: {dict(ce.substitution)}",
+                      "tableau:", render_text(ce.tableau),
+                      "left:", render_text(ce.left_result),
+                      "right:", render_text(ce.right_result)])
+
+
 def _verdict_doc(v: engine.Verdict) -> dict[str, Any]:
     return {"holds": v.holds, "instances_checked": v.instances_checked,
             "counterexample": _ce_doc(v.counterexample), "note": v.note}
@@ -209,15 +216,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if verdict.holds:
         _emit(args, report, f"holds ({verdict.instances_checked} instances)")
         return EXIT_OK
-    ce = verdict.counterexample
-    text = "\n".join([
-        "counterexample found",
-        f"substitution: {dict(ce.substitution)}",
-        "tableau:", render_text(ce.tableau),
-        "left:", render_text(ce.left_result),
-        "right:", render_text(ce.right_result),
-    ])
-    _emit(args, report, text)
+    _emit(args, report, _ce_text(["counterexample found"], verdict.counterexample))
     return EXIT_COUNTEREXAMPLE
 
 
@@ -234,15 +233,8 @@ def cmd_search(args: argparse.Namespace) -> int:
               f"({verdict.instances_checked} instances)")
         return EXIT_COUNTEREXAMPLE
     ce = verdict.counterexample
-    text = "\n".join([
-        "witness found",
-        f"shape: {ce.shape.outer}/{ce.shape.inner}",
-        f"substitution: {dict(ce.substitution)}",
-        "tableau:", render_text(ce.tableau),
-        "left:", render_text(ce.left_result),
-        "right:", render_text(ce.right_result),
-    ])
-    _emit(args, report, text)
+    _emit(args, report, _ce_text(
+        ["witness found", f"shape: {ce.shape.outer}/{ce.shape.inner}"], ce))
     return EXIT_OK
 
 

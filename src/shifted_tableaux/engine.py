@@ -12,7 +12,9 @@ stored as a lazily filled table on the family.
 
 from __future__ import annotations
 
+import ast
 import itertools
+import operator
 import re
 from array import array
 from dataclasses import dataclass
@@ -60,13 +62,10 @@ def parse_symbol(token: str) -> GeneratorSymbol:
     if i is None:
         raise WordError(f"generator {token!r} is missing an index")
     if j is not None:
-        if kind == "q":
-            return GeneratorSymbol("qij", int(i), int(j))
-        if kind == "eta":
-            return GeneratorSymbol("eta", int(i), int(j))
-        if kind == "evacs":
-            return GeneratorSymbol("evacsij", int(i), int(j))
-        raise WordError(f"generator {token!r} does not take two indices")
+        paired = {"q": "qij", "eta": "eta", "evacs": "evacsij"}.get(kind)
+        if paired is None:
+            raise WordError(f"generator {token!r} does not take two indices")
+        return GeneratorSymbol(paired, int(i), int(j))
     if kind == "eta":
         raise WordError("eta takes two indices, e.g. eta:1,3")
     return GeneratorSymbol(kind, int(i))
@@ -93,10 +92,7 @@ def parse_word(text: str) -> Word:
 
 
 def _tokenize(text: str) -> list[str]:
-    out = []
-    for chunk in re.findall(r"\(|\)|\^\d+|[^()\s^]+", text):
-        out.append(chunk)
-    return out
+    return re.findall(r"\(|\)|\^\d+|[^()\s^]+", text)
 
 
 def _parse_seq(tokens: list[str], pos: int) -> tuple[list[GeneratorSymbol], int]:
@@ -134,28 +130,25 @@ def _parse_seq(tokens: list[str], pos: int) -> tuple[list[GeneratorSymbol], int]
     return word, pos
 
 
+# how each generator kind acts on one tableau
+_ACTIONS: dict[str, Callable[[ShiftedTableau, GeneratorSymbol], ShiftedTableau]] = {
+    "t": lambda t, s: bender_knuth.bk(t, s.i),
+    "p": lambda t, s: bender_knuth.promotion(t, s.i),
+    "q": lambda t, s: bender_knuth.q(t, s.i),
+    "qij": lambda t, s: bender_knuth.q_interval(t, s.i, s.j),
+    "evac": lambda t, s: switching.evac_k_switch(t, s.i),
+    "evacs": lambda t, s: switching.evac_k_skew(t, s.i),
+    "evacsij": lambda t, s: switching.evac_interval_skew(t, s.i, s.j),
+    "eta": lambda t, s: jdt.eta(t, s.i, s.j),
+    "sigma": lambda t, s: jdt.sigma(t, s.i),
+}
+
+
 def apply_symbol(t: ShiftedTableau, sym: GeneratorSymbol) -> ShiftedTableau:
+    # valid_for is False for an unknown kind
     if not sym.valid_for(t.n):
         raise WordError(f"generator {sym} out of range for n={t.n}")
-    if sym.kind == "t":
-        return bender_knuth.bk(t, sym.i)
-    if sym.kind == "p":
-        return bender_knuth.promotion(t, sym.i)
-    if sym.kind == "q":
-        return bender_knuth.q(t, sym.i)
-    if sym.kind == "qij":
-        return bender_knuth.q_interval(t, sym.i, sym.j)
-    if sym.kind == "evac":
-        return switching.evac_k_switch(t, sym.i)
-    if sym.kind == "evacs":
-        return switching.evac_k_skew(t, sym.i)
-    if sym.kind == "evacsij":
-        return switching.evac_interval_skew(t, sym.i, sym.j)
-    if sym.kind == "eta":
-        return jdt.eta(t, sym.i, sym.j)
-    if sym.kind == "sigma":
-        return jdt.sigma(t, sym.i)
-    raise WordError(f"unknown generator kind {sym.kind!r}")
+    return _ACTIONS[sym.kind](t, sym)
 
 
 def eval_word(word: Sequence[GeneratorSymbol], t: ShiftedTableau) -> ShiftedTableau:
@@ -226,7 +219,7 @@ def word_permutation(family: TableauFamily, word: Sequence[GeneratorSymbol]
 # ---------------------------------------------------------------------------
 # relation schemata
 
-_VAR_RE = re.compile(r"\{([a-z0-9+\-* ()]+)\}")
+_VAR_RE = re.compile(r"\{([^{}]*)\}")
 
 
 @dataclass(frozen=True)
@@ -252,24 +245,23 @@ class RelationSchema:
 
     @property
     def variables(self) -> tuple[str, ...]:
-        seen = []
         text = " ".join(_VAR_RE.findall(self.left + " " + self.right)) \
             + " " + self.constraint
-        for v in re.findall(r"\b([a-z])\b", text):
-            if v not in seen:
-                seen.append(v)
-        return tuple(seen)
+        return tuple(dict.fromkeys(re.findall(r"\b([a-z])\b", text)))
 
     def instantiations(self, n: int) -> list[tuple[dict[str, int], Word, Word]]:
-        out = []
         names = self.variables
+        # |x| is shorthand for abs(x)
+        constraint = _compile(re.sub(r"\|([^|]*)\|", r"abs(\1)", self.constraint),
+                              names)
+        left, right = _template(self.left, names), _template(self.right, names)
+        out = []
         for values in itertools.product(range(1, n + 1), repeat=len(names)):
             subs = dict(zip(names, values))
-            if not _eval_constraint(self.constraint, subs):
+            if not constraint(subs):
                 continue
-            left, right = _substitute(self.left, subs), _substitute(self.right, subs)
             try:
-                lhs, rhs = parse_word(left), parse_word(right)
+                lhs, rhs = parse_word(left(subs)), parse_word(right(subs))
             except WordError:
                 continue
             if all(s.valid_for(n) for s in lhs + rhs):
@@ -277,40 +269,74 @@ class RelationSchema:
         return out
 
 
-_EXPR_RE = re.compile(r"^[\sa-z0-9+\-*<>=!&()%,]*$")
+# Schema expressions are integer expressions, parsed once and evaluated by
+# walking their syntax tree: integer literals, the schema's variables,
+# unary -, + - * %, chained comparisons, and/or/not and abs(x).
+_Expr = Callable[[dict[str, int]], int]
+
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Mod: operator.mod, ast.USub: operator.neg, ast.Not: operator.not_,
+              ast.Lt: operator.lt, ast.LtE: operator.le, ast.Gt: operator.gt,
+              ast.GtE: operator.ge, ast.Eq: operator.eq, ast.NotEq: operator.ne}
 
 
-def _reject_power(expr: str) -> None:
-    # eval of a chain like i**i**i**i runs for as long as it likes
-    if "**" in "".join(expr.split()):
-        raise WordError(f"'**' is not allowed in schema expressions: {expr!r}")
+def _compile(text: str, names: Sequence[str]) -> _Expr:
+    """Parse a schema expression once into a function of the substitution."""
+    # checked on the text, so that i * * i gets this message too
+    if "**" in "".join(text.split()):
+        raise WordError(f"'**' is not allowed in schema expressions: {text!r}")
+    try:
+        expr = _build(ast.parse(text.strip(), mode="eval").body, names, 0)
+    except WordError as exc:
+        raise WordError(f"{exc} in schema expression {text!r}") from None
+    except (SyntaxError, ValueError, RecursionError, MemoryError):
+        raise WordError(f"cannot parse schema expression {text!r}") from None
+
+    def evaluate(subs: dict[str, int]) -> int:
+        try:
+            return expr(subs)
+        except ZeroDivisionError:
+            raise WordError(f"modulo by zero in schema expression {text!r}") from None
+    return evaluate
 
 
-def _eval_index(expr: str, subs: dict[str, int]) -> int:
-    _reject_power(expr)
-    if not _EXPR_RE.match(expr):
-        raise WordError(f"unsupported index expression {expr!r}")
-    return int(eval(expr, {"__builtins__": {}}, dict(subs)))  # noqa: S307
+def _build(node: ast.expr, names: Sequence[str], depth: int) -> _Expr:
+    """Vet one node of a schema expression and return its evaluator."""
+    if depth > 50:
+        raise WordError("nesting too deep")
+    part = lambda child: _build(child, names, depth + 1)  # noqa: E731
+    if isinstance(node, ast.Constant) and type(node.value) in (int, bool):
+        return lambda subs: node.value
+    if isinstance(node, ast.Name) and node.id in names:
+        return lambda subs: subs[node.id]
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _OPERATORS:
+        op, arg = _OPERATORS[type(node.op)], part(node.operand)
+        return lambda subs: op(arg(subs))
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+        op, left, right = _OPERATORS[type(node.op)], part(node.left), part(node.right)
+        return lambda subs: op(left(subs), right(subs))
+    if isinstance(node, ast.Compare) and all(type(op) in _OPERATORS for op in node.ops):
+        ops = [_OPERATORS[type(op)] for op in node.ops]
+        terms = [part(term) for term in (node.left, *node.comparators)]
+        return lambda subs: all(op(a, b) for op, (a, b) in zip(
+            ops, itertools.pairwise(term(subs) for term in terms)))
+    if isinstance(node, ast.BoolOp):
+        test = any if isinstance(node.op, ast.Or) else all
+        terms = [part(term) for term in node.values]
+        return lambda subs: test(term(subs) for term in terms)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id == "abs" and len(node.args) == 1 and not node.keywords:
+        arg = part(node.args[0])
+        return lambda subs: abs(arg(subs))
+    raise WordError(f"unsupported {ast.unparse(node)!r}")
 
 
-def _substitute(template: str, subs: dict[str, int]) -> str:
-    def repl(m: re.Match) -> str:
-        return str(_eval_index(m.group(1), subs))
-    return _VAR_RE.sub(repl, template)
-
-
-def _eval_constraint(expr: str, subs: dict[str, int]) -> bool:
-    if expr == "True":
-        return True
-    # |x| is shorthand for abs(x)
-    expr = re.sub(r"\|([^|]*)\|", r"abs(\1)", expr)
-    _reject_power(expr)
-    if not _EXPR_RE.match(expr.replace("abs", "").replace("and", "")
-                          .replace("or", "").replace("not", "")):
-        raise WordError(f"unsupported constraint {expr!r}")
-    env = dict(subs)
-    env["abs"] = abs
-    return bool(eval(expr, {"__builtins__": {}}, env))  # noqa: S307 - vetted charset
+def _template(text: str, names: Sequence[str]) -> Callable[[dict[str, int]], str]:
+    """A word template with its brace expressions parsed once."""
+    parts: list = _VAR_RE.split(text)
+    parts[1::2] = [_compile(expr, names) for expr in parts[1::2]]
+    return lambda subs: "".join(part if isinstance(part, str) else str(int(part(subs)))
+                                for part in parts)
 
 
 @dataclass(frozen=True)
@@ -330,35 +356,64 @@ class Verdict:
     note: str = ""
 
 
+# (failure note, substitution, left word, right word)
+_Check = tuple[str, tuple[tuple[str, int], ...], Word, Word]
+
+
+def _check(family: TableauFamily, checks: Sequence[_Check],
+           exhaustive: bool = False) -> Verdict:
+    """Compare both sides of every check on the family tables, member by
+    member and, for each member, check by check.  Stops at the first
+    failure unless exhaustive; its counterexample is rebuilt with
+    eval_word on the member."""
+    sides = [(_steps(family, lhs), _steps(family, rhs)) for _, _, lhs, rhs in checks]
+    checked, failed = 0, None
+    for (x, t), (check, (left, right)) in itertools.product(enumerate(family),
+                                                             zip(checks, sides)):
+        checked += 1
+        if _follow(family, left, x) != _follow(family, right, x) and failed is None:
+            failed = t, check
+            if not exhaustive:
+                break
+    if failed is None:
+        return Verdict(True, checked)
+    t, (note, subs, lhs, rhs) = failed
+    return Verdict(False, checked, Counterexample(
+        t, subs, eval_word(lhs, t), eval_word(rhs, t), family.shape), note)
+
+
+def _first_failure(verdicts: Iterable[Verdict], exhaustive: bool = False) -> Verdict:
+    """Add up the instances of verdicts drawn one by one and keep the
+    counterexample and note of the first failure, which ends the draw
+    unless exhaustive."""
+    checked, failed = 0, None
+    for verdict in verdicts:
+        checked += verdict.instances_checked
+        if not verdict.holds and failed is None:
+            failed = verdict
+            if not exhaustive:
+                break
+    if failed is None:
+        return Verdict(True, checked)
+    return Verdict(False, checked, failed.counterexample, failed.note)
+
+
 def verify_relation(schema: RelationSchema, family: TableauFamily,
                     exhaustive: bool = False) -> Verdict:
-    """Check every instantiation against every family member.  Short
-    circuits at the first counterexample unless exhaustive is requested."""
-    checked = 0
-    first: Counterexample | None = None
-    for subs, lhs, rhs in schema.instantiations(family.n):
-        left, right = _steps(family, lhs), _steps(family, rhs)
-        for x, t in enumerate(family):
-            checked += 1
-            if _follow(family, left, x) != _follow(family, right, x):
-                if first is None:
-                    first = Counterexample(t, tuple(sorted(subs.items())),
-                                           eval_word(lhs, t), eval_word(rhs, t),
-                                           family.shape)
-                if not exhaustive:
-                    return Verdict(False, checked, first)
-    return Verdict(first is None, checked, first)
+    """Check every instantiation against every family member, one
+    instantiation after another.  Short circuits at the first
+    counterexample unless exhaustive is requested."""
+    return verify_relation_over(schema, [family], exhaustive)
 
 
 def verify_relation_over(schema: RelationSchema, families: Iterable[TableauFamily],
                          exhaustive: bool = False) -> Verdict:
-    checked = 0
-    for family in families:
-        verdict = verify_relation(schema, family, exhaustive)
-        checked += verdict.instances_checked
-        if not verdict.holds:
-            return Verdict(False, checked, verdict.counterexample)
-    return Verdict(True, checked)
+    """verify_relation on each family in turn; exhaustive goes on through
+    every family and keeps the first counterexample."""
+    return _first_failure(
+        (_check(family, [("", tuple(sorted(subs.items())), lhs, rhs)], exhaustive)
+         for family in families for subs, lhs, rhs in schema.instantiations(family.n)),
+        exhaustive)
 
 
 # ---------------------------------------------------------------------------
@@ -367,34 +422,38 @@ def verify_relation_over(schema: RelationSchema, families: Iterable[TableauFamil
 CACTUS_ROUTES = ("eta", "q", "evac")
 
 
-def route_word(route: str, a: str, b: str) -> str:
-    """The word realizing the interval generator s_{a,b} under the given
-    route, with a and b index expressions."""
+def route_word(route: str, i: int, j: int) -> Word:
+    """The word realizing the interval generator s_{i,j} under the given
+    route."""
     if route == "eta":
-        return f"eta:{{{a}}},{{{b}}}"
+        return (GeneratorSymbol("eta", i, j),)
     if route == "q":
-        return f"q:{{{a}}},{{{b}}}"
+        return (GeneratorSymbol("qij", i, j),)
     if route == "evac":
-        return f"evac{{{b}}} evac{{{b}-({a})+1}} evac{{{b}}}"
+        evac_j = GeneratorSymbol("evac", j)
+        return (evac_j, GeneratorSymbol("evac", j - i + 1), evac_j)
     raise WordError(f"unknown cactus route {route!r}")
 
 
-def cactus_schemas(route: str) -> list[RelationSchema]:
-    """The defining relations of the cactus group for one realization of
-    the generators s_{i,j}."""
-    s = lambda a, b: route_word(route, a, b)  # noqa: E731
-    return [
-        RelationSchema(s("i", "j") + " " + s("i", "j"), "e",
-                       "i < j", name=f"{route}: s_ij^2 = 1"),
-        RelationSchema(s("i", "j") + " " + s("k", "l"),
-                       s("k", "l") + " " + s("i", "j"),
-                       "i < j and k < l and j < k",
-                       name=f"{route}: disjoint intervals commute"),
-        RelationSchema(s("i", "j") + " " + s("k", "l"),
-                       s("i+j-l", "i+j-k") + " " + s("i", "j"),
-                       "i <= k and k < l and l <= j and i < j",
-                       name=f"{route}: nested intervals fold"),
-    ]
+def _cactus_checks(route: str, n: int) -> list[_Check]:
+    """The cactus relations and the s_{1,j}-decomposition identity in the
+    order they are checked: every s_ij^2 = 1, then the disjoint and nested
+    relations by (i, j, k, l), then s_ij = s_1j s_1,j-i+1 s_1j."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    s = {p: route_word(route, *p) for p in pairs}
+    checks = [("s_ij^2 = 1 fails", (("i", i), ("j", j)), s[i, j] + s[i, j], ())
+              for (i, j) in pairs]
+    for (i, j), (k, l) in itertools.product(pairs, repeat=2):
+        subs = (("i", i), ("j", j), ("k", k), ("l", l))
+        if j < k or l < i:
+            checks.append(("disjoint commutation fails", subs,
+                           s[i, j] + s[k, l], s[k, l] + s[i, j]))
+        elif i <= k and l <= j:
+            checks.append(("nested folding fails", subs,
+                           s[i, j] + s[k, l], s[i + j - l, i + j - k] + s[i, j]))
+    checks += [("s_ij = s_1j s_1,j-i+1 s_1j fails", (("i", i), ("j", j)),
+                s[i, j], s[1, j] + s[1, j - i + 1] + s[1, j]) for (i, j) in pairs]
+    return checks
 
 
 def verify_cactus_action(route: str, families: Iterable[TableauFamily]) -> Verdict:
@@ -402,44 +461,8 @@ def verify_cactus_action(route: str, families: Iterable[TableauFamily]) -> Verdi
     for the given realization over the given families."""
     if route not in CACTUS_ROUTES:
         raise WordError(f"unknown cactus route {route!r}")
-    checked = 0
-    for family in families:
-        n = family.n
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        words = {(i, j): parse_word(_substitute(route_word(route, str(i), str(j)), {}))
-                 for (i, j) in pairs}
-        steps = {p: _steps(family, w) for p, w in words.items()}
-
-        def image(x: int, *ps: tuple[int, int]) -> int:
-            for p in reversed(ps):  # rightmost factor first
-                x = _follow(family, steps[p], x)
-            return x
-
-        def result(t: ShiftedTableau, *ps: tuple[int, int]) -> ShiftedTableau:
-            return eval_word(sum((words[p] for p in ps), ()), t)
-
-        # (note, substitution, left factors, right factors) per relation
-        checks = [("s_ij^2 = 1 fails", (("i", i), ("j", j)), ((i, j), (i, j)), ())
-                  for (i, j) in pairs]
-        for (i, j) in pairs:
-            for (k, l) in pairs:
-                subs = (("i", i), ("j", j), ("k", k), ("l", l))
-                if j < k or l < i:
-                    checks.append(("disjoint commutation fails", subs,
-                                   ((i, j), (k, l)), ((k, l), (i, j))))
-                elif i <= k and l <= j:
-                    checks.append(("nested folding fails", subs, ((i, j), (k, l)),
-                                   ((i + j - l, i + j - k), (i, j))))
-        checks += [("s_ij = s_1j s_1,j-i+1 s_1j fails", (("i", i), ("j", j)),
-                    ((i, j),), ((1, j), (1, j - i + 1), (1, j))) for (i, j) in pairs]
-        for x, t in enumerate(family):
-            for note, subs, left, right in checks:
-                checked += 1
-                if image(x, *left) != image(x, *right):
-                    return Verdict(False, checked, Counterexample(
-                        t, subs, result(t, *left), result(t, *right),
-                        family.shape), note=note)
-    return Verdict(True, checked)
+    return _first_failure(_check(family, _cactus_checks(route, family.n))
+                          for family in families)
 
 
 # ---------------------------------------------------------------------------
@@ -449,18 +472,14 @@ def search_counterexample(schema: RelationSchema, n: int, max_cells: int,
                           skew: bool = False, max_part: int | None = None
                           ) -> Verdict:
     """Scan shapes by (cells, shape) order for the first family member
-    violating the schema."""
+    violating the schema; families are enumerated only as the scan
+    reaches them."""
     shapes = (skew_shapes(max_cells, max_part) if skew
               else straight_shapes(max_cells, max_part))
-    checked = 0
-    for shape in shapes:
-        family = enumerate_tableaux(shape, n)
-        verdict = verify_relation(schema, family)
-        checked += verdict.instances_checked
-        if not verdict.holds:
-            return Verdict(False, checked, verdict.counterexample,
-                           note="counterexample found")
-    return Verdict(True, checked, note="exhausted search budget without counterexample")
+    v = verify_relation_over(schema, (enumerate_tableaux(s, n) for s in shapes))
+    note = ("exhausted search budget without counterexample" if v.holds
+            else "counterexample found")
+    return Verdict(v.holds, v.instances_checked, v.counterexample, note)
 
 
 @dataclass(frozen=True)
@@ -515,11 +534,7 @@ def components_by_dual_equivalence(family: TableauFamily
                 break
         else:
             classes.append([t])
-    out = []
-    for cls in classes:
-        rect_shape = jdt.rectify(cls[0])[0].shape
-        out.append((rect_shape, tuple(cls)))
-    return out
+    return [(jdt.rectify(cls[0])[0].shape, tuple(cls)) for cls in classes]
 
 # ---------------------------------------------------------------------------
 # bundled verification suites
@@ -586,15 +601,17 @@ def sbk_core_schemas() -> list[RelationSchema]:
     ]
 
 
+def _schema_result(schema: RelationSchema, families: Iterable[TableauFamily]
+                   ) -> PresetResult:
+    verdict = verify_relation_over(schema, families)
+    return PresetResult(schema.name, verdict.holds, verdict)
+
+
 def _preset_sbk_core(n: int) -> list[PresetResult]:
     straight = straight_families(n)
     mixed = straight + skew_families(n)
-    out = []
-    for schema in sbk_core_schemas():
-        families = straight if schema.straight_only else mixed
-        verdict = verify_relation_over(schema, families)
-        out.append(PresetResult(schema.name, verdict.holds, verdict))
-    return out
+    return [_schema_result(schema, straight if schema.straight_only else mixed)
+            for schema in sbk_core_schemas()]
 
 
 def _preset_cactus(route: str, n: int) -> list[PresetResult]:
@@ -608,14 +625,10 @@ def _preset_evac_agreement(n: int) -> list[PresetResult]:
     families = straight_families(n)
     out = []
     for k in range(2, n + 1):
-        schema = RelationSchema(f"evac{k}", f"eta:1,{k}",
-                                name=f"evac_{k} = eta_1{k}")
-        v = verify_relation_over(schema, families)
-        out.append(PresetResult(schema.name, v.holds, v))
-        schema = RelationSchema(f"evac{k}", f"q{k - 1}",
-                                name=f"evac_{k} = q_{k - 1}")
-        v = verify_relation_over(schema, families)
-        out.append(PresetResult(schema.name, v.holds, v))
+        out.append(_schema_result(RelationSchema(
+            f"evac{k}", f"eta:1,{k}", name=f"evac_{k} = eta_1{k}"), families))
+        out.append(_schema_result(RelationSchema(
+            f"evac{k}", f"q{k - 1}", name=f"evac_{k} = q_{k - 1}"), families))
     v = _check_pointwise(families, switching.evac_switch, jdt.evacuation_jdt)
     out.append(PresetResult("evac via switching = rectify after complement",
                             v.holds, v))
@@ -624,10 +637,8 @@ def _preset_evac_agreement(n: int) -> list[PresetResult]:
         word = " ".join(f"p{k}" for k in range(1, i + 1))
         for template, fams in ((f"evac{i + 1}", families),
                                (f"evacs{i + 1}", skew)):
-            schema = RelationSchema(template, word,
-                                    name=f"{template} = {word}")
-            v = verify_relation_over(schema, fams)
-            out.append(PresetResult(schema.name, v.holds, v))
+            out.append(_schema_result(RelationSchema(
+                template, word, name=f"{template} = {word}"), fams))
     return out
 
 

@@ -116,11 +116,6 @@ def enumerate_tableaux(shape: ShiftedSkewShape, n: int) -> TableauFamily:
     return TableauFamily(shape, n, members)
 
 
-def count(shape: ShiftedSkewShape, n: int) -> int:
-    """len(enumerate_tableaux(shape, n)) without keeping the members."""
-    return sum(1 for _ in _canonical_fillings(shape, n))
-
-
 def straight_shapes(max_cells: int, max_part: int | None = None
                     ) -> list[ShiftedSkewShape]:
     """All straight shifted shapes with at most max_cells cells, ordered by

@@ -95,6 +95,22 @@ class TestVerify:
                            "--n", "3")
         assert code == 1
 
+    def test_exhaustive_counts_every_family(self, capsys):
+        base = ("--format", "json", "verify", "--schema", "(t1 t2)^6 = e",
+                "--n", "3")
+        docs = []
+        for extra in ((), ("--exhaustive",)):
+            code, out, _ = run(capsys, *base, *extra)
+            assert code == 1
+            docs.append(json.loads(out)["verdict"])
+        first, exhaustive = docs
+        assert first["instances_checked"] == 80
+        assert exhaustive["instances_checked"] == 236
+        assert exhaustive["counterexample"] == first["counterexample"]
+        code, out, _ = run(capsys, "verify", "--schema", "t1 t1 = e", "--n", "3",
+                           "--exhaustive")
+        assert (code, out) == (0, "holds (236 instances)\n")
+
     def test_preset(self, capsys):
         code, out, _ = run(capsys, "verify", "--preset", "evac-agreement",
                            "--n", "3")
@@ -138,6 +154,27 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == "error: '**' is not allowed in schema expressions: " \
             "'i**i**i**i**i > 0'\n"
+
+    @pytest.mark.parametrize("schema, message", [
+        ("t1 = e : i % 0 > 0", "modulo by zero in schema expression 'i % 0 > 0'"),
+        ("t1 = e : foo > 0", "unsupported 'foo' in schema expression 'foo > 0'"),
+        ("t1 = e : i <", "cannot parse schema expression 'i <'"),
+        ("t1 = e : i < (1,2)",
+         "unsupported '(1, 2)' in schema expression 'i < (1,2)'"),
+        ("t{i<<3} = e", "unsupported 'i << 3' in schema expression 'i<<3'"),
+        ("t1 = e : 1<<99999999999 > 0",
+         "unsupported '1 << 99999999999' in schema expression '1<<99999999999 > 0'"),
+        ("t1 = e : abs(x for x in (i, 2)) > 0",
+         "unsupported '(x for x in (i, 2))' in schema expression "
+         "'abs(x for x in (i, 2)) > 0'"),
+        ("t{(x for x in (i,))} = e",
+         "unsupported '(x for x in (i,))' in schema expression '(x for x in (i,))'"),
+        ("t1 = e : i * * i > 0",
+         "'**' is not allowed in schema expressions: 'i * * i > 0'"),
+    ])
+    def test_malformed_schema_is_one_line(self, capsys, schema, message):
+        code, out, err = run(capsys, "verify", "--schema", schema, "--n", "3")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "rectify", "--in", "/nonexistent/t.txt",

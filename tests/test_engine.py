@@ -106,10 +106,23 @@ class TestCactusEvacRoute:
         assert v.holds and v.instances_checked == instances
 
     def test_schemas_hold(self, families):
+        # the cactus relations as schemas, s_{a,b} = evac_b evac_{b-a+1} evac_b;
+        # {j-(i)+1} keeps parentheses inside a brace expression under test
+        def s(a, b):
+            return f"evac{{{b}}} evac{{{b}-({a})+1}} evac{{{b}}}"
+        schemas = [
+            RelationSchema(f"{s('i', 'j')} {s('i', 'j')}", "e", "i < j"),
+            RelationSchema(f"{s('i', 'j')} {s('k', 'l')}",
+                           f"{s('k', 'l')} {s('i', 'j')}",
+                           "i < j and k < l and j < k"),
+            RelationSchema(f"{s('i', 'j')} {s('k', 'l')}",
+                           f"{s('i+j-l', 'i+j-k')} {s('i', 'j')}",
+                           "i <= k and k < l and l <= j and i < j"),
+        ]
         counts = []
-        for schema in engine.cactus_schemas("evac"):
+        for schema in schemas:
             v = verify_relation_over(schema, families[4])
-            assert v.holds, schema.name
+            assert v.holds, schema.left
             counts.append(v.instances_checked)
         assert counts == [7782, 1297, 19455]
 
@@ -208,12 +221,31 @@ class TestOrbits:
         assert len(comps) == 2
 
 
+PRESET_COUNTS_N3 = {
+    "sbk-core": [("t_i^2 = 1", 2904), ("t_i t_j = t_j t_i for |i-j|>1", 0),
+                 ("(t_i q_jk)^2 = 1", 0), ("t_1 = q_1", 1452),
+                 ("t_2 = q_1 q_2 q_1", 1452),
+                 ("t_i = q_{i-1} q_i q_{i-1} q_{i-2} for i>2", 0)],
+    "cactus-q": [("cactus relations via q", 2596)],
+    "cactus-eta": [("cactus relations via eta", 14553)],
+    "evac-agreement": [("evac_2 = eta_12", 236), ("evac_2 = q_1", 236),
+                       ("evac_3 = eta_13", 236), ("evac_3 = q_2", 236),
+                       ("evac via switching = rectify after complement", 236),
+                       ("evac2 = p1", 236), ("evacs2 = p1", 1216),
+                       ("evac3 = p1 p2", 236), ("evacs3 = p1 p2", 1216)],
+    "non-relations": [("(t1 t2)^6 != e", 80), ("(sigma1 sigma2)^3 != e", 841),
+                      ("skew evac_ij != q_ij", 500),
+                      ("skew evac not Knuth equivalent to complement", 155)],
+}
+
+
 class TestPresets:
     def test_all_presets_pass_small(self):
-        for name in ("sbk-core", "cactus-q", "cactus-eta", "evac-agreement",
-                     "non-relations"):
+        for name, counts in PRESET_COUNTS_N3.items():
             results = run_preset(name, 3)
             assert results and all(r.ok for r in results), name
+            assert [(r.label, r.verdict.instances_checked)
+                    for r in results] == counts, name
 
     def test_unknown_preset(self):
         with pytest.raises(WordError):
