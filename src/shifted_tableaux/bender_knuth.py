@@ -8,7 +8,9 @@ re-canonicalized if the prime toggle rule demands it.
 
 from __future__ import annotations
 
-from .core import Cell, Entry, ShiftedTableau, TableauError, canonicalize
+from typing import Mapping
+
+from .core import Cell, Entry, ShiftedTableau, TableauError, canonical_map
 from .switching import TraceStep, _run, _State
 
 
@@ -28,14 +30,13 @@ def theta_interval(e: Entry, i: int, j: int) -> Entry:
     return e
 
 
-def _bk(t: ShiftedTableau, i: int, steps: list[TraceStep] | None
-        ) -> ShiftedTableau:
-    """t_i(T); each switch appends a TraceStep to steps unless it is None."""
-    if not (1 <= i <= t.n - 1):
-        raise TableauError(f"invalid Bender-Knuth index i={i} for n={t.n}")
+def bk_map(entries: Mapping[Cell, Entry], i: int,
+           steps: list[TraceStep] | None = None) -> dict[Cell, Entry]:
+    """t_i on a canonical cell -> entry map; each switch appends a
+    TraceStep to steps unless it is None."""
     rest: dict[Cell, Entry] = {}
     st: _State = {}  # the i-band plays a, the (i+1)-band b
-    for c, e in t.entries:
+    for c, e in entries.items():
         if e.value == i:
             st[c] = ("a", e.primed)
         elif e.value == i + 1:
@@ -54,7 +55,14 @@ def _bk(t: ShiftedTableau, i: int, steps: list[TraceStep] | None
     _run(st, on_step)
     # after the switch the a-cells hold i and the b-cells i+1; theta swaps them
     rest.update((c, Entry(i + 1 if side == "a" else i, p)) for c, (side, p) in st.items())
-    return canonicalize(t.shape, rest, t.n)
+    return canonical_map(rest)
+
+
+def _bk(t: ShiftedTableau, i: int, steps: list[TraceStep] | None
+        ) -> ShiftedTableau:
+    if not (1 <= i <= t.n - 1):
+        raise TableauError(f"invalid Bender-Knuth index i={i} for n={t.n}")
+    return ShiftedTableau.from_map(bk_map(t.entry_map, i, steps), t.n, t.shape)
 
 
 def bk_trace(t: ShiftedTableau, i: int

@@ -17,7 +17,7 @@ from typing import Any
 
 from . import engine, jdt, switching
 from .core import (ShiftedSkewShape, ShiftedTableau, TableauError, parse_tableau,
-                   reading_word, render_text, to_json, weight)
+                   render_text, to_json)
 from .enumeration import enumerate_tableaux
 
 EXIT_OK = 0
@@ -198,9 +198,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _emit(args, report, "\n".join(lines))
         return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
     if not args.schema:
-        print("verify requires --schema or --preset", file=sys.stderr)
+        print("error: verify requires --schema or --preset", file=sys.stderr)
         return EXIT_USAGE
     schema = engine.RelationSchema.parse(args.schema)
+    # a malformed or oversized schema fails here, before any family is
+    # enumerated; the assignments themselves are drawn later
+    schema.instantiations(args.n)
     if args.outer:
         families = [enumerate_tableaux(_parse_shape(args.outer, args.inner),
                                        args.n)]

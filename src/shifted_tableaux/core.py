@@ -115,6 +115,48 @@ def _check_strict(parts: tuple[int, ...], what: str) -> None:
         raise TableauError(f"{what} must have positive parts: {parts}")
 
 
+def canonical_pair(outer: Iterable[int], inner: Iterable[int]
+                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (outer, inner) pair from_cells gives for the cells of
+    outer/inner: trailing empty rows are dropped, and each empty row
+    between occupied ones gets outer_r == inner_r == outer_{r+1} + 1."""
+    out, inn = list(outer), list(inner)
+    inn += [0] * (len(out) - len(inn))
+    while out and out[-1] == inn[len(out) - 1]:
+        out.pop()
+    del inn[len(out):]
+    for r in range(len(out) - 2, -1, -1):
+        if out[r] == inn[r]:
+            out[r] = inn[r] = out[r + 1] + 1
+    return tuple(out), tuple(p for p in inn if p)
+
+
+def pair_of_cells(cells: Iterable[Cell]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Read the canonical (outer, inner) pair off a cell set.
+
+    Rows must be contiguous and every cell must satisfy c >= r.  Empty
+    rows between occupied ones get outer_r == inner_r, chosen minimal.
+    The pair is not checked to describe the cells; from_cells does that.
+    """
+    rows: dict[int, list[int]] = {}
+    for (r, c) in cells:
+        if c < r or r < 1:
+            raise TableauError(f"cell {(r, c)} outside the shifted staircase")
+        rows.setdefault(r, []).append(c)
+    last = max(rows, default=0)
+    # an empty row reads as outer_r == inner_r == 0 until canonical_pair
+    outer = [0] * last
+    inner = [0] * last
+    for r in range(last, 0, -1):
+        if r in rows:
+            cols = sorted(rows[r])
+            if cols != list(range(cols[0], cols[-1] + 1)):
+                raise TableauError(f"row {r} is not contiguous: {cols}")
+            outer[r - 1] = cols[-1] - r + 1
+            inner[r - 1] = cols[0] - r
+    return canonical_pair(outer, inner)
+
+
 @dataclass(frozen=True)
 class ShiftedSkewShape:
     """A skew shifted shape outer/inner (inner possibly empty)."""
@@ -155,32 +197,10 @@ class ShiftedSkewShape:
 
     @classmethod
     def from_cells(cls, cells: Iterable[Cell]) -> "ShiftedSkewShape":
-        """Reconstruct the canonical (outer, inner) pair from a cell set.
-
-        Rows must be contiguous and every cell must satisfy c >= r.  Empty
-        rows between occupied ones get outer_r == inner_r, chosen minimal.
-        """
+        """Reconstruct the canonical (outer, inner) pair from a cell set;
+        see pair_of_cells."""
         cellset = set(cells)
-        if not cellset:
-            return cls()
-        rows: dict[int, list[int]] = {}
-        for (r, c) in cellset:
-            if c < r or r < 1:
-                raise TableauError(f"cell {(r, c)} outside the shifted staircase")
-            rows.setdefault(r, []).append(c)
-        last = max(rows)
-        outer = [0] * last
-        inner = [0] * last
-        for r in range(last, 0, -1):
-            if r in rows:
-                cols = sorted(rows[r])
-                if cols != list(range(cols[0], cols[-1] + 1)):
-                    raise TableauError(f"row {r} is not contiguous: {cols}")
-                outer[r - 1] = cols[-1] - r + 1
-                inner[r - 1] = cols[0] - r
-            else:
-                outer[r - 1] = inner[r - 1] = (outer[r] if r < last else 0) + 1
-        shape = cls(tuple(outer), tuple(inner))
+        shape = cls(*pair_of_cells(cellset))
         if shape.cells != frozenset(cellset):
             raise TableauError(f"cells {sorted(cellset)} do not form a shifted skew shape")
         return shape
@@ -311,30 +331,37 @@ def reading_word(t: ShiftedTableau) -> tuple[Entry, ...]:
     return tuple(t.entry_map[c] for c in reading_cells(t.shape))
 
 
-def weight(t: ShiftedTableau) -> tuple[int, ...]:
+def weight_map(entries: Mapping[Cell, Entry], n: int) -> tuple[int, ...]:
     """Occurrences of each unprimed value, as a vector of length n."""
-    counts = [0] * t.n
-    for _, e in t.entries:
+    counts = [0] * n
+    for e in entries.values():
         counts[e.value - 1] += 1
     return tuple(counts)
 
 
-def canonicalize(shape: ShiftedSkewShape, entries: Mapping[Cell, Entry],
-                 n: int) -> ShiftedTableau:
-    """Return the canonical representative of a semistandard filling.
+def weight(t: ShiftedTableau) -> tuple[int, ...]:
+    """Occurrences of each unprimed value, as a vector of length n."""
+    return weight_map(t.entry_map, t.n)
 
-    Unprimes the first reading-word occurrence of each letter; all other
-    entries are unchanged.
-    """
+
+def canonical_map(entries: Mapping[Cell, Entry]) -> dict[Cell, Entry]:
+    """Unprime the first reading-word occurrence of each letter; all other
+    entries are unchanged."""
     out = dict(entries)
     seen: set[int] = set()
-    for cell in reading_cells(shape):
+    for cell in sorted(out, key=lambda rc: (-rc[0], rc[1])):
         e = out[cell]
         if e.value not in seen:
             seen.add(e.value)
             if e.primed:
                 out[cell] = e.unprime()
-    return ShiftedTableau.from_map(out, n, shape)
+    return out
+
+
+def canonicalize(shape: ShiftedSkewShape, entries: Mapping[Cell, Entry],
+                 n: int) -> ShiftedTableau:
+    """Return the canonical representative of a semistandard filling."""
+    return ShiftedTableau.from_map(canonical_map(entries), n, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -418,21 +445,22 @@ def destandardize(std: ShiftedTableau, wt: tuple[int, ...]) -> ShiftedTableau:
 # ---------------------------------------------------------------------------
 # interval restriction
 
-def act_on_band(t: ShiftedTableau, i: int, j: int,
-                op: Callable[[ShiftedTableau], ShiftedTableau]) -> ShiftedTableau:
-    """Apply a cell-preserving op to the letters i..j of t, re-indexed to
+# A map-level operator takes a canonical cell -> entry map over the alphabet
+# 1..n, and n, to a canonical map on the same cells.
+MapOperator = Callable[[Mapping[Cell, Entry], int], Mapping[Cell, Entry]]
+
+
+def act_on_band(t: ShiftedTableau, i: int, j: int, op: MapOperator) -> ShiftedTableau:
+    """Apply a map-level operator to the letters i..j of t, re-indexed to
     the alphabet 1..j-i+1, and put the result back beside the other
     letters; t itself when no letter lies in the band."""
-    # with i == 1 the entries are shared, not copied: the band tableau is
-    # kept as a cache key by op
     band = {c: e if i == 1 else e.shift(1 - i)
             for c, e in t.entries if i <= e.value <= j}
     if not band:
         return t
-    done = op(ShiftedTableau.from_map(band, j - i + 1))
     out = dict(t.entries)
-    out.update(done.entries if i == 1 else
-               ((c, e.shift(i - 1)) for c, e in done.entries))
+    out.update(op(band, j - i + 1) if i == 1 else
+               ((c, e.shift(i - 1)) for c, e in op(band, j - i + 1).items()))
     return ShiftedTableau.from_map(out, t.n)
 
 

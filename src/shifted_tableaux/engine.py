@@ -7,7 +7,9 @@ instantiated over all index assignments in range.
 
 Verification evaluates words on member positions of a family: every
 generator keeps the cell set, so on ShST(shape, n) it is a permutation,
-stored as a lazily filled table on the family.
+stored as a lazily filled table on the family.  A table entry is filled
+on cell maps and looked up by its key among the members, which are
+exactly the valid canonical fillings.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ import operator
 import re
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bender_knuth, jdt, switching
-from .core import ShiftedSkewShape, ShiftedTableau
+from .core import Entry, ShiftedSkewShape, ShiftedTableau
 from .enumeration import TableauFamily, enumerate_tableaux, skew_shapes, straight_shapes
 
 
@@ -74,6 +76,8 @@ def parse_symbol(token: str) -> GeneratorSymbol:
 Word = tuple[GeneratorSymbol, ...]
 
 MAX_WORD_LENGTH = 10_000
+# bound on the index assignments a schema is instantiated over
+MAX_ASSIGNMENTS = 1_000_000
 
 
 def _check_length(length: int) -> None:
@@ -168,7 +172,21 @@ _T_FACTORS: dict[str, Callable[[GeneratorSymbol], tuple[int, ...]]] = {
     "qij": lambda s: bender_knuth.q_interval_word(s.i, s.j),
 }
 
+# the letter band each band generator acts on; its map-level operator
+# runs on the band re-indexed to 1..j-i+1
+_BANDS: dict[str, Callable[[GeneratorSymbol], tuple[int, int]]] = {
+    "eta": lambda s: (s.i, s.j),
+    "sigma": lambda s: (s.i, s.i + 1),
+    "evac": lambda s: (1, s.i),
+    "evacs": lambda s: (1, s.i),
+    "evacsij": lambda s: (s.i, s.j),
+}
+
 _Steps = list[tuple[GeneratorSymbol, array]]
+
+# the band results of one verification call:
+# (operator, band alphabet size, re-indexed band items) -> result order keys
+_Memo = dict[tuple, tuple[int, ...]]
 
 
 def _table(family: TableauFamily, sym: GeneratorSymbol) -> array:
@@ -183,24 +201,27 @@ def _steps(family: TableauFamily, word: Sequence[GeneratorSymbol]) -> _Steps:
     return [(sym, _table(family, sym)) for sym in reversed(tuple(word))]
 
 
-def _follow(family: TableauFamily, steps: _Steps, x: int) -> int:
+def _follow(family: TableauFamily, steps: _Steps, x: int, memo: _Memo) -> int:
     for sym, table in steps:
         y = table[x]
-        x = y if y >= 0 else _fill(family, sym, table, x)
+        x = y if y >= 0 else _fill(family, sym, table, x, memo)
     return x
 
 
-def _fill(family: TableauFamily, sym: GeneratorSymbol, table: array, x: int) -> int:
+def _fill(family: TableauFamily, sym: GeneratorSymbol, table: array, x: int,
+          memo: _Memo) -> int:
     """Compute table[x] once: composite symbols fold over the t tables,
-    the others apply to the member and look the result up."""
+    the others run their map-level operator and look the result's key up
+    among the members."""
+    if not sym.valid_for(family.n):
+        raise WordError(f"generator {sym} out of range for n={family.n}")
     factors = _T_FACTORS.get(sym.kind)
     if factors is not None:
-        if not sym.valid_for(family.n):
-            raise WordError(f"generator {sym} out of range for n={family.n}")
         t_syms = (GeneratorSymbol("t", k) for k in factors(sym))
-        y = _follow(family, [(t, _table(family, t)) for t in t_syms], x)
+        y = _follow(family, [(t, _table(family, t)) for t in t_syms], x, memo)
     else:
-        y = family.index.get(apply_symbol(family.members[x], sym), -1)
+        key = _image_key(family, sym, x, memo)
+        y = -1 if key is None else family.positions.get(key, -1)
         if y < 0:
             raise RuntimeError(f"{sym} took member {x} of ShST({family.shape}, "
                                f"{family.n}) out of its family")
@@ -208,12 +229,48 @@ def _fill(family: TableauFamily, sym: GeneratorSymbol, table: array, x: int) -> 
     return y
 
 
+def _image_key(family: TableauFamily, sym: GeneratorSymbol, x: int,
+               memo: _Memo) -> tuple[int, ...] | None:
+    """The key of sym applied to member x, computed on cell maps; None if
+    the result does not fill the member's cells."""
+    member = family.members[x]
+    if sym.kind == "t":
+        # a map of its own, so that no member keeps an entry_map
+        entries = dict(member.entries)
+        out = bender_knuth.bk_map(entries, sym.i)
+        if out.keys() != entries.keys():
+            return None
+        return tuple(2 * e.value - e.primed for e in map(out.get, entries))
+    if sym.kind == "evac":
+        switching.require_straight(family.shape, "evac_k_switch", "evac_k_skew")
+    lo, hi = _BANDS[sym.kind](sym)
+    op = jdt.reversal_map if sym.kind in ("eta", "sigma") else switching.evac_map
+    shift = 2 * (lo - 1)
+    key, slots, band = [], [], []
+    for slot, (c, e) in enumerate(member.entries):
+        key.append(2 * e.value - e.primed)
+        if lo <= e.value <= hi:
+            slots.append(slot)
+            band.append((c, key[-1] - shift))
+    band_key = (op, hi - lo + 1, tuple(band))
+    done = memo.get(band_key)
+    if done is None:
+        local = {c: Entry((k + 1) // 2, k % 2 == 1) for c, k in band}
+        out = op(local, hi - lo + 1)
+        if out.keys() != local.keys():
+            return None
+        done = memo[band_key] = tuple(2 * e.value - e.primed for e in map(out.get, local))
+    for slot, k in zip(slots, done):
+        key[slot] = k + shift
+    return tuple(key)
+
+
 def word_permutation(family: TableauFamily, word: Sequence[GeneratorSymbol]
                      ) -> array:
     """The permutation a word induces on the family: entry x is the
     position of eval_word(word, family.members[x])."""
-    steps = _steps(family, word)
-    return array("i", (_follow(family, steps, x) for x in range(len(family))))
+    steps, memo = _steps(family, word), {}
+    return array("i", (_follow(family, steps, x, memo) for x in range(len(family))))
 
 
 # ---------------------------------------------------------------------------
@@ -249,24 +306,32 @@ class RelationSchema:
             + " " + self.constraint
         return tuple(dict.fromkeys(re.findall(r"\b([a-z])\b", text)))
 
-    def instantiations(self, n: int) -> list[tuple[dict[str, int], Word, Word]]:
+    def instantiations(self, n: int) -> Iterator[tuple[dict[str, int], Word, Word]]:
+        """The index assignments over 1..n that satisfy the constraint and
+        give valid words, with both words.  The schema is parsed and the
+        assignment count checked at the call; assignments are drawn
+        lazily."""
         names = self.variables
         # |x| is shorthand for abs(x)
         constraint = _compile(re.sub(r"\|([^|]*)\|", r"abs(\1)", self.constraint),
                               names)
         left, right = _template(self.left, names), _template(self.right, names)
-        out = []
-        for values in itertools.product(range(1, n + 1), repeat=len(names)):
-            subs = dict(zip(names, values))
-            if not constraint(subs):
-                continue
-            try:
-                lhs, rhs = parse_word(left(subs)), parse_word(right(subs))
-            except WordError:
-                continue
-            if all(s.valid_for(n) for s in lhs + rhs):
-                out.append((subs, lhs, rhs))
-        return out
+        if n ** len(names) > MAX_ASSIGNMENTS:
+            raise WordError(f"schema has {n}^{len(names)} index assignments, "
+                            f"more than {MAX_ASSIGNMENTS}")
+
+        def draw() -> Iterator[tuple[dict[str, int], Word, Word]]:
+            for values in itertools.product(range(1, n + 1), repeat=len(names)):
+                subs = dict(zip(names, values))
+                if not constraint(subs):
+                    continue
+                try:
+                    lhs, rhs = parse_word(left(subs)), parse_word(right(subs))
+                except WordError:
+                    continue
+                if all(s.valid_for(n) for s in lhs + rhs):
+                    yield subs, lhs, rhs
+        return draw()
 
 
 # Schema expressions are integer expressions, parsed once and evaluated by
@@ -360,7 +425,7 @@ class Verdict:
 _Check = tuple[str, tuple[tuple[str, int], ...], Word, Word]
 
 
-def _check(family: TableauFamily, checks: Sequence[_Check],
+def _check(family: TableauFamily, checks: Sequence[_Check], memo: _Memo,
            exhaustive: bool = False) -> Verdict:
     """Compare both sides of every check on the family tables, member by
     member and, for each member, check by check.  Stops at the first
@@ -371,7 +436,8 @@ def _check(family: TableauFamily, checks: Sequence[_Check],
     for (x, t), (check, (left, right)) in itertools.product(enumerate(family),
                                                              zip(checks, sides)):
         checked += 1
-        if _follow(family, left, x) != _follow(family, right, x) and failed is None:
+        if _follow(family, left, x, memo) != _follow(family, right, x, memo) \
+                and failed is None:
             failed = t, check
             if not exhaustive:
                 break
@@ -410,8 +476,9 @@ def verify_relation_over(schema: RelationSchema, families: Iterable[TableauFamil
                          exhaustive: bool = False) -> Verdict:
     """verify_relation on each family in turn; exhaustive goes on through
     every family and keeps the first counterexample."""
+    memo: _Memo = {}
     return _first_failure(
-        (_check(family, [("", tuple(sorted(subs.items())), lhs, rhs)], exhaustive)
+        (_check(family, [("", tuple(sorted(subs.items())), lhs, rhs)], memo, exhaustive)
          for family in families for subs, lhs, rhs in schema.instantiations(family.n)),
         exhaustive)
 
@@ -461,7 +528,8 @@ def verify_cactus_action(route: str, families: Iterable[TableauFamily]) -> Verdi
     for the given realization over the given families."""
     if route not in CACTUS_ROUTES:
         raise WordError(f"unknown cactus route {route!r}")
-    return _first_failure(_check(family, _cactus_checks(route, family.n))
+    memo: _Memo = {}
+    return _first_failure(_check(family, _cactus_checks(route, family.n), memo)
                           for family in families)
 
 

@@ -33,9 +33,12 @@ class TableauFamily:
                                      repr=False, compare=False)
 
     @cached_property
-    def index(self) -> dict[ShiftedTableau, int]:
-        """Member -> position."""
-        return {t: k for k, t in enumerate(self.members)}
+    def positions(self) -> dict[tuple[int, ...], int]:
+        """Member key -> position.  A member's key is the tuple of its
+        entries' order keys over the shape's sorted cells, so a map on
+        the family's cells is a member exactly when its key is here."""
+        return {tuple(2 * e.value - e.primed for _, e in t.entries): k
+                for k, t in enumerate(self.members)}
 
     def __iter__(self) -> Iterator[ShiftedTableau]:
         return iter(self.members)

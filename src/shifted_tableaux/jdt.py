@@ -7,16 +7,20 @@ go through standardize -> slide -> destandardize, which is the bridge that
 makes the primed bookkeeping unambiguous.  Standardization commutes with
 shifted jeu de taquin (Worley 1984), so rectify and reversal standardize
 once, run all their slides, and destandardize once.
+
+rectify_map, evacuation_map and reversal_map compute on canonical cell ->
+entry maps; the public functions build one validated tableau from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Mapping
 
 from .core import (CapacityError, Cell, Entry, ShiftedSkewShape, ShiftedTableau,
-                   StrictPartition, TableauError, act_on_band, canonicalize,
-                   destandardize_map, standardize_map, weight)
+                   StrictPartition, TableauError, act_on_band, canonical_map,
+                   canonical_pair, destandardize_map, pair_of_cells, standardize_map,
+                   weight, weight_map)
 
 DUAL_EQUIV_MAX_CELLS = 6
 
@@ -33,27 +37,16 @@ class SlideRecord:
         return len(self.slides)
 
 
+def _removable(inner: tuple[int, ...]) -> list[Cell]:
+    """The cells a strict partition can lose, top row first."""
+    return [(r, r + p - 1) for r, p in enumerate(inner, start=1)
+            if r == len(inner) or inner[r] < p - 1]
+
+
 def inner_corners(shape: ShiftedSkewShape) -> list[Cell]:
-    """Empty positions into which an inner slide may start."""
-    cells = shape.cells
-    out = []
-    rows = {r for r, _ in cells}
-    if not rows:
-        return []
-    for r in range(1, max(rows) + 1):
-        for c in range(r, max(x for _, x in cells) + 1):
-            p = (r, c)
-            if p in cells:
-                continue
-            if ((r, c + 1) in cells or (r + 1, c) in cells) \
-                    and (r, c - 1) not in cells and (r - 1, c) not in cells:
-                try:
-                    # the position must extend the region to a valid diagram
-                    ShiftedSkewShape.from_cells(cells | {p})
-                except TableauError:
-                    continue
-                out.append(p)
-    return out
+    """Empty positions into which an inner slide may start: the removable
+    cells of the inner partition of the canonical (outer, inner) pair."""
+    return _removable(canonical_pair(shape.outer, shape.inner)[1])
 
 
 def _slide_standard(entries: dict[Cell, int], cell: Cell, outer: bool) -> Cell:
@@ -107,7 +100,33 @@ def _pick_corner(corners: list[Cell], strategy: str) -> Cell:
     raise ValueError(f"unknown corner strategy {strategy!r}")
 
 
-@lru_cache(maxsize=None)
+def _shrink(parts: tuple[int, ...], row: int) -> tuple[int, ...]:
+    return parts[:row - 1] + (parts[row - 1] - 1,) + parts[row:]
+
+
+def rectify_map(entries: Mapping[Cell, Entry], outer: tuple[int, ...],
+                inner: tuple[int, ...], n: int, strategy: str = "first"
+                ) -> tuple[Mapping[Cell, Entry], tuple[int, ...], list[tuple[Cell, Cell]]]:
+    """rectify on the cell -> entry map of the shape outer/inner: the
+    straight map, its outer partition and the (corner, exit) slides.
+
+    The (outer, inner) pair is carried through the slides: each slide
+    takes a removable cell from inner and its exit cell from outer.
+    entries itself is returned when no slide happens."""
+    outer, inner = canonical_pair(outer, inner)
+    if not inner:
+        return entries, outer, []
+    std = standardize_map(entries.items())
+    record: list[tuple[Cell, Cell]] = []
+    while corners := _removable(inner):
+        corner = _pick_corner(corners, strategy)
+        exit_cell = _slide_standard(std, corner, outer=False)
+        record.append((corner, exit_cell))
+        outer, inner = canonical_pair(_shrink(outer, exit_cell[0]),
+                                      _shrink(inner, corner[0]))
+    return destandardize_map(std, weight_map(entries, n)), outer, record
+
+
 def rectify(t: ShiftedTableau, strategy: str = "first"
             ) -> tuple[ShiftedTableau, SlideRecord]:
     """Apply inner slides until the shape is straight.
@@ -118,19 +137,12 @@ def rectify(t: ShiftedTableau, strategy: str = "first"
     if t.size == 0:
         # covers shapes like lambda/lambda
         return ShiftedTableau(ShiftedSkewShape(), (), t.n), SlideRecord()
-    record: list[tuple[Cell, Cell]] = []
-    shape, std = t.shape, None
-    while corners := inner_corners(shape):
-        if std is None:
-            std = standardize_map(t.entries)
-        corner = _pick_corner(corners, strategy)
-        record.append((corner, _slide_standard(std, corner, outer=False)))
-        shape = ShiftedSkewShape.from_cells(std)
-    rect = t if std is None else \
-        ShiftedTableau.from_map(destandardize_map(std, weight(t)), t.n)
-    if not rect.shape.straight:
-        raise RuntimeError(f"rectification did not reach a straight shape: {rect.shape}")
-    return rect, SlideRecord(tuple(record))
+    rect, outer, record = rectify_map(t.entry_map, t.shape.outer, t.shape.inner,
+                                      t.n, strategy)
+    if not record:
+        return t, SlideRecord()
+    return (ShiftedTableau.from_map(rect, t.n, ShiftedSkewShape(outer)),
+            SlideRecord(tuple(record)))
 
 
 def knuth_equivalent(t1: ShiftedTableau, t2: ShiftedTableau) -> bool:
@@ -168,6 +180,17 @@ def dual_equivalent(t1: ShiftedTableau, t2: ShiftedTableau) -> bool:
     return walk(t1, t2)
 
 
+def _complement_map(entries: Mapping[Cell, Entry], outer: tuple[int, ...],
+                    inner: tuple[int, ...], n: int, width: int
+                    ) -> tuple[dict[Cell, Entry], tuple[int, ...], tuple[int, ...]]:
+    """complement on the cell -> entry map of the shape outer/inner: the
+    canonical map and its (outer, inner) pair."""
+    reflected = {(width + 1 - c, width + 1 - r): Entry(n - e.value + 1, not e.primed)
+                 for (r, c), e in entries.items()}
+    return (canonical_map(reflected), StrictPartition(inner).complement(width).parts,
+            StrictPartition(outer).complement(width).parts)
+
+
 def complement(t: ShiftedTableau, n: int | None = None,
                width: int | None = None) -> ShiftedTableau:
     """Anti-diagonal reflection in the shifted staircase of the given width
@@ -185,36 +208,51 @@ def complement(t: ShiftedTableau, n: int | None = None,
         width = t.shape.outer[0]
     elif width < t.shape.outer[0]:
         raise TableauError(f"staircase width {width} is too small for {t.shape}")
-    entries: dict[Cell, Entry] = {}
-    for (r, c), e in t.entries:
-        entries[(width + 1 - c, width + 1 - r)] = Entry(n - e.value + 1, not e.primed)
-    outer = StrictPartition(t.shape.inner).complement(width).parts
-    inner = StrictPartition(t.shape.outer).complement(width).parts
-    return canonicalize(ShiftedSkewShape(outer, inner), entries, n)
+    entries, outer, inner = _complement_map(t.entry_map, t.shape.outer,
+                                            t.shape.inner, n, width)
+    return ShiftedTableau.from_map(entries, n, ShiftedSkewShape(outer, inner))
 
 
-@lru_cache(maxsize=None)
+def evacuation_map(entries: Mapping[Cell, Entry], outer: tuple[int, ...], n: int
+                   ) -> tuple[Mapping[Cell, Entry], tuple[int, ...]]:
+    """evacuation_jdt on the nonempty cell -> entry map of the straight
+    shape outer: the evacuated map and its outer partition."""
+    comp, comp_outer, comp_inner = _complement_map(entries, outer, (), n, outer[0])
+    rect, rect_outer, _ = rectify_map(comp, comp_outer, comp_inner, n)
+    return rect, rect_outer
+
+
 def evacuation_jdt(t: ShiftedTableau) -> ShiftedTableau:
     """evac(T) = rect(c_n(T)) on straight shapes."""
     if not t.shape.straight:
         raise TableauError("evacuation is defined on straight shapes; use reversal")
-    return rectify(complement(t))[0]
+    if t.size == 0:
+        return ShiftedTableau(ShiftedSkewShape(), (), t.n)
+    out, outer = evacuation_map(t.entry_map, t.shape.outer, t.n)
+    return ShiftedTableau.from_map(out, t.n, ShiftedSkewShape(outer))
 
 
-@lru_cache(maxsize=None)
-def reversal(t: ShiftedTableau) -> ShiftedTableau:
-    """The unique tableau Knuth equivalent to c_n(T) and dual equivalent to T:
-    rectify, evacuate, then replay the recorded slides outward in reverse."""
-    rect, record = rectify(t)
-    out = evacuation_jdt(rect)
-    if record.slides:
-        std = standardize_map(out.entries)
-        for _, exit_cell in reversed(record.slides):
+def reversal_map(entries: Mapping[Cell, Entry], n: int) -> Mapping[Cell, Entry]:
+    """reversal on a canonical cell -> entry map over the alphabet 1..n:
+    rectify, evacuate, then replay the recorded slides outward in
+    reverse."""
+    if not entries:
+        return {}
+    rect, outer, record = rectify_map(entries, *pair_of_cells(entries), n)
+    out, _ = evacuation_map(rect, outer, n)
+    if record:
+        std = standardize_map(out.items())
+        for _, exit_cell in reversed(record):
             _slide_standard(std, exit_cell, outer=True)
-        out = ShiftedTableau.from_map(destandardize_map(std, weight(out)), out.n)
-    if out.cells != t.cells:
+        out = destandardize_map(std, weight_map(out, n))
+    if out.keys() != entries.keys():
         raise RuntimeError("reversal did not restore the original shape")
     return out
+
+
+def reversal(t: ShiftedTableau) -> ShiftedTableau:
+    """The unique tableau Knuth equivalent to c_n(T) and dual equivalent to T."""
+    return ShiftedTableau.from_map(reversal_map(t.entry_map, t.n), t.n)
 
 
 def eta(t: ShiftedTableau, i: int | None = None, j: int | None = None) -> ShiftedTableau:
@@ -226,7 +264,7 @@ def eta(t: ShiftedTableau, i: int | None = None, j: int | None = None) -> Shifte
         i, j = 1, t.n
     if not (1 <= i <= j <= t.n):
         raise TableauError(f"invalid interval [{i},{j}] for n={t.n}")
-    return act_on_band(t, i, j, reversal)
+    return act_on_band(t, i, j, reversal_map)
 
 
 def sigma(t: ShiftedTableau, i: int) -> ShiftedTableau:

@@ -6,11 +6,10 @@ evacuation operators (straight, restricted and skew variants).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from typing import Callable, Mapping
 
 from .core import (Cell, Entry, ShiftedSkewShape, ShiftedTableau, TableauError,
-                   act_on_band, canonicalize)
+                   act_on_band, canonical_map)
 
 
 class SwitchingError(TableauError):
@@ -265,32 +264,37 @@ def full_switch(s: ShiftedTableau, t: ShiftedTableau
 # ---------------------------------------------------------------------------
 # evacuation via switching
 
-def _evac_entries(t: ShiftedTableau) -> dict[Cell, Entry]:
-    """Expel bands 1..n-1 outward in turn; the k-th expelled band is
-    relabelled to letter n-k+1 (the auxiliary-alphabet bookkeeping)."""
-    n = t.n
+def evac_map(entries: Mapping[Cell, Entry], n: int) -> dict[Cell, Entry]:
+    """Switching evacuation of a canonical cell -> entry map over the
+    alphabet 1..n: expel bands 1..n-1 outward in turn; the k-th expelled
+    band is relabelled to letter n-k+1 (the auxiliary-alphabet
+    bookkeeping)."""
     # one side throughout: the letters alone tell the bands apart
-    state = {cell: (0, e.value, e.primed) for cell, e in t.entries}
+    state = {cell: (0, e.value, e.primed) for cell, e in entries.items()}
     out: dict[Cell, Entry] = {}
     for k in range(1, n + 1):
         for j in range(k + 1, n + 1):
             _switch_bands(state, 0, k, 0, j, None)
         for cell in [c for c, (_, lt, _) in state.items() if lt == k]:
             out[cell] = Entry(n - k + 1, state.pop(cell)[2])
-    return out
+    return canonical_map(out)
 
 
-@lru_cache(maxsize=None)
 def _evac_core(t: ShiftedTableau) -> ShiftedTableau:
     if t.size == 0:
         return t
-    return canonicalize(t.shape, _evac_entries(t), t.n)
+    return ShiftedTableau.from_map(evac_map(t.entry_map, t.n), t.n, t.shape)
+
+
+def require_straight(shape: ShiftedSkewShape, name: str, skew_name: str) -> None:
+    """The straight-shape check of the switching evacuations."""
+    if not shape.straight:
+        raise TableauError(f"{name} requires a straight shape; use {skew_name}")
 
 
 def evac_switch(t: ShiftedTableau) -> ShiftedTableau:
     """Shifted evacuation of a straight tableau by sequential switching."""
-    if not t.shape.straight:
-        raise TableauError("evac_switch requires a straight shape; use evac_skew")
+    require_straight(t.shape, "evac_switch", "evac_skew")
     return _evac_core(t)
 
 
@@ -302,13 +306,12 @@ def evac_skew(t: ShiftedTableau) -> ShiftedTableau:
 def _evac_k(t: ShiftedTableau, k: int) -> ShiftedTableau:
     if not (1 <= k <= t.n):
         raise TableauError(f"invalid restriction index k={k} for n={t.n}")
-    return act_on_band(t, 1, k, _evac_core)
+    return act_on_band(t, 1, k, evac_map)
 
 
 def evac_k_switch(t: ShiftedTableau, k: int) -> ShiftedTableau:
     """Evacuate the letters 1..k of a straight tableau, fixing the rest."""
-    if not t.shape.straight:
-        raise TableauError("evac_k_switch requires a straight shape; use evac_k_skew")
+    require_straight(t.shape, "evac_k_switch", "evac_k_skew")
     return _evac_k(t, k)
 
 
@@ -321,4 +324,4 @@ def evac_interval_skew(t: ShiftedTableau, i: int, j: int) -> ShiftedTableau:
     """Apply the skew evacuation to the letter band i..j, fixing the rest."""
     if not (1 <= i <= j <= t.n):
         raise TableauError(f"invalid interval [{i},{j}] for n={t.n}")
-    return act_on_band(t, i, j, _evac_core)
+    return act_on_band(t, i, j, evac_map)

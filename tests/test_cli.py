@@ -176,6 +176,19 @@ class TestErrors:
         code, out, err = run(capsys, "verify", "--schema", schema, "--n", "3")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_verify_needs_schema_or_preset(self, capsys):
+        code, out, err = run(capsys, "verify", "--n", "3")
+        assert (code, out, err) == \
+            (2, "", "error: verify requires --schema or --preset\n")
+
+    def test_too_many_schema_assignments_is_one_line(self, capsys):
+        code, out, err = run(capsys, "verify", "--schema",
+                             "t1 = e : i < j and k < l", "--n", "300",
+                             "--outer", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: schema has 300^4 index assignments, " \
+            f"more than {engine.MAX_ASSIGNMENTS}\n"
+
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "rectify", "--in", "/nonexistent/t.txt",
                          "--n", "2")

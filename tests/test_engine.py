@@ -2,10 +2,11 @@
 
 import pytest
 
-from shifted_tableaux import engine
-from shifted_tableaux.core import ShiftedSkewShape, parse_tableau, render_text
+from shifted_tableaux import bender_knuth, engine, jdt, switching
+from shifted_tableaux.core import Entry, ShiftedSkewShape, parse_tableau, render_text
 from shifted_tableaux.enumeration import enumerate_tableaux
-from shifted_tableaux.engine import (MAX_WORD_LENGTH, GeneratorSymbol,
+from shifted_tableaux.engine import (MAX_ASSIGNMENTS, MAX_WORD_LENGTH,
+                                     GeneratorSymbol,
                                      RelationSchema, WordError, apply_symbol,
                                      components_by_dual_equivalence, eval_word,
                                      orbit_graph, parse_word, run_preset,
@@ -92,6 +93,15 @@ class TestSchemas:
         with pytest.raises(WordError, match=r"'\*\*' is not allowed"):
             RelationSchema.parse(text).instantiations(9)
 
+    def test_assignments_drawn_lazily_and_bounded(self):
+        schema = RelationSchema.parse("t1 = e : i < j and k < l")
+        n = int(MAX_ASSIGNMENTS ** 0.25)
+        assert n ** 4 <= MAX_ASSIGNMENTS
+        first = next(schema.instantiations(n))
+        assert first[0] == {"i": 1, "j": 2, "k": 1, "l": 2}
+        with pytest.raises(WordError, match="300\\^4 index assignments"):
+            schema.instantiations(300)
+
 
 class TestCactusEvacRoute:
     """The route s_ij = evac_j evac_{j-i+1} evac_j on straight shapes."""
@@ -128,7 +138,10 @@ class TestCactusEvacRoute:
 
 
 N = 4
-FAMILY_SHAPES = [((3, 1), ()), ((3, 2), ()), ((3, 1), (1,)), ((4, 2), (2,))]
+# (4,2,1)/(3,2) has an empty middle row, so rectifying it slides through
+# the empty row
+FAMILY_SHAPES = [((3, 1), ()), ((3, 2), ()), ((3, 1), (1,)), ((4, 2), (2,)),
+                 ((4, 2, 1), (3, 2))]
 
 
 def all_symbols(n, straight):
@@ -189,11 +202,29 @@ class TestFamilyTables:
             == [". . 2 4 / 1 3", ". . 1 3 / 2 4", ". . 1 4 / 2 3"]
 
     def test_output_outside_family_is_integrity_error(self, monkeypatch):
+        # same cells, but not a valid filling: its key is no member's
         fam = enumerate_tableaux(ShiftedSkewShape((2,), ()), 2)
-        other = parse_tableau("1 1\n2", 2)
-        monkeypatch.setattr(engine, "apply_symbol", lambda t, sym: other)
+        other = {(1, 1): Entry(2), (1, 2): Entry(1)}
+        monkeypatch.setattr(bender_knuth, "bk_map", lambda entries, i: other)
         with pytest.raises(RuntimeError, match="out of its family"):
             verify_relation(RelationSchema("t1", "e"), fam)
+
+    @pytest.mark.parametrize("module, name, word", [
+        (bender_knuth, "bk_map", "t1"),
+        (jdt, "reversal_map", "sigma1"),
+        (switching, "evac_map", "evacs:1,2"),
+    ])
+    @pytest.mark.parametrize("cells", [[(1, 1)], [(1, 1), (1, 2), (1, 3)],
+                                       [(1, 1), (2, 2)]])
+    def test_output_on_other_cells_is_integrity_error(self, monkeypatch, module,
+                                                      name, word, cells):
+        # every letter of a one-row member of (2) at n=2 lies in the band,
+        # so each core sees the whole member and returns another cell set
+        fam = enumerate_tableaux(ShiftedSkewShape((2,), ()), 2)
+        monkeypatch.setattr(module, name,
+                            lambda entries, k: {c: Entry(1) for c in cells})
+        with pytest.raises(RuntimeError, match="out of its family"):
+            word_permutation(fam, parse_word(word))
 
 
 class TestSearch:

@@ -3,11 +3,14 @@ per result.  These tests keep the step-by-step path, one validated
 tableau per slide and per band, as the reference, over every straight
 and skew family of at most 6 cells with outer_1 <= 4 at n=4."""
 
+from functools import cache
+from itertools import combinations
+
 import pytest
 
 from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape,
-                                   ShiftedTableau, destandardize, parse_tableau,
-                                   render_text, standardize, weight)
+                                   ShiftedTableau, TableauError, destandardize,
+                                   parse_tableau, render_text, standardize, weight)
 from shifted_tableaux.enumeration import enumerate_tableaux, skew_shapes
 from shifted_tableaux.jdt import (SlideRecord, eta, evacuation_jdt, inner_corners,
                                   inner_slide, outer_slide, rectify, reversal)
@@ -31,6 +34,29 @@ def same(a, b):
 
 
 # -- the step-by-step reference ---------------------------------------------
+
+def probing_inner_corners(shape):
+    """Every empty position next to the region, with no region cell west
+    or north of it, that extends the region to a valid shifted skew
+    shape, found by trying to build that shape."""
+    cells = shape.cells
+    if not cells:
+        return []
+    out = []
+    for r in range(1, max(r for r, _ in cells) + 1):
+        for c in range(r, max(c for _, c in cells) + 1):
+            p = (r, c)
+            if p in cells:
+                continue
+            if ((r, c + 1) in cells or (r + 1, c) in cells) \
+                    and (r, c - 1) not in cells and (r - 1, c) not in cells:
+                try:
+                    ShiftedSkewShape.from_cells(cells | {p})
+                except TableauError:
+                    continue
+                out.append(p)
+    return out
+
 
 def standard_slide(std, cell, outer):
     """One slide of a standard tableau, rebuilt as a validated tableau."""
@@ -71,7 +97,7 @@ def reference_slide(t, cell, outer):
 def reference_rectify(t, strategy):
     """Slide by slide; the first slide is also checked against inner_slide."""
     cur, record = t, []
-    while corners := inner_corners(cur.shape):
+    while corners := probing_inner_corners(cur.shape):
         corner = min(corners) if strategy == "first" else max(corners)
         nxt, exit_cell = reference_slide(cur, corner, outer=False)
         if not record:
@@ -130,6 +156,23 @@ def test_family_size(members):
     assert len(members) == 5134
 
 
+def strict_partitions(max_part):
+    return [tuple(sorted(parts, reverse=True)) for size in range(max_part + 1)
+            for parts in combinations(range(1, max_part + 1), size)]
+
+
+def test_inner_corners_match_probing():
+    """Every (outer, inner) pair with parts <= 7, lambda/lambda and pairs
+    with empty rows included."""
+    partitions = strict_partitions(7)
+    pairs = [(outer, inner) for outer in partitions for inner in partitions
+             if len(inner) <= len(outer) and all(map(int.__le__, inner, outer))]
+    assert len(pairs) == 6435  # the empty shape included
+    for outer, inner in pairs:
+        shape = ShiftedSkewShape(outer, inner)
+        assert inner_corners(shape) == probing_inner_corners(shape), (outer, inner)
+
+
 @pytest.mark.parametrize("strategy", ["first", "last"])
 def test_rectify_matches_slide_by_slide(members, strategy):
     for t in members:
@@ -145,13 +188,16 @@ def test_reversal_matches_outer_slides(members):
 
 
 def test_band_operators_match_band_composition(members):
-    """eta, evac_interval_skew and evac_k_skew."""
+    """eta, evac_interval_skew and evac_k_skew.  The reference reverses
+    and evacuates each distinct band tableau once: bands recur across
+    members, and the operators themselves keep no cache."""
+    band_reversal, band_evac = cache(reversal), cache(_evac_core)
     for t in members:
         for i, j in INTERVALS:
             split = reference_split(t, i, j)
             where = (render_text(t), i, j)
-            assert same(eta(t, i, j), reference_band(t, i, j, split, reversal)), where
-            evac = reference_band(t, i, j, split, _evac_core)
+            assert same(eta(t, i, j), reference_band(t, i, j, split, band_reversal)), where
+            evac = reference_band(t, i, j, split, band_evac)
             assert same(evac_interval_skew(t, i, j), evac), where
             if i == 1:
                 assert same(evac_k_skew(t, j), evac), where
