@@ -75,6 +75,17 @@ class Entry:
         return cls(int(tok), primed)
 
 
+def _check_strict(parts: tuple[int, ...], what: str,
+                  positive: str = "must have positive parts") -> None:
+    """Reject parts that are not strictly decreasing and positive; the
+    messages start with the label `what`."""
+    for a, b in zip(parts, parts[1:]):
+        if a <= b:
+            raise TableauError(f"{what} not strictly decreasing: {parts}")
+    if parts and parts[-1] < 1:
+        raise TableauError(f"{what} {positive}: {parts}")
+
+
 @dataclass(frozen=True)
 class StrictPartition:
     """A strictly decreasing sequence of positive integers."""
@@ -83,11 +94,7 @@ class StrictPartition:
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
-        for a, b in zip(self.parts, self.parts[1:]):
-            if a <= b:
-                raise TableauError(f"parts not strictly decreasing: {self.parts}")
-        if self.parts and self.parts[-1] < 1:
-            raise TableauError(f"parts must be positive: {self.parts}")
+        _check_strict(self.parts, "parts", "must be positive")
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
@@ -105,14 +112,6 @@ class StrictPartition:
             raise TableauError(f"{self.parts} does not fit in staircase of width {width}")
         missing = [k for k in range(width, 0, -1) if k not in set(self.parts)]
         return StrictPartition(tuple(missing))
-
-
-def _check_strict(parts: tuple[int, ...], what: str) -> None:
-    for a, b in zip(parts, parts[1:]):
-        if a <= b:
-            raise TableauError(f"{what} not strictly decreasing: {parts}")
-    if parts and parts[-1] < 1:
-        raise TableauError(f"{what} must have positive parts: {parts}")
 
 
 def canonical_pair(outer: Iterable[int], inner: Iterable[int]

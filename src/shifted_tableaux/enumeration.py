@@ -1,10 +1,14 @@
 """Exhaustive generation of canonical shifted semistandard tableaux.
 
-Generation backtracks over cells in row order with per-cell pruning
-(row/column order, multiplicity rules); canonical form is applied as a
-final filter, and every kept filling is validated as a tableau.  The
-family order is fixed as reading-word lexicographic so that golden
-outputs stay byte-stable.
+Generation backtracks over the cells in reading order (bottom row first,
+each row left to right) on the integer order keys 2*value - primed, so a
+cell's key is bounded below by its west neighbour and above by its south
+neighbour, both already placed.  The multiplicity rules are tracked as the
+search goes, and canonical form is a prefix rule: a primed key is offered
+only for a letter that already occurs in the prefix.  Keys are tried in
+increasing order, so the family comes out in reading-word lexicographic
+order, which keeps golden outputs byte-stable.  Every member is validated
+as a tableau.
 """
 
 from __future__ import annotations
@@ -47,76 +51,52 @@ class TableauFamily:
         return len(self.members)
 
 
-def _fill_order(shape: ShiftedSkewShape) -> list[Cell]:
-    return sorted(shape.cells)
-
-
-def _iter_fillings(shape: ShiftedSkewShape, n: int) -> Iterator[dict[Cell, Entry]]:
-    order = _fill_order(shape)
-    alphabet = [Entry(k, p) for k in range(1, n + 1) for p in (True, False)]
-    entries: dict[Cell, Entry] = {}
-    primed_rows: set[tuple[int, int]] = set()  # (row, value) with a primed entry
-    used_cols: set[tuple[int, int]] = set()    # (col, value) with an unprimed entry
-
-    def place(idx: int) -> Iterator[dict[Cell, Entry]]:
-        if idx == len(order):
-            yield dict(entries)
-            return
-        r, c = order[idx]
-        west = entries.get((r, c - 1))
-        north = entries.get((r - 1, c))
-        floor = max((e for e in (west, north) if e is not None), default=None)
-        for e in alphabet:
-            if floor is not None and e < floor:
-                continue
-            if e.primed:
-                if (r, e.value) in primed_rows:
-                    continue
-                primed_rows.add((r, e.value))
-            else:
-                if (c, e.value) in used_cols:
-                    continue
-                used_cols.add((c, e.value))
-            entries[(r, c)] = e
-            yield from place(idx + 1)
-            del entries[(r, c)]
-            if e.primed:
-                primed_rows.discard((r, e.value))
-            else:
-                used_cols.discard((c, e.value))
-
-    yield from place(0)
-
-
-def _is_canonical(reading: list[Cell], filling: dict[Cell, Entry]) -> bool:
-    """The first occurrence of each letter in reading order is unprimed;
-    the backtracking already enforces every other rule."""
-    seen: set[int] = set()
-    for cell in reading:
-        e = filling[cell]
-        if e.value not in seen:
-            if e.primed:
-                return False
-            seen.add(e.value)
-    return True
-
-
-def _canonical_fillings(shape: ShiftedSkewShape, n: int
-                        ) -> Iterator[tuple[tuple[int, ...], dict[Cell, Entry]]]:
-    """Canonical fillings with their reading-word order keys."""
-    reading = reading_cells(shape)
-    for filling in _iter_fillings(shape, n):
-        if _is_canonical(reading, filling):
-            yield tuple(filling[c].order_key for c in reading), filling
-
-
 def enumerate_tableaux(shape: ShiftedSkewShape, n: int) -> TableauFamily:
     """All members of ShST(shape, n) in reading-word lexicographic order."""
     if n < 0:
         raise ValueError("alphabet bound must be >= 0")
-    fillings = sorted(_canonical_fillings(shape, n), key=lambda kf: kf[0])
-    members = tuple(ShiftedTableau.from_map(f, n, shape) for _, f in fillings)
-    return TableauFamily(shape, n, members)
+    cells = reading_cells(shape)
+    at = {cell: i for i, cell in enumerate(cells)}
+    # per cell: row, column, and the positions of its west and south
+    # neighbours in reading order (-1 when outside the shape)
+    plan = [(r, c, at.get((r, c - 1), -1), at.get((r + 1, c), -1))
+            for r, c in cells]
+    entry = {k: Entry((k + 1) // 2, k % 2 == 1) for k in range(1, 2 * n + 1)}
+    keys = [0] * len(cells)
+    seen = [0] * (n + 1)                       # occurrences of each letter so far
+    primed_rows: set[tuple[int, int]] = set()  # (row, value) with a primed entry
+    used_cols: set[tuple[int, int]] = set()    # (col, value) with an unprimed entry
+    members: list[ShiftedTableau] = []
+
+    def place(i: int) -> None:
+        if i == len(cells):
+            filling = {cell: entry[k] for cell, k in zip(cells, keys)}
+            members.append(ShiftedTableau.from_map(filling, n, shape))
+            return
+        r, c, west, south = plan[i]
+        low = keys[west] if west >= 0 else 1
+        high = keys[south] if south >= 0 else 2 * n
+        for k in range(low, high + 1):
+            v = (k + 1) >> 1
+            if k & 1:
+                if not seen[v] or (r, v) in primed_rows:
+                    continue
+                primed_rows.add((r, v))
+            else:
+                if (c, v) in used_cols:
+                    continue
+                used_cols.add((c, v))
+            seen[v] += 1
+            keys[i] = k
+            place(i + 1)
+            seen[v] -= 1
+            if k & 1:
+                primed_rows.discard((r, v))
+            else:
+                used_cols.discard((c, v))
+
+    place(0)
+    return TableauFamily(shape, n, tuple(members))
 
 
 def straight_shapes(max_cells: int, max_part: int | None = None

@@ -142,6 +142,10 @@ class TestErrors:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 
+    def test_negative_alphabet_is_one_line(self, capsys):
+        assert run(capsys, "enum", "--outer", "2", "--n", "-1") == \
+            (2, "", "error: alphabet bound must be >= 0\n")
+
     def test_invalid_tableau(self, capsys):
         code, _, err = run(capsys, "apply", "--op", "t1", "--in", "2 1",
                            "--n", "2")

@@ -42,6 +42,23 @@ class TestShapes:
         with pytest.raises(TableauError):
             StrictPartition((1, 2))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: StrictPartition((3, 3)), "parts not strictly decreasing: (3, 3)"),
+        (lambda: StrictPartition((2, 0)), "parts must be positive: (2, 0)"),
+        (lambda: ShiftedSkewShape((2, 2)),
+         "outer shape not strictly decreasing: (2, 2)"),
+        (lambda: ShiftedSkewShape((2, 0)),
+         "outer shape must have positive parts: (2, 0)"),
+        (lambda: ShiftedSkewShape((3, 2), (1, 1)),
+         "inner shape not strictly decreasing: (1, 1)"),
+        (lambda: ShiftedSkewShape((3, 2), (1, -1)),
+         "inner shape must have positive parts: (1, -1)"),
+    ])
+    def test_strict_parts_messages(self, build, message):
+        with pytest.raises(TableauError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_staircase_complement(self):
         assert StrictPartition((3,)).complement(3).parts == (2, 1)
         assert StrictPartition(()).complement(3).parts == (3, 2, 1)

@@ -1,41 +1,15 @@
 """Family enumeration against an independent brute-force oracle."""
 
-import itertools
+import sys
 
-from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape,
-                                   ShiftedTableau, reading_word, render_text)
+import pytest
+
+sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
+from helpers import brute_force_members  # noqa: E402
+
+from shifted_tableaux.core import ShiftedSkewShape, reading_word, render_text
 from shifted_tableaux.enumeration import (enumerate_tableaux, skew_shapes,
                                           straight_shapes)
-
-
-def brute_force_members(shape, n):
-    """Raw per-row assignments filtered only by the row rules, combined, then
-    validated by the tableau constructor; independent of the backtracking
-    enumerator."""
-    alphabet = [Entry(v, p) for v in range(1, n + 1) for p in (True, False)]
-    rows = sorted({r for r, _ in shape.cells})
-    row_choices = []
-    for r in rows:
-        cells = sorted(shape.row_cells(r))
-        good = []
-        for combo in itertools.product(alphabet, repeat=len(cells)):
-            if any(b < a for a, b in zip(combo, combo[1:])):
-                continue
-            primed = [e.value for e in combo if e.primed]
-            if len(primed) != len(set(primed)):
-                continue
-            good.append(dict(zip(cells, combo)))
-        row_choices.append(good)
-    members = set()
-    for pick in itertools.product(*row_choices):
-        entries = {}
-        for d in pick:
-            entries.update(d)
-        try:
-            members.add(ShiftedTableau.from_map(entries, n, shape))
-        except InvalidTableauError:
-            continue
-    return members
 
 
 def test_golden_two_cell_row():
@@ -44,9 +18,12 @@ def test_golden_two_cell_row():
 
 
 def test_reading_word_lex_order():
-    fam = enumerate_tableaux(ShiftedSkewShape((3, 1), (1,)), 3)
-    keys = [tuple(e.order_key for e in reading_word(t)) for t in fam]
-    assert keys == sorted(keys)
+    """Members come out of the search strictly increasing in their reading
+    words, with no sort afterwards."""
+    for shape in skew_shapes(6, include_straight=True):
+        fam = enumerate_tableaux(shape, 3)
+        keys = [tuple(e.order_key for e in reading_word(t)) for t in fam]
+        assert all(a < b for a, b in zip(keys, keys[1:])), shape
 
 
 def test_oracle_equivalence_small():
@@ -78,3 +55,18 @@ def test_empty_family_for_overfull_shape():
     # the hook shape (2,1) admits no filling over a single letter family
     shape = ShiftedSkewShape((2, 1), ())
     assert len(enumerate_tableaux(shape, 1)) == 0
+
+
+def test_empty_shape_has_one_member():
+    for n in (0, 3):
+        fam = enumerate_tableaux(ShiftedSkewShape(), n)
+        assert len(fam) == 1 and fam.members[0].entries == ()
+
+
+def test_no_letters_no_members():
+    assert len(enumerate_tableaux(ShiftedSkewShape((2, 1)), 0)) == 0
+
+
+def test_negative_alphabet_rejected():
+    with pytest.raises(ValueError):
+        enumerate_tableaux(ShiftedSkewShape((2,)), -1)

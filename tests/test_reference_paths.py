@@ -1,7 +1,9 @@
 """The operators slide and evacuate plain cell maps and build one tableau
 per result.  These tests keep the step-by-step path, one validated
 tableau per slide and per band, as the reference, over every straight
-and skew family of at most 6 cells with outer_1 <= 4 at n=4."""
+and skew family of at most 6 cells with outer_1 <= 4 at n=4.  They also
+keep the row-order enumeration, with canonical form as a filter and a
+final sort, as the reference for the reading-order search."""
 
 from functools import cache
 from itertools import combinations
@@ -10,7 +12,8 @@ import pytest
 
 from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape,
                                    ShiftedTableau, TableauError, destandardize,
-                                   parse_tableau, render_text, standardize, weight)
+                                   parse_tableau, reading_cells, render_text,
+                                   standardize, weight)
 from shifted_tableaux.enumeration import enumerate_tableaux, skew_shapes
 from shifted_tableaux.jdt import (SlideRecord, eta, evacuation_jdt, inner_corners,
                                   inner_slide, outer_slide, rectify, reversal)
@@ -150,6 +153,54 @@ def reference_band(t, i, j, split, op):
     return ShiftedTableau.from_map(entries, t.n)
 
 
+def row_order_enumeration(shape, n):
+    """Backtrack over the cells top row first, each bounded below by its
+    west and north neighbours, keep the complete fillings whose first
+    occurrence of each letter in the reading word is unprimed, and sort
+    them by their reading words."""
+    order = sorted(shape.cells)
+    reading = reading_cells(shape)
+    alphabet = [Entry(k, p) for k in range(1, n + 1) for p in (True, False)]
+    entries, primed_rows, used_cols = {}, set(), set()
+    kept = []
+
+    def canonical():
+        seen = set()
+        for cell in reading:
+            e = entries[cell]
+            if e.value not in seen:
+                if e.primed:
+                    return False
+                seen.add(e.value)
+        return True
+
+    def place(idx):
+        if idx == len(order):
+            if canonical():
+                kept.append((tuple(entries[c].order_key for c in reading),
+                             dict(entries)))
+            return
+        r, c = order[idx]
+        floor = max((e for e in (entries.get((r, c - 1)), entries.get((r - 1, c)))
+                     if e is not None), default=None)
+        for e in alphabet:
+            if floor is not None and e < floor:
+                continue
+            used = primed_rows if e.primed else used_cols
+            mark = (r, e.value) if e.primed else (c, e.value)
+            if mark in used:
+                continue
+            used.add(mark)
+            entries[(r, c)] = e
+            place(idx + 1)
+            del entries[(r, c)]
+            used.discard(mark)
+
+    place(0)
+    kept.sort(key=lambda kf: kf[0])
+    return tuple(ShiftedTableau.from_map(f, n, shape) for _, f in kept)
+
+
 # -- the operators against it ------------------------------------------------
 
 def test_family_size(members):
@@ -201,6 +252,24 @@ def test_band_operators_match_band_composition(members):
             assert same(evac_interval_skew(t, i, j), evac), where
             if i == 1:
                 assert same(evac_k_skew(t, j), evac), where
+
+
+ENUMERATION_SHAPES = skew_shapes(7, 4, include_straight=True) + [
+    ShiftedSkewShape((4, 2, 1), (3, 2)),  # an empty middle row
+    ShiftedSkewShape(),
+    ShiftedSkewShape((3, 1), (3, 1)),
+]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_enumeration_matches_row_order(n):
+    """Members, their order and each member's (outer, inner) pair."""
+    for shape in ENUMERATION_SHAPES:
+        got = enumerate_tableaux(shape, n).members
+        want = row_order_enumeration(shape, n)
+        assert got == want, (shape, n)
+        assert [(t.shape.outer, t.shape.inner) for t in got] == \
+            [(t.shape.outer, t.shape.inner) for t in want], (shape, n)
 
 
 # -- validation messages -----------------------------------------------------
