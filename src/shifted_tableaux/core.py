@@ -219,19 +219,23 @@ def reading_cells(shape: ShiftedSkewShape) -> list[Cell]:
 
 def _validate_filling(
     shape: ShiftedSkewShape,
-    entries: Mapping[Cell, Entry],
+    items: tuple[tuple[Cell, Entry], ...],
     n: int,
 ) -> None:
+    """Check the (cell, entry) pairs, sorted by cell, against every rule."""
+    key = {cell: 2 * e.value - e.primed for cell, e in items}
+    if len(key) != len(items):
+        cell = next(c for (c, _), (d, _) in zip(items, items[1:]) if c == d)
+        raise InvalidTableauError(f"cell {cell} is filled more than once",
+                                  cell=cell, rule="coverage")
     cells = shape.cells
-    if entries.keys() != cells:
-        extra = set(entries) - cells
-        missing = cells - set(entries)
+    if key.keys() != cells:
+        extra = set(key) - cells
+        missing = cells - set(key)
         bad = (sorted(extra) or sorted(missing))[0]
         raise InvalidTableauError(
             f"filling does not cover shape exactly (extra={sorted(extra)}, missing={sorted(missing)})",
             cell=bad, rule="coverage")
-    items = sorted(entries.items())
-    key = {cell: 2 * e.value - e.primed for cell, e in items}
     for cell, e in items:
         if e.value > n:
             raise InvalidTableauError(
@@ -241,7 +245,7 @@ def _validate_filling(
         for nbr, what in (((r, c + 1), "row"), ((r + 1, c), "column")):
             if key.get(nbr, k) < k:
                 raise InvalidTableauError(
-                    f"{what} not weakly increasing at {cell}: {e} > {entries[nbr]}",
+                    f"{what} not weakly increasing at {cell}: {e} > {dict(items)[nbr]}",
                     cell=nbr, rule=f"{what}-order")
     seen_col: set[tuple[int, int]] = set()
     seen_row: set[tuple[int, int]] = set()
@@ -284,12 +288,7 @@ class ShiftedTableau:
     def __post_init__(self):
         ent = tuple(sorted(self.entries))
         object.__setattr__(self, "entries", ent)
-        entry_map = dict(ent)
-        if len(entry_map) != len(ent):
-            cell = next(c for (c, _), (d, _) in zip(ent, ent[1:]) if c == d)
-            raise InvalidTableauError(f"cell {cell} is filled more than once",
-                                      cell=cell, rule="coverage")
-        _validate_filling(self.shape, entry_map, self.n)
+        _validate_filling(self.shape, ent, self.n)
 
     @cached_property
     def entry_map(self) -> dict[Cell, Entry]:
@@ -322,7 +321,7 @@ class ShiftedTableau:
                  shape: ShiftedSkewShape | None = None) -> "ShiftedTableau":
         if shape is None:
             shape = ShiftedSkewShape.from_cells(entries.keys())
-        return cls(shape, tuple(sorted(entries.items())), n)
+        return cls(shape, tuple(entries.items()), n)
 
 
 def reading_word(t: ShiftedTableau) -> tuple[Entry, ...]:

@@ -9,7 +9,9 @@ Verification evaluates words on member positions of a family: every
 generator keeps the cell set, so on ShST(shape, n) it is a permutation,
 stored as a lazily filled table on the family.  A table entry is filled
 on cell maps and looked up by its key among the members, which are
-exactly the valid canonical fillings.
+exactly the valid canonical fillings.  Within one verification call each
+band result is computed once, and the band reversals of eta and sigma
+once per standardization of the band.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bender_knuth, jdt, switching
-from .core import Entry, ShiftedSkewShape, ShiftedTableau
+from .core import (Cell, Entry, InvalidTableauError, ShiftedSkewShape, ShiftedTableau,
+                   destandardize_map, standardize_map, weight_map)
 from .enumeration import TableauFamily, enumerate_tableaux, skew_shapes, straight_shapes
 
 
@@ -185,7 +188,9 @@ _BANDS: dict[str, Callable[[GeneratorSymbol], tuple[int, int]]] = {
 _Steps = list[tuple[GeneratorSymbol, array]]
 
 # the band results of one verification call:
-# (operator, band alphabet size, re-indexed band items) -> result order keys
+# (reversal?, band alphabet size, re-indexed band items) -> result order
+# keys, and (_band_reversal, standardized band items) -> standard values
+# of the band reversal
 _Memo = dict[tuple, tuple[int, ...]]
 
 
@@ -244,7 +249,7 @@ def _image_key(family: TableauFamily, sym: GeneratorSymbol, x: int,
     if sym.kind == "evac":
         switching.require_straight(family.shape, "evac_k_switch", "evac_k_skew")
     lo, hi = _BANDS[sym.kind](sym)
-    op = jdt.reversal_map if sym.kind in ("eta", "sigma") else switching.evac_map
+    reverse = sym.kind in ("eta", "sigma")
     shift = 2 * (lo - 1)
     key, slots, band = [], [], []
     for slot, (c, e) in enumerate(member.entries):
@@ -252,17 +257,41 @@ def _image_key(family: TableauFamily, sym: GeneratorSymbol, x: int,
         if lo <= e.value <= hi:
             slots.append(slot)
             band.append((c, key[-1] - shift))
-    band_key = (op, hi - lo + 1, tuple(band))
+    band_key = (reverse, hi - lo + 1, tuple(band))
     done = memo.get(band_key)
     if done is None:
         local = {c: Entry((k + 1) // 2, k % 2 == 1) for c, k in band}
-        out = op(local, hi - lo + 1)
-        if out.keys() != local.keys():
+        out = (_band_reversal(local, hi - lo + 1, memo) if reverse
+               else switching.evac_map(local, hi - lo + 1))
+        if out is None or out.keys() != local.keys():
             return None
         done = memo[band_key] = tuple(2 * e.value - e.primed for e in map(out.get, local))
     for slot, k in zip(slots, done):
         key[slot] = k + shift
     return tuple(key)
+
+
+def _band_reversal(local: dict[Cell, Entry], n: int, memo: _Memo
+                   ) -> dict[Cell, Entry] | None:
+    """jdt.reversal_map on the band map local over the alphabet 1..n;
+    None if the standard reversal is not a standard filling of its cells.
+
+    Reversal commutes with standardization, so it runs on the standard
+    band, once per standardization in memo, and each band destandardizes
+    the result with its reversed weight."""
+    std = standardize_map(local.items())
+    std_key = (_band_reversal, tuple(std.items()))
+    values = memo.get(std_key)
+    if values is None:
+        out = jdt.reversal_map({c: Entry(v) for c, v in std.items()}, len(std))
+        if out.keys() != std.keys() \
+                or sorted(out.values()) != [Entry(v) for v in range(1, len(std) + 1)]:
+            return None
+        values = memo[std_key] = tuple(out[c].value for c in std)
+    try:
+        return destandardize_map(dict(zip(std, values)), weight_map(local, n)[::-1])
+    except InvalidTableauError:
+        return None
 
 
 def word_permutation(family: TableauFamily, word: Sequence[GeneratorSymbol]

@@ -2,11 +2,18 @@
 and the restricted Schuetzenberger involutions.
 
 Slides are implemented directly for standard fillings (plain inner/outer
-moves of a cell -> value map on the shifted diagram); semistandard slides
-go through standardize -> slide -> destandardize, which is the bridge that
-makes the primed bookkeeping unambiguous.  Standardization commutes with
-shifted jeu de taquin (Worley 1984), so rectify and reversal standardize
-once, run all their slides, and destandardize once.
+moves of a cell -> value map on the shifted diagram).  Standardization
+commutes with shifted jeu de taquin (Worley 1984), and so with
+everything built from its slides.  So rectify, evacuation_jdt, reversal
+and the band reversal of eta each standardize once, run integer code
+only (_rectify_standard and _evacuate_standard), and destandardize once,
+evacuation and reversal with the reversed weight.  dual_equivalent walks
+the standardizations of both tableaux, and the one-slide functions
+inner_slide and outer_slide standardize around their single slide.  The
+verification engine relies on the same identity to share one standard
+band reversal among all bands with the same standardization; switching
+evacuation does not commute with standardization on skew bands, so its
+bands are not shared.
 
 rectify_map, evacuation_map and reversal_map compute on canonical cell ->
 entry maps; the public functions build one validated tableau from them.
@@ -104,26 +111,52 @@ def _shrink(parts: tuple[int, ...], row: int) -> tuple[int, ...]:
     return parts[:row - 1] + (parts[row - 1] - 1,) + parts[row:]
 
 
+def _rectify_standard(std: dict[Cell, int], outer: tuple[int, ...],
+                      inner: tuple[int, ...], strategy: str = "first",
+                      record: list[tuple[Cell, Cell]] | None = None
+                      ) -> tuple[int, ...]:
+    """Slide the standard map std of the shape outer/inner to a straight
+    shape, in place, and return its outer partition; the (corner, exit)
+    slides are appended to record when one is given.
+
+    The (outer, inner) pair is carried through the slides: each slide
+    takes a removable cell from inner and its exit cell from outer."""
+    outer, inner = canonical_pair(outer, inner)
+    while corners := _removable(inner):
+        corner = _pick_corner(corners, strategy)
+        exit_cell = _slide_standard(std, corner, outer=False)
+        if record is not None:
+            record.append((corner, exit_cell))
+        outer, inner = canonical_pair(_shrink(outer, exit_cell[0]),
+                                      _shrink(inner, corner[0]))
+    return outer
+
+
+def _evacuate_standard(std: Mapping[Cell, int], outer: tuple[int, ...]
+                       ) -> tuple[dict[Cell, int], tuple[int, ...]]:
+    """Evacuation of the nonempty standard map std of the straight shape
+    outer: the complement in the staircase of width outer[0] (each cell
+    reflected in the anti-diagonal, each value v sent to N+1-v),
+    rectified; returns the map and its outer partition."""
+    w, top = outer[0], len(std) + 1
+    comp = {(w + 1 - c, w + 1 - r): top - v for (r, c), v in std.items()}
+    comp_outer = _rectify_standard(comp, tuple(range(w, 0, -1)),
+                                   StrictPartition(outer).complement(w).parts)
+    return comp, comp_outer
+
+
 def rectify_map(entries: Mapping[Cell, Entry], outer: tuple[int, ...],
                 inner: tuple[int, ...], n: int, strategy: str = "first"
                 ) -> tuple[Mapping[Cell, Entry], tuple[int, ...], list[tuple[Cell, Cell]]]:
     """rectify on the cell -> entry map of the shape outer/inner: the
     straight map, its outer partition and the (corner, exit) slides.
-
-    The (outer, inner) pair is carried through the slides: each slide
-    takes a removable cell from inner and its exit cell from outer.
     entries itself is returned when no slide happens."""
     outer, inner = canonical_pair(outer, inner)
     if not inner:
         return entries, outer, []
     std = standardize_map(entries.items())
     record: list[tuple[Cell, Cell]] = []
-    while corners := _removable(inner):
-        corner = _pick_corner(corners, strategy)
-        exit_cell = _slide_standard(std, corner, outer=False)
-        record.append((corner, exit_cell))
-        outer, inner = canonical_pair(_shrink(outer, exit_cell[0]),
-                                      _shrink(inner, corner[0]))
+    outer = _rectify_standard(std, outer, inner, strategy, record)
     return destandardize_map(std, weight_map(entries, n)), outer, record
 
 
@@ -154,41 +187,35 @@ def knuth_equivalent(t1: ShiftedTableau, t2: ShiftedTableau) -> bool:
 
 def dual_equivalent(t1: ShiftedTableau, t2: ShiftedTableau) -> bool:
     """Brute-force coplactic equivalence: every common inner-slide sequence
-    must keep the shapes equal.  Capped at DUAL_EQUIV_MAX_CELLS cells."""
+    must keep the shapes equal.  Capped at DUAL_EQUIV_MAX_CELLS cells.
+
+    Both tableaux are standardized once and the walk slides the standard
+    maps, carrying their common (outer, inner) pair."""
     if t1.cells != t2.cells:
         raise TableauError("dual equivalence requires equal shapes")
     if t1.size > DUAL_EQUIV_MAX_CELLS:
         raise CapacityError(
             f"dual-equivalence oracle capped at {DUAL_EQUIV_MAX_CELLS} cells")
-    seen: set[tuple[ShiftedTableau, ShiftedTableau]] = set()
+    seen: set[tuple[frozenset, frozenset]] = set()
 
-    def walk(a: ShiftedTableau, b: ShiftedTableau) -> bool:
-        if (a, b) in seen:
+    def walk(a: dict[Cell, int], b: dict[Cell, int], outer: tuple[int, ...],
+             inner: tuple[int, ...]) -> bool:
+        state = (frozenset(a.items()), frozenset(b.items()))
+        if state in seen:
             return True
-        seen.add((a, b))
-        for corner in inner_corners(a.shape):
-            if a.size == 0:
-                return True
-            a2, ea = _slide(a, corner, outer=False)
-            b2, eb = _slide(b, corner, outer=False)
-            if ea != eb:
+        seen.add(state)
+        for corner in _removable(inner):
+            a2, b2 = dict(a), dict(b)
+            exit_cell = _slide_standard(a2, corner, outer=False)
+            if _slide_standard(b2, corner, outer=False) != exit_cell:
                 return False
-            if not walk(a2, b2):
+            if not walk(a2, b2, *canonical_pair(_shrink(outer, exit_cell[0]),
+                                                _shrink(inner, corner[0]))):
                 return False
         return True
 
-    return walk(t1, t2)
-
-
-def _complement_map(entries: Mapping[Cell, Entry], outer: tuple[int, ...],
-                    inner: tuple[int, ...], n: int, width: int
-                    ) -> tuple[dict[Cell, Entry], tuple[int, ...], tuple[int, ...]]:
-    """complement on the cell -> entry map of the shape outer/inner: the
-    canonical map and its (outer, inner) pair."""
-    reflected = {(width + 1 - c, width + 1 - r): Entry(n - e.value + 1, not e.primed)
-                 for (r, c), e in entries.items()}
-    return (canonical_map(reflected), StrictPartition(inner).complement(width).parts,
-            StrictPartition(outer).complement(width).parts)
+    return walk(standardize_map(t1.entries), standardize_map(t2.entries),
+                *canonical_pair(t1.shape.outer, t1.shape.inner))
 
 
 def complement(t: ShiftedTableau, n: int | None = None,
@@ -208,18 +235,19 @@ def complement(t: ShiftedTableau, n: int | None = None,
         width = t.shape.outer[0]
     elif width < t.shape.outer[0]:
         raise TableauError(f"staircase width {width} is too small for {t.shape}")
-    entries, outer, inner = _complement_map(t.entry_map, t.shape.outer,
-                                            t.shape.inner, n, width)
-    return ShiftedTableau.from_map(entries, n, ShiftedSkewShape(outer, inner))
+    reflected = {(width + 1 - c, width + 1 - r): Entry(n - e.value + 1, not e.primed)
+                 for (r, c), e in t.entries}
+    shape = ShiftedSkewShape(StrictPartition(t.shape.inner).complement(width).parts,
+                             StrictPartition(t.shape.outer).complement(width).parts)
+    return ShiftedTableau.from_map(canonical_map(reflected), n, shape)
 
 
 def evacuation_map(entries: Mapping[Cell, Entry], outer: tuple[int, ...], n: int
                    ) -> tuple[Mapping[Cell, Entry], tuple[int, ...]]:
     """evacuation_jdt on the nonempty cell -> entry map of the straight
     shape outer: the evacuated map and its outer partition."""
-    comp, comp_outer, comp_inner = _complement_map(entries, outer, (), n, outer[0])
-    rect, rect_outer, _ = rectify_map(comp, comp_outer, comp_inner, n)
-    return rect, rect_outer
+    std, outer = _evacuate_standard(standardize_map(entries.items()), outer)
+    return destandardize_map(std, weight_map(entries, n)[::-1]), outer
 
 
 def evacuation_jdt(t: ShiftedTableau) -> ShiftedTableau:
@@ -235,19 +263,18 @@ def evacuation_jdt(t: ShiftedTableau) -> ShiftedTableau:
 def reversal_map(entries: Mapping[Cell, Entry], n: int) -> Mapping[Cell, Entry]:
     """reversal on a canonical cell -> entry map over the alphabet 1..n:
     rectify, evacuate, then replay the recorded slides outward in
-    reverse."""
+    reverse, all on one standardization of entries."""
     if not entries:
         return {}
-    rect, outer, record = rectify_map(entries, *pair_of_cells(entries), n)
-    out, _ = evacuation_map(rect, outer, n)
-    if record:
-        std = standardize_map(out.items())
-        for _, exit_cell in reversed(record):
-            _slide_standard(std, exit_cell, outer=True)
-        out = destandardize_map(std, weight_map(out, n))
-    if out.keys() != entries.keys():
+    record: list[tuple[Cell, Cell]] = []
+    std = standardize_map(entries.items())
+    outer = _rectify_standard(std, *pair_of_cells(entries), record=record)
+    std, _ = _evacuate_standard(std, outer)
+    for _, exit_cell in reversed(record):
+        _slide_standard(std, exit_cell, outer=True)
+    if std.keys() != entries.keys():
         raise RuntimeError("reversal did not restore the original shape")
-    return out
+    return destandardize_map(std, weight_map(entries, n)[::-1])
 
 
 def reversal(t: ShiftedTableau) -> ShiftedTableau:

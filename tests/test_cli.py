@@ -1,9 +1,13 @@
 """Command line interface: subcommands, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import shifted_tableaux
 from shifted_tableaux import engine
 from shifted_tableaux.cli import main
 from shifted_tableaux.core import CapacityError
@@ -208,3 +212,29 @@ class TestErrors:
                              "--n", "2")
         assert code == 2 and out == ""
         assert err == "error: orbit exceeds configured bound\n"
+
+
+class TestSharedParser:
+    def test_queries_in_one_process_match_each_alone(self, capsys):
+        """main reuses one parser: subcommands run one after another in a
+        process print and exit as each does in a fresh interpreter.  The
+        JSON reports list every parsed option, so an option left over from
+        an earlier query would show."""
+        queries = [
+            ["--format", "json", "enum", "--outer", "2", "--n", "2"],
+            ["--format", "json", "apply", "--op", "t1", "--in", "1 2"],
+            ["frobnicate"],
+            ["rectify", "--in", ". 1 2\n2", "--strategy", "last", "--trace"],
+            ["--format", "json", "orbit", "--gens", "t1", "--in", "1 1 2"],
+        ]
+        in_process = [run(capsys, *argv)[:2] for argv in queries]
+        src = os.path.dirname(os.path.dirname(shifted_tableaux.__file__))
+        alone = []
+        for argv in queries:
+            done = subprocess.run(
+                [sys.executable, "-m", "shifted_tableaux.cli", *argv],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src})
+            alone.append((done.returncode, done.stdout))
+        assert in_process == alone
+        assert [code for code, _ in alone] == [0, 0, 2, 0, 0]

@@ -226,6 +226,42 @@ class TestFamilyTables:
         with pytest.raises(RuntimeError, match="out of its family"):
             word_permutation(fam, parse_word(word))
 
+    @pytest.mark.parametrize("fake", [
+        lambda entries: {c: Entry(1) for c in entries},
+        lambda entries: dict(zip(entries, reversed(list(entries.values())))),
+    ], ids=["not-standard", "no-destandardization"])
+    def test_bad_standard_band_reversal_is_integrity_error(self, monkeypatch, fake):
+        # the first member, 1 1, standardizes to 1 2; 2 1 has no
+        # destandardization of weight (0, 2)
+        fam = enumerate_tableaux(ShiftedSkewShape((2,), ()), 2)
+        monkeypatch.setattr(jdt, "reversal_map", lambda entries, n: fake(entries))
+        with pytest.raises(RuntimeError, match="out of its family"):
+            word_permutation(fam, parse_word("sigma1"))
+
+    def test_band_reversal_runs_once_per_standardization(self, monkeypatch):
+        """eta shares band reversals across weights: in one cactus check
+        at n=3, jdt.reversal_map runs on standard bands only, once per
+        distinct standardized band, and fewer times than bands are
+        standardized."""
+        reverse, standardize = jdt.reversal_map, engine.standardize_map
+        reversed_bands, standardized = [], []
+
+        def counted_reversal(entries, n):
+            assert sorted(entries.values()) == [Entry(v) for v in range(1, n + 1)]
+            reversed_bands.append(frozenset((c, e.value) for c, e in entries.items()))
+            return reverse(entries, n)
+
+        def counted_standardize(items):
+            std = standardize(items)
+            standardized.append(frozenset(std.items()))
+            return std
+
+        monkeypatch.setattr(jdt, "reversal_map", counted_reversal)
+        monkeypatch.setattr(engine, "standardize_map", counted_standardize)
+        assert verify_cactus_action("eta", engine.skew_families(3, include_straight=True)).holds
+        assert len(reversed_bands) == len(set(reversed_bands)) == len(set(standardized))
+        assert len(reversed_bands) < len(standardized)
+
 
 class TestSearch:
     def test_finds_braid_failure(self):

@@ -1,7 +1,9 @@
-"""The operators slide and evacuate plain cell maps and build one tableau
-per result.  These tests keep the step-by-step path, one validated
-tableau per slide and per band, as the reference, over every straight
-and skew family of at most 6 cells with outer_1 <= 4 at n=4.  They also
+"""The operators slide and evacuate standard cell maps and build one
+tableau per result.  These tests keep the step-by-step path, one
+validated tableau per slide and per band, as the reference for
+rectification, reversal and the band operators, over every straight and
+skew family of at most 6 cells with outer_1 <= 4 at n=4, and for the
+dual-equivalence walk over every pair of smaller families.  They also
 keep the row-order enumeration, with canonical form as a filter and a
 final sort, as the reference for the reading-order search."""
 
@@ -12,11 +14,12 @@ import pytest
 
 from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape,
                                    ShiftedTableau, TableauError, destandardize,
-                                   parse_tableau, reading_cells, render_text,
-                                   standardize, weight)
+                                   destandardize_map, parse_tableau, reading_cells,
+                                   render_text, standardize, standardize_map, weight)
 from shifted_tableaux.enumeration import enumerate_tableaux, skew_shapes
-from shifted_tableaux.jdt import (SlideRecord, eta, evacuation_jdt, inner_corners,
-                                  inner_slide, outer_slide, rectify, reversal)
+from shifted_tableaux.jdt import (SlideRecord, complement, dual_equivalent, eta,
+                                  inner_corners, inner_slide, outer_slide, rectify,
+                                  reversal, reversal_map)
 from shifted_tableaux.switching import (_evac_core, evac_interval_skew,
                                         evac_k_skew)
 
@@ -111,15 +114,36 @@ def reference_rectify(t, strategy):
 
 
 def reference_reversal(t):
-    """Slide by slide; the first slide is also checked against outer_slide."""
-    rect, record = rectify(t)
-    cur = evacuation_jdt(rect)
+    """Slide by slide, rectification and evacuation included; the first
+    outer slide is also checked against outer_slide."""
+    rect, record = reference_rectify(t, "first")
+    cur = reference_rectify(complement(rect), "first")[0]
     for k, (_, exit_cell) in enumerate(reversed(record.slides)):
         nxt = reference_slide(cur, exit_cell, outer=True)[0]
         if k == 0:
             assert same(outer_slide(cur, exit_cell), nxt)
         cur = nxt
     return cur
+
+
+def reference_dual_equivalent(t1, t2, slide=reference_slide,
+                              corners=probing_inner_corners):
+    """Every common inner-slide sequence keeps the shapes equal, walked on
+    one validated tableau per slide."""
+    seen = set()
+
+    def walk(a, b):
+        if (a, b) in seen:
+            return True
+        seen.add((a, b))
+        for corner in corners(a.shape):
+            a2, ea = slide(a, corner, outer=False)
+            b2, eb = slide(b, corner, outer=False)
+            if ea != eb or not walk(a2, b2):
+                return False
+        return True
+
+    return walk(t1, t2)
 
 
 def reference_split(t, i, j):
@@ -236,6 +260,36 @@ def test_rectify_matches_slide_by_slide(members, strategy):
 def test_reversal_matches_outer_slides(members):
     for t in members:
         assert same(reversal(t), reference_reversal(t)), render_text(t)
+
+
+def test_reversal_commutes_with_standardization(members):
+    """The identity the engine's band memo rests on: the reversal of T is
+    the reversal of its standardization, destandardized with the
+    reversed weight."""
+    for t in members:
+        std = standardize_map(t.entries)
+        out = reversal_map({c: Entry(v) for c, v in std.items()}, len(std))
+        assert all(not e.primed for e in out.values()), render_text(t)
+        values = {c: e.value for c, e in out.items()}
+        assert reversal_map(t.entry_map, t.n) == \
+            destandardize_map(values, weight(t)[::-1]), render_text(t)
+
+
+def test_dual_equivalent_matches_slide_by_slide():
+    """Every pair in each family of at most 5 cells with outer_1 <= 4 at
+    n=3.  The reference slides each tableau into each corner, and probes
+    each shape, once: the walks of different pairs meet the same ones."""
+    slide, corners = cache(reference_slide), cache(probing_inner_corners)
+    pairs = equivalent = 0
+    for shape in skew_shapes(5, 4, include_straight=True):
+        family = enumerate_tableaux(shape, 3).members
+        for a in family:
+            for b in family:
+                got = dual_equivalent(a, b)
+                assert got == reference_dual_equivalent(a, b, slide, corners), \
+                    (render_text(a), render_text(b))
+                pairs, equivalent = pairs + 1, equivalent + got
+    assert (pairs, equivalent) == (40443, 22239)
 
 
 def test_band_operators_match_band_composition(members):
