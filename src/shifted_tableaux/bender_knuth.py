@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .core import Cell, Entry, ShiftedTableau, TableauError, canonical_map
-from .switching import TraceStep, _run, _State
+from .switching import Band, TraceStep, _run
 
 
 def theta(e: Entry, i: int) -> Entry:
@@ -35,12 +35,13 @@ def bk_map(entries: Mapping[Cell, Entry], i: int,
     """t_i on a canonical cell -> entry map; each switch appends a
     TraceStep to steps unless it is None."""
     rest: dict[Cell, Entry] = {}
-    st: _State = {}  # the i-band plays a, the (i+1)-band b
+    a: Band = {}  # the i-band
+    b: Band = {}  # the (i+1)-band
     for c, e in entries.items():
         if e.value == i:
-            st[c] = ("a", e.primed)
+            a[c] = e.primed
         elif e.value == i + 1:
-            st[c] = ("b", e.primed)
+            b[c] = e.primed
         else:
             rest[c] = e
     on_step = None
@@ -48,13 +49,14 @@ def bk_map(entries: Mapping[Cell, Entry], i: int,
         fixed = tuple(sorted(rest.items()))
 
         def on_step(rule: str) -> None:
-            moving = {c: Entry(i if side == "a" else i + 1, p)
-                      for c, (side, p) in st.items()}
+            moving = {c: Entry(i, p) for c, p in a.items()}
+            moving.update((c, Entry(i + 1, p)) for c, p in b.items())
             steps.append(TraceStep(rule, tuple(sorted(moving.items())), fixed))
 
-    _run(st, on_step)
+    _run(a, b, on_step)
     # after the switch the a-cells hold i and the b-cells i+1; theta swaps them
-    rest.update((c, Entry(i + 1 if side == "a" else i, p)) for c, (side, p) in st.items())
+    rest.update((c, Entry(i + 1, p)) for c, p in a.items())
+    rest.update((c, Entry(i, p)) for c, p in b.items())
     return canonical_map(rest)
 
 

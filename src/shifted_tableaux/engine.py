@@ -9,9 +9,11 @@ Verification evaluates words on member positions of a family: every
 generator keeps the cell set, so on ShST(shape, n) it is a permutation,
 stored as a lazily filled table on the family.  A table entry is filled
 on cell maps and looked up by its key among the members, which are
-exactly the valid canonical fillings.  Within one verification call each
-band result is computed once, and the band reversals of eta and sigma
-once per standardization of the band.
+exactly the valid canonical fillings.  t_i, eta, sigma and the evac
+variants are band generators: each runs on its letter band alone.
+Within one verification call each band result is computed once, and the
+band reversals of eta and sigma once per standardization of the band;
+p, q and q_{i,j} fold over the t_i tables.
 """
 
 from __future__ import annotations
@@ -178,6 +180,7 @@ _T_FACTORS: dict[str, Callable[[GeneratorSymbol], tuple[int, ...]]] = {
 # the letter band each band generator acts on; its map-level operator
 # runs on the band re-indexed to 1..j-i+1
 _BANDS: dict[str, Callable[[GeneratorSymbol], tuple[int, int]]] = {
+    "t": lambda s: (s.i, s.i + 1),
     "eta": lambda s: (s.i, s.j),
     "sigma": lambda s: (s.i, s.i + 1),
     "evac": lambda s: (1, s.i),
@@ -188,9 +191,9 @@ _BANDS: dict[str, Callable[[GeneratorSymbol], tuple[int, int]]] = {
 _Steps = list[tuple[GeneratorSymbol, array]]
 
 # the band results of one verification call:
-# (reversal?, band alphabet size, re-indexed band items) -> result order
-# keys, and (_band_reversal, standardized band items) -> standard values
-# of the band reversal
+# (operator name, band alphabet size, re-indexed band items) -> result
+# order keys, and (_band_reversal, standardized band items) -> standard
+# values of the band reversal
 _Memo = dict[tuple, tuple[int, ...]]
 
 
@@ -239,30 +242,28 @@ def _image_key(family: TableauFamily, sym: GeneratorSymbol, x: int,
     """The key of sym applied to member x, computed on cell maps; None if
     the result does not fill the member's cells."""
     member = family.members[x]
-    if sym.kind == "t":
-        # a map of its own, so that no member keeps an entry_map
-        entries = dict(member.entries)
-        out = bender_knuth.bk_map(entries, sym.i)
-        if out.keys() != entries.keys():
-            return None
-        return tuple(2 * e.value - e.primed for e in map(out.get, entries))
     if sym.kind == "evac":
         switching.require_straight(family.shape, "evac_k_switch", "evac_k_skew")
     lo, hi = _BANDS[sym.kind](sym)
-    reverse = sym.kind in ("eta", "sigma")
-    shift = 2 * (lo - 1)
+    # eta and sigma share the band reversal, the evac variants evac_map
+    op = {"t": "bk", "eta": "reversal", "sigma": "reversal"}.get(sym.kind, "evac")
+    size, shift = hi - lo + 1, 2 * (lo - 1)
     key, slots, band = [], [], []
     for slot, (c, e) in enumerate(member.entries):
         key.append(2 * e.value - e.primed)
         if lo <= e.value <= hi:
             slots.append(slot)
             band.append((c, key[-1] - shift))
-    band_key = (reverse, hi - lo + 1, tuple(band))
+    band_key = (op, size, tuple(band))
     done = memo.get(band_key)
     if done is None:
         local = {c: Entry((k + 1) // 2, k % 2 == 1) for c, k in band}
-        out = (_band_reversal(local, hi - lo + 1, memo) if reverse
-               else switching.evac_map(local, hi - lo + 1))
+        if op == "bk":
+            out = bender_knuth.bk_map(local, 1)
+        elif op == "reversal":
+            out = _band_reversal(local, size, memo)
+        else:
+            out = switching.evac_map(local, size)
         if out is None or out.keys() != local.keys():
             return None
         done = memo[band_key] = tuple(2 * e.value - e.primed for e in map(out.get, local))

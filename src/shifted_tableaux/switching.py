@@ -1,12 +1,16 @@
 """Shifted tableau switching: perforated pairs, the seven local switch
 rules, pair and full tableau switching, and the switching-based
 evacuation operators (straight, restricted and skew variants).
+
+The only switching state is a band, a plain cell -> primed dict holding
+the cells of one letter.  Every switch in the library, t_i included,
+moves one band through another in place with _run(a, b, on_step).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .core import (Cell, Entry, ShiftedSkewShape, ShiftedTableau, TableauError,
                    act_on_band, canonical_map)
@@ -75,88 +79,77 @@ class PerforatedPair:
                 raise SwitchingError(f"two {name}-letters on the main diagonal")
 
 
-# internal mutable state: cell -> (side, primed), side in {"a", "b"}
-_State = dict[Cell, tuple[str, bool]]
+# a band: the cells of one letter family, each mapped to whether it is primed
+Band = dict[Cell, bool]
 
 
-def _state(pair: PerforatedPair) -> _State:
-    st: _State = {c: ("a", p) for c, p in pair.a.cells}
-    st.update({c: ("b", p) for c, p in pair.b.cells})
-    return st
-
-
-def _pair(pair: PerforatedPair, st: _State) -> PerforatedPair:
-    a = {c: p for c, (side, p) in st.items() if side == "a"}
-    b = {c: p for c, (side, p) in st.items() if side == "b"}
-    return PerforatedPair(PerforatedFilling.from_map(pair.a.letter, a),
-                          PerforatedFilling.from_map(pair.b.letter, b))
-
-
-def _is_b(st: _State, cell: Cell) -> bool:
-    return cell in st and st[cell][0] == "b"
-
-
-def _select(st: _State) -> Cell | None:
-    def adjacent_to_b(cell: Cell) -> bool:
-        r, c = cell
-        return _is_b(st, (r, c + 1)) or _is_b(st, (r + 1, c))
-
-    unprimed = [c for c, (side, p) in st.items() if side == "a" and not p and adjacent_to_b(c)]
+def _select(a: Band, b: Band) -> Cell | None:
+    """The rightmost unprimed a-box north or west of a b-box, else the
+    bottommost such a'-box; a scan of the a-band."""
+    front = [(r, c) for r, c in a if (r, c + 1) in b or (r + 1, c) in b]
+    unprimed = [x for x in front if not a[x]]
     if unprimed:
-        return max(unprimed, key=lambda rc: rc[1])  # rightmost
-    primed = [c for c, (side, p) in st.items() if side == "a" and p and adjacent_to_b(c)]
-    if primed:
-        return max(primed, key=lambda rc: rc[0])  # bottommost
-    return None
+        return max(unprimed, key=lambda rc: rc[1])
+    return max(front, key=lambda rc: rc[0], default=None)
 
 
-def _step(st: _State, x: Cell) -> str:
+def _swap(a: Band, b: Band, x: Cell, y: Cell) -> None:
+    """The a-box x and the b-box y trade places, each keeping its prime."""
+    b[x] = b.pop(y)
+    a[y] = a.pop(x)
+
+
+def _step(a: Band, b: Band, x: Cell) -> str:
     """Apply the matching switch rule in place; returns the rule name."""
     r, c = x
     east, south, west, southeast = (r, c + 1), (r + 1, c), (r, c - 1), (r + 1, c + 1)
-    b_e, b_s = _is_b(st, east), _is_b(st, south)
+    b_e, b_s = east in b, south in b
     # The three-box rules S4 and S7 additionally require the cell below the
     # west neighbour to be empty; otherwise the plain vertical swap applies.
-    a_w = west in st and st[west][0] == "a" and (r + 1, c - 1) not in st
-    x_entry = st[x]
+    below_west = (r + 1, c - 1)
+    a_w = west in a and below_west not in a and below_west not in b
 
     if b_e and b_s:
-        if st[east][1]:  # b' to the east
-            st[x], st[east] = st[east], x_entry
+        if b[east]:  # b' to the east
+            _swap(a, b, x, east)
             return "S5"
         if a_w:
-            if x_entry[1]:
+            if a[x]:
                 raise SwitchingError(f"no switch rule matches a' at {x} (S7 context)")
-            st[west], st[x], st[south] = st[south], ("a", True), st[west]
+            _swap(a, b, west, south)
+            a[x] = True
             return "S7"
-        st[x], st[south] = st[south], x_entry
+        _swap(a, b, x, south)
         return "S6"
     if b_e:
-        if st[east][1] and _is_b(st, southeast):
-            st[x], st[east], st[southeast] = st[southeast], ("b", False), x_entry
+        if b[east] and southeast in b:
+            _swap(a, b, x, southeast)
+            b[east] = False
             return "S3"
-        st[x], st[east] = st[east], x_entry
+        _swap(a, b, x, east)
         return "S1"
     if b_s:
         if a_w:
-            if x_entry[1]:
+            if a[x]:
                 raise SwitchingError(f"no switch rule matches a' at {x} (S4 context)")
-            st[west], st[x], st[south] = st[south], ("a", True), st[west]
+            _swap(a, b, west, south)
+            a[x] = True
             return "S4"
-        st[x], st[south] = st[south], x_entry
+        _swap(a, b, x, south)
         return "S2"
     raise SwitchingError(f"selected box {x} is not adjacent to a b-box")
 
 
-def _run(st: _State, on_step: Callable[[str], None] | None) -> None:
-    """The switching process: apply switch rules to st in place until no
-    a-box lies north or west of a b-box.  on_step, if given, is called
-    with each rule name right after the rule fires."""
-    for _ in range(max(4 * len(st) * len(st), 16)):
-        x = _select(st)
+def _run(a: Band, b: Band, on_step: Callable[[str], None] | None) -> None:
+    """The switching process: move band a through band b in place, rule by
+    rule, until no a-box lies north or west of a b-box.  on_step, if
+    given, is called with each rule name right after the rule fires."""
+    size = len(a) + len(b)
+    for _ in range(max(4 * size * size, 16)):
+        x = _select(a, b)
         if x is None:
             return
-        rule = _step(st, x)
+        rule = _step(a, b, x)
         if on_step is not None:
             on_step(rule)
     raise SwitchingError("switching process did not terminate")
@@ -169,12 +162,15 @@ def switch_pair(a: PerforatedFilling, b: PerforatedFilling
     Returns (^A B, A_B, trace): the b-letters after switching, the
     a-letters after switching, and the per-step (rule, state) trace.
     """
-    pair = PerforatedPair(a, b)
-    st = _state(pair)
+    a_band, b_band = a.cell_map, b.cell_map
+    if a_band.keys() & b_band.keys():
+        raise SwitchingError("a-cells and b-cells overlap")
     trace: list[tuple[str, PerforatedPair]] = []
-    _run(st, lambda rule: trace.append((rule, _pair(pair, st))))
-    result = _pair(pair, st)
-    return result.b, result.a, trace
+    _run(a_band, b_band, lambda rule: trace.append((rule, PerforatedPair(
+        PerforatedFilling.from_map(a.letter, a_band),
+        PerforatedFilling.from_map(b.letter, b_band)))))
+    return (PerforatedFilling.from_map(b.letter, b_band),
+            PerforatedFilling.from_map(a.letter, a_band), trace)
 
 
 # ---------------------------------------------------------------------------
@@ -206,34 +202,18 @@ class TraceStep:
     fixed: tuple[tuple[Cell, Entry], ...]   # everything else
 
 
-def _switch_bands(state: dict[Cell, tuple[int, int, bool]],
-                  side_a: int, letter_a: int, side_b: int, letter_b: int,
-                  trace: list[TraceStep] | None) -> None:
-    """Switch the (side_a, letter_a) band through the (side_b, letter_b)
-    band inside a combined cell -> (side, letter, primed) state."""
-    st: _State = {}
-    for cell, (sd, lt, p) in state.items():
-        if sd == side_a and lt == letter_a:
-            st[cell] = ("a", p)
-        elif sd == side_b and lt == letter_b:
-            st[cell] = ("b", p)
-    for cell in st:
-        del state[cell]
-    on_step = None
-    if trace is not None:
-        def on_step(rule: str) -> None:
-            moving, fixed = {}, {}
-            for cell, (side, lt, p) in state.items():
-                (moving if side == side_a else fixed)[cell] = Entry(lt, p)
-            for cell, (side, p) in st.items():
-                letter = letter_a if side == "a" else letter_b
-                (moving if side == "a" else fixed)[cell] = Entry(letter, p)
-            trace.append(TraceStep(rule, tuple(sorted(moving.items())),
-                                   tuple(sorted(fixed.items()))))
+def _bands(entries: Iterable[tuple[Cell, Entry]]) -> dict[int, Band]:
+    """The band of each letter that occurs."""
+    bands: dict[int, Band] = {}
+    for cell, e in entries:
+        bands.setdefault(e.value, {})[cell] = e.primed
+    return bands
 
-    _run(st, on_step)
-    for cell, (side, p) in st.items():
-        state[cell] = (side_a, letter_a, p) if side == "a" else (side_b, letter_b, p)
+
+def _merge(bands: dict[int, Band]) -> dict[Cell, Entry]:
+    """The cell -> entry map of the bands."""
+    return {cell: Entry(letter, p) for letter, band in bands.items()
+            for cell, p in band.items()}
 
 
 def full_switch(s: ShiftedTableau, t: ShiftedTableau
@@ -241,19 +221,17 @@ def full_switch(s: ShiftedTableau, t: ShiftedTableau
     """Move S through T: switch the pairs (S^m, T^1), ..., (S^m, T^n), ...,
     (S^1, T^1), ..., (S^1, T^n).  Returns (^S T, S_T, trace)."""
     _check_extends(s, t)
-    state: dict[Cell, tuple[int, int, bool]] = {}
-    for cell, e in s.entries:
-        state[cell] = (0, e.value, e.primed)
-    for cell, e in t.entries:
-        state[cell] = (1, e.value, e.primed)
+    s_bands, t_bands = _bands(s.entries), _bands(t.entries)
     trace: list[TraceStep] = []
-    s_letters = sorted({e.value for _, e in s.entries}, reverse=True)
-    t_letters = sorted({e.value for _, e in t.entries})
-    for i in s_letters:
-        for j in t_letters:
-            _switch_bands(state, 0, i, 1, j, trace)
-    t_out = {c: Entry(lt, p) for c, (sd, lt, p) in state.items() if sd == 1}
-    s_out = {c: Entry(lt, p) for c, (sd, lt, p) in state.items() if sd == 0}
+
+    def on_step(rule: str) -> None:
+        trace.append(TraceStep(rule, tuple(sorted(_merge(s_bands).items())),
+                               tuple(sorted(_merge(t_bands).items()))))
+
+    for i in sorted(s_bands, reverse=True):
+        for j in sorted(t_bands):
+            _run(s_bands[i], t_bands[j], on_step)
+    t_out, s_out = _merge(t_bands), _merge(s_bands)
     st_top = (ShiftedTableau.from_map(t_out, t.n) if t_out
               else ShiftedTableau(ShiftedSkewShape(), (), t.n))
     st_bottom = (ShiftedTableau.from_map(s_out, s.n) if s_out
@@ -269,21 +247,14 @@ def evac_map(entries: Mapping[Cell, Entry], n: int) -> dict[Cell, Entry]:
     alphabet 1..n: expel bands 1..n-1 outward in turn; the k-th expelled
     band is relabelled to letter n-k+1 (the auxiliary-alphabet
     bookkeeping)."""
-    # one side throughout: the letters alone tell the bands apart
-    state = {cell: (0, e.value, e.primed) for cell, e in entries.items()}
+    bands = _bands(entries.items())
     out: dict[Cell, Entry] = {}
-    for k in range(1, n + 1):
-        for j in range(k + 1, n + 1):
-            _switch_bands(state, 0, k, 0, j, None)
-        for cell in [c for c, (_, lt, _) in state.items() if lt == k]:
-            out[cell] = Entry(n - k + 1, state.pop(cell)[2])
+    for k in sorted(bands):
+        band = bands.pop(k)
+        for j in sorted(bands):  # the letters above k
+            _run(band, bands[j], None)
+        out.update((cell, Entry(n - k + 1, p)) for cell, p in band.items())
     return canonical_map(out)
-
-
-def _evac_core(t: ShiftedTableau) -> ShiftedTableau:
-    if t.size == 0:
-        return t
-    return ShiftedTableau.from_map(evac_map(t.entry_map, t.n), t.n, t.shape)
 
 
 def require_straight(shape: ShiftedSkewShape, name: str, skew_name: str) -> None:
@@ -295,29 +266,27 @@ def require_straight(shape: ShiftedSkewShape, name: str, skew_name: str) -> None
 def evac_switch(t: ShiftedTableau) -> ShiftedTableau:
     """Shifted evacuation of a straight tableau by sequential switching."""
     require_straight(t.shape, "evac_switch", "evac_skew")
-    return _evac_core(t)
+    return evac_skew(t)
 
 
 def evac_skew(t: ShiftedTableau) -> ShiftedTableau:
     """The skew extension of evacuation (generally not the reversal)."""
-    return _evac_core(t)
-
-
-def _evac_k(t: ShiftedTableau, k: int) -> ShiftedTableau:
-    if not (1 <= k <= t.n):
-        raise TableauError(f"invalid restriction index k={k} for n={t.n}")
-    return act_on_band(t, 1, k, evac_map)
+    if t.size == 0:
+        return t
+    return ShiftedTableau.from_map(evac_map(t.entry_map, t.n), t.n, t.shape)
 
 
 def evac_k_switch(t: ShiftedTableau, k: int) -> ShiftedTableau:
     """Evacuate the letters 1..k of a straight tableau, fixing the rest."""
     require_straight(t.shape, "evac_k_switch", "evac_k_skew")
-    return _evac_k(t, k)
+    return evac_k_skew(t, k)
 
 
 def evac_k_skew(t: ShiftedTableau, k: int) -> ShiftedTableau:
     """Skew variant of evac_k."""
-    return _evac_k(t, k)
+    if not (1 <= k <= t.n):
+        raise TableauError(f"invalid restriction index k={k} for n={t.n}")
+    return act_on_band(t, 1, k, evac_map)
 
 
 def evac_interval_skew(t: ShiftedTableau, i: int, j: int) -> ShiftedTableau:

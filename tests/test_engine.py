@@ -262,6 +262,50 @@ class TestFamilyTables:
         assert len(reversed_bands) == len(set(reversed_bands)) == len(set(standardized))
         assert len(reversed_bands) < len(standardized)
 
+    def test_t_band_runs_once_per_band(self, monkeypatch):
+        """t_i runs on its band {i, i+1} re-indexed to 1..2: in one
+        relation check at n=3, bender_knuth.bk_map sees the letters 1 and
+        2 only, runs once per distinct band, and fewer times than t table
+        entries are filled."""
+        bk_map, bands = bender_knuth.bk_map, []
+
+        def counted_bk_map(entries, i):
+            assert i == 1 and {e.value for e in entries.values()} <= {1, 2}
+            bands.append(frozenset(entries.items()))
+            return bk_map(entries, i)
+
+        monkeypatch.setattr(bender_knuth, "bk_map", counted_bk_map)
+        families = engine.skew_families(3, include_straight=True)
+        assert verify_relation_over(RelationSchema("t{i} t{i}", "e"), families).holds
+        filled = sum(y >= 0 for family in families
+                     for sym, table in family.tables.items() if sym.kind == "t"
+                     for y in table)
+        assert len(bands) == len(set(bands))
+        assert len(bands) < filled
+
+    def test_t_and_evacs_bands_are_memoized_apart(self, monkeypatch):
+        """t_i and evacs:i,i+1 agree (both switch the i-band through the
+        (i+1)-band and swap the letters), but their band results are kept
+        under different memo keys: in one check of t{i} = evacs:{i},{i+1},
+        bk_map and evac_map each run once on every distinct band."""
+        runs = {"bk_map": [], "evac_map": []}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def run(entries, k):
+                runs[name].append(frozenset(entries.items()))
+                return original(entries, k)
+            monkeypatch.setattr(module, name, run)
+
+        counted(bender_knuth, "bk_map")
+        counted(switching, "evac_map")
+        schema = RelationSchema("t{i}", "evacs:{i},{i+1}")
+        assert verify_relation_over(schema, engine.skew_families(3)).holds
+        bk_bands, evac_bands = runs["bk_map"], runs["evac_map"]
+        assert bk_bands and set(bk_bands) == set(evac_bands)
+        assert len(bk_bands) == len(set(bk_bands)) == len(evac_bands)
+
 
 class TestSearch:
     def test_finds_braid_failure(self):

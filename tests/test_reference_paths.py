@@ -20,8 +20,7 @@ from shifted_tableaux.enumeration import enumerate_tableaux, skew_shapes
 from shifted_tableaux.jdt import (SlideRecord, complement, dual_equivalent, eta,
                                   inner_corners, inner_slide, outer_slide, rectify,
                                   reversal, reversal_map)
-from shifted_tableaux.switching import (_evac_core, evac_interval_skew,
-                                        evac_k_skew)
+from shifted_tableaux.switching import evac_interval_skew, evac_k_skew, evac_skew
 
 N = 4
 INTERVALS = [(i, j) for i in range(1, N + 1) for j in range(i + 1, N + 1)]
@@ -296,7 +295,7 @@ def test_band_operators_match_band_composition(members):
     """eta, evac_interval_skew and evac_k_skew.  The reference reverses
     and evacuates each distinct band tableau once: bands recur across
     members, and the operators themselves keep no cache."""
-    band_reversal, band_evac = cache(reversal), cache(_evac_core)
+    band_reversal, band_evac = cache(reversal), cache(evac_skew)
     for t in members:
         for i, j in INTERVALS:
             split = reference_split(t, i, j)

@@ -90,6 +90,41 @@ class TestSwitchPair:
             assert trace == []
 
 
+def bands(text):
+    """The 1-band as a and the 2-band as b of a two-letter tableau."""
+    t = parse_tableau(text, 2)
+    return tuple(PerforatedFilling.from_map(letter, {c: e.primed for c, e in t.entries
+                                                     if e.value == letter})
+                 for letter in (1, 2))
+
+
+@pytest.mark.parametrize("text, rules, a_after, b_after", [
+    ("1 2", ["S1"], {(1, 2): False}, {(1, 1): False}),
+    (". 1 / 2", ["S2"], {(2, 2): False}, {(1, 2): False}),
+    ("1 2' / 2", ["S3"], {(2, 2): False}, {(1, 1): False, (1, 2): False}),
+    ("1 1 / 2", ["S4"], {(1, 2): True, (2, 2): False}, {(1, 1): False}),
+    (". 1 2' / 2", ["S5"], {(1, 3): False}, {(1, 2): True, (2, 2): False}),
+    (". 1 2 / 2", ["S6"], {(2, 2): False}, {(1, 2): False, (1, 3): False}),
+    ("1 1 2 / 2", ["S7", "S1"], {(1, 3): True, (2, 2): False},
+     {(1, 1): False, (1, 2): False}),
+], ids=["S1", "S2", "S3", "S4", "S5", "S6", "S7"])
+def test_each_rule_on_its_smallest_pair(text, rules, a_after, b_after):
+    """The smallest (1, 2) band pair that fires each rule; the results are
+    worked by hand from the rule pictures."""
+    a, b = bands(text)
+    new_b, new_a, trace = switch_pair(a, b)
+    assert [rule for rule, _ in trace] == rules
+    assert (new_a.letter, new_a.cell_map) == (1, a_after)
+    assert (new_b.letter, new_b.cell_map) == (2, b_after)
+
+
+def test_overlapping_fillings_rejected():
+    a = PerforatedFilling.from_map(1, {(1, 1): False, (1, 2): False})
+    b = PerforatedFilling.from_map(2, {(1, 2): False, (1, 3): False})
+    with pytest.raises(SwitchingError, match="a-cells and b-cells overlap"):
+        switch_pair(a, b)
+
+
 class TestPerforatedValidation:
     def test_overlap_rejected(self):
         a = PerforatedFilling.from_map("a", {(1, 1): False})
