@@ -5,15 +5,17 @@ Words evaluate rightmost symbol first everywhere.  Relation schemata are
 data: two word templates with index variables in braces plus a constraint,
 instantiated over all index assignments in range.
 
-Verification evaluates words on member positions of a family: every
-generator keeps the cell set, so on ShST(shape, n) it is a permutation,
-stored as a lazily filled table on the family.  A table entry is filled
-on cell maps and looked up by its key among the members, which are
-exactly the valid canonical fillings.  t_i, eta, sigma and the evac
-variants are band generators: each runs on its letter band alone.
+Verification evaluates words as permutations of a family: every
+generator keeps the cell set, so on ShST(shape, n) it permutes the member
+positions.  Each generator's table is computed whole the first time it is
+used and kept on the family; a word's permutation composes the tables of
+its symbols, and a relation compares the permutations of its two sides.
+t_i, eta, sigma and the evac variants are band generators: each runs on
+its letter band alone, on cell maps, and its result is looked up by key
+among the members, which are exactly the valid canonical fillings.
 Within one verification call each band result is computed once, and the
 band reversals of eta and sigma once per standardization of the band;
-p, q and q_{i,j} fold over the t_i tables.
+p, q and q_{i,j} compose the t_i tables.
 """
 
 from __future__ import annotations
@@ -188,8 +190,6 @@ _BANDS: dict[str, Callable[[GeneratorSymbol], tuple[int, int]]] = {
     "evacsij": lambda s: (s.i, s.j),
 }
 
-_Steps = list[tuple[GeneratorSymbol, array]]
-
 # the band results of one verification call:
 # (operator name, band alphabet size, re-indexed band items) -> result
 # order keys, and (_band_reversal, standardized band items) -> standard
@@ -197,44 +197,39 @@ _Steps = list[tuple[GeneratorSymbol, array]]
 _Memo = dict[tuple, tuple[int, ...]]
 
 
-def _table(family: TableauFamily, sym: GeneratorSymbol) -> array:
+def _table(family: TableauFamily, sym: GeneratorSymbol, memo: _Memo) -> array:
+    """The permutation sym induces on the family, computed whole the first
+    time it is asked for: composite symbols compose their t tables, the
+    others run their map-level operator on every member and look the
+    result's key up among the members."""
     table = family.tables.get(sym)
-    if table is None:
-        table = family.tables[sym] = array("i", [-1]) * len(family)
-    return table
-
-
-def _steps(family: TableauFamily, word: Sequence[GeneratorSymbol]) -> _Steps:
-    """The family tables of a word's symbols, in the order they act."""
-    return [(sym, _table(family, sym)) for sym in reversed(tuple(word))]
-
-
-def _follow(family: TableauFamily, steps: _Steps, x: int, memo: _Memo) -> int:
-    for sym, table in steps:
-        y = table[x]
-        x = y if y >= 0 else _fill(family, sym, table, x, memo)
-    return x
-
-
-def _fill(family: TableauFamily, sym: GeneratorSymbol, table: array, x: int,
-          memo: _Memo) -> int:
-    """Compute table[x] once: composite symbols fold over the t tables,
-    the others run their map-level operator and look the result's key up
-    among the members."""
+    if table is not None:
+        return table
     if not sym.valid_for(family.n):
         raise WordError(f"generator {sym} out of range for n={family.n}")
     factors = _T_FACTORS.get(sym.kind)
     if factors is not None:
-        t_syms = (GeneratorSymbol("t", k) for k in factors(sym))
-        y = _follow(family, [(t, _table(family, t)) for t in t_syms], x, memo)
+        table = _compose(family, [GeneratorSymbol("t", k) for k in factors(sym)], memo)
     else:
-        key = _image_key(family, sym, x, memo)
-        y = -1 if key is None else family.positions.get(key, -1)
-        if y < 0:
-            raise RuntimeError(f"{sym} took member {x} of ShST({family.shape}, "
-                               f"{family.n}) out of its family")
-    table[x] = y
-    return y
+        table = array("i")
+        for x in range(len(family)):
+            y = family.positions.get(_image_key(family, sym, x, memo))
+            if y is None:
+                raise RuntimeError(f"{sym} took member {x} of ShST({family.shape}, "
+                                   f"{family.n}) out of its family")
+            table.append(y)
+    family.tables[sym] = table
+    return table
+
+
+def _compose(family: TableauFamily, syms: Iterable[GeneratorSymbol], memo: _Memo
+             ) -> array:
+    """The permutation of the family that applies syms in the given order."""
+    perm = array("i", range(len(family)))
+    for sym in syms:
+        table = _table(family, sym, memo)
+        perm = array("i", [table[x] for x in perm])
+    return perm
 
 
 def _image_key(family: TableauFamily, sym: GeneratorSymbol, x: int,
@@ -299,14 +294,16 @@ def word_permutation(family: TableauFamily, word: Sequence[GeneratorSymbol]
                      ) -> array:
     """The permutation a word induces on the family: entry x is the
     position of eval_word(word, family.members[x])."""
-    steps, memo = _steps(family, word), {}
-    return array("i", (_follow(family, steps, x, memo) for x in range(len(family))))
+    return _compose(family, reversed(word), {})
 
 
 # ---------------------------------------------------------------------------
 # relation schemata
 
 _VAR_RE = re.compile(r"\{([^{}]*)\}")
+# the constraint separator: a ':' that is not the one inside a two-index
+# generator token such as q:1,3 or evacs:{i},{j}
+_CONSTRAINT_RE = re.compile(r"(?<!\bq)(?<!\beta)(?<!\bevacs):")
 
 
 @dataclass(frozen=True)
@@ -323,7 +320,7 @@ class RelationSchema:
     def parse(cls, text: str, name: str = "", straight_only: bool = False
               ) -> "RelationSchema":
         """Parse 'lhs = rhs [: constraint]'."""
-        body, _, constraint = text.partition(":")
+        body, constraint = (_CONSTRAINT_RE.split(text, maxsplit=1) + [""])[:2]
         lhs, eq, rhs = body.partition("=")
         if not eq:
             raise WordError(f"schema {text!r} has no '='")
@@ -457,25 +454,29 @@ _Check = tuple[str, tuple[tuple[str, int], ...], Word, Word]
 
 def _check(family: TableauFamily, checks: Sequence[_Check], memo: _Memo,
            exhaustive: bool = False) -> Verdict:
-    """Compare both sides of every check on the family tables, member by
-    member and, for each member, check by check.  Stops at the first
-    failure unless exhaustive; its counterexample is rebuilt with
-    eval_word on the member."""
-    sides = [(_steps(family, lhs), _steps(family, rhs)) for _, _, lhs, rhs in checks]
-    checked, failed = 0, None
-    for (x, t), (check, (left, right)) in itertools.product(enumerate(family),
-                                                             zip(checks, sides)):
-        checked += 1
-        if _follow(family, left, x, memo) != _follow(family, right, x, memo) \
-                and failed is None:
-            failed = t, check
-            if not exhaustive:
-                break
+    """Compare both sides of every check as permutations of the family.
+    The first failure is the least (member, check) pair on which the
+    sides differ, and the count is that of checking member by member
+    and, for each member, check by check, stopping at the first failure
+    unless exhaustive; its counterexample is rebuilt with eval_word on
+    the member."""
+    failed = None
+    for c, (_, _, lhs, rhs) in enumerate(checks):
+        left = _compose(family, reversed(lhs), memo)
+        right = _compose(family, reversed(rhs), memo)
+        if left != right:
+            x = next(x for x, (y, z) in enumerate(zip(left, right)) if y != z)
+            if failed is None or x < failed[0]:
+                failed = x, c
+    count = len(family) * len(checks)
     if failed is None:
-        return Verdict(True, checked)
-    t, (note, subs, lhs, rhs) = failed
-    return Verdict(False, checked, Counterexample(
-        t, subs, eval_word(lhs, t), eval_word(rhs, t), family.shape), note)
+        return Verdict(True, count)
+    x, c = failed
+    note, subs, lhs, rhs = checks[c]
+    t = family.members[x]
+    return Verdict(False, count if exhaustive else x * len(checks) + c + 1,
+                   Counterexample(t, subs, eval_word(lhs, t), eval_word(rhs, t),
+                                  family.shape), note)
 
 
 def _first_failure(verdicts: Iterable[Verdict], exhaustive: bool = False) -> Verdict:

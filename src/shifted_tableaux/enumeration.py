@@ -27,8 +27,8 @@ class TableauFamily:
 
     Every generator keeps the cell set, so on a family it is a permutation
     of the member positions; tables maps a generator to that permutation
-    as an array('i') filled lazily by the engine (-1 marks an entry not
-    yet computed).  The tables live and die with the family."""
+    as an array('i'), computed whole by the engine the first time the
+    generator is used.  The tables live and die with the family."""
 
     shape: ShiftedSkewShape
     n: int

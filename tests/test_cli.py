@@ -115,6 +115,13 @@ class TestVerify:
                            "--exhaustive")
         assert (code, out) == (0, "holds (236 instances)\n")
 
+    @pytest.mark.parametrize("schema", ["evac3 = eta:1,3", "eta:1,3 = evac3"])
+    def test_two_index_generator_in_schema(self, capsys, schema):
+        # the colon of eta:1,3 belongs to the token, not the constraint;
+        # the count is that of the preset line evac_3 = eta_13
+        assert run(capsys, "verify", "--schema", schema, "--n", "3") == \
+            (0, "holds (236 instances)\n", "")
+
     def test_preset(self, capsys):
         code, out, _ = run(capsys, "verify", "--preset", "evac-agreement",
                            "--n", "3")
@@ -126,6 +133,13 @@ class TestSearch:
         code, out, _ = run(capsys, "search", "--schema", "(t1 t2)^6 = e",
                            "--n", "3", "--max-cells", "9")
         assert code == 0
+
+    def test_two_index_generators_with_constraint(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "search", "--schema",
+                           "evacs:{i},{j} = q:{i},{j} : i < j", "--n", "3",
+                           "--max-cells", "9", "--skew")
+        ce = json.loads(out)["verdict"]["counterexample"]
+        assert code == 0 and ce["substitution"] == {"i": 2, "j": 3}
 
     def test_budget_exhausted(self, capsys):
         code, out, _ = run(capsys, "search", "--schema", "t1 t1 = e",

@@ -179,6 +179,28 @@ class TestFamilyTables:
             assert fam.members[perm[x]] == \
                 eval_word(parse_word("q:2,4 t1"), t)
 
+    def test_tables_are_whole_after_a_check(self):
+        """One verify_relation_over call leaves every table it used a
+        complete permutation of the member positions."""
+        families = engine.skew_families(3, include_straight=True)
+        schema = RelationSchema("q:{i},{j} eta:{i},{j} p{i}", "p{i} eta:{i},{j} q:{i},{j}",
+                                "i < j")
+        verify_relation_over(schema, families, exhaustive=True)
+        kinds = {sym.kind for family in families for sym in family.tables}
+        assert kinds == {"t", "p", "qij", "eta"}
+        for family in families:
+            for sym, table in family.tables.items():
+                assert sorted(table) == list(range(len(family))), (family.shape, sym)
+
+    def test_word_permutation_composes_symbol_tables(self):
+        fam = enumerate_tableaux(ShiftedSkewShape((4, 2), (2,)), N)
+        word = parse_word("q:2,4 t1 eta:1,3 p2 sigma3 evacs:2,4")
+        perm = word_permutation(fam, word)
+        composed = list(range(len(fam)))
+        for sym in reversed(word):
+            composed = [fam.tables[sym][x] for x in composed]
+        assert list(perm) == composed
+
     def test_skew_five_cycle(self):
         # t1 q_{3,4} permutes the five standard fillings of (4,2)/(2) in
         # one 5-cycle

@@ -5,17 +5,23 @@ rectification, reversal and the band operators, over every straight and
 skew family of at most 6 cells with outer_1 <= 4 at n=4, and for the
 dual-equivalence walk over every pair of smaller families.  They also
 keep the row-order enumeration, with canonical form as a filter and a
-final sort, as the reference for the reading-order search."""
+final sort, as the reference for the reading-order search, and the
+member-by-member loop with eval_word as the reference for the verdicts,
+counts and first failures of the permutation checks."""
 
 from functools import cache
 from itertools import combinations
 
 import pytest
 
+from shifted_tableaux import engine
 from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape,
                                    ShiftedTableau, TableauError, destandardize,
                                    destandardize_map, parse_tableau, reading_cells,
                                    render_text, standardize, standardize_map, weight)
+from shifted_tableaux.engine import (Counterexample, eval_word, parse_word,
+                                     sbk_core_schemas, skew_families, straight_families,
+                                     verify_cactus_action, verify_relation_over)
 from shifted_tableaux.enumeration import enumerate_tableaux, skew_shapes
 from shifted_tableaux.jdt import (SlideRecord, complement, dual_equivalent, eta,
                                   inner_corners, inner_slide, outer_slide, rectify,
@@ -323,6 +329,78 @@ def test_enumeration_matches_row_order(n):
         assert got == want, (shape, n)
         assert [(t.shape.outer, t.shape.inner) for t in got] == \
             [(t.shape.outer, t.shape.inner) for t in want], (shape, n)
+
+
+# -- the member-by-member verification loop ---------------------------------
+
+def reference_verify(families, checks_of, exhaustive=False):
+    """(holds, instances_checked, note, counterexample) of checking, family
+    by family and for each family check list by check list, every member
+    in turn against every check in turn with eval_word; the first failure
+    ends the run unless exhaustive."""
+    checked, failed = 0, None
+    for family in families:
+        for checks in checks_of(family):
+            for t in family:
+                for note, subs, lhs, rhs in checks:
+                    checked += 1
+                    left, right = eval_word(lhs, t), eval_word(rhs, t)
+                    if left != right and failed is None:
+                        failed = note, Counterexample(t, subs, left, right, family.shape)
+                        if not exhaustive:
+                            return False, checked, *failed
+    return (True, checked, "", None) if failed is None else (False, checked, *failed)
+
+
+def fields(verdict):
+    return (verdict.holds, verdict.instances_checked, verdict.note,
+            verdict.counterexample)
+
+
+def schema_checks(schema):
+    return lambda family: [[("", tuple(sorted(subs.items())), lhs, rhs)]
+                           for subs, lhs, rhs in schema.instantiations(family.n)]
+
+
+def skew_42_2():
+    """(4,2)/(2) at n=4, where neither q_ij nor (t_i q_jk)^2 = 1 behaves
+    as on straight shapes."""
+    return [enumerate_tableaux(ShiftedSkewShape((4, 2), (2,)), 4)]
+
+
+@pytest.mark.parametrize("route", ["q", "eta"])
+@pytest.mark.parametrize("families", [
+    lambda: skew_families(3, include_straight=True), skew_42_2], ids=["n3", "(4,2)/(2)"])
+def test_cactus_verdict_matches_member_loop(route, families):
+    want = reference_verify(families(), lambda family: [
+        engine._cactus_checks(route, family.n)])
+    assert fields(verify_cactus_action(route, families())) == want
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_sbk_core_verdicts_match_member_loop(exhaustive):
+    """Over straight and skew families at n=3, and on (4,2)/(2) at n=4,
+    where the straight-only (t_i q_jk)^2 = 1 fails."""
+    families = [straight_families(3) + skew_families(3), skew_42_2()]
+    for schema in sbk_core_schemas():
+        for fams in families:
+            want = reference_verify(fams, schema_checks(schema), exhaustive)
+            assert fields(verify_relation_over(schema, fams, exhaustive)) == want, \
+                schema.name
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_later_check_failing_at_earlier_member_comes_first(exhaustive):
+    """On (3,1)/(1) at n=3, sigma_2 = t_2 first fails at member 6 and
+    sigma_1 = t_1 at member 1, so the second check's failure is the
+    first one met member by member."""
+    family = enumerate_tableaux(ShiftedSkewShape((3, 1), (1,)), 3)
+    checks = [(f"sigma{i} = t{i} fails", (("i", i),), parse_word(f"sigma{i}"),
+               parse_word(f"t{i}")) for i in (2, 1)]
+    want = reference_verify([family], lambda _: [checks], exhaustive)
+    assert want[:3] == (False, 34 if exhaustive else 4, "sigma1 = t1 fails")
+    assert want[3].tableau == family.members[1]
+    assert fields(engine._check(family, checks, {}, exhaustive)) == want
 
 
 # -- validation messages -----------------------------------------------------
