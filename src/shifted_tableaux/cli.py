@@ -158,8 +158,8 @@ def cmd_apply(args: argparse.Namespace) -> int:
 def cmd_switch(args: argparse.Namespace) -> int:
     s = _read_tableau(args.s, args.n)
     t = _read_tableau(args.t, args.n)
-    rules: list[str] = []
-    res_t, res_s = switching._full_switch(s, t, lambda rule, *_: rules.append(rule))
+    res_t, res_s, trace = switching.full_switch(s, t)
+    rules = [step.rule for step in trace]
     report = _report(args, inner_result=render_text(res_t),
                      outer_result=render_text(res_s), rules=rules)
     lines = []

@@ -60,7 +60,8 @@ class GeneratorSymbol:
         return False
 
 
-_TOKEN_RE = re.compile(r"^(t|p|q|evacs|evac|eta|sigma)(?::?(\d+)(?:,(\d+))?)?$")
+_GENERATOR_NAMES = ("t", "p", "q", "evacs", "evac", "eta", "sigma")
+_TOKEN_RE = re.compile(rf"^({'|'.join(_GENERATOR_NAMES)})(?::?(\d+)(?:,(\d+))?)?$")
 
 
 def parse_symbol(token: str) -> GeneratorSymbol:
@@ -301,9 +302,11 @@ def word_permutation(family: TableauFamily, word: Sequence[GeneratorSymbol]
 # relation schemata
 
 _VAR_RE = re.compile(r"\{([^{}]*)\}")
-# the constraint separator: a ':' that is not the one inside a two-index
-# generator token such as q:1,3 or evacs:{i},{j}
-_CONSTRAINT_RE = re.compile(r"(?<!\bq)(?<!\beta)(?<!\bevacs):")
+# the constraint separator: a ':' that is not the one inside a generator
+# token such as t:1, q:1,3 or evacs:{i},{j}, i.e. not a ':' that directly
+# follows a generator name and directly precedes an index
+_CONSTRAINT_RE = re.compile(
+    "".join(rf"(?<!\b{name})" for name in _GENERATOR_NAMES) + r":|:(?![\d{])")
 
 
 @dataclass(frozen=True)

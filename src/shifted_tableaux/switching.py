@@ -216,33 +216,26 @@ def _merge(bands: dict[int, Band]) -> dict[Cell, Entry]:
             for cell, p in band.items()}
 
 
-def _full_switch(s: ShiftedTableau, t: ShiftedTableau,
-                 on_step: Callable[[str, dict[int, Band], dict[int, Band]], None]
-                 ) -> tuple[ShiftedTableau, ShiftedTableau]:
-    """full_switch without the trace: on_step is called after each switch
-    rule with the rule name and the S and T bands."""
+def full_switch(s: ShiftedTableau, t: ShiftedTableau
+                ) -> tuple[ShiftedTableau, ShiftedTableau, list[TraceStep]]:
+    """Move S through T: switch the pairs (S^m, T^1), ..., (S^m, T^n), ...,
+    (S^1, T^1), ..., (S^1, T^n).  Returns (^S T, S_T, trace)."""
     _check_extends(s, t)
     s_bands, t_bands = _bands(s.entries), _bands(t.entries)
-    step = lambda rule: on_step(rule, s_bands, t_bands)  # noqa: E731
+    trace: list[TraceStep] = []
+
+    def on_step(rule: str) -> None:
+        trace.append(TraceStep(rule, tuple(sorted(_merge(s_bands).items())),
+                               tuple(sorted(_merge(t_bands).items()))))
+
     for i in sorted(s_bands, reverse=True):
         for j in sorted(t_bands):
-            _run(s_bands[i], t_bands[j], step)
+            _run(s_bands[i], t_bands[j], on_step)
     t_out, s_out = _merge(t_bands), _merge(s_bands)
     st_top = (ShiftedTableau.from_map(t_out, t.n) if t_out
               else ShiftedTableau(ShiftedSkewShape(), (), t.n))
     st_bottom = (ShiftedTableau.from_map(s_out, s.n) if s_out
                  else ShiftedTableau(ShiftedSkewShape(), (), s.n))
-    return st_top, st_bottom
-
-
-def full_switch(s: ShiftedTableau, t: ShiftedTableau
-                ) -> tuple[ShiftedTableau, ShiftedTableau, list[TraceStep]]:
-    """Move S through T: switch the pairs (S^m, T^1), ..., (S^m, T^n), ...,
-    (S^1, T^1), ..., (S^1, T^n).  Returns (^S T, S_T, trace)."""
-    trace: list[TraceStep] = []
-    st_top, st_bottom = _full_switch(s, t, lambda rule, s_bands, t_bands: trace.append(
-        TraceStep(rule, tuple(sorted(_merge(s_bands).items())),
-                  tuple(sorted(_merge(t_bands).items())))))
     return st_top, st_bottom, trace
 
 

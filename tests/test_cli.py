@@ -122,6 +122,12 @@ class TestVerify:
         assert run(capsys, "verify", "--schema", schema, "--n", "3") == \
             (0, "holds (236 instances)\n", "")
 
+    def test_one_index_colon_token_in_schema(self, capsys):
+        # t:{i} is the token t{i}; the constraint starts at the spaced ':'
+        for schema in ("t:{i} t:{i} = e : i < 3", "t{i} t{i} = e : i < 3"):
+            assert run(capsys, "verify", "--schema", schema, "--n", "3") == \
+                (0, "holds (472 instances)\n", "")
+
     def test_preset(self, capsys):
         code, out, _ = run(capsys, "verify", "--preset", "evac-agreement",
                            "--n", "3")

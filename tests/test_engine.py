@@ -172,12 +172,20 @@ class TestFamilyTables:
             if sym.kind != "p":
                 assert all(perm[perm[x]] == x for x in range(len(fam))), sym
 
-    def test_word_is_composition(self):
-        fam = enumerate_tableaux(ShiftedSkewShape((3, 2), ()), N)
-        perm = word_permutation(fam, parse_word("q:2,4 t1"))
+    @pytest.mark.parametrize("outer, inner, text", [
+        ((3, 2), (), "q:2,4 t1"),
+        ((4, 2), (2,), "q:2,4 t1 eta:1,3 p2 sigma3 evacs:2,4"),
+    ])
+    def test_word_is_composition(self, outer, inner, text):
+        fam = enumerate_tableaux(ShiftedSkewShape(outer, inner), N)
+        word = parse_word(text)
+        perm = word_permutation(fam, word)
+        composed = list(range(len(fam)))
+        for sym in reversed(word):
+            composed = [fam.tables[sym][x] for x in composed]
+        assert list(perm) == composed
         for x, t in enumerate(fam):
-            assert fam.members[perm[x]] == \
-                eval_word(parse_word("q:2,4 t1"), t)
+            assert fam.members[perm[x]] == eval_word(word, t)
 
     def test_tables_are_whole_after_a_check(self):
         """One verify_relation_over call leaves every table it used a
@@ -191,15 +199,6 @@ class TestFamilyTables:
         for family in families:
             for sym, table in family.tables.items():
                 assert sorted(table) == list(range(len(family))), (family.shape, sym)
-
-    def test_word_permutation_composes_symbol_tables(self):
-        fam = enumerate_tableaux(ShiftedSkewShape((4, 2), (2,)), N)
-        word = parse_word("q:2,4 t1 eta:1,3 p2 sigma3 evacs:2,4")
-        perm = word_permutation(fam, word)
-        composed = list(range(len(fam)))
-        for sym in reversed(word):
-            composed = [fam.tables[sym][x] for x in composed]
-        assert list(perm) == composed
 
     def test_skew_five_cycle(self):
         # t1 q_{3,4} permutes the five standard fillings of (4,2)/(2) in
