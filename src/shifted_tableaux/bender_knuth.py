@@ -81,8 +81,8 @@ def bk(t: ShiftedTableau, i: int) -> ShiftedTableau:
 
 # The composite generators as words in the t_k, listed in the order the
 # factors act (rightmost factor of the written product first).  Both the
-# per-tableau operators below and the engine's family tables fold over
-# these sequences.
+# operators below and the engine's generator table fold over these
+# sequences.
 
 def promotion_word(i: int) -> tuple[int, ...]:
     """p_i = t_i t_{i-1} ... t_1."""
@@ -102,9 +102,11 @@ def q_interval_word(i: int, j: int) -> tuple[int, ...]:
 
 
 def _fold(t: ShiftedTableau, word: tuple[int, ...]) -> ShiftedTableau:
+    """The t_k of word in turn on t's cell map; one tableau for the result."""
+    entries = t.entry_map
     for k in word:
-        t = bk(t, k)
-    return t
+        entries = bk_map(entries, k)
+    return ShiftedTableau.from_map(entries, t.n, t.shape)
 
 
 def promotion(t: ShiftedTableau, i: int) -> ShiftedTableau:

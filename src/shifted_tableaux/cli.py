@@ -25,16 +25,6 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 
-JOBS_ENV = "SHIFTED_TABLEAUX_JOBS"
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get(JOBS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def _read_tableau(path: str, n: int | None) -> ShiftedTableau:
     if path == "-":
         text = sys.stdin.read()
@@ -267,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Shifted tableau operators, switching, and relation "
                     "verification.  Words act rightmost symbol first.")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--jobs", type=int, default=_default_jobs(),
-                        help="worker cap for verification fan-out")
+    # kept because every JSON report lists it under "parameters"
+    parser.add_argument("--jobs", type=int, default=1, help="has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enum", help="enumerate ShST(shape, n)")

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, total_ordering
-from typing import Callable, Iterable, Iterator, Mapping
+from functools import cached_property, partial, total_ordering
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Cell = tuple[int, int]
 
@@ -295,6 +295,11 @@ class ShiftedTableau:
         return dict(self.entries)
 
     @property
+    def key(self) -> tuple[int, ...]:
+        """The order keys of the entries, in sorted cell order."""
+        return tuple(2 * e.value - e.primed for _, e in self.entries)
+
+    @property
     def cells(self) -> frozenset[Cell]:
         return self.shape.cells
 
@@ -441,25 +446,65 @@ def destandardize(std: ShiftedTableau, wt: tuple[int, ...]) -> ShiftedTableau:
 
 
 # ---------------------------------------------------------------------------
-# interval restriction
+# letter bands
 
 # A map-level operator takes a canonical cell -> entry map over the alphabet
 # 1..n, and n, to a canonical map on the same cells.
 MapOperator = Callable[[Mapping[Cell, Entry], int], Mapping[Cell, Entry]]
 
 
+def band_keys(cells: Sequence[Cell], key: tuple[int, ...], i: int, j: int,
+              op: Callable[[tuple, int], Sequence[int] | None],
+              results: dict | None = None) -> tuple[int, ...] | None:
+    """The band split every band generator runs through: op(band, j-i+1)
+    on the letters i..j of the filling with order key key[s] in cells[s],
+    the band given as its (cell, order key) items re-indexed to the
+    alphabet 1..j-i+1, and op's keys for those cells put back beside the
+    other letters.  key itself when no letter lies in the band, None when
+    op returns None.  With results, op runs once per distinct band:
+    results maps each band to op's keys."""
+    shift, top = 2 * (i - 1), 2 * j
+    slots = [s for s, k in enumerate(key) if shift < k <= top]
+    if not slots:
+        return key
+    band = tuple([(cells[s], key[s] - shift) for s in slots])
+    done = None if results is None else results.get(band)
+    if done is None:
+        done = op(band, j - i + 1)
+        if done is None:
+            return None
+        if results is not None:
+            results[band] = done
+    out = list(key)
+    for s, k in zip(slots, done):
+        out[s] = k + shift
+    return tuple(out)
+
+
+def run_on_keys(op: Callable[..., Mapping[Cell, Entry] | None], band: tuple, n: int,
+                *args) -> tuple[int, ...] | None:
+    """op(band map, n, *args) on a band of (cell, order key) items: the
+    result's keys in the band's order; None if op returns None or a map
+    on other cells."""
+    local = {c: Entry((k + 1) // 2, k % 2 == 1) for c, k in band}
+    result = op(local, n, *args)
+    if result is None or result.keys() != local.keys():
+        return None
+    return tuple(2 * e.value - e.primed for e in map(result.get, local))
+
+
 def act_on_band(t: ShiftedTableau, i: int, j: int, op: MapOperator) -> ShiftedTableau:
     """Apply a map-level operator to the letters i..j of t, re-indexed to
     the alphabet 1..j-i+1, and put the result back beside the other
-    letters; t itself when no letter lies in the band."""
-    band = {c: e if i == 1 else e.shift(1 - i)
-            for c, e in t.entries if i <= e.value <= j}
-    if not band:
+    letters, through band_keys; t itself when no letter lies in the band."""
+    cells, key = [c for c, _ in t.entries], t.key
+    out = band_keys(cells, key, i, j, partial(run_on_keys, op))
+    if out is None:
+        raise RuntimeError(f"operator on the letters {i}..{j} changed their cells")
+    if out is key:
         return t
-    out = dict(t.entries)
-    out.update(op(band, j - i + 1) if i == 1 else
-               ((c, e.shift(i - 1)) for c, e in op(band, j - i + 1).items()))
-    return ShiftedTableau.from_map(out, t.n)
+    return ShiftedTableau.from_map({c: Entry((k + 1) // 2, k % 2 == 1)
+                                    for c, k in zip(cells, out)}, t.n)
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,22 @@ Words evaluate rightmost symbol first everywhere.  Relation schemata are
 data: two word templates with index variables in braces plus a constraint,
 instantiated over all index assignments in range.
 
-Verification evaluates words as permutations of a family: every
-generator keeps the cell set, so on ShST(shape, n) it permutes the member
-positions.  Each generator's table is computed whole the first time it is
-used and kept on the family; a word's permutation composes the tables of
-its symbols, and a relation compares the permutations of its two sides.
-t_i, eta, sigma and the evac variants are band generators: each runs on
-its letter band alone, on cell maps, and its result is looked up by key
-among the members, which are exactly the valid canonical fillings.
-Within one verification call each band result is computed once, and the
-band reversals of eta and sigma once per standardization of the band;
-p, q and q_{i,j} compose the t_i tables.
+Each generator kind is declared once, in _KINDS: its token, its indices
+and their range, its operator on one tableau, and either its letter band
+with the map-level core run on that band or its factors t_k.  A word on
+one tableau applies the operators symbol by symbol.  Verification
+evaluates words as permutations of a family: every generator keeps the
+cell set, so on ShST(shape, n) it permutes the member positions.  Each
+generator's table is computed whole the first time it is used and kept
+on the family; a word's permutation composes the tables of its symbols,
+and a relation compares the permutations of its two sides.  t_i, eta,
+sigma and the evac variants run their core on their letter band alone,
+through core.band_keys on order keys (the band split the operators on
+one tableau share), and their result is looked up by key among the
+members, which are exactly the valid canonical fillings.  Within one
+verification call each band result is computed once, and the band
+reversals of eta and sigma once per standardization of the band; p, q
+and q_{i,j} compose the t_i tables.
 """
 
 from __future__ import annotations
@@ -26,11 +31,13 @@ import operator
 import re
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import bender_knuth, jdt, switching
 from .core import (Cell, Entry, InvalidTableauError, ShiftedSkewShape, ShiftedTableau,
-                   destandardize_map, standardize_map, weight_map)
+                   band_keys, destandardize_map, run_on_keys, standardize_map,
+                   weight_map)
 from .enumeration import TableauFamily, enumerate_tableaux, skew_shapes, straight_shapes
 
 
@@ -38,47 +45,132 @@ class WordError(ValueError):
     """Malformed generator word or out-of-range index."""
 
 
+# The band results of one verification call: (core, band alphabet size)
+# -> {re-indexed band items: result order keys}, and (_band_reversal,
+# standardized band items) -> standard values of the band reversal
+_Memo = dict[tuple, dict | tuple[int, ...]]
+
+
+def _band_bk(local: dict[Cell, Entry], n: int, memo: _Memo) -> Mapping[Cell, Entry]:
+    return bender_knuth.bk_map(local, 1)
+
+
+def _band_evac(local: dict[Cell, Entry], n: int, memo: _Memo) -> Mapping[Cell, Entry]:
+    return switching.evac_map(local, n)
+
+
+def _band_reversal(local: dict[Cell, Entry], n: int, memo: _Memo
+                   ) -> dict[Cell, Entry] | None:
+    """jdt.reversal_map on the band map local over the alphabet 1..n;
+    None if the standard reversal is not a standard filling of its cells.
+
+    Reversal commutes with standardization, so it runs on the standard
+    band, once per standardization in memo, and each band destandardizes
+    the result with its reversed weight."""
+    std = standardize_map(local.items())
+    std_key = (_band_reversal, tuple(std.items()))
+    values = memo.get(std_key)
+    if values is None:
+        out = jdt.reversal_map({c: Entry(v) for c, v in std.items()}, len(std))
+        if out.keys() != std.keys() \
+                or sorted(out.values()) != [Entry(v) for v in range(1, len(std) + 1)]:
+            return None
+        values = memo[std_key] = tuple(out[c].value for c in std)
+    try:
+        return destandardize_map(dict(zip(std, values)), weight_map(local, n)[::-1])
+    except InvalidTableauError:
+        return None
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """A generator kind: its token, its number of indices and their valid
+    range, its operator on one tableau, and either its letter band and
+    the map-level core the family tables run on the band re-indexed to
+    1..k, or its t_k factors in the order they act.  straight: the kind
+    acts on straight shapes only."""
+
+    token: str
+    indices: int
+    valid: Callable[..., bool]
+    act: Callable[..., ShiftedTableau]
+    band: Callable[..., tuple[int, int]] | None = None
+    core: Callable[[dict, int, _Memo], Mapping | None] | None = None
+    factors: Callable[..., tuple[int, ...]] | None = None
+    straight: bool = False
+
+
+# Each operator on one tableau is looked up on its module at call time, so
+# that a patched module function is the one that runs.
+_KINDS = {
+    "t": _Kind("t", 1, lambda n, i: 1 <= i <= n - 1, lambda t, i: bender_knuth.bk(t, i),
+               lambda i: (i, i + 1), _band_bk),
+    "p": _Kind("p", 1, lambda n, i: 1 <= i <= n - 1,
+               lambda t, i: bender_knuth.promotion(t, i),
+               factors=bender_knuth.promotion_word),
+    "q": _Kind("q", 1, lambda n, i: 1 <= i <= n - 1, lambda t, i: bender_knuth.q(t, i),
+               factors=bender_knuth.q_word),
+    "qij": _Kind("q", 2, lambda n, i, j: 1 <= i < j <= n,
+                 lambda t, i, j: bender_knuth.q_interval(t, i, j),
+                 factors=bender_knuth.q_interval_word),
+    "evac": _Kind("evac", 1, lambda n, i: 1 <= i <= n,
+                  lambda t, i: switching.evac_k_switch(t, i),
+                  lambda i: (1, i), _band_evac, straight=True),
+    "evacs": _Kind("evacs", 1, lambda n, i: 1 <= i <= n,
+                   lambda t, i: switching.evac_k_skew(t, i), lambda i: (1, i), _band_evac),
+    "evacsij": _Kind("evacs", 2, lambda n, i, j: 1 <= i < j <= n,
+                     lambda t, i, j: switching.evac_interval_skew(t, i, j),
+                     lambda i, j: (i, j), _band_evac),
+    "eta": _Kind("eta", 2, lambda n, i, j: 1 <= i < j <= n, lambda t, i, j: jdt.eta(t, i, j),
+                 lambda i, j: (i, j), _band_reversal),
+    "sigma": _Kind("sigma", 1, lambda n, i: 1 <= i <= n - 1, lambda t, i: jdt.sigma(t, i),
+                   lambda i: (i, i + 1), _band_reversal),
+}
+
+
 @dataclass(frozen=True)
 class GeneratorSymbol:
-    kind: str          # t, p, q, qij, evac, evacs, evacsij, eta, sigma
+    kind: str          # a key of _KINDS
     i: int = 0
     j: int = 0
 
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise WordError(f"unknown generator kind {self.kind!r}")
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return (self.i, self.j)[:_KINDS[self.kind].indices]
+
     def __str__(self) -> str:
-        if self.kind in ("qij", "eta", "evacsij"):
-            base = {"qij": "q", "eta": "eta", "evacsij": "evacs"}[self.kind]
-            return f"{base}:{self.i},{self.j}"
-        return f"{self.kind}{self.i}"
+        kind = _KINDS[self.kind]
+        if kind.indices == 2:
+            return f"{kind.token}:{self.i},{self.j}"
+        return f"{kind.token}{self.i}"
 
     def valid_for(self, n: int) -> bool:
-        if self.kind in ("t", "p", "q", "sigma"):
-            return 1 <= self.i <= n - 1
-        if self.kind in ("evac", "evacs"):
-            return 1 <= self.i <= n
-        if self.kind in ("qij", "eta", "evacsij"):
-            return 1 <= self.i < self.j <= n
-        return False
+        return _KINDS[self.kind].valid(n, *self.indices)
 
 
-_GENERATOR_NAMES = ("t", "p", "q", "evacs", "evac", "eta", "sigma")
+_GENERATOR_NAMES = tuple(dict.fromkeys(kind.token for kind in _KINDS.values()))
 _TOKEN_RE = re.compile(rf"^({'|'.join(_GENERATOR_NAMES)})(?::?(\d+)(?:,(\d+))?)?$")
+# (token, number of indices) -> kind
+_TOKEN_KINDS = {(kind.token, kind.indices): name for name, kind in _KINDS.items()}
 
 
 def parse_symbol(token: str) -> GeneratorSymbol:
     m = _TOKEN_RE.match(token)
     if not m:
         raise WordError(f"cannot parse generator token {token!r}")
-    kind, i, j = m.group(1), m.group(2), m.group(3)
+    name, i, j = m.groups()
     if i is None:
         raise WordError(f"generator {token!r} is missing an index")
-    if j is not None:
-        paired = {"q": "qij", "eta": "eta", "evacs": "evacsij"}.get(kind)
-        if paired is None:
+    kind = _TOKEN_KINDS.get((name, 1 if j is None else 2))
+    if kind is None:
+        if j is not None:
             raise WordError(f"generator {token!r} does not take two indices")
-        return GeneratorSymbol(paired, int(i), int(j))
-    if kind == "eta":
-        raise WordError("eta takes two indices, e.g. eta:1,3")
-    return GeneratorSymbol(kind, int(i))
+        raise WordError(f"{name} takes two indices, e.g. {name}:1,3")
+    return GeneratorSymbol(kind, int(i), int(j or 0))
 
 
 Word = tuple[GeneratorSymbol, ...]
@@ -142,25 +234,15 @@ def _parse_seq(tokens: list[str], pos: int) -> tuple[list[GeneratorSymbol], int]
     return word, pos
 
 
-# how each generator kind acts on one tableau
-_ACTIONS: dict[str, Callable[[ShiftedTableau, GeneratorSymbol], ShiftedTableau]] = {
-    "t": lambda t, s: bender_knuth.bk(t, s.i),
-    "p": lambda t, s: bender_knuth.promotion(t, s.i),
-    "q": lambda t, s: bender_knuth.q(t, s.i),
-    "qij": lambda t, s: bender_knuth.q_interval(t, s.i, s.j),
-    "evac": lambda t, s: switching.evac_k_switch(t, s.i),
-    "evacs": lambda t, s: switching.evac_k_skew(t, s.i),
-    "evacsij": lambda t, s: switching.evac_interval_skew(t, s.i, s.j),
-    "eta": lambda t, s: jdt.eta(t, s.i, s.j),
-    "sigma": lambda t, s: jdt.sigma(t, s.i),
-}
+def _kind(sym: GeneratorSymbol, n: int) -> _Kind:
+    """sym's kind, once sym is checked to be in range for n."""
+    if not sym.valid_for(n):
+        raise WordError(f"generator {sym} out of range for n={n}")
+    return _KINDS[sym.kind]
 
 
 def apply_symbol(t: ShiftedTableau, sym: GeneratorSymbol) -> ShiftedTableau:
-    # valid_for is False for an unknown kind
-    if not sym.valid_for(t.n):
-        raise WordError(f"generator {sym} out of range for n={t.n}")
-    return _ACTIONS[sym.kind](t, sym)
+    return _kind(sym, t.n).act(t, *sym.indices)
 
 
 def eval_word(word: Sequence[GeneratorSymbol], t: ShiftedTableau) -> ShiftedTableau:
@@ -173,50 +255,30 @@ def eval_word(word: Sequence[GeneratorSymbol], t: ShiftedTableau) -> ShiftedTabl
 # ---------------------------------------------------------------------------
 # words as permutations of a family
 
-# the composite generators as words in the t_k, in the order they act
-_T_FACTORS: dict[str, Callable[[GeneratorSymbol], tuple[int, ...]]] = {
-    "p": lambda s: bender_knuth.promotion_word(s.i),
-    "q": lambda s: bender_knuth.q_word(s.i),
-    "qij": lambda s: bender_knuth.q_interval_word(s.i, s.j),
-}
-
-# the letter band each band generator acts on; its map-level operator
-# runs on the band re-indexed to 1..j-i+1
-_BANDS: dict[str, Callable[[GeneratorSymbol], tuple[int, int]]] = {
-    "t": lambda s: (s.i, s.i + 1),
-    "eta": lambda s: (s.i, s.j),
-    "sigma": lambda s: (s.i, s.i + 1),
-    "evac": lambda s: (1, s.i),
-    "evacs": lambda s: (1, s.i),
-    "evacsij": lambda s: (s.i, s.j),
-}
-
-# the band results of one verification call:
-# (operator name, band alphabet size, re-indexed band items) -> result
-# order keys, and (_band_reversal, standardized band items) -> standard
-# values of the band reversal
-_Memo = dict[tuple, tuple[int, ...]]
-
-
 def _table(family: TableauFamily, sym: GeneratorSymbol, memo: _Memo) -> array:
     """The permutation sym induces on the family, computed whole the first
-    time it is asked for: composite symbols compose their t tables, the
-    others run their map-level operator on every member and look the
-    result's key up among the members."""
+    time it is asked for: composite symbols compose their t tables, band
+    generators run their core through band_keys on every member's key and
+    look the result up among the members."""
     table = family.tables.get(sym)
     if table is not None:
         return table
-    if not sym.valid_for(family.n):
-        raise WordError(f"generator {sym} out of range for n={family.n}")
-    factors = _T_FACTORS.get(sym.kind)
-    if factors is not None:
-        table = _compose(family, [GeneratorSymbol("t", k) for k in factors(sym)], memo)
+    kind = _kind(sym, family.n)
+    if kind.factors:
+        table = _compose(family, [GeneratorSymbol("t", k)
+                                  for k in kind.factors(*sym.indices)], memo)
     else:
+        if kind.straight and family.members:
+            switching.require_straight(family.shape, "evac_k_switch", "evac_k_skew")
+        (lo, hi), core = kind.band(*sym.indices), kind.core
+        results = memo.setdefault((core, hi - lo + 1), {})
+        op = lambda band, size: run_on_keys(core, band, size, memo)  # noqa: E731
+        cells, positions = sorted(family.shape.cells), family.positions
         table = array("i")
-        for x in range(len(family)):
-            y = family.positions.get(_image_key(family, sym, x, memo))
+        for key in positions:
+            y = positions.get(band_keys(cells, key, lo, hi, op, results))
             if y is None:
-                raise RuntimeError(f"{sym} took member {x} of ShST({family.shape}, "
+                raise RuntimeError(f"{sym} took member {len(table)} of ShST({family.shape}, "
                                    f"{family.n}) out of its family")
             table.append(y)
     family.tables[sym] = table
@@ -231,64 +293,6 @@ def _compose(family: TableauFamily, syms: Iterable[GeneratorSymbol], memo: _Memo
         table = _table(family, sym, memo)
         perm = array("i", [table[x] for x in perm])
     return perm
-
-
-def _image_key(family: TableauFamily, sym: GeneratorSymbol, x: int,
-               memo: _Memo) -> tuple[int, ...] | None:
-    """The key of sym applied to member x, computed on cell maps; None if
-    the result does not fill the member's cells."""
-    member = family.members[x]
-    if sym.kind == "evac":
-        switching.require_straight(family.shape, "evac_k_switch", "evac_k_skew")
-    lo, hi = _BANDS[sym.kind](sym)
-    # eta and sigma share the band reversal, the evac variants evac_map
-    op = {"t": "bk", "eta": "reversal", "sigma": "reversal"}.get(sym.kind, "evac")
-    size, shift = hi - lo + 1, 2 * (lo - 1)
-    key, slots, band = [], [], []
-    for slot, (c, e) in enumerate(member.entries):
-        key.append(2 * e.value - e.primed)
-        if lo <= e.value <= hi:
-            slots.append(slot)
-            band.append((c, key[-1] - shift))
-    band_key = (op, size, tuple(band))
-    done = memo.get(band_key)
-    if done is None:
-        local = {c: Entry((k + 1) // 2, k % 2 == 1) for c, k in band}
-        if op == "bk":
-            out = bender_knuth.bk_map(local, 1)
-        elif op == "reversal":
-            out = _band_reversal(local, size, memo)
-        else:
-            out = switching.evac_map(local, size)
-        if out is None or out.keys() != local.keys():
-            return None
-        done = memo[band_key] = tuple(2 * e.value - e.primed for e in map(out.get, local))
-    for slot, k in zip(slots, done):
-        key[slot] = k + shift
-    return tuple(key)
-
-
-def _band_reversal(local: dict[Cell, Entry], n: int, memo: _Memo
-                   ) -> dict[Cell, Entry] | None:
-    """jdt.reversal_map on the band map local over the alphabet 1..n;
-    None if the standard reversal is not a standard filling of its cells.
-
-    Reversal commutes with standardization, so it runs on the standard
-    band, once per standardization in memo, and each band destandardizes
-    the result with its reversed weight."""
-    std = standardize_map(local.items())
-    std_key = (_band_reversal, tuple(std.items()))
-    values = memo.get(std_key)
-    if values is None:
-        out = jdt.reversal_map({c: Entry(v) for c, v in std.items()}, len(std))
-        if out.keys() != std.keys() \
-                or sorted(out.values()) != [Entry(v) for v in range(1, len(std) + 1)]:
-            return None
-        values = memo[std_key] = tuple(out[c].value for c in std)
-    try:
-        return destandardize_map(dict(zip(std, values)), weight_map(local, n)[::-1])
-    except InvalidTableauError:
-        return None
 
 
 def word_permutation(family: TableauFamily, word: Sequence[GeneratorSymbol]
@@ -336,16 +340,27 @@ class RelationSchema:
             + " " + self.constraint
         return tuple(dict.fromkeys(re.findall(r"\b([a-z])\b", text)))
 
-    def instantiations(self, n: int) -> Iterator[tuple[dict[str, int], Word, Word]]:
-        """The index assignments over 1..n that satisfy the constraint and
-        give valid words, with both words.  The schema is parsed and the
-        assignment count checked at the call; assignments are drawn
-        lazily."""
+    @cached_property
+    def _parsed(self) -> tuple:
+        """The variables, the constraint and both word templates, parsed
+        once; each side is checked as a word, its brace expressions read
+        as 1."""
         names = self.variables
         # |x| is shorthand for abs(x)
         constraint = _compile(re.sub(r"\|([^|]*)\|", r"abs(\1)", self.constraint),
                               names)
         left, right = _template(self.left, names), _template(self.right, names)
+        for side in (self.left, self.right):
+            parse_word(_VAR_RE.sub("1", side))
+        return names, constraint, left, right
+
+    def instantiations(self, n: int) -> Iterator[tuple[dict[str, int], Word, Word]]:
+        """The index assignments over 1..n that satisfy the constraint and
+        give valid words, with both words.  The schema is parsed and the
+        assignment count checked at the call; assignments are drawn
+        lazily, and a draw skips an assignment only where a brace
+        expression is negative or a symbol is out of range."""
+        names, constraint, left, right = self._parsed
         if n ** len(names) > MAX_ASSIGNMENTS:
             raise WordError(f"schema has {n}^{len(names)} index assignments, "
                             f"more than {MAX_ASSIGNMENTS}")
@@ -355,10 +370,10 @@ class RelationSchema:
                 subs = dict(zip(names, values))
                 if not constraint(subs):
                     continue
-                try:
-                    lhs, rhs = parse_word(left(subs)), parse_word(right(subs))
-                except WordError:
+                texts = left(subs), right(subs)
+                if None in texts:
                     continue
+                lhs, rhs = map(parse_word, texts)
                 if all(s.valid_for(n) for s in lhs + rhs):
                     yield subs, lhs, rhs
         return draw()
@@ -426,12 +441,21 @@ def _build(node: ast.expr, names: Sequence[str], depth: int) -> _Expr:
     raise WordError(f"unsupported {ast.unparse(node)!r}")
 
 
-def _template(text: str, names: Sequence[str]) -> Callable[[dict[str, int]], str]:
-    """A word template with its brace expressions parsed once."""
+def _template(text: str, names: Sequence[str]
+              ) -> Callable[[dict[str, int]], str | None]:
+    """A word template with its brace expressions parsed once: the word's
+    text under a substitution, or None where a brace expression is
+    negative."""
     parts: list = _VAR_RE.split(text)
     parts[1::2] = [_compile(expr, names) for expr in parts[1::2]]
-    return lambda subs: "".join(part if isinstance(part, str) else str(int(part(subs)))
-                                for part in parts)
+
+    def fill(subs: dict[str, int]) -> str | None:
+        out = parts[:]
+        out[1::2] = [int(expr(subs)) for expr in parts[1::2]]
+        if any(value < 0 for value in out[1::2]):
+            return None
+        return "".join(map(str, out))
+    return fill
 
 
 @dataclass(frozen=True)

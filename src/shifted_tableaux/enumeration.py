@@ -41,8 +41,7 @@ class TableauFamily:
         """Member key -> position.  A member's key is the tuple of its
         entries' order keys over the shape's sorted cells, so a map on
         the family's cells is a member exactly when its key is here."""
-        return {tuple(2 * e.value - e.primed for _, e in t.entries): k
-                for k, t in enumerate(self.members)}
+        return {t.key: k for k, t in enumerate(self.members)}
 
     def __iter__(self) -> Iterator[ShiftedTableau]:
         return iter(self.members)

@@ -51,11 +51,49 @@ class TestApply:
         assert code == 0
         assert out.strip().splitlines() == ["1 1 1 2", "2 3'", "3"]
 
+    @pytest.mark.parametrize("word, n, first_row", [
+        ("t1", 4, ". . . ."), ("q1", 4, ". . . ."), ("eta:1,2", 4, ". . ."),
+        ("evacs2", 4, ". . ."), ("eta:4,5", 5, ". . . ."), ("t1 eta:1,2", 4, ". . ."),
+    ])
+    def test_representation_rule(self, capsys, word, n, first_row):
+        """t, p, q and q:i,j keep the input's (outer, inner) pair; eta,
+        sigma and the evac variants take from_cells's pair, which drops the
+        empty first row's extra column, unless no letter lies in their
+        band."""
+        assert run(capsys, "apply", "--op", word, "--in", ". . . . / 1 2 / 3",
+                   "--n", str(n)) == (0, f"{first_row}\n1 2\n3\n", "")
+
     def test_trace_lists_rules(self, capsys):
         code, out, _ = run(capsys, "apply", "--op", "t1", "--trace",
                            "--in", "1 1 2' 2\n2 3'\n3", "--n", "3")
         assert code == 0
         assert "S5" in out and "S3" in out
+
+    def test_trace_golden(self, capsys):
+        """A switch chain for t1, then one tableau per other symbol."""
+        assert run(capsys, "apply", "--trace", "--op", "q2 eta:1,3 t1",
+                   "--in", "1 1 2' 3 / 2 3' / 3", "--n", "3") == (0, """\
+t1: rules S5, S3
+  after S5:
+    1 2' 1 3
+    2 3'
+    3
+  after S3:
+    2 2 1 3
+    1 3'
+    3
+eta:1,3:
+  1 1 1 2'
+  2 3'
+  3
+q2:
+  1 1 2 3
+  2 3'
+  3
+1 1 2 3
+2 3'
+3
+""", "")
 
     def test_bad_word(self, capsys):
         code, _, err = run(capsys, "apply", "--op", "zap",
@@ -161,6 +199,31 @@ class TestOrbit:
         assert code == 0
         assert dot.read_text().startswith("digraph")
 
+    @pytest.mark.parametrize("tableau, nodes, edges", [
+        ("1 1 2' 3 / 2 3' / 3", [
+            "1 1 2' 3 / 2 3' / 3", "1 1 2 3 / 2 3' / 3", "1 1 2 2 / 2 3' / 3",
+            "1 1 2' 2 / 2 3' / 3", "1 1 1 2' / 2 3' / 3", "1 1 1 2 / 2 3' / 3",
+            "1 1 1 3' / 2 2 / 3", "1 1 1 3 / 2 2 / 3", "1 1 2' 3' / 2 2 / 3",
+            "1 1 2' 3 / 2 2 / 3", "1 1 2' 3' / 2 3' / 3", "1 1 2 3' / 2 3' / 3"],
+         [(1, 2), (0, 3), (4, 0), (5, 1), (2, 6), (3, 7), (8, 4), (9, 5), (6, 10),
+          (7, 11), (11, 8), (10, 9)]),
+        (". . 1 2 / 1 3", [
+            ". . 1 2 / 1 3", ". . 1 2 / 2 3", ". . 1 3 / 1 2", ". . 1 3 / 2 3",
+            ". . 1 3 / 2 2", ". . 2 3 / 1 3", ". . 1 2 / 3 3", ". . 2 2 / 1 3",
+            ". . 1 1 / 2 3"],
+         [(1, 2), (0, 3), (4, 0), (5, 1), (2, 6), (3, 7), (6, 4), (8, 5), (7, 8)]),
+    ], ids=["straight", "skew"])
+    def test_dot_golden(self, capsys, tableau, nodes, edges):
+        """Nodes in breadth-first order; edges[k] holds the targets of q1
+        and t2 from node k."""
+        lines = ["digraph orbit {"]
+        lines += [f'  n{k} [label="{label}"];' for k, label in enumerate(nodes)]
+        for u, targets in enumerate(edges):
+            lines += [f'  n{u} -> n{v} [label="{gen}"];'
+                      for gen, v in zip(("q1", "t2"), targets)]
+        assert run(capsys, "orbit", "--gens", "q1,t2", "--in", tableau, "--n", "3") \
+            == (0, "\n".join(lines + ["}", ""]), "")
+
 
 class TestErrors:
     def test_unknown_command(self, capsys):
@@ -199,10 +262,22 @@ class TestErrors:
          "unsupported '(x for x in (i,))' in schema expression '(x for x in (i,))'"),
         ("t1 = e : i * * i > 0",
          "'**' is not allowed in schema expressions: 'i * * i > 0'"),
+        ("tx1 = e", "cannot parse generator token 'tx1'"),
+        ("t1 t1 = (t2", "unbalanced parentheses in word"),
+        ("(t1 t2)^100000 = e", "word expands to more than 10000 symbols"),
+        ("t{i} = eta{i}", "eta takes two indices, e.g. eta:1,3"),
+        # these two fail at some assignments only (i=1 and i=3)
+        ("t{i % (i-1)} = e", "modulo by zero in schema expression 'i % (i-1)'"),
+        ("(t1)^{i*5000} = e", "word expands to more than 10000 symbols"),
     ])
     def test_malformed_schema_is_one_line(self, capsys, schema, message):
         code, out, err = run(capsys, "verify", "--schema", schema, "--n", "3")
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_malformed_search_schema_is_one_line(self, capsys):
+        assert run(capsys, "search", "--schema", "tx1 = e", "--n", "3",
+                   "--max-cells", "4") == \
+            (2, "", "error: cannot parse generator token 'tx1'\n")
 
     def test_verify_needs_schema_or_preset(self, capsys):
         code, out, err = run(capsys, "verify", "--n", "3")

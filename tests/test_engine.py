@@ -1,5 +1,7 @@
 """Word parsing, relation schemas, verification, searches, orbits, presets."""
 
+import itertools
+
 import pytest
 
 from shifted_tableaux import bender_knuth, engine, jdt, switching
@@ -9,7 +11,7 @@ from shifted_tableaux.engine import (MAX_ASSIGNMENTS, MAX_WORD_LENGTH,
                                      GeneratorSymbol,
                                      RelationSchema, WordError, apply_symbol,
                                      components_by_dual_equivalence, eval_word,
-                                     orbit_graph, parse_word, run_preset,
+                                     orbit_graph, parse_symbol, parse_word, run_preset,
                                      search_counterexample, verify_cactus_action,
                                      verify_relation, verify_relation_over,
                                      straight_families, word_permutation)
@@ -57,6 +59,42 @@ class TestWords:
         t = parse_tableau("1 2\n3", 3)
         assert eval_word(parse_word("eta:1,3"), t) == eta(t, 1, 3)
         assert eval_word(parse_word("q:2,3"), t) == q_interval(t, 2, 3)
+
+    @pytest.mark.parametrize("text, n, word, want, pair", [
+        (". . . . / 1 2 / 3", 4, "q2 t1 eta:1,2 p3", ". . . / 2 3 / 4",
+         ((3, 2, 1), (3,))),
+        (". . . . / 1 2 / 3", 5, "p2 eta:4,5 q:1,3", ". . . . / 1 2 / 3",
+         ((4, 2, 1), (4,))),
+        (". . 1 2 / 1 3 4 / 4", 4, "evacs:2,4 sigma1 q:2,4 p3", ". . 1' 2 / 1 3 3 / 4",
+         ((4, 3, 1), (2,))),
+    ])
+    def test_eval_mixed_word(self, text, n, word, want, pair):
+        """The result and its (outer, inner) pair: from_cells's once a
+        band generator has moved a letter, else the input's."""
+        got = eval_word(parse_word(word), parse_tableau(text, n))
+        assert (rt(got), (got.shape.outer, got.shape.inner)) == (want, pair)
+
+    # the valid range of each kind, written out: (kind, indices, valid_for(n))
+    RANGES = [("t", 1, lambda n, i: 1 <= i <= n - 1), ("p", 1, lambda n, i: 1 <= i <= n - 1),
+              ("q", 1, lambda n, i: 1 <= i <= n - 1), ("sigma", 1, lambda n, i: 1 <= i <= n - 1),
+              ("evac", 1, lambda n, i: 1 <= i <= n), ("evacs", 1, lambda n, i: 1 <= i <= n),
+              ("qij", 2, lambda n, i, j: 1 <= i < j <= n),
+              ("eta", 2, lambda n, i, j: 1 <= i < j <= n),
+              ("evacsij", 2, lambda n, i, j: 1 <= i < j <= n)]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_generator_table_round_trips(self, n):
+        """Every kind parses back from its text, and valid_for is its
+        written-out range, on indices 0..n+1; a kind outside the table is
+        rejected."""
+        assert sorted(kind for kind, _, _ in self.RANGES) == sorted(engine._KINDS)
+        with pytest.raises(WordError, match="unknown generator kind 'zz'"):
+            GeneratorSymbol("zz", 1)
+        for kind, count, valid in self.RANGES:
+            for indices in itertools.product(range(n + 2), repeat=count):
+                sym = GeneratorSymbol(kind, *indices)
+                assert parse_symbol(str(sym)) == sym, sym
+                assert sym.valid_for(n) == valid(n, *indices), (sym, n)
 
 
 class TestSchemas:
