@@ -120,7 +120,8 @@ def cmd_apply(args: argparse.Namespace) -> int:
     trace_lines: list[str] = []
     cur = t
     for sym in reversed(word):
-        if args.trace and sym.kind == "t":
+        # an out-of-range t goes to apply_symbol, which names the range
+        if args.trace and sym.kind == "t" and sym.valid_for(cur.n):
             from .bender_knuth import bk_trace
             nxt, steps = bk_trace(cur, sym.i)
             rules = [s.rule for s in steps]

@@ -389,19 +389,51 @@ def standardize(t: ShiftedTableau) -> ShiftedTableau:
     return ShiftedTableau.from_map(entries, len(entries), t.shape)
 
 
-def _letter_split_ok(cells_in_order: list[Cell], s: int) -> bool:
-    prefix, suffix = cells_in_order[:s], cells_in_order[s:]
-    if any(a[0] >= b[0] for a, b in zip(prefix, prefix[1:])):
-        return False
-    if any(a[1] >= b[1] for a, b in zip(suffix, suffix[1:])):
-        return False
-    for p in prefix:
-        for u in suffix:
-            if p[0] == u[0] and p[1] > u[1]:
-                return False
-            if p[1] == u[1] and p[0] > u[0]:
-                return False
-    return True
+def _letter_splits(group: list[Cell]) -> list[int]:
+    """The lengths s for which group[:s] can be the primed cells of one
+    letter and group[s:] its unprimed cells: the primed cells in strictly
+    increasing rows, the unprimed ones in strictly increasing columns, no
+    primed cell right of an unprimed one in its row or below one in its
+    column, and the first reading occurrence (bottom row, then leftmost)
+    unprimed.  One pass finds the range of s the first three rules allow;
+    the clashes between the two sides are sought only when some split in
+    it primes a cell."""
+    # s <= most: group[:s] goes strictly down; s >= least: group[s:]
+    # goes strictly right; s <= first: the first reading occurrence
+    # group[first] is unprimed
+    w = len(group)
+    most, least, first = w, 0, 0
+    r0, c0 = fr, fc = group[0]
+    for x in range(1, w):
+        r, c = group[x]
+        if r <= r0 and most == w:
+            most = x
+        if c <= c0:
+            least = x
+        if r > fr or (r == fr and c < fc):
+            first, fr, fc = x, r, c
+        r0, c0 = r, c
+    top = min(most, first)
+    if least > top:
+        return []
+    if top == 0:
+        return [0]
+    # for s in least..top the primed cells have distinct rows and the
+    # unprimed ones distinct columns, so each cell meets at most one
+    # cell of the other side in its row or column; a clash of group[a]
+    # with group[b], a < b, rules out the splits a < s <= b
+    row_of_primed = {group[a][0]: a for a in range(top)}
+    col_of_unprimed = {group[b][1]: b for b in range(least, w)}
+    clashes = []
+    for b in range(least, w):
+        a = row_of_primed.get(group[b][0])
+        if a is not None and a < b and group[a][1] > group[b][1]:
+            clashes.append((a, b))
+    for a in range(top):
+        b = col_of_unprimed.get(group[a][1])
+        if b is not None and a < b and group[a][0] > group[b][0]:
+            clashes.append((a, b))
+    return [s for s in range(least, top + 1) if not any(a < s <= b for a, b in clashes)]
 
 
 def destandardize_map(std: Mapping[Cell, int], wt: tuple[int, ...]) -> dict[Cell, Entry]:
@@ -421,21 +453,16 @@ def destandardize_map(std: Mapping[Cell, int], wt: tuple[int, ...]) -> dict[Cell
         offset += w
         if not group:
             continue
-        # the first reading occurrence (bottom row, then leftmost) must be unprimed
-        first_read = min(group, key=lambda rc: (-rc[0], rc[1]))
-        chosen = None
-        for s in range(len(group) + 1):
-            if first_read in group[:s] or not _letter_split_ok(group, s):
-                continue
-            if chosen is not None:
-                raise InvalidTableauError(
-                    f"ambiguous destandardization for letter {k}", rule="destandardize")
-            chosen = s
-        if chosen is None:
+        splits = _letter_splits(group)
+        if len(splits) > 1:
+            raise InvalidTableauError(
+                f"ambiguous destandardization for letter {k}", rule="destandardize")
+        if not splits:
             raise InvalidTableauError(
                 f"no valid destandardization for letter {k}", rule="destandardize")
-        entries.update((c, Entry(k, True)) for c in group[:chosen])
-        entries.update((c, Entry(k)) for c in group[chosen:])
+        s, primed, unprimed = splits[0], Entry(k, True), Entry(k)
+        for x, c in enumerate(group):
+            entries[c] = primed if x < s else unprimed
     return entries
 
 

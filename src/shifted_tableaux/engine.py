@@ -20,7 +20,14 @@ one tableau share), and their result is looked up by key among the
 members, which are exactly the valid canonical fillings.  Within one
 verification call each band result is computed once, and the band
 reversals of eta and sigma once per standardization of the band; p, q
-and q_{i,j} compose the t_i tables.
+and q_{i,j} compose the t_i tables.  Switching evacuation is never
+standardized: it runs on semistandard bands.
+
+The evacuation-routes line of evac-agreement runs on tables too: the
+evac_n table (switching) against a table of jdt's evacuations, which run
+once per standardization of a member and are destandardized with each
+member's reversed weight.  Only the skew Knuth-equivalence witness of
+non-relations still compares tableaux member by member.
 """
 
 from __future__ import annotations
@@ -36,8 +43,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import bender_knuth, jdt, switching
 from .core import (Cell, Entry, InvalidTableauError, ShiftedSkewShape, ShiftedTableau,
-                   band_keys, destandardize_map, run_on_keys, standardize_map,
-                   weight_map)
+                   band_keys, destandardize_map, pair_of_cells, run_on_keys,
+                   standardize_map, weight_map)
 from .enumeration import TableauFamily, enumerate_tableaux, skew_shapes, straight_shapes
 
 
@@ -46,8 +53,8 @@ class WordError(ValueError):
 
 
 # The band results of one verification call: (core, band alphabet size)
-# -> {re-indexed band items: result order keys}, and (_band_reversal,
-# standardized band items) -> standard values of the band reversal
+# -> {re-indexed band items: result order keys}, and (_band_reversal or
+# _evacuation, standardized band items) -> standard values of the result
 _Memo = dict[tuple, dict | tuple[int, ...]]
 
 
@@ -59,19 +66,19 @@ def _band_evac(local: dict[Cell, Entry], n: int, memo: _Memo) -> Mapping[Cell, E
     return switching.evac_map(local, n)
 
 
-def _band_reversal(local: dict[Cell, Entry], n: int, memo: _Memo
-                   ) -> dict[Cell, Entry] | None:
-    """jdt.reversal_map on the band map local over the alphabet 1..n;
-    None if the standard reversal is not a standard filling of its cells.
-
-    Reversal commutes with standardization, so it runs on the standard
-    band, once per standardization in memo, and each band destandardizes
-    the result with its reversed weight."""
+def _on_standard(core: Callable, run: Callable[[dict[Cell, Entry], int], Mapping],
+                 local: dict[Cell, Entry], n: int, memo: _Memo) -> dict[Cell, Entry] | None:
+    """run, a jdt operator that commutes with standardization and reverses
+    the weight, on the map local over the alphabet 1..n: run on the
+    standardization of local, once per standardization in memo under
+    core, and destandardized with the reversed weight of local.  None if
+    the standard result is not a standard filling of its cells or does
+    not destandardize."""
     std = standardize_map(local.items())
-    std_key = (_band_reversal, tuple(std.items()))
+    std_key = (core, tuple(std.items()))
     values = memo.get(std_key)
     if values is None:
-        out = jdt.reversal_map({c: Entry(v) for c, v in std.items()}, len(std))
+        out = run({c: Entry(v) for c, v in std.items()}, len(std))
         if out.keys() != std.keys() \
                 or sorted(out.values()) != [Entry(v) for v in range(1, len(std) + 1)]:
             return None
@@ -80,6 +87,20 @@ def _band_reversal(local: dict[Cell, Entry], n: int, memo: _Memo
         return destandardize_map(dict(zip(std, values)), weight_map(local, n)[::-1])
     except InvalidTableauError:
         return None
+
+
+def _band_reversal(local: dict[Cell, Entry], n: int, memo: _Memo
+                   ) -> dict[Cell, Entry] | None:
+    """jdt.reversal_map on the band map local, once per standardization."""
+    return _on_standard(_band_reversal, jdt.reversal_map, local, n, memo)
+
+
+def _evacuation(local: dict[Cell, Entry], n: int, memo: _Memo
+                ) -> dict[Cell, Entry] | None:
+    """jdt.evacuation_map on the nonempty map local of a straight shape,
+    once per standardization."""
+    return _on_standard(_evacuation, lambda std, size: jdt.evacuation_map(
+        std, pair_of_cells(std)[0], size)[0], local, n, memo)
 
 
 @dataclass(frozen=True)
@@ -270,19 +291,26 @@ def _table(family: TableauFamily, sym: GeneratorSymbol, memo: _Memo) -> array:
     else:
         if kind.straight and family.members:
             switching.require_straight(family.shape, "evac_k_switch", "evac_k_skew")
-        (lo, hi), core = kind.band(*sym.indices), kind.core
-        results = memo.setdefault((core, hi - lo + 1), {})
-        op = lambda band, size: run_on_keys(core, band, size, memo)  # noqa: E731
-        cells, positions = sorted(family.shape.cells), family.positions
         table = array("i")
-        for key in positions:
-            y = positions.get(band_keys(cells, key, lo, hi, op, results))
+        for y in _images(family, *kind.band(*sym.indices), kind.core, memo):
             if y is None:
                 raise RuntimeError(f"{sym} took member {len(table)} of ShST({family.shape}, "
                                    f"{family.n}) out of its family")
             table.append(y)
     family.tables[sym] = table
     return table
+
+
+def _images(family: TableauFamily, lo: int, hi: int, core: Callable, memo: _Memo
+            ) -> Iterator[int | None]:
+    """The position of each member's image under core run on its letters
+    lo..hi through band_keys, in member order; None where the image is
+    not a member."""
+    results = memo.setdefault((core, hi - lo + 1), {})
+    op = lambda band, size: run_on_keys(core, band, size, memo)  # noqa: E731
+    cells, positions = sorted(family.shape.cells), family.positions
+    for key in positions:
+        yield positions.get(band_keys(cells, key, lo, hi, op, results))
 
 
 def _compose(family: TableauFamily, syms: Iterable[GeneratorSymbol], memo: _Memo
@@ -533,11 +561,24 @@ def verify_relation(schema: RelationSchema, family: TableauFamily,
 def verify_relation_over(schema: RelationSchema, families: Iterable[TableauFamily],
                          exhaustive: bool = False) -> Verdict:
     """verify_relation on each family in turn; exhaustive goes on through
-    every family and keeps the first counterexample."""
+    every family and keeps the first counterexample.  The instantiations
+    for each n are drawn once, lazily, by the first family over n; a
+    draw runs to its end unless the verification stops there, so the
+    later families replay a complete list."""
     memo: _Memo = {}
+    drawn: dict[int, list[tuple[dict[str, int], Word, Word]]] = {}
+
+    def instantiations(n: int) -> Iterator[tuple[dict[str, int], Word, Word]]:
+        if n in drawn:
+            yield from drawn[n]
+            return
+        drawn[n] = []
+        for item in schema.instantiations(n):
+            drawn[n].append(item)
+            yield item
     return _first_failure(
         (_check(family, [("", tuple(sorted(subs.items())), lhs, rhs)], memo, exhaustive)
-         for family in families for subs, lhs, rhs in schema.instantiations(family.n)),
+         for family in families for subs, lhs, rhs in instantiations(family.n)),
         exhaustive)
 
 
@@ -694,6 +735,10 @@ def skew_families(n: int, max_cells: int = SKEW_MAX_CELLS,
 def _check_pointwise(families: Iterable[TableauFamily],
                      left: Callable[[ShiftedTableau], ShiftedTableau],
                      right: Callable[[ShiftedTableau], ShiftedTableau]) -> Verdict:
+    """Compare two tableau functions member by member, stopping at the
+    first failure.  Only the skew Knuth-equivalence witness of
+    non-relations runs here: its two sides are rectified, so they leave
+    the family and no permutation table holds them."""
     checked = 0
     for family in families:
         for t in family:
@@ -702,6 +747,29 @@ def _check_pointwise(families: Iterable[TableauFamily],
             if lres != rres:
                 return Verdict(False, checked,
                                Counterexample(t, (), lres, rres, family.shape))
+    return Verdict(True, checked)
+
+
+def _evac_routes(families: Iterable[TableauFamily]) -> Verdict:
+    """Switching evacuation against rectification after the complement
+    on straight families: the evac_n table against a table of the jdt
+    evacuations, computed once per standardization, member by member up
+    to the first failure.  A jdt result that is not a member fails its
+    member.  The counterexample is rebuilt with evac_switch and
+    evacuation_jdt."""
+    memo: _Memo = {}
+    checked = 0
+    for family in families:
+        if not family.members:  # at n=0, where evac_n is out of range
+            continue
+        left = _table(family, GeneratorSymbol("evac", family.n), memo)
+        right = _images(family, 1, family.n, _evacuation, memo)
+        x = next((x for x, y in enumerate(right) if y != left[x]), None)
+        if x is not None:
+            t = family.members[x]
+            return Verdict(False, checked + x + 1, Counterexample(
+                t, (), switching.evac_switch(t), jdt.evacuation_jdt(t), family.shape))
+        checked += len(family)
     return Verdict(True, checked)
 
 
@@ -755,7 +823,7 @@ def _preset_evac_agreement(n: int) -> list[PresetResult]:
             f"evac{k}", f"eta:1,{k}", name=f"evac_{k} = eta_1{k}"), families))
         out.append(_schema_result(RelationSchema(
             f"evac{k}", f"q{k - 1}", name=f"evac_{k} = q_{k - 1}"), families))
-    v = _check_pointwise(families, switching.evac_switch, jdt.evacuation_jdt)
+    v = _evac_routes(families)
     out.append(PresetResult("evac via switching = rectify after complement",
                             v.holds, v))
     skew = skew_families(n)

@@ -11,9 +11,10 @@ evacuation and reversal with the reversed weight.  dual_equivalent walks
 the standardizations of both tableaux, and the one-slide functions
 inner_slide and outer_slide standardize around their single slide.  The
 verification engine relies on the same identity to share one standard
-band reversal among all bands with the same standardization; switching
-evacuation does not commute with standardization on skew bands, so its
-bands are not shared.
+band reversal among all bands with the same standardization, and one
+standard evacuation among all members of a straight family with the
+same standardization; switching evacuation does not commute with
+standardization on skew bands, so its bands are not shared.
 
 rectify_map, evacuation_map and reversal_map compute on canonical cell ->
 entry maps; the public functions build one validated tableau from them.

@@ -69,6 +69,12 @@ class TestApply:
         assert code == 0
         assert "S5" in out and "S3" in out
 
+    @pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["plain", "trace"])
+    def test_out_of_range_t(self, capsys, trace):
+        """The range is checked before the switch chain of --trace."""
+        assert run(capsys, "apply", "--op", "t3", "--in", "1 2", "--n", "2", *trace) == \
+            (2, "", "error: generator t3 out of range for n=2\n")
+
     def test_trace_golden(self, capsys):
         """A switch chain for t1, then one tableau per other symbol."""
         assert run(capsys, "apply", "--trace", "--op", "q2 eta:1,3 t1",

@@ -140,6 +140,36 @@ class TestSchemas:
         with pytest.raises(WordError, match="300\\^4 index assignments"):
             schema.instantiations(300)
 
+    def test_instantiations_drawn_once_per_call(self, monkeypatch):
+        """All families of one call share the draw for their n."""
+        draws = []
+        instantiations = RelationSchema.instantiations
+
+        def counted(schema, n):
+            draws.append(n)
+            return instantiations(schema, n)
+
+        monkeypatch.setattr(RelationSchema, "instantiations", counted)
+        families = straight_families(3) + engine.skew_families(3) + straight_families(2)
+        for schema in engine.sbk_core_schemas():
+            draws.clear()
+            assert verify_relation_over(schema, families, exhaustive=True).holds
+            assert draws == [3, 2], schema.name
+
+    @pytest.mark.parametrize("exhaustive, outcome", [
+        (False, (False, 1)), (True, "modulo by zero")])
+    def test_draw_error_comes_after_earlier_checks(self, exhaustive, outcome):
+        """t1 = t2 fails at i=1 on the first member of (2) at n=3; the draw
+        for i=2 divides by zero, so only an exhaustive run reaches it."""
+        schema = RelationSchema.parse("t{i} = t{i % (2 - i) + 2}")
+        families = [enumerate_tableaux(ShiftedSkewShape((2,)), 3)] * 2
+        if exhaustive:
+            with pytest.raises(WordError, match=outcome):
+                verify_relation_over(schema, families, exhaustive)
+        else:
+            v = verify_relation_over(schema, families, exhaustive)
+            assert (v.holds, v.instances_checked) == outcome
+
 
 class TestCactusEvacRoute:
     """The route s_ij = evac_j evac_{j-i+1} evac_j on straight shapes."""
@@ -320,6 +350,26 @@ class TestFamilyTables:
         assert verify_cactus_action("eta", engine.skew_families(3, include_straight=True)).holds
         assert len(reversed_bands) == len(set(reversed_bands)) == len(set(standardized))
         assert len(reversed_bands) < len(standardized)
+
+    def test_evac_routes_build_no_tableau(self, monkeypatch):
+        """The routes line of evac-agreement fills its tables on cell maps,
+        and runs jdt's evacuation on standard maps only, once per
+        standardization: fewer times than there are members."""
+        families = straight_families(3)
+        built, evacuated = [], []
+        evacuate = jdt.evacuation_map
+
+        def counted(entries, outer, n):
+            assert sorted(entries.values()) == [Entry(v) for v in range(1, n + 1)]
+            evacuated.append(frozenset(entries.items()))
+            return evacuate(entries, outer, n)
+
+        monkeypatch.setattr(engine.ShiftedTableau, "__post_init__",
+                            lambda t: built.append(t))
+        monkeypatch.setattr(jdt, "evacuation_map", counted)
+        v = engine._evac_routes(families)
+        assert (v.holds, v.instances_checked, built) == (True, 236, [])
+        assert len(evacuated) == len(set(evacuated)) < 236
 
     def test_t_band_runs_once_per_band(self, monkeypatch):
         """t_i runs on its band {i, i+1} re-indexed to 1..2: in one

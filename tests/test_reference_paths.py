@@ -5,16 +5,19 @@ rectification, reversal and the band operators, over every straight and
 skew family of at most 6 cells with outer_1 <= 4 at n=4, and for the
 dual-equivalence walk over every pair of smaller families.  They also
 keep the row-order enumeration, with canonical form as a filter and a
-final sort, as the reference for the reading-order search, and the
-member-by-member loop with eval_word as the reference for the verdicts,
-counts and first failures of the permutation checks."""
+final sort, as the reference for the reading-order search; the
+member-by-member loops with eval_word and with the public evacuations
+as the reference for the verdicts, counts and first failures of the
+permutation checks; and the destandardization that tries every split of
+each letter as the reference for the one-pass split."""
 
+from collections import Counter
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
-from shifted_tableaux import engine
+from shifted_tableaux import engine, jdt, switching
 from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape,
                                    ShiftedTableau, TableauError, destandardize,
                                    destandardize_map, parse_tableau, reading_cells,
@@ -230,6 +233,51 @@ def row_order_enumeration(shape, n):
     return tuple(ShiftedTableau.from_map(f, n, shape) for _, f in kept)
 
 
+def letter_split_ok(cells_in_order, s):
+    prefix, suffix = cells_in_order[:s], cells_in_order[s:]
+    if any(a[0] >= b[0] for a, b in zip(prefix, prefix[1:])):
+        return False
+    if any(a[1] >= b[1] for a, b in zip(suffix, suffix[1:])):
+        return False
+    for p in prefix:
+        for u in suffix:
+            if p[0] == u[0] and p[1] > u[1]:
+                return False
+            if p[1] == u[1] and p[0] > u[0]:
+                return False
+    return True
+
+
+def try_every_split(std, wt):
+    """destandardize_map, trying every primed/unprimed split of each
+    letter's cells against every rule."""
+    if sum(wt) != len(std):
+        raise TableauError(f"weight {wt} does not sum to {len(std)} cells")
+    by_value = {v: c for c, v in std.items()}
+    entries = {}
+    offset = 0
+    for k, w in enumerate(wt, start=1):
+        group = [by_value[v] for v in range(offset + 1, offset + w + 1)]
+        offset += w
+        if not group:
+            continue
+        first_read = min(group, key=lambda rc: (-rc[0], rc[1]))
+        chosen = None
+        for s in range(len(group) + 1):
+            if first_read in group[:s] or not letter_split_ok(group, s):
+                continue
+            if chosen is not None:
+                raise InvalidTableauError(
+                    f"ambiguous destandardization for letter {k}", rule="destandardize")
+            chosen = s
+        if chosen is None:
+            raise InvalidTableauError(
+                f"no valid destandardization for letter {k}", rule="destandardize")
+        entries.update((c, Entry(k, True)) for c in group[:chosen])
+        entries.update((c, Entry(k)) for c in group[chosen:])
+    return entries
+
+
 # -- the operators against it ------------------------------------------------
 
 def test_family_size(members):
@@ -278,6 +326,67 @@ def test_reversal_commutes_with_standardization(members):
         values = {c: e.value for c, e in out.items()}
         assert reversal_map(t.entry_map, t.n) == \
             destandardize_map(values, weight(t)[::-1]), render_text(t)
+
+
+def compositions(size, parts):
+    """Every weight vector of the given length and sum."""
+    if parts == 1:
+        return [(size,)]
+    return [(a, *rest) for a in range(size + 1)
+            for rest in compositions(size - a, parts - 1)]
+
+
+def destandardized(std, wt):
+    """destandardize_map's result, or its error's type, rule and message."""
+    try:
+        return destandardize_map(std, wt)
+    except TableauError as exc:
+        return type(exc), getattr(exc, "rule", ""), str(exc)
+
+
+def test_destandardize_matches_every_split(members):
+    """Every standardization of a member, with its own weight and with
+    every other weight vector of length at most 4 and the same sum."""
+    seen, outcomes = set(), Counter()
+    for t in members:
+        std = standardize_map(t.entries)
+        assert destandardize_map(std, weight(t)) == t.entry_map, render_text(t)
+        key = frozenset(std.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        for n in range(1, N + 1):
+            for wt in compositions(len(std), n):
+                got = destandardized(std, wt)
+                try:
+                    assert got == try_every_split(std, wt), (render_text(t), wt)
+                    outcomes["ok"] += 1
+                except TableauError as exc:
+                    assert got == (type(exc), exc.rule, str(exc)), (render_text(t), wt)
+                    outcomes[str(exc).split(" for ")[0]] += 1
+    assert outcomes == {"ok": 7265, "no valid destandardization": 6814}
+
+
+def test_destandardize_matches_every_split_off_shapes():
+    """Every placement of the values 1..3 on 3 of the cells (r, c) with
+    r <= 3 and r <= c <= r+2, most of them no shape's standard filling,
+    with every weight vector of length at most 3."""
+    region = [(r, c) for r in range(1, 4) for c in range(r, r + 3)]
+    outcomes = Counter()
+    for cells in combinations(region, 3):
+        for values in permutations(range(1, 4)):
+            std = dict(zip(cells, values))
+            for n in range(1, 4):
+                for wt in compositions(3, n):
+                    try:
+                        want = try_every_split(std, wt)
+                        outcomes["ok"] += 1
+                    except TableauError as exc:
+                        want = type(exc), exc.rule, str(exc)
+                        outcomes[str(exc).split(" for ")[0]] += 1
+                    assert destandardized(std, wt) == want, (std, wt)
+    assert outcomes == {"ok": 1788, "no valid destandardization": 4328,
+                        "ambiguous destandardization": 1444}
 
 
 def test_dual_equivalent_matches_slide_by_slide():
@@ -401,6 +510,46 @@ def test_later_check_failing_at_earlier_member_comes_first(exhaustive):
     assert want[:3] == (False, 34 if exhaustive else 4, "sigma1 = t1 fails")
     assert want[3].tableau == family.members[1]
     assert fields(engine._check(family, checks, {}, exhaustive)) == want
+
+
+def route_outcome(check):
+    """(holds, instances_checked, counterexample) of a check, or the type
+    and message of the error it raises."""
+    try:
+        verdict = check()
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
+    return verdict.holds, verdict.instances_checked, verdict.counterexample
+
+
+def swapped_evacuations(first, second):
+    """A standard evacuation with the results of two standard tableaux
+    of one shape exchanged."""
+    evacuate = jdt._evacuate_standard
+    a, b = (standardize_map(parse_tableau(text).entries) for text in (first, second))
+
+    def wrong(std, outer):
+        return evacuate(dict(b) if std == a else dict(a) if std == b else std, outer)
+    return wrong
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("wrong, verdict", [
+    (None, True),
+    (lambda: swapped_evacuations("1 2 3 7 / 4 5 / 6", "1 2 3 5 / 4 6 / 7"), False),
+    (lambda: lambda std, outer: (dict(std), outer), InvalidTableauError),
+], ids=["jdt", "swapped", "identity"])
+def test_evac_routes_match_member_loop(monkeypatch, n, wrong, verdict):
+    """The routes line of evac-agreement on tables against the member loop
+    with evac_switch and evacuation_jdt, also with a wrong standard
+    evacuation: two exchanged results give a counterexample, the identity
+    a destandardization error, at the same member on both paths."""
+    if wrong is not None:
+        monkeypatch.setattr(jdt, "_evacuate_standard", wrong())
+    want = route_outcome(lambda: engine._check_pointwise(
+        straight_families(n), switching.evac_switch, jdt.evacuation_jdt))
+    assert want[0] is verdict
+    assert route_outcome(lambda: engine._evac_routes(straight_families(n))) == want
 
 
 # -- validation messages -----------------------------------------------------
