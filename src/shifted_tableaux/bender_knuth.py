@@ -14,22 +14,6 @@ from .core import Cell, Entry, ShiftedTableau, TableauError, canonical_map
 from .switching import Band, TraceStep, _run
 
 
-def theta(e: Entry, i: int) -> Entry:
-    """The transposition of i and i+1 extended to primed letters."""
-    if e.value == i:
-        return Entry(i + 1, e.primed)
-    if e.value == i + 1:
-        return Entry(i, e.primed)
-    return e
-
-
-def theta_interval(e: Entry, i: int, j: int) -> Entry:
-    """The longest permutation of the interval [i, j], on primed letters."""
-    if i <= e.value <= j:
-        return Entry(i + j - e.value, e.primed)
-    return e
-
-
 def bk_map(entries: Mapping[Cell, Entry], i: int,
            steps: list[TraceStep] | None = None) -> dict[Cell, Entry]:
     """t_i on a canonical cell -> entry map; each switch appends a
@@ -54,7 +38,8 @@ def bk_map(entries: Mapping[Cell, Entry], i: int,
             steps.append(TraceStep(rule, tuple(sorted(moving.items())), fixed))
 
     _run(a, b, on_step)
-    # after the switch the a-cells hold i and the b-cells i+1; theta swaps them
+    # after the switch the a-cells hold i and the b-cells i+1; the
+    # transposition of i and i+1 swaps them
     rest.update((c, Entry(i + 1, p)) for c, p in a.items())
     rest.update((c, Entry(i, p)) for c, p in b.items())
     return canonical_map(rest)

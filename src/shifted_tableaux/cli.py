@@ -17,8 +17,8 @@ import time
 from typing import Any
 
 from . import engine, jdt, switching
-from .core import (ShiftedSkewShape, ShiftedTableau, TableauError, parse_tableau,
-                   render_text, to_json)
+from .core import (ShiftedSkewShape, ShiftedTableau, TableauError, from_json,
+                   parse_tableau, render_text, to_json)
 from .enumeration import enumerate_tableaux
 
 EXIT_OK = 0
@@ -29,12 +29,12 @@ def _read_tableau(path: str, n: int | None) -> ShiftedTableau:
     if path == "-":
         text = sys.stdin.read()
     elif os.path.exists(path):
-        text = open(path).read()
+        with open(path) as fh:
+            text = fh.read()
     else:
         text = path  # literal tableau text
 
     if text.lstrip().startswith("{"):
-        from .core import from_json
         return from_json(text)
     return parse_tableau(text, n)
 

@@ -4,13 +4,19 @@ Coordinates are 1-based (row, column); row r of a shifted shape occupies
 columns r .. r + outer_r - 1, with the first inner_r of them removed for
 skew shapes.  All public constructors validate and enforce canonical form
 (the first occurrence of each letter in the reading word is unprimed).
+
+band_keys is the one band split of the library: it runs a map-level core
+on the letters i..j of a filling given by order keys, re-indexed to the
+alphabet 1..j-i+1, and puts the keys of the result back beside the other
+letters.  act_on_band runs the operators on one tableau through it, and
+the verification engine its family tables.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, partial, total_ordering
+from functools import cached_property, total_ordering
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Cell = tuple[int, int]
@@ -54,9 +60,6 @@ class Entry:
 
     def unprime(self) -> "Entry":
         return Entry(self.value)
-
-    def prime(self) -> "Entry":
-        return Entry(self.value, True)
 
     def shift(self, offset: int) -> "Entry":
         return Entry(self.value + offset, self.primed)
@@ -307,13 +310,6 @@ class ShiftedTableau:
     def size(self) -> int:
         return len(self.entries)
 
-    @cached_property
-    def rows(self) -> list[list[Entry]]:
-        out = []
-        for r in range(1, len(self.shape.outer) + 1):
-            out.append([self.entry_map[c] for c in self.shape.row_cells(r)])
-        return out
-
     def __str__(self) -> str:
         return render_text(self)
 
@@ -481,15 +477,15 @@ MapOperator = Callable[[Mapping[Cell, Entry], int], Mapping[Cell, Entry]]
 
 
 def band_keys(cells: Sequence[Cell], key: tuple[int, ...], i: int, j: int,
-              op: Callable[[tuple, int], Sequence[int] | None],
+              core: Callable[..., Mapping[Cell, Entry]], *args,
               results: dict | None = None) -> tuple[int, ...] | None:
-    """The band split every band generator runs through: op(band, j-i+1)
-    on the letters i..j of the filling with order key key[s] in cells[s],
-    the band given as its (cell, order key) items re-indexed to the
-    alphabet 1..j-i+1, and op's keys for those cells put back beside the
-    other letters.  key itself when no letter lies in the band, None when
-    op returns None.  With results, op runs once per distinct band:
-    results maps each band to op's keys."""
+    """The band split every band generator runs through: the map-level
+    core(band, j-i+1, *args) on the letters i..j of the filling with order
+    key key[s] in cells[s], the band re-indexed to the alphabet 1..j-i+1,
+    and the order keys of its result put back beside the other letters.
+    key itself when no letter lies in the band, None when the result is
+    on other cells.  With results, core runs once per distinct band:
+    results maps the band's (cell, order key) items to the result's keys."""
     shift, top = 2 * (i - 1), 2 * j
     slots = [s for s, k in enumerate(key) if shift < k <= top]
     if not slots:
@@ -497,9 +493,11 @@ def band_keys(cells: Sequence[Cell], key: tuple[int, ...], i: int, j: int,
     band = tuple([(cells[s], key[s] - shift) for s in slots])
     done = None if results is None else results.get(band)
     if done is None:
-        done = op(band, j - i + 1)
-        if done is None:
+        local = {c: Entry((k + 1) // 2, k % 2 == 1) for c, k in band}
+        result = core(local, j - i + 1, *args)
+        if result.keys() != local.keys():
             return None
+        done = tuple(2 * e.value - e.primed for e in map(result.get, local))
         if results is not None:
             results[band] = done
     out = list(key)
@@ -508,24 +506,12 @@ def band_keys(cells: Sequence[Cell], key: tuple[int, ...], i: int, j: int,
     return tuple(out)
 
 
-def run_on_keys(op: Callable[..., Mapping[Cell, Entry] | None], band: tuple, n: int,
-                *args) -> tuple[int, ...] | None:
-    """op(band map, n, *args) on a band of (cell, order key) items: the
-    result's keys in the band's order; None if op returns None or a map
-    on other cells."""
-    local = {c: Entry((k + 1) // 2, k % 2 == 1) for c, k in band}
-    result = op(local, n, *args)
-    if result is None or result.keys() != local.keys():
-        return None
-    return tuple(2 * e.value - e.primed for e in map(result.get, local))
-
-
 def act_on_band(t: ShiftedTableau, i: int, j: int, op: MapOperator) -> ShiftedTableau:
     """Apply a map-level operator to the letters i..j of t, re-indexed to
     the alphabet 1..j-i+1, and put the result back beside the other
     letters, through band_keys; t itself when no letter lies in the band."""
     cells, key = [c for c, _ in t.entries], t.key
-    out = band_keys(cells, key, i, j, partial(run_on_keys, op))
+    out = band_keys(cells, key, i, j, op)
     if out is None:
         raise RuntimeError(f"operator on the letters {i}..{j} changed their cells")
     if out is key:

@@ -14,20 +14,22 @@ cell set, so on ShST(shape, n) it permutes the member positions.  Each
 generator's table is computed whole the first time it is used and kept
 on the family; a word's permutation composes the tables of its symbols,
 and a relation compares the permutations of its two sides.  t_i, eta,
-sigma and the evac variants run their core on their letter band alone,
-through core.band_keys on order keys (the band split the operators on
-one tableau share), and their result is looked up by key among the
-members, which are exactly the valid canonical fillings.  Within one
-verification call each band result is computed once, and the band
-reversals of eta and sigma once per standardization of the band; p, q
-and q_{i,j} compose the t_i tables.  Switching evacuation is never
-standardized: it runs on semistandard bands.
+sigma and the evac variants run their map-level core on their letter
+band alone, through core.band_keys on order keys (the band split the
+operators on one tableau share), and their result is looked up by key
+among the members, which are exactly the valid canonical fillings.
+Within one verification call each band result is computed once, except
+on the whole alphabet 1..n, whose band is the whole member; p, q and
+q_{i,j} compose the t_i tables.  The cores of eta and sigma are
+jdt.reversal_map itself, given the call's memo, so that jdt runs one
+standard reversal per standardization of a band; switching evacuation
+is never standardized: it runs on semistandard bands.
 
 The evacuation-routes line of evac-agreement runs on tables too: the
-evac_n table (switching) against a table of jdt's evacuations, which run
-once per standardization of a member and are destandardized with each
-member's reversed weight.  Only the skew Knuth-equivalence witness of
-non-relations still compares tableaux member by member.
+evac_n table (switching) against a table of jdt.evacuation_map results,
+one standard evacuation per standardization of a member.  Only the skew
+Knuth-equivalence witness of non-relations still compares tableaux
+member by member.
 """
 
 from __future__ import annotations
@@ -42,9 +44,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import bender_knuth, jdt, switching
-from .core import (Cell, Entry, InvalidTableauError, ShiftedSkewShape, ShiftedTableau,
-                   band_keys, destandardize_map, pair_of_cells, run_on_keys,
-                   standardize_map, weight_map)
+from .core import Cell, Entry, ShiftedSkewShape, ShiftedTableau, band_keys
 from .enumeration import TableauFamily, enumerate_tableaux, skew_shapes, straight_shapes
 
 
@@ -53,8 +53,8 @@ class WordError(ValueError):
 
 
 # The band results of one verification call: (core, band alphabet size)
-# -> {re-indexed band items: result order keys}, and (_band_reversal or
-# _evacuation, standardized band items) -> standard values of the result
+# -> {re-indexed band items: result order keys}, and jdt's (standard core,
+# standardized band items) -> standard values of the result
 _Memo = dict[tuple, dict | tuple[int, ...]]
 
 
@@ -64,43 +64,6 @@ def _band_bk(local: dict[Cell, Entry], n: int, memo: _Memo) -> Mapping[Cell, Ent
 
 def _band_evac(local: dict[Cell, Entry], n: int, memo: _Memo) -> Mapping[Cell, Entry]:
     return switching.evac_map(local, n)
-
-
-def _on_standard(core: Callable, run: Callable[[dict[Cell, Entry], int], Mapping],
-                 local: dict[Cell, Entry], n: int, memo: _Memo) -> dict[Cell, Entry] | None:
-    """run, a jdt operator that commutes with standardization and reverses
-    the weight, on the map local over the alphabet 1..n: run on the
-    standardization of local, once per standardization in memo under
-    core, and destandardized with the reversed weight of local.  None if
-    the standard result is not a standard filling of its cells or does
-    not destandardize."""
-    std = standardize_map(local.items())
-    std_key = (core, tuple(std.items()))
-    values = memo.get(std_key)
-    if values is None:
-        out = run({c: Entry(v) for c, v in std.items()}, len(std))
-        if out.keys() != std.keys() \
-                or sorted(out.values()) != [Entry(v) for v in range(1, len(std) + 1)]:
-            return None
-        values = memo[std_key] = tuple(out[c].value for c in std)
-    try:
-        return destandardize_map(dict(zip(std, values)), weight_map(local, n)[::-1])
-    except InvalidTableauError:
-        return None
-
-
-def _band_reversal(local: dict[Cell, Entry], n: int, memo: _Memo
-                   ) -> dict[Cell, Entry] | None:
-    """jdt.reversal_map on the band map local, once per standardization."""
-    return _on_standard(_band_reversal, jdt.reversal_map, local, n, memo)
-
-
-def _evacuation(local: dict[Cell, Entry], n: int, memo: _Memo
-                ) -> dict[Cell, Entry] | None:
-    """jdt.evacuation_map on the nonempty map local of a straight shape,
-    once per standardization."""
-    return _on_standard(_evacuation, lambda std, size: jdt.evacuation_map(
-        std, pair_of_cells(std)[0], size)[0], local, n, memo)
 
 
 @dataclass(frozen=True)
@@ -116,13 +79,17 @@ class _Kind:
     valid: Callable[..., bool]
     act: Callable[..., ShiftedTableau]
     band: Callable[..., tuple[int, int]] | None = None
-    core: Callable[[dict, int, _Memo], Mapping | None] | None = None
+    core: Callable[[dict, int, _Memo], Mapping] | None = None
     factors: Callable[..., tuple[int, ...]] | None = None
     straight: bool = False
 
 
-# Each operator on one tableau is looked up on its module at call time, so
-# that a patched module function is the one that runs.
+# Each operator on one tableau, and the bk_map and evac_map cores, are
+# looked up on their module at call time, so that a patched module
+# function is the one that runs.  The core of eta and sigma is
+# jdt.reversal_map itself, which band_keys hands the call's memo; jdt
+# looks its standard core up at call time.  Kinds with the same core
+# share band results.
 _KINDS = {
     "t": _Kind("t", 1, lambda n, i: 1 <= i <= n - 1, lambda t, i: bender_knuth.bk(t, i),
                lambda i: (i, i + 1), _band_bk),
@@ -143,9 +110,9 @@ _KINDS = {
                      lambda t, i, j: switching.evac_interval_skew(t, i, j),
                      lambda i, j: (i, j), _band_evac),
     "eta": _Kind("eta", 2, lambda n, i, j: 1 <= i < j <= n, lambda t, i, j: jdt.eta(t, i, j),
-                 lambda i, j: (i, j), _band_reversal),
+                 lambda i, j: (i, j), jdt.reversal_map),
     "sigma": _Kind("sigma", 1, lambda n, i: 1 <= i <= n - 1, lambda t, i: jdt.sigma(t, i),
-                   lambda i: (i, i + 1), _band_reversal),
+                   lambda i: (i, i + 1), jdt.reversal_map),
 }
 
 
@@ -303,14 +270,16 @@ def _table(family: TableauFamily, sym: GeneratorSymbol, memo: _Memo) -> array:
 
 def _images(family: TableauFamily, lo: int, hi: int, core: Callable, memo: _Memo
             ) -> Iterator[int | None]:
-    """The position of each member's image under core run on its letters
-    lo..hi through band_keys, in member order; None where the image is
-    not a member."""
-    results = memo.setdefault((core, hi - lo + 1), {})
-    op = lambda band, size: run_on_keys(core, band, size, memo)  # noqa: E731
+    """The position of each member's image under core(band, size, memo)
+    run on its letters lo..hi through band_keys, in member order; None
+    where the image is not a member.  The band results are kept in memo,
+    except those of the whole alphabet 1..n: that band is the whole
+    member, and no member recurs within one call."""
+    results = None if (lo, hi) == (1, family.n) \
+        else memo.setdefault((core, hi - lo + 1), {})
     cells, positions = sorted(family.shape.cells), family.positions
     for key in positions:
-        yield positions.get(band_keys(cells, key, lo, hi, op, results))
+        yield positions.get(band_keys(cells, key, lo, hi, core, memo, results=results))
 
 
 def _compose(family: TableauFamily, syms: Iterable[GeneratorSymbol], memo: _Memo
@@ -752,18 +721,18 @@ def _check_pointwise(families: Iterable[TableauFamily],
 
 def _evac_routes(families: Iterable[TableauFamily]) -> Verdict:
     """Switching evacuation against rectification after the complement
-    on straight families: the evac_n table against a table of the jdt
-    evacuations, computed once per standardization, member by member up
-    to the first failure.  A jdt result that is not a member fails its
-    member.  The counterexample is rebuilt with evac_switch and
-    evacuation_jdt."""
+    on straight families: the evac_n table against a table of
+    jdt.evacuation_map results, one standard evacuation per
+    standardization, member by member up to the first failure.  A jdt
+    result that is not a member fails its member.  The counterexample is
+    rebuilt with evac_switch and evacuation_jdt."""
     memo: _Memo = {}
     checked = 0
     for family in families:
         if not family.members:  # at n=0, where evac_n is out of range
             continue
         left = _table(family, GeneratorSymbol("evac", family.n), memo)
-        right = _images(family, 1, family.n, _evacuation, memo)
+        right = _images(family, 1, family.n, jdt.evacuation_map, memo)
         x = next((x for x, y in enumerate(right) if y != left[x]), None)
         if x is not None:
             t = family.members[x]

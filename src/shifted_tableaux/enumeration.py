@@ -126,8 +126,7 @@ def skew_shapes(max_cells: int, max_part: int | None = None,
         if prefix:
             outers.append(prefix)
         for p in range(bound, 0, -1):
-            if sum(prefix) + p <= cap * (cap + 1) // 2:
-                extend(prefix + (p,), p - 1)
+            extend(prefix + (p,), p - 1)
 
     extend((), cap)
     seen: set[frozenset[Cell]] = set()
@@ -136,10 +135,7 @@ def skew_shapes(max_cells: int, max_part: int | None = None,
         for inner in _subpartitions(outer):
             if not include_straight and not inner:
                 continue
-            try:
-                shape = ShiftedSkewShape(outer, inner)
-            except Exception:
-                continue
+            shape = ShiftedSkewShape(outer, inner)
             if not 0 < shape.size <= max_cells:
                 continue
             if shape.cells in seen:

@@ -4,16 +4,18 @@ and the restricted Schuetzenberger involutions.
 Slides are implemented directly for standard fillings (plain inner/outer
 moves of a cell -> value map on the shifted diagram).  Standardization
 commutes with shifted jeu de taquin (Worley 1984), and so with
-everything built from its slides.  So rectify, evacuation_jdt, reversal
-and the band reversal of eta each standardize once, run integer code
-only (_rectify_standard and _evacuate_standard), and destandardize once,
-evacuation and reversal with the reversed weight.  dual_equivalent walks
-the standardizations of both tableaux, and the one-slide functions
-inner_slide and outer_slide standardize around their single slide.  The
-verification engine relies on the same identity to share one standard
-band reversal among all bands with the same standardization, and one
-standard evacuation among all members of a straight family with the
-same standardization; switching evacuation does not commute with
+everything built from its slides.  So rectify standardizes once, runs
+integer code only (_rectify_standard) and destandardizes once;
+dual_equivalent walks the standardizations of both tableaux, and the
+one-slide functions inner_slide and outer_slide standardize around their
+single slide.  Reversal and evacuation are standard-map cores
+(_reverse_standard, _evacuate_standard) run by one helper,
+_via_standard, which standardizes, runs the core and destandardizes
+with the reversed weight; given a memo, it runs the core once per
+standardization.  The verification engine passes its per-call memo to
+reversal_map and evacuation_map, so all bands (of eta and sigma) or
+members (of the evacuation routes) with the same standardization share
+one standard result; switching evacuation does not commute with
 standardization on skew bands, so its bands are not shared.
 
 rectify_map, evacuation_map and reversal_map compute on canonical cell ->
@@ -23,7 +25,7 @@ entry maps; the public functions build one validated tableau from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .core import (CapacityError, Cell, Entry, ShiftedSkewShape, ShiftedTableau,
                    StrictPartition, TableauError, act_on_band, canonical_map,
@@ -133,17 +135,52 @@ def _rectify_standard(std: dict[Cell, int], outer: tuple[int, ...],
     return outer
 
 
-def _evacuate_standard(std: Mapping[Cell, int], outer: tuple[int, ...]
-                       ) -> tuple[dict[Cell, int], tuple[int, ...]]:
-    """Evacuation of the nonempty standard map std of the straight shape
-    outer: the complement in the staircase of width outer[0] (each cell
+def _evacuate_standard(std: Mapping[Cell, int]) -> dict[Cell, int]:
+    """Evacuation of the nonempty standard map std of a straight shape:
+    the complement in the staircase of width outer[0] (each cell
     reflected in the anti-diagonal, each value v sent to N+1-v),
-    rectified; returns the map and its outer partition."""
+    rectified."""
+    outer = pair_of_cells(std)[0]
     w, top = outer[0], len(std) + 1
     comp = {(w + 1 - c, w + 1 - r): top - v for (r, c), v in std.items()}
-    comp_outer = _rectify_standard(comp, tuple(range(w, 0, -1)),
-                                   StrictPartition(outer).complement(w).parts)
-    return comp, comp_outer
+    _rectify_standard(comp, tuple(range(w, 0, -1)),
+                      StrictPartition(outer).complement(w).parts)
+    return comp
+
+
+def _reverse_standard(std: dict[Cell, int]) -> dict[Cell, int]:
+    """Reversal of the nonempty standard map std: rectify it in place,
+    evacuate, then replay the recorded slides outward in reverse."""
+    record: list[tuple[Cell, Cell]] = []
+    _rectify_standard(std, *pair_of_cells(std), record=record)
+    std = _evacuate_standard(std)
+    for _, exit_cell in reversed(record):
+        _slide_standard(std, exit_cell, outer=True)
+    return std
+
+
+def _via_standard(core: Callable[[dict[Cell, int]], dict[Cell, int]],
+                  entries: Mapping[Cell, Entry], n: int, memo: dict | None
+                  ) -> dict[Cell, Entry]:
+    """core, a standard-map operator that commutes with standardization
+    and reverses the weight, on the canonical map entries over 1..n: run
+    on the standardization of entries, and destandardized with the
+    reversed weight of entries.  With memo, core runs once per
+    standardization: memo maps (core, standardized items) to the standard
+    values of the result."""
+    if not entries:
+        return {}
+    std = standardize_map(entries.items())
+    memo_key = (core, tuple(std.items()))
+    values = None if memo is None else memo.get(memo_key)
+    if values is None:
+        out = core(dict(std))
+        if out.keys() != std.keys() or sorted(out.values()) != list(range(1, len(std) + 1)):
+            raise RuntimeError("a standard result is not a standard filling of its cells")
+        values = tuple(map(out.get, std))
+        if memo is not None:
+            memo[memo_key] = values
+    return destandardize_map(dict(zip(std, values)), weight_map(entries, n)[::-1])
 
 
 def rectify_map(entries: Mapping[Cell, Entry], outer: tuple[int, ...],
@@ -243,39 +280,29 @@ def complement(t: ShiftedTableau, n: int | None = None,
     return ShiftedTableau.from_map(canonical_map(reflected), n, shape)
 
 
-def evacuation_map(entries: Mapping[Cell, Entry], outer: tuple[int, ...], n: int
-                   ) -> tuple[Mapping[Cell, Entry], tuple[int, ...]]:
-    """evacuation_jdt on the nonempty cell -> entry map of the straight
-    shape outer: the evacuated map and its outer partition."""
-    std, outer = _evacuate_standard(standardize_map(entries.items()), outer)
-    return destandardize_map(std, weight_map(entries, n)[::-1]), outer
+def evacuation_map(entries: Mapping[Cell, Entry], n: int, memo: dict | None = None
+                   ) -> dict[Cell, Entry]:
+    """evacuation_jdt on the cell -> entry map of a straight shape over
+    the alphabet 1..n.  Given a memo dict, which a caller keeps across
+    calls, the standard evacuation runs once per standardization."""
+    return _via_standard(_evacuate_standard, entries, n, memo)
 
 
 def evacuation_jdt(t: ShiftedTableau) -> ShiftedTableau:
     """evac(T) = rect(c_n(T)) on straight shapes."""
     if not t.shape.straight:
         raise TableauError("evacuation is defined on straight shapes; use reversal")
-    if t.size == 0:
-        return ShiftedTableau(ShiftedSkewShape(), (), t.n)
-    out, outer = evacuation_map(t.entry_map, t.shape.outer, t.n)
-    return ShiftedTableau.from_map(out, t.n, ShiftedSkewShape(outer))
+    return ShiftedTableau.from_map(evacuation_map(t.entry_map, t.n), t.n, t.shape)
 
 
-def reversal_map(entries: Mapping[Cell, Entry], n: int) -> Mapping[Cell, Entry]:
+def reversal_map(entries: Mapping[Cell, Entry], n: int, memo: dict | None = None
+                 ) -> dict[Cell, Entry]:
     """reversal on a canonical cell -> entry map over the alphabet 1..n:
     rectify, evacuate, then replay the recorded slides outward in
-    reverse, all on one standardization of entries."""
-    if not entries:
-        return {}
-    record: list[tuple[Cell, Cell]] = []
-    std = standardize_map(entries.items())
-    outer = _rectify_standard(std, *pair_of_cells(entries), record=record)
-    std, _ = _evacuate_standard(std, outer)
-    for _, exit_cell in reversed(record):
-        _slide_standard(std, exit_cell, outer=True)
-    if std.keys() != entries.keys():
-        raise RuntimeError("reversal did not restore the original shape")
-    return destandardize_map(std, weight_map(entries, n)[::-1])
+    reverse, all on one standardization of entries.  Given a memo dict,
+    which a caller keeps across calls, the standard reversal runs once
+    per standardization."""
+    return _via_standard(_reverse_standard, entries, n, memo)
 
 
 def reversal(t: ShiftedTableau) -> ShiftedTableau:

@@ -36,9 +36,6 @@ class PerforatedFilling:
     def cell_map(self) -> dict[Cell, bool]:
         return dict(self.cells)
 
-    def entries(self) -> dict[Cell, Entry]:
-        return {c: Entry(self.letter, p) for c, p in self.cells}
-
 
 @dataclass(frozen=True)
 class PerforatedPair:

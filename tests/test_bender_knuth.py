@@ -4,9 +4,7 @@ import pytest
 
 from shifted_tableaux.core import TableauError, parse_tableau, render_text, weight
 from shifted_tableaux.enumeration import enumerate_tableaux, skew_shapes
-from shifted_tableaux.bender_knuth import (bk, bk_trace, promotion, q,
-                                           q_interval, theta, theta_interval)
-from shifted_tableaux.core import Entry
+from shifted_tableaux.bender_knuth import bk, bk_trace, promotion, q, q_interval
 
 
 def rt(t):
@@ -16,18 +14,6 @@ def rt(t):
 def sample(max_cells=5, n=3):
     for shape in skew_shapes(max_cells, 3, include_straight=True):
         yield from enumerate_tableaux(shape, n)
-
-
-class TestTheta:
-    def test_swaps_adjacent_letters(self):
-        assert theta(Entry(2, False), 2) == Entry(3, False)
-        assert theta(Entry(3, True), 2) == Entry(2, True)
-        assert theta(Entry(1, False), 2) == Entry(1, False)
-
-    def test_interval_reverses(self):
-        assert theta_interval(Entry(1, False), 1, 3) == Entry(3, False)
-        assert theta_interval(Entry(2, True), 1, 3) == Entry(2, True)
-        assert theta_interval(Entry(4, False), 1, 3) == Entry(4, False)
 
 
 class TestGolden:

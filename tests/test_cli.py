@@ -1,9 +1,11 @@
 """Command line interface: subcommands, formats, and exit codes."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -105,6 +107,17 @@ q2:
         code, _, err = run(capsys, "apply", "--op", "zap",
                            "--in", "1 2", "--n", "2")
         assert code == 2 and "error" in err
+
+    def test_input_file_is_closed(self, capsys, tmp_path):
+        """--in FILE reads the tableau and closes the file."""
+        path = tmp_path / "t.txt"
+        path.write_text("1 2\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run(capsys, "apply", "--op", "t1", "--in", str(path), "--n", "2")
+            gc.collect()
+        assert result == (0, "1 2\n", "")
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestSwitch:

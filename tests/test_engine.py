@@ -5,7 +5,8 @@ import itertools
 import pytest
 
 from shifted_tableaux import bender_knuth, engine, jdt, switching
-from shifted_tableaux.core import Entry, ShiftedSkewShape, parse_tableau, render_text
+from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape, parse_tableau,
+                                   render_text)
 from shifted_tableaux.enumeration import enumerate_tableaux
 from shifted_tableaux.engine import (MAX_ASSIGNMENTS, MAX_WORD_LENGTH,
                                      GeneratorSymbol,
@@ -21,6 +22,13 @@ from shifted_tableaux.jdt import eta
 
 def rt(t):
     return render_text(t).replace("\n", " / ")
+
+
+def error_of(run):
+    """The type and message of the error run raises."""
+    with pytest.raises(Exception) as info:
+        run()
+    return type(info.value), str(info.value)
 
 
 class TestWords:
@@ -300,7 +308,6 @@ class TestFamilyTables:
 
     @pytest.mark.parametrize("module, name, word", [
         (bender_knuth, "bk_map", "t1"),
-        (jdt, "reversal_map", "sigma1"),
         (switching, "evac_map", "evacs:1,2"),
     ])
     @pytest.mark.parametrize("cells", [[(1, 1)], [(1, 1), (1, 2), (1, 3)],
@@ -316,57 +323,64 @@ class TestFamilyTables:
             word_permutation(fam, parse_word(word))
 
     @pytest.mark.parametrize("fake", [
-        lambda entries: {c: Entry(1) for c in entries},
-        lambda entries: dict(zip(entries, reversed(list(entries.values())))),
-    ], ids=["not-standard", "no-destandardization"])
-    def test_bad_standard_band_reversal_is_integrity_error(self, monkeypatch, fake):
-        # the first member, 1 1, standardizes to 1 2; 2 1 has no
-        # destandardization of weight (0, 2)
+        *(lambda std, cells=cells: dict(zip(cells, range(1, len(cells) + 1)))
+          for cells in ([(1, 1)], [(1, 1), (1, 2), (1, 3)], [(1, 1), (2, 2)])),
+        lambda std: {c: 1 for c in std},
+        lambda std: dict(zip(std, reversed(list(std.values())))),
+    ], ids=["fewer-cells", "more-cells", "other-cells", "not-standard",
+            "no-destandardization"])
+    def test_bad_standard_reversal_is_member_loop_error(self, monkeypatch, fake):
+        """A standard reversal on other cells than the member's, not a
+        standard filling, or without a destandardization is an error, the
+        one the member loop raises at its first member: 1 1 standardizes
+        to 1 2, and 2 1 has no destandardization of weight (0, 2)."""
         fam = enumerate_tableaux(ShiftedSkewShape((2,), ()), 2)
-        monkeypatch.setattr(jdt, "reversal_map", lambda entries, n: fake(entries))
-        with pytest.raises(RuntimeError, match="out of its family"):
-            word_permutation(fam, parse_word("sigma1"))
+        monkeypatch.setattr(jdt, "_reverse_standard", fake)
+        word = parse_word("sigma1")
+        want = error_of(lambda: [eval_word(word, t) for t in fam])
+        assert want[0] is (InvalidTableauError if "destandardization" in want[1]
+                           else RuntimeError)
+        assert error_of(lambda: word_permutation(fam, word)) == want
 
     def test_band_reversal_runs_once_per_standardization(self, monkeypatch):
         """eta shares band reversals across weights: in one cactus check
-        at n=3, jdt.reversal_map runs on standard bands only, once per
-        distinct standardized band, and fewer times than bands are
-        standardized."""
-        reverse, standardize = jdt.reversal_map, engine.standardize_map
+        at n=3, jdt's standard reversal runs once per distinct
+        standardized band, and fewer times than bands are standardized."""
+        reverse, standardize = jdt._reverse_standard, jdt.standardize_map
         reversed_bands, standardized = [], []
 
-        def counted_reversal(entries, n):
-            assert sorted(entries.values()) == [Entry(v) for v in range(1, n + 1)]
-            reversed_bands.append(frozenset((c, e.value) for c, e in entries.items()))
-            return reverse(entries, n)
+        def counted_reversal(std):
+            assert sorted(std.values()) == list(range(1, len(std) + 1))
+            reversed_bands.append(frozenset(std.items()))
+            return reverse(std)
 
         def counted_standardize(items):
             std = standardize(items)
             standardized.append(frozenset(std.items()))
             return std
 
-        monkeypatch.setattr(jdt, "reversal_map", counted_reversal)
-        monkeypatch.setattr(engine, "standardize_map", counted_standardize)
+        monkeypatch.setattr(jdt, "_reverse_standard", counted_reversal)
+        monkeypatch.setattr(jdt, "standardize_map", counted_standardize)
         assert verify_cactus_action("eta", engine.skew_families(3, include_straight=True)).holds
         assert len(reversed_bands) == len(set(reversed_bands)) == len(set(standardized))
         assert len(reversed_bands) < len(standardized)
 
     def test_evac_routes_build_no_tableau(self, monkeypatch):
         """The routes line of evac-agreement fills its tables on cell maps,
-        and runs jdt's evacuation on standard maps only, once per
-        standardization: fewer times than there are members."""
+        and runs jdt's standard evacuation once per standardization:
+        fewer times than there are members."""
         families = straight_families(3)
         built, evacuated = [], []
-        evacuate = jdt.evacuation_map
+        evacuate = jdt._evacuate_standard
 
-        def counted(entries, outer, n):
-            assert sorted(entries.values()) == [Entry(v) for v in range(1, n + 1)]
-            evacuated.append(frozenset(entries.items()))
-            return evacuate(entries, outer, n)
+        def counted(std):
+            assert sorted(std.values()) == list(range(1, len(std) + 1))
+            evacuated.append(frozenset(std.items()))
+            return evacuate(std)
 
         monkeypatch.setattr(engine.ShiftedTableau, "__post_init__",
                             lambda t: built.append(t))
-        monkeypatch.setattr(jdt, "evacuation_map", counted)
+        monkeypatch.setattr(jdt, "_evacuate_standard", counted)
         v = engine._evac_routes(families)
         assert (v.holds, v.instances_checked, built) == (True, 236, [])
         assert len(evacuated) == len(set(evacuated)) < 236

@@ -7,14 +7,17 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape,
-                                   canonicalize, weight)
+                                   canonicalize, standardize_map, weight)
 from shifted_tableaux.bender_knuth import bk, bk_trace
 from shifted_tableaux.engine import GeneratorSymbol, apply_symbol
-from shifted_tableaux.jdt import eta, rectify, reversal
+from shifted_tableaux.jdt import eta, evacuation_map, rectify, reversal, reversal_map
 from shifted_tableaux.switching import PerforatedFilling, switch_pair
 
 MAX_CELLS = 10
 MAX_N = 5
+
+# one memo shared across all draws of the memo property
+SHARED_MEMO = {}
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -133,3 +136,16 @@ def test_bk_is_a_weight_swapping_involution_built_from_switching(t, data):
     back_a, back_b, _ = switch_pair(PerforatedFilling.from_map(i, new_b.cell_map),
                                     PerforatedFilling.from_map(i + 1, new_a.cell_map))
     assert (back_a.cell_map, back_b.cell_map) == (a, b)
+
+
+@PROPERTY
+@given(tableaux())
+def test_memoized_reversal_and_evacuation_equal_the_memo_free_ones(t):
+    """reversal_map, and evacuation_map on straight shapes, give with one
+    memo shared across all draws what they give without a memo; each
+    runs on a tableau and then on its standardization, which finds the
+    standard result the first call kept."""
+    for op, u in ((reversal_map, t), (evacuation_map, rectify(t)[0])):
+        std = {c: Entry(v) for c, v in standardize_map(u.entries).items()}
+        for entries, n in ((u.entry_map, u.n), (std, len(std))):
+            assert op(entries, n, SHARED_MEMO) == op(entries, n)
