@@ -200,8 +200,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         families = [enumerate_tableaux(_parse_shape(args.outer, args.inner),
                                        args.n)]
     elif args.skew:
-        families = engine.skew_families(args.n, args.max_cells or
-                                        engine.SKEW_MAX_CELLS)
+        max_cells = engine.SKEW_MAX_CELLS if args.max_cells is None else args.max_cells
+        families = engine.skew_families(args.n, max_cells)
     else:
         families = engine.straight_families(args.n)
     verdict = engine.verify_relation_over(schema, families,

@@ -36,7 +36,7 @@ class InvalidTableauError(TableauError):
 
 
 class CapacityError(RuntimeError):
-    """A brute-force oracle was asked for more than it can decide."""
+    """A search outgrew its configured bound: orbit_graph's node limit."""
 
 
 @total_ordering

@@ -44,7 +44,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import bender_knuth, jdt, switching
-from .core import Cell, Entry, ShiftedSkewShape, ShiftedTableau, band_keys
+from .core import CapacityError, Cell, Entry, ShiftedSkewShape, ShiftedTableau, band_keys
 from .enumeration import TableauFamily, enumerate_tableaux, skew_shapes, straight_shapes
 
 
@@ -174,8 +174,8 @@ def _check_length(length: int) -> None:
 
 
 def parse_word(text: str) -> Word:
-    """A whitespace-separated word, with (...)^k powers; 'e' is the
-    identity.  The rightmost symbol acts first."""
+    """A whitespace-separated word, with ^k powers on symbols and (...)
+    groups; 'e' is the identity.  The rightmost symbol acts first."""
     tokens = _tokenize(text)
     word, rest = _parse_seq(tokens, 0)
     if rest != len(tokens):
@@ -184,41 +184,35 @@ def parse_word(text: str) -> Word:
 
 
 def _tokenize(text: str) -> list[str]:
-    return re.findall(r"\(|\)|\^\d+|[^()\s^]+", text)
+    return re.findall(r"\(|\)|\^\d*|[^()\s^]+", text)
 
 
 def _parse_seq(tokens: list[str], pos: int) -> tuple[list[GeneratorSymbol], int]:
+    """Atoms (a symbol, 'e' or a parenthesized word), each followed by
+    any number of powers ^k, which multiply; ^0 removes its atom."""
     word: list[GeneratorSymbol] = []
     while pos < len(tokens):
         tok = tokens[pos]
         if tok == ")":
             break
+        if tok.startswith("^"):
+            raise WordError("power without a base")
         if tok == "(":
-            inner, pos = _parse_seq(tokens, pos + 1)
+            atom, pos = _parse_seq(tokens, pos + 1)
             if pos >= len(tokens) or tokens[pos] != ")":
                 raise WordError("unbalanced parentheses in word")
-            pos += 1
-            power = 1
-            if pos < len(tokens) and tokens[pos].startswith("^"):
-                power = int(tokens[pos][1:])
-                pos += 1
-            _check_length(len(word) + len(inner) * power)
-            word.extend(inner * power)
-            continue
-        if tok.startswith("^"):
-            if not word:
-                raise WordError("power without a base")
-            power = int(tok[1:])
-            _check_length(len(word) + power - 1)
-            word.extend([word[-1]] * (power - 1))
-            pos += 1
-            continue
-        if tok == "e":
-            pos += 1
-            continue
-        _check_length(len(word) + 1)
-        word.append(parse_symbol(tok))
+        else:
+            atom = [] if tok == "e" else [parse_symbol(tok)]
         pos += 1
+        power = 1
+        while pos < len(tokens) and tokens[pos].startswith("^"):
+            if tokens[pos] == "^":
+                raise WordError("power without an exponent")
+            # capped, so that a chain of powers stays a small integer
+            power = min(power * int(tokens[pos][1:]), MAX_WORD_LENGTH + 1)
+            pos += 1
+        _check_length(len(word) + len(atom) * power)
+        word.extend(atom * power)
     return word, pos
 
 
@@ -649,7 +643,7 @@ def orbit_graph(t: ShiftedTableau, generators: Sequence[GeneratorSymbol],
                 out = apply_symbol(cur, gen)
                 if out not in index:
                     if len(nodes) >= max_nodes:
-                        raise jdt.CapacityError("orbit exceeds configured bound")
+                        raise CapacityError("orbit exceeds configured bound")
                     index[out] = len(nodes)
                     nodes.append(out)
                     nxt.append(out)
@@ -660,17 +654,15 @@ def orbit_graph(t: ShiftedTableau, generators: Sequence[GeneratorSymbol],
 
 def components_by_dual_equivalence(family: TableauFamily
                                    ) -> list[tuple[ShiftedSkewShape, tuple[ShiftedTableau, ...]]]:
-    """Partition a family into dual-equivalence classes; each class is
-    reported with its common rectification shape."""
-    classes: list[list[ShiftedTableau]] = []
+    """Partition a family into dual-equivalence classes, in order of first
+    member; each class is reported with its common rectification shape.
+    Members are grouped by the slide record of rectify_map, as in
+    jdt.dual_equivalent."""
+    classes: dict[tuple, tuple[ShiftedSkewShape, list[ShiftedTableau]]] = {}
     for t in family:
-        for cls in classes:
-            if jdt.dual_equivalent(cls[0], t):
-                cls.append(t)
-                break
-        else:
-            classes.append([t])
-    return [(jdt.rectify(cls[0])[0].shape, tuple(cls)) for cls in classes]
+        _, outer, record = jdt.rectify_map(t.entry_map, t.shape.outer, t.shape.inner, t.n)
+        classes.setdefault(tuple(record), (ShiftedSkewShape(outer), []))[1].append(t)
+    return [(shape, tuple(members)) for shape, members in classes.values()]
 
 # ---------------------------------------------------------------------------
 # bundled verification suites

@@ -5,10 +5,12 @@ Slides are implemented directly for standard fillings (plain inner/outer
 moves of a cell -> value map on the shifted diagram).  Standardization
 commutes with shifted jeu de taquin (Worley 1984), and so with
 everything built from its slides.  So rectify standardizes once, runs
-integer code only (_rectify_standard) and destandardizes once;
-dual_equivalent walks the standardizations of both tableaux, and the
+integer code only (_rectify_standard) and destandardizes once, and the
 one-slide functions inner_slide and outer_slide standardize around their
-single slide.  Reversal and evacuation are standard-map cores
+single slide.  dual_equivalent compares the slide records of two
+rectifications: by Haiman (1992), two tableaux of one shape are dual
+equivalent exactly when one rectifying slide order takes them through
+the same shapes.  Reversal and evacuation are standard-map cores
 (_reverse_standard, _evacuate_standard) run by one helper,
 _via_standard, which standardizes, runs the core and destandardizes
 with the reversed weight; given a memo, it runs the core once per
@@ -27,12 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .core import (CapacityError, Cell, Entry, ShiftedSkewShape, ShiftedTableau,
-                   StrictPartition, TableauError, act_on_band, canonical_map,
-                   canonical_pair, destandardize_map, pair_of_cells, standardize_map,
-                   weight, weight_map)
-
-DUAL_EQUIV_MAX_CELLS = 6
+from .core import (Cell, Entry, ShiftedSkewShape, ShiftedTableau, StrictPartition,
+                   TableauError, act_on_band, canonical_map, canonical_pair,
+                   destandardize_map, pair_of_cells, standardize_map, weight,
+                   weight_map)
 
 
 @dataclass(frozen=True)
@@ -224,36 +224,16 @@ def knuth_equivalent(t1: ShiftedTableau, t2: ShiftedTableau) -> bool:
 
 
 def dual_equivalent(t1: ShiftedTableau, t2: ShiftedTableau) -> bool:
-    """Brute-force coplactic equivalence: every common inner-slide sequence
-    must keep the shapes equal.  Capped at DUAL_EQUIV_MAX_CELLS cells.
-
-    Both tableaux are standardized once and the walk slides the standard
-    maps, carrying their common (outer, inner) pair."""
+    """Coplactic equivalence, by Haiman's characterisation: the two
+    rectifications slide through the same shapes.  Under the "first"
+    strategy each corner is a function of the shape, so this is one
+    rectification per tableau, compared by its slide record (taken from
+    rectify_map, which builds no tableau)."""
     if t1.cells != t2.cells:
         raise TableauError("dual equivalence requires equal shapes")
-    if t1.size > DUAL_EQUIV_MAX_CELLS:
-        raise CapacityError(
-            f"dual-equivalence oracle capped at {DUAL_EQUIV_MAX_CELLS} cells")
-    seen: set[tuple[frozenset, frozenset]] = set()
-
-    def walk(a: dict[Cell, int], b: dict[Cell, int], outer: tuple[int, ...],
-             inner: tuple[int, ...]) -> bool:
-        state = (frozenset(a.items()), frozenset(b.items()))
-        if state in seen:
-            return True
-        seen.add(state)
-        for corner in _removable(inner):
-            a2, b2 = dict(a), dict(b)
-            exit_cell = _slide_standard(a2, corner, outer=False)
-            if _slide_standard(b2, corner, outer=False) != exit_cell:
-                return False
-            if not walk(a2, b2, *canonical_pair(_shrink(outer, exit_cell[0]),
-                                                _shrink(inner, corner[0]))):
-                return False
-        return True
-
-    return walk(standardize_map(t1.entries), standardize_map(t2.entries),
-                *canonical_pair(t1.shape.outer, t1.shape.inner))
+    t1_slides, t2_slides = (rectify_map(t.entry_map, t.shape.outer, t.shape.inner, t.n)[2]
+                            for t in (t1, t2))
+    return t1_slides == t2_slides
 
 
 def complement(t: ShiftedTableau, n: int | None = None,

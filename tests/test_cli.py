@@ -108,6 +108,16 @@ q2:
                            "--in", "1 2", "--n", "2")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("word", ["t1^0", "(t1)^0", "e^0"])
+    def test_zero_power_is_the_identity(self, capsys, word):
+        assert run(capsys, "apply", "--op", word, "--in", "1 1 2", "--n", "3") == \
+            (0, "1 1 2\n", "")
+
+    @pytest.mark.parametrize("word", ["t1^", "(t1 t2)^", "t1^^2"])
+    def test_power_without_exponent_is_one_line(self, capsys, word):
+        assert run(capsys, "apply", "--op", word, "--in", "1 1 2", "--n", "3") == \
+            (2, "", "error: power without an exponent\n")
+
     def test_input_file_is_closed(self, capsys, tmp_path):
         """--in FILE reads the tableau and closes the file."""
         path = tmp_path / "t.txt"
@@ -189,6 +199,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--preset", "evac-agreement",
                            "--n", "3")
         assert code == 0 and "PASS" in out
+
+    def test_zero_power_is_the_identity(self, capsys):
+        assert run(capsys, "verify", "--schema", "t1^0 = e", "--n", "3") == \
+            (0, "holds (236 instances)\n", "")
+
+    def test_skew_max_cells_zero_checks_nothing(self, capsys):
+        assert run(capsys, "verify", "--skew", "--max-cells", "0",
+                   "--schema", "t1 t1 = e", "--n", "3") == (0, "holds (0 instances)\n", "")
 
 
 class TestSearch:
@@ -288,6 +306,9 @@ class TestErrors:
         # these two fail at some assignments only (i=1 and i=3)
         ("t{i % (i-1)} = e", "modulo by zero in schema expression 'i % (i-1)'"),
         ("(t1)^{i*5000} = e", "word expands to more than 10000 symbols"),
+        ("t1^ = e", "power without an exponent"),
+        ("(t1 t2)^ = e", "power without an exponent"),
+        ("t1^^2 = e", "power without an exponent"),
     ])
     def test_malformed_schema_is_one_line(self, capsys, schema, message):
         code, out, err = run(capsys, "verify", "--schema", schema, "--n", "3")
@@ -325,6 +346,16 @@ class TestErrors:
         code, out, err = run(capsys, "orbit", "--gens", "t1", "--in", "1 2",
                              "--n", "2")
         assert code == 2 and out == ""
+        assert err == "error: orbit exceeds configured bound\n"
+
+    def test_orbit_bound_is_one_line(self, capsys, monkeypatch):
+        # the real orbit_graph, with a bound the two-node orbit exceeds
+        real = engine.orbit_graph
+        monkeypatch.setattr(engine, "orbit_graph",
+                            lambda t, gens: real(t, gens, max_nodes=1))
+        code, out, err = run(capsys, "orbit", "--gens", "t1", "--in", "1 1 2",
+                             "--n", "2")
+        assert (code, out) == (2, "")
         assert err == "error: orbit exceeds configured bound\n"
 
 

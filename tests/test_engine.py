@@ -5,8 +5,8 @@ import itertools
 import pytest
 
 from shifted_tableaux import bender_knuth, engine, jdt, switching
-from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape, parse_tableau,
-                                   render_text)
+from shifted_tableaux.core import (CapacityError, Entry, InvalidTableauError, ShiftedSkewShape,
+                                   parse_tableau, render_text)
 from shifted_tableaux.enumeration import enumerate_tableaux
 from shifted_tableaux.engine import (MAX_ASSIGNMENTS, MAX_WORD_LENGTH,
                                      GeneratorSymbol,
@@ -17,7 +17,7 @@ from shifted_tableaux.engine import (MAX_ASSIGNMENTS, MAX_WORD_LENGTH,
                                      verify_relation, verify_relation_over,
                                      straight_families, word_permutation)
 from shifted_tableaux.bender_knuth import bk, q_interval
-from shifted_tableaux.jdt import eta
+from shifted_tableaux.jdt import eta, rectify
 
 
 def rt(t):
@@ -44,6 +44,19 @@ class TestWords:
         assert [str(s) for s in parse_word("(t1 t2)^2")] == \
             ["t1", "t2", "t1", "t2"]
         assert [str(s) for s in parse_word("t1^3")] == ["t1", "t1", "t1"]
+
+    def test_zero_power_removes_its_base(self):
+        assert parse_word("t1^0") == parse_word("(t1)^0") == parse_word("e^0") == ()
+        assert [str(s) for s in parse_word("t2 t1^0 t3")] == ["t2", "t3"]
+        assert [str(s) for s in parse_word("t2 e^2")] == ["t2"]
+
+    def test_powers_multiply(self):
+        assert [str(s) for s in parse_word("t1^2^3")] == ["t1"] * 6
+
+    @pytest.mark.parametrize("text", ["t1^", "(t1 t2)^", "t1^^2", "t1^ 2"])
+    def test_power_without_exponent(self, text):
+        with pytest.raises(WordError, match="power without an exponent"):
+            parse_word(text)
 
     def test_bad_words(self):
         for text in ("t", "frob1", "t1)^2", "(t1", "t1 ^2x"):
@@ -449,10 +462,27 @@ class TestOrbits:
         assert len(g.nodes) == 2
         assert "digraph" in g.to_dot()
 
+    def test_orbit_bound(self):
+        t = parse_tableau("1 1 2", 2)
+        with pytest.raises(CapacityError, match="orbit exceeds configured bound"):
+            orbit_graph(t, parse_word("t1"), max_nodes=1)
+
     def test_components_golden(self):
         fam = enumerate_tableaux(ShiftedSkewShape((3, 1), (1,)), 4)
         comps = components_by_dual_equivalence(fam)
         assert len(comps) == 2
+
+    def test_components_beyond_six_cells(self):
+        # 7 cells: each class rectifies one to one onto the family of its
+        # shape
+        fam = enumerate_tableaux(ShiftedSkewShape((5, 3, 1), (2,)), 4)
+        comps = components_by_dual_equivalence(fam)
+        assert [shape.outer for shape, _ in comps] == \
+            [(5, 2), (5, 2), (4, 3), (4, 3), (4, 2, 1), (4, 2, 1)]
+        assert sum(len(members) for _, members in comps) == len(fam) == 1384
+        for shape, members in comps:
+            assert sorted(rectify(t)[0].key for t in members) == \
+                sorted(u.key for u in enumerate_tableaux(shape, 4))
 
 
 PRESET_COUNTS_N3 = {

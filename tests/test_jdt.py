@@ -3,8 +3,8 @@ and the interval restrictions of the full involution."""
 
 import pytest
 
-from shifted_tableaux.core import (CapacityError, ShiftedSkewShape, TableauError,
-                                   parse_tableau, render_text, weight)
+from shifted_tableaux.core import (ShiftedSkewShape, TableauError, parse_tableau,
+                                   render_text, weight)
 from shifted_tableaux.enumeration import enumerate_tableaux, skew_shapes
 from shifted_tableaux.jdt import (complement, dual_equivalent, eta,
                                   evacuation_jdt, inner_corners, inner_slide,
@@ -145,7 +145,16 @@ class TestDualEquivalence:
         classes = {frozenset(u for u in fam if dual_equivalent(t, u)) for t in fam}
         assert len(classes) == 2
 
-    def test_capacity_guard(self):
+    def test_beyond_six_cells(self):
+        # (5,3,1)/(2) has 7 cells; at n=2 its members rectify to (5,2)
+        # and (4,3) only, two classes each
         t = parse_tableau("1 1 1 1 1 1 1", 1)
-        with pytest.raises(CapacityError):
-            dual_equivalent(t, t)
+        assert dual_equivalent(t, t)
+        fam = list(enumerate_tableaux(ShiftedSkewShape((5, 3, 1), (2,)), 2))
+        classes = {frozenset(u for u in fam if dual_equivalent(t, u)) for t in fam}
+        assert sorted(map(len, classes)) == [2, 2, 6, 6]
+        assert all(dual_equivalent(t, reversal(t)) for t in fam)
+
+    def test_unequal_cells(self):
+        with pytest.raises(TableauError, match="requires equal shapes"):
+            dual_equivalent(parse_tableau("1 2", 2), parse_tableau(". 1 2", 2))

@@ -10,7 +10,8 @@ from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape,
                                    canonicalize, standardize_map, weight)
 from shifted_tableaux.bender_knuth import bk, bk_trace
 from shifted_tableaux.engine import GeneratorSymbol, apply_symbol
-from shifted_tableaux.jdt import eta, evacuation_map, rectify, reversal, reversal_map
+from shifted_tableaux.jdt import (dual_equivalent, eta, evacuation_map, rectify, reversal,
+                                  reversal_map)
 from shifted_tableaux.switching import PerforatedFilling, switch_pair
 
 MAX_CELLS = 10
@@ -91,6 +92,21 @@ def intervals(n):
 @given(tableaux())
 def test_rectify_independent_of_corner_strategy(t):
     assert rectify(t, "first")[0] == rectify(t, "last")[0]
+
+
+@PROPERTY
+@given(tableaux(), st.integers(0, 2**32))
+def test_dual_equivalence_is_strategy_free_and_holds_for_reversal(t, seed):
+    """t is dual equivalent to its reversal; against another filling u of
+    its shape, dual_equivalent agrees with the slide records of the
+    "last" strategy."""
+    assert dual_equivalent(t, reversal(t))
+    try:
+        u = canonicalize(t.shape, random_filling(t.shape, t.n, random.Random(seed)), t.n)
+    except InvalidTableauError:
+        assume(False)
+    for v in (u, reversal(t)):
+        assert dual_equivalent(t, v) == (rectify(t, "last")[1] == rectify(v, "last")[1])
 
 
 @PROPERTY

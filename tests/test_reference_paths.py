@@ -2,8 +2,10 @@
 tableau per result.  These tests keep the step-by-step path, one
 validated tableau per slide and per band, as the reference for
 rectification, reversal and the band operators, over every straight and
-skew family of at most 6 cells with outer_1 <= 4 at n=4, and for the
-dual-equivalence walk over every pair of smaller families.  They also
+skew family of at most 6 cells with outer_1 <= 4 at n=4, and for dual
+equivalence, which compares two slide records, as the walk over every
+common slide sequence of every pair of smaller families and of standard
+fillings of at most 7 cells.  They also
 keep the row-order enumeration, with canonical form as a filter and a
 final sort, as the reference for the reading-order search; the
 member-by-member loops with eval_word and with the public evacuations
@@ -404,6 +406,34 @@ def test_dual_equivalent_matches_slide_by_slide():
                     (render_text(a), render_text(b))
                 pairs, equivalent = pairs + 1, equivalent + got
     assert (pairs, equivalent) == (40443, 22239)
+
+
+def standard_fillings(shape):
+    """Every assignment of 1..N to the N cells that the tableau
+    constructor accepts."""
+    cells = sorted(shape.cells)
+    out = []
+    for values in permutations(range(1, len(cells) + 1)):
+        try:
+            out.append(ShiftedTableau.from_map(
+                {c: Entry(v) for c, v in zip(cells, values)}, len(cells), shape))
+        except InvalidTableauError:
+            continue
+    return out
+
+
+def test_dual_equivalent_matches_slide_by_slide_on_standard_fillings():
+    """Every pair of distinct standard fillings of each shape of at most 7
+    cells with outer_1 <= 4."""
+    slide, corners = cache(reference_slide), cache(probing_inner_corners)
+    pairs = equivalent = 0
+    for shape in skew_shapes(7, 4, include_straight=True):
+        for a, b in combinations(standard_fillings(shape), 2):
+            got = dual_equivalent(a, b)
+            assert got == reference_dual_equivalent(a, b, slide, corners), \
+                (render_text(a), render_text(b))
+            pairs, equivalent = pairs + 1, equivalent + got
+    assert (pairs, equivalent) == (504, 262)
 
 
 def test_band_operators_match_band_composition(members):
