@@ -193,9 +193,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("error: verify requires --schema or --preset", file=sys.stderr)
         return EXIT_USAGE
     schema = engine.RelationSchema.parse(args.schema)
-    # a malformed or oversized schema fails here, before any family is
-    # enumerated; the assignments themselves are drawn later
+    # a malformed or oversized schema, or a literal symbol out of range,
+    # fails here, before any family is enumerated; the assignments
+    # themselves are drawn later
     schema.instantiations(args.n)
+    schema.check_literals(args.n)
     if args.outer:
         families = [enumerate_tableaux(_parse_shape(args.outer, args.inner),
                                        args.n)]
@@ -218,6 +220,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     start = time.monotonic()
     schema = engine.RelationSchema.parse(args.schema)
+    schema.check_literals(args.n)
     verdict = engine.search_counterexample(schema, args.n, args.max_cells,
                                            skew=args.skew)
     report = _report(args, verdict=_verdict_doc(verdict),

@@ -18,18 +18,23 @@ sigma and the evac variants run their map-level core on their letter
 band alone, through core.band_keys on order keys (the band split the
 operators on one tableau share), and their result is looked up by key
 among the members, which are exactly the valid canonical fillings.
-Within one verification call each band result is computed once, except
-on the whole alphabet 1..n, whose band is the whole member; p, q and
-q_{i,j} compose the t_i tables.  The cores of eta and sigma are
-jdt.reversal_map itself, given the call's memo, so that jdt runs one
-standard reversal per standardization of a band; switching evacuation
-is never standardized: it runs on semistandard bands.
+p, q and q_{i,j} compose the t_i tables.  The verifications of one
+run_preset call share one band memo (a search keeps one, and so does
+any other verification call), and each band result is computed once
+per memo, except on the whole alphabet 1..n, whose band is the whole
+member.  The cores of eta and sigma are jdt.reversal_map itself, given
+the memo, so that jdt runs one standard reversal per standardization;
+switching evacuation is never standardized: it runs on semistandard
+bands.
 
-The evacuation-routes line of evac-agreement runs on tables too: the
-evac_n table (switching) against a table of jdt.evacuation_map results,
-one standard evacuation per standardization of a member.  Only the skew
-Knuth-equivalence witness of non-relations still compares tableaux
-member by member.
+On the whole alphabet, eta:1,n and the jdt side of the evacuation
+routes destandardize nothing: the family keeps an index of its members
+by standardization and weight, and a member's image is the member whose
+standardization is jdt's standard result on the member's and whose
+weight is the member's reversed.  The evacuation-routes line of
+evac-agreement compares the evac_n table (switching) with a table of
+these images.  Only the skew Knuth-equivalence witness of non-relations
+still compares tableaux member by member.
 """
 
 from __future__ import annotations
@@ -52,9 +57,9 @@ class WordError(ValueError):
     """Malformed generator word or out-of-range index."""
 
 
-# The band results of one verification call: (core, band alphabet size)
-# -> {re-indexed band items: result order keys}, and jdt's (standard core,
-# standardized band items) -> standard values of the result
+# The band memo of a preset, a search or a verification call: (core, band
+# alphabet size) -> {re-indexed band items: result order keys}, and jdt's
+# (standard core, standardized items) -> standard values of the result
 _Memo = dict[tuple, dict | tuple[int, ...]]
 
 
@@ -87,7 +92,7 @@ class _Kind:
 # Each operator on one tableau, and the bk_map and evac_map cores, are
 # looked up on their module at call time, so that a patched module
 # function is the one that runs.  The core of eta and sigma is
-# jdt.reversal_map itself, which band_keys hands the call's memo; jdt
+# jdt.reversal_map itself, which band_keys hands the memo; jdt
 # looks its standard core up at call time.  Kinds with the same core
 # share band results.
 _KINDS = {
@@ -268,12 +273,55 @@ def _images(family: TableauFamily, lo: int, hi: int, core: Callable, memo: _Memo
     run on its letters lo..hi through band_keys, in member order; None
     where the image is not a member.  The band results are kept in memo,
     except those of the whole alphabet 1..n: that band is the whole
-    member, and no member recurs within one call."""
-    results = None if (lo, hi) == (1, family.n) \
-        else memo.setdefault((core, hi - lo + 1), {})
+    member, which no other family shares.  There a jdt core's image is
+    looked up by its standard result instead (_standard_images)."""
+    whole = (lo, hi) == (1, family.n)
     cells, positions = sorted(family.shape.cells), family.positions
+    std_core = jdt.standard_core(core) if whole else None
+    if std_core is not None:
+        yield from _standard_images(family, cells, std_core, core, memo)
+        return
+    results = None if whole else memo.setdefault((core, hi - lo + 1), {})
     for key in positions:
         yield positions.get(band_keys(cells, key, lo, hi, core, memo, results=results))
+
+
+def _standard_images(family: TableauFamily, cells: list[Cell], std_core: Callable,
+                     core: Callable, memo: _Memo) -> Iterator[int | None]:
+    """_images of jdt.reversal_map or jdt.evacuation_map (core, whose
+    standard core is std_core) on whole members: the image of a member
+    of weight wt is the member whose standardization is jdt's standard
+    result on the member's, and whose weight is wt reversed, found in the
+    family's standard_index; nothing is destandardized.  A result that
+    no member has runs band_keys on its member, as on a partial band, so
+    its error or its None is the one the member gets there."""
+    index, positions = _standard_index(family, cells), family.positions
+    for key, (values, wt) in zip(positions, index):
+        # the member's standardization, its cells in value order again
+        std = dict(sorted(zip(cells, values), key=lambda item: item[1]))
+        image = jdt.standard_result(std_core, std, memo)
+        y = index.get((tuple(map(image.get, cells)), wt[::-1]))
+        yield y if y is not None else \
+            positions.get(band_keys(cells, key, 1, family.n, core, memo))
+
+
+def _standard_index(family: TableauFamily, cells: list[Cell]) -> dict[tuple, int]:
+    """family.standard_index, built the first time it is asked for: each
+    member's (values of jdt.standardize_map in sorted-cell order, weight)
+    -> its position, in member order.  Two members with one key are an
+    error: jdt's destandardization would be ambiguous there."""
+    index, n = family.standard_index, family.n
+    if index:
+        return index
+    for x, t in enumerate(family.members):
+        std = jdt.standardize_map(t.entries)
+        wt = [0] * n
+        for k in t.key:
+            wt[(k - 1) >> 1] += 1
+        if index.setdefault((tuple(map(std.get, cells)), tuple(wt)), x) != x:
+            raise RuntimeError(f"two members of ShST({family.shape}, {n}) share a "
+                               "standardization and a weight")
+    return index
 
 
 def _compose(family: TableauFamily, syms: Iterable[GeneratorSymbol], memo: _Memo
@@ -368,6 +416,17 @@ class RelationSchema:
                 if all(s.valid_for(n) for s in lhs + rhs):
                     yield subs, lhs, rhs
         return draw()
+
+    def check_literals(self, n: int) -> None:
+        """Raise the WordError apply gives for a symbol written without a
+        brace expression that is out of range for n: no assignment brings
+        it into range.  Symbols with braces are left to the draw.  A
+        schema that does not parse gives its parse error first."""
+        self._parsed
+        for side in (self.left, self.right):
+            for token in _tokenize(_VAR_RE.sub("{}", side)):
+                if token not in ("(", ")", "e") and token[0] != "^" and "{" not in token:
+                    _kind(parse_symbol(token), n)
 
 
 # Schema expressions are integer expressions, parsed once and evaluated by
@@ -522,13 +581,16 @@ def verify_relation(schema: RelationSchema, family: TableauFamily,
 
 
 def verify_relation_over(schema: RelationSchema, families: Iterable[TableauFamily],
-                         exhaustive: bool = False) -> Verdict:
+                         exhaustive: bool = False, memo: _Memo | None = None
+                         ) -> Verdict:
     """verify_relation on each family in turn; exhaustive goes on through
     every family and keeps the first counterexample.  The instantiations
     for each n are drawn once, lazily, by the first family over n; a
     draw runs to its end unless the verification stops there, so the
-    later families replay a complete list."""
-    memo: _Memo = {}
+    later families replay a complete list.  memo is the band memo, a
+    fresh one unless a caller shares one across calls."""
+    if memo is None:
+        memo = {}
     drawn: dict[int, list[tuple[dict[str, int], Word, Word]]] = {}
 
     def instantiations(n: int) -> Iterator[tuple[dict[str, int], Word, Word]]:
@@ -711,14 +773,16 @@ def _check_pointwise(families: Iterable[TableauFamily],
     return Verdict(True, checked)
 
 
-def _evac_routes(families: Iterable[TableauFamily]) -> Verdict:
+def _evac_routes(families: Iterable[TableauFamily], memo: _Memo | None = None
+                 ) -> Verdict:
     """Switching evacuation against rectification after the complement
     on straight families: the evac_n table against a table of
     jdt.evacuation_map results, one standard evacuation per
     standardization, member by member up to the first failure.  A jdt
     result that is not a member fails its member.  The counterexample is
     rebuilt with evac_switch and evacuation_jdt."""
-    memo: _Memo = {}
+    if memo is None:
+        memo = {}
     checked = 0
     for family in families:
         if not family.members:  # at n=0, where evac_n is out of range
@@ -756,16 +820,17 @@ def sbk_core_schemas() -> list[RelationSchema]:
     ]
 
 
-def _schema_result(schema: RelationSchema, families: Iterable[TableauFamily]
-                   ) -> PresetResult:
-    verdict = verify_relation_over(schema, families)
+def _schema_result(schema: RelationSchema, families: Iterable[TableauFamily],
+                   memo: _Memo) -> PresetResult:
+    verdict = verify_relation_over(schema, families, memo=memo)
     return PresetResult(schema.name, verdict.holds, verdict)
 
 
 def _preset_sbk_core(n: int) -> list[PresetResult]:
     straight = straight_families(n)
     mixed = straight + skew_families(n)
-    return [_schema_result(schema, straight if schema.straight_only else mixed)
+    memo: _Memo = {}
+    return [_schema_result(schema, straight if schema.straight_only else mixed, memo)
             for schema in sbk_core_schemas()]
 
 
@@ -778,13 +843,14 @@ def _preset_cactus(route: str, n: int) -> list[PresetResult]:
 
 def _preset_evac_agreement(n: int) -> list[PresetResult]:
     families = straight_families(n)
+    memo: _Memo = {}
     out = []
     for k in range(2, n + 1):
         out.append(_schema_result(RelationSchema(
-            f"evac{k}", f"eta:1,{k}", name=f"evac_{k} = eta_1{k}"), families))
+            f"evac{k}", f"eta:1,{k}", name=f"evac_{k} = eta_1{k}"), families, memo))
         out.append(_schema_result(RelationSchema(
-            f"evac{k}", f"q{k - 1}", name=f"evac_{k} = q_{k - 1}"), families))
-    v = _evac_routes(families)
+            f"evac{k}", f"q{k - 1}", name=f"evac_{k} = q_{k - 1}"), families, memo))
+    v = _evac_routes(families, memo)
     out.append(PresetResult("evac via switching = rectify after complement",
                             v.holds, v))
     skew = skew_families(n)
@@ -793,7 +859,7 @@ def _preset_evac_agreement(n: int) -> list[PresetResult]:
         for template, fams in ((f"evac{i + 1}", families),
                                (f"evacs{i + 1}", skew)):
             out.append(_schema_result(RelationSchema(
-                template, word, name=f"{template} = {word}"), fams))
+                template, word, name=f"{template} = {word}"), fams, memo))
     return out
 
 

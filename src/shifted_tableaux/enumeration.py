@@ -28,13 +28,18 @@ class TableauFamily:
     Every generator keeps the cell set, so on a family it is a permutation
     of the member positions; tables maps a generator to that permutation
     as an array('i'), computed whole by the engine the first time the
-    generator is used.  The tables live and die with the family."""
+    generator is used.  standard_index is the engine's index of the
+    members by standardization and weight, built beside the tables the
+    first time a whole-alphabet jeu de taquin table needs it.  Both live
+    and die with the family."""
 
     shape: ShiftedSkewShape
     n: int
     members: tuple[ShiftedTableau, ...]
     tables: dict[Any, array] = field(default_factory=dict, init=False,
                                      repr=False, compare=False)
+    standard_index: dict[tuple, int] = field(default_factory=dict, init=False,
+                                             repr=False, compare=False)
 
     @cached_property
     def positions(self) -> dict[tuple[int, ...], int]:

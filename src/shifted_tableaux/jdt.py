@@ -11,13 +11,17 @@ single slide.  dual_equivalent compares the slide records of two
 rectifications: by Haiman (1992), two tableaux of one shape are dual
 equivalent exactly when one rectifying slide order takes them through
 the same shapes.  Reversal and evacuation are standard-map cores
-(_reverse_standard, _evacuate_standard) run by one helper,
-_via_standard, which standardizes, runs the core and destandardizes
-with the reversed weight; given a memo, it runs the core once per
-standardization.  The verification engine passes its per-call memo to
-reversal_map and evacuation_map, so all bands (of eta and sigma) or
-members (of the evacuation routes) with the same standardization share
-one standard result; switching evacuation does not commute with
+(_reverse_standard, _evacuate_standard).  standard_result runs one on a
+standard map and checks its result; given a memo, it runs the core once
+per standardization.  _via_standard (reversal_map, evacuation_map)
+standardizes, takes standard_result and destandardizes with the
+reversed weight.  The verification engine shares one memo between both
+callers of standard_result: reversal_map and evacuation_map on partial
+bands (of eta and sigma), and its own whole-member lookups (eta:1,n and
+the evacuation routes), which find each image among the family's
+members by its standardization and weight instead of destandardizing.
+So all bands and whole members with the same standardization share one
+standard result.  Switching evacuation does not commute with
 standardization on skew bands, so its bands are not shared.
 
 rectify_map, evacuation_map and reversal_map compute on canonical cell ->
@@ -159,18 +163,28 @@ def _reverse_standard(std: dict[Cell, int]) -> dict[Cell, int]:
     return std
 
 
-def _via_standard(core: Callable[[dict[Cell, int]], dict[Cell, int]],
-                  entries: Mapping[Cell, Entry], n: int, memo: dict | None
-                  ) -> dict[Cell, Entry]:
-    """core, a standard-map operator that commutes with standardization
-    and reverses the weight, on the canonical map entries over 1..n: run
-    on the standardization of entries, and destandardized with the
-    reversed weight of entries.  With memo, core runs once per
-    standardization: memo maps (core, standardized items) to the standard
-    values of the result."""
-    if not entries:
+StandardCore = Callable[[dict[Cell, int]], dict[Cell, int]]
+
+
+def standard_core(op: Callable) -> StandardCore | None:
+    """The standard-map core that op runs when op is reversal_map or
+    evacuation_map, looked up at call time; None for any other operator."""
+    if op is reversal_map:
+        return _reverse_standard
+    if op is evacuation_map:
+        return _evacuate_standard
+    return None
+
+
+def standard_result(core: StandardCore, std: dict[Cell, int], memo: dict | None
+                    ) -> dict[Cell, int]:
+    """core on the standard map std, checked to be a standard filling of
+    std's cells.  With memo, core runs once per standardization: memo
+    maps (core, std's items) to the values of the result in std's cell
+    order, so std must list its cells by value, as standardize_map
+    does."""
+    if not std:
         return {}
-    std = standardize_map(entries.items())
     memo_key = (core, tuple(std.items()))
     values = None if memo is None else memo.get(memo_key)
     if values is None:
@@ -180,7 +194,17 @@ def _via_standard(core: Callable[[dict[Cell, int]], dict[Cell, int]],
         values = tuple(map(out.get, std))
         if memo is not None:
             memo[memo_key] = values
-    return destandardize_map(dict(zip(std, values)), weight_map(entries, n)[::-1])
+    return dict(zip(std, values))
+
+
+def _via_standard(core: StandardCore, entries: Mapping[Cell, Entry], n: int,
+                  memo: dict | None) -> dict[Cell, Entry]:
+    """core, a standard-map operator that commutes with standardization
+    and reverses the weight, on the canonical map entries over 1..n: run
+    on the standardization of entries through standard_result, and
+    destandardized with the reversed weight of entries."""
+    std = standard_result(core, standardize_map(entries.items()), memo)
+    return destandardize_map(std, weight_map(entries, n)[::-1])
 
 
 def rectify_map(entries: Mapping[Cell, Entry], outer: tuple[int, ...],

@@ -319,6 +319,27 @@ class TestErrors:
                    "--max-cells", "4") == \
             (2, "", "error: cannot parse generator token 'tx1'\n")
 
+    @pytest.mark.parametrize("command", [("verify",), ("search", "--max-cells", "4")],
+                             ids=["verify", "search"])
+    @pytest.mark.parametrize("schema, symbol", [
+        ("t5 = e", "t5"), ("evac0 = e", "evac0"), ("eta:1,1 = e", "eta:1,1"),
+        ("t{i} t5 = t5 t{i}", "t5"), ("(t1 t4)^{i} = e", "t4"),
+    ])
+    def test_literal_out_of_range_is_one_line(self, capsys, command, schema, symbol):
+        """A symbol written without braces that is out of range for --n is
+        the error apply gives, not a relation over no instance."""
+        assert run(capsys, command[0], "--schema", schema, "--n", "3", *command[1:]) == \
+            (2, "", f"error: generator {symbol} out of range for n=3\n")
+        assert run(capsys, "apply", "--op", symbol, "--in", "1", "--n", "3") == \
+            (2, "", f"error: generator {symbol} out of range for n=3\n")
+
+    def test_braced_symbols_are_still_skipped_per_assignment(self, capsys):
+        # t{i} is out of range at i=3 only; the preset keeps its empty line
+        assert run(capsys, "verify", "--schema", "t{i} t{i} = e", "--n", "3") == \
+            (0, "holds (472 instances)\n", "")
+        code, out, _ = run(capsys, "verify", "--preset", "sbk-core", "--n", "2")
+        assert code == 0 and "PASS  t_2 = q_1 q_2 q_1 (0 instances)\n" in out
+
     def test_verify_needs_schema_or_preset(self, capsys):
         code, out, err = run(capsys, "verify", "--n", "3")
         assert (code, out, err) == \

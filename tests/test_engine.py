@@ -442,6 +442,46 @@ class TestFamilyTables:
         assert bk_bands and set(bk_bands) == set(evac_bands)
         assert len(bk_bands) == len(set(bk_bands)) == len(evac_bands)
 
+    def test_preset_runs_each_t_band_once(self, monkeypatch):
+        """The verifications of one run_preset call share one band memo:
+        over evac-agreement at n=3, whose lines fill t tables on the same
+        bands in straight and skew families, bk_map never sees a band
+        twice."""
+        bk_map, bands = bender_knuth.bk_map, []
+
+        def counted_bk_map(entries, i):
+            bands.append(frozenset(entries.items()))
+            return bk_map(entries, i)
+
+        monkeypatch.setattr(bender_knuth, "bk_map", counted_bk_map)
+        assert all(r.ok for r in run_preset("evac-agreement", 3))
+        assert bands and len(bands) == len(set(bands))
+
+    def test_whole_member_images_destandardize_nothing(self, monkeypatch):
+        """eta:1,n and the jdt side of the evacuation routes find each
+        whole member's image by its standardization and weight: jdt runs
+        its standard cores but never destandardizes, as it does for the
+        partial band of eta:1,n-1."""
+        destandardize, reverse = jdt.destandardize_map, jdt._reverse_standard
+        calls = {"destandardize": 0, "reverse": 0}
+
+        def counted(name, fn):
+            def run(*args):
+                calls[name] += 1
+                return fn(*args)
+            return run
+
+        monkeypatch.setattr(jdt, "destandardize_map", counted("destandardize", destandardize))
+        monkeypatch.setattr(jdt, "_reverse_standard", counted("reverse", reverse))
+        families = engine.skew_families(3, include_straight=True)
+        for family in families:
+            word_permutation(family, parse_word("eta:1,3"))
+        assert engine._evac_routes(straight_families(3)).holds
+        assert calls["reverse"] > 0 and calls["destandardize"] == 0
+        for family in families:
+            word_permutation(family, parse_word("eta:1,2"))
+        assert calls["destandardize"] > 0
+
 
 class TestSearch:
     def test_finds_braid_failure(self):

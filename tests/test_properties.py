@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape,
                                    canonicalize, standardize_map, weight)
-from shifted_tableaux.bender_knuth import bk, bk_trace
+from shifted_tableaux.bender_knuth import bk, bk_trace, q
 from shifted_tableaux.engine import GeneratorSymbol, apply_symbol
-from shifted_tableaux.jdt import (dual_equivalent, eta, evacuation_map, rectify, reversal,
-                                  reversal_map)
-from shifted_tableaux.switching import PerforatedFilling, switch_pair
+from shifted_tableaux.jdt import (dual_equivalent, eta, evacuation_jdt, evacuation_map, rectify,
+                                  reversal, reversal_map)
+from shifted_tableaux.switching import PerforatedFilling, evac_switch, switch_pair
 
 MAX_CELLS = 10
 MAX_N = 5
@@ -24,24 +24,28 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=
                     suppress_health_check=[HealthCheck.too_slow])
 
 
+# the inner partitions drawn, all but the first skew
+INNERS = ((), (1,), (2,), (2, 1), (3,), (3, 1), (3, 2), (4, 1))
+
+
 @st.composite
 def shapes(draw):
-    """A strict outer partition and a strict inner one inside it, with at
-    most MAX_CELLS cells between them."""
-    outer = sorted(draw(st.sets(st.integers(1, MAX_CELLS), min_size=1, max_size=4)),
-                   reverse=True)
-    inner = []
-    for part in outer:
-        bound = min(part, inner[-1] - 1 if inner else part)
-        if bound < 1:
-            break
-        choice = draw(st.integers(0, bound))
-        if choice == 0:
-            break
-        inner.append(choice)
-    shape = ShiftedSkewShape(tuple(outer), tuple(inner))
-    assume(0 < shape.size <= MAX_CELLS)
-    return shape
+    """A shifted shape of 1..MAX_CELLS cells, its size drawn first: an
+    inner strict partition from INNERS, and an outer one grown from it
+    one cell at a time, each cell put at the end of a row where the
+    parts stay strict (row 0 always qualifies, and a new row when the
+    last part exceeds 1)."""
+    size = draw(st.one_of(st.integers(6, MAX_CELLS), st.integers(1, MAX_CELLS)))
+    inner = draw(st.sampled_from(INNERS))
+    outer = list(inner)
+    for _ in range(size):
+        rows = [r for r in range(len(outer) + 1)
+                if r == 0 or outer[r - 1] > (outer[r] if r < len(outer) else 0) + 1]
+        r = draw(st.sampled_from(rows))
+        if r == len(outer):
+            outer.append(0)
+        outer[r] += 1
+    return ShiftedSkewShape(tuple(outer), inner)
 
 
 def random_filling(shape, n, rng):
@@ -118,6 +122,28 @@ def test_eta_is_an_involution_reversing_the_band_weight(t, data):
     before, after = weight(t), weight(out)
     assert after[i - 1:j] == before[i - 1:j][::-1]
     assert after[:i - 1] == before[:i - 1] and after[j:] == before[j:]
+
+
+@PROPERTY
+@given(tableaux(), st.data())
+def test_q_and_reversal_are_involutions_reversing_their_band_weight(t, data):
+    """q_i reverses the weight of the letters 1..i+1, and reversal that
+    of the whole alphabet; both are involutions, on skew shapes too."""
+    i = data.draw(st.integers(1, t.n - 1))
+    before = weight(t)
+    for op, top in ((lambda u: q(u, i), i + 1), (reversal, t.n)):
+        out = op(t)
+        assert op(out) == t
+        assert weight(out) == before[:top][::-1] + before[top:]
+
+
+@PROPERTY
+@given(tableaux())
+def test_evacuation_routes_agree_on_straight_shapes(t):
+    """On the rectification of t, evacuation by switching, by jeu de
+    taquin after the complement, and the full eta are one tableau."""
+    s = rectify(t)[0]
+    assert evac_switch(s) == evacuation_jdt(s) == eta(s)
 
 
 @PROPERTY

@@ -582,6 +582,33 @@ def test_evac_routes_match_member_loop(monkeypatch, n, wrong, verdict):
     assert route_outcome(lambda: engine._evac_routes(straight_families(n))) == want
 
 
+def member_loop(family, op):
+    """The position of op(member) for each member, op run on the member's
+    map with no memo and its result's key looked up among the members."""
+    cells = sorted(family.shape.cells)
+    images = (op(t.entry_map, family.n) for t in family)
+    return [family.positions[tuple(2 * out[c].value - out[c].primed for c in cells)]
+            for out in images]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_whole_member_tables_match_member_loop(n):
+    """eta:1,n on every family of cactus-eta and evac-agreement, and the
+    jdt side of the evacuation routes on the straight families, are
+    looked up by standardization and weight: they equal reversal_map and
+    evacuation_map run member by member, and each family's index has
+    exactly one entry per member."""
+    straight = straight_families(n)
+    eta_1n = (engine.GeneratorSymbol("eta", 1, n),)
+    for family in skew_families(n, include_straight=True) + straight:
+        assert list(engine.word_permutation(family, eta_1n)) == \
+            member_loop(family, reversal_map), family.shape
+        assert list(family.standard_index.values()) == list(range(len(family))), family.shape
+    for family in straight:
+        assert list(engine._images(family, 1, n, jdt.evacuation_map, {})) == \
+            member_loop(family, jdt.evacuation_map), family.shape
+
+
 # -- validation messages -----------------------------------------------------
 
 @pytest.mark.parametrize("build, rule, message, cell", [
