@@ -5,6 +5,13 @@ columns r .. r + outer_r - 1, with the first inner_r of them removed for
 skew shapes.  All public constructors validate and enforce canonical form
 (the first occurrence of each letter in the reading word is unprimed).
 
+A tableau keeps its entries sorted by cell (row, then column), and
+_validate_filling checks them in one pass over their order keys
+2*value - primed beside the neighbour positions each shape computes
+once: coverage, the alphabet, the row and column order, both
+multiplicity rules and canonical form, in that order of priority.  The
+text and JSON forms walk the sorted entries row by row.
+
 band_keys is the one band split of the library: it runs a map-level core
 on the letters i..j of a filling given by order keys, re-indexed to the
 alphabet 1..j-i+1, and puts the keys of the result back beside the other
@@ -180,11 +187,42 @@ class ShiftedSkewShape:
 
     @cached_property
     def cells(self) -> frozenset[Cell]:
+        return frozenset(self.sorted_cells)
+
+    @cached_property
+    def sorted_cells(self) -> tuple[Cell, ...]:
+        """The cells sorted by row, then column."""
         out = []
         for r, length in enumerate(self.outer, start=1):
             start = r + (self.inner[r - 1] if r - 1 < len(self.inner) else 0)
             out.extend((r, c) for c in range(start, r + length))
-        return frozenset(out)
+        return tuple(out)
+
+    @cached_property
+    def neighbours(self) -> tuple[tuple[int, int, int], ...]:
+        """For each cell in sorted order, the sorted positions of its east,
+        south and west neighbours: -2 off the east or south edge, -1 off
+        the west edge (the sentinels _validate_filling appends)."""
+        inner = self.inner + (0,) * (len(self.outer) - len(self.inner))
+        rows, at = [], 0  # per row: first column, end column, first position
+        for r, (p, q) in enumerate(zip(self.outer, inner), start=1):
+            rows.append((r + q, r + p, at))
+            at += p - q
+        rows.append((0, 0, at))
+        out = []
+        for (a, b, o), (below_a, below_b, below_o) in zip(rows, rows[1:]):
+            for c in range(a, b):
+                i = o + c - a
+                out.append((i + 1 if c + 1 < b else -2,
+                            below_o + c - below_a if below_a <= c < below_b else -2,
+                            i - 1 if c > a else -1))
+        return tuple(out)
+
+    def canonical(self) -> "ShiftedSkewShape":
+        """The shape of the same cells under canonical_pair's (outer,
+        inner) pair, which from_cells gives; self when it has that pair."""
+        pair = canonical_pair(self.outer, self.inner)
+        return self if pair == (self.outer, self.inner) else ShiftedSkewShape(*pair)
 
     @property
     def straight(self) -> bool:
@@ -225,54 +263,86 @@ def _validate_filling(
     items: tuple[tuple[Cell, Entry], ...],
     n: int,
 ) -> None:
-    """Check the (cell, entry) pairs, sorted by cell, against every rule."""
-    key = {cell: 2 * e.value - e.primed for cell, e in items}
-    if len(key) != len(items):
-        cell = next(c for (c, _), (d, _) in zip(items, items[1:]) if c == d)
+    """Check the (cell, entry) pairs, sorted by cell, against every rule in
+    one pass over their order keys k = 2*value - primed in sorted-cell
+    order, beside the shape's neighbours.
+
+    The order rules compare a cell's key with the keys of its east and
+    south neighbours.  Where they hold, a repeat is adjacent: two k' in a
+    row make an odd key equal to its east neighbour's, two k in a column
+    an even key equal to its south neighbour's.  A letter's first cell in
+    the reading word is the leftmost in its lowest row: the last cell in
+    sorted order whose west neighbour holds a smaller letter.
+
+    The error raised is the first of: a coverage fault (a cell filled
+    more than once, then cells off or missing from the shape); the first
+    cell in sorted order whose entry exceeds n, or whose east or south
+    neighbour is smaller, checked in that order; the least repeated cell;
+    the primed first occurrence earliest in the reading word."""
+    cells = shape.sorted_cells
+    if tuple([c for c, _ in items]) != cells:
+        _coverage_fault(shape, items)
+    keys = [2 * e.value - e.primed for _, e in items]
+    top = 2 * n
+    keys += (top + 1, 0)  # keys[-2] off the east or south edge, keys[-1] off the west
+    repeat = len(cells)   # the least repeated position seen so far
+    first = [-1] * (n + 1)  # each letter's first reading position, -1 if unused
+    for i, (east, south, west) in enumerate(shape.neighbours):
+        k = keys[i]
+        if k > top or keys[east] < k or keys[south] < k:
+            _order_fault(items, i, east, south, n)
+        twin = east if k & 1 else south
+        if keys[twin] == k and twin < repeat:
+            repeat = twin
+        v = (k + 1) >> 1
+        if keys[west] < 2 * v - 1:
+            first[v] = i
+    if repeat < len(cells):
+        (r, c), e = items[repeat]
+        if e.primed:
+            raise InvalidTableauError(
+                f"two {e.value}' in row {r}", cell=(r, c), rule="primed-row-multiplicity")
+        raise InvalidTableauError(
+            f"two {e.value} in column {c}", cell=(r, c), rule="column-multiplicity")
+    primed_first = [i for i in first if i >= 0 and keys[i] & 1]
+    if primed_first:
+        # the earliest in the reading word: bottom row first, then leftmost
+        (r, c), e = min((items[i] for i in primed_first), key=lambda ce: (-ce[0][0], ce[0][1]))
+        raise InvalidTableauError(
+            f"first occurrence of letter {e.value} in reading word is primed",
+            rule="canonical-form")
+
+
+def _order_fault(items: tuple[tuple[Cell, Entry], ...], i: int, east: int, south: int,
+                 n: int) -> None:
+    """Raise the first fault of the cell at sorted position i, whose
+    neighbours east and south are given by position: its entry exceeds
+    n, or its east or south neighbour holds a smaller one."""
+    cell, e = items[i]
+    if e.value > n:
+        raise InvalidTableauError(
+            f"entry {e} at {cell} exceeds alphabet bound n={n}", cell=cell, rule="alphabet")
+    for nbr, what in ((east, "row"), (south, "column")):
+        if nbr >= 0 and items[nbr][1] < e:
+            raise InvalidTableauError(
+                f"{what} not weakly increasing at {cell}: {e} > {items[nbr][1]}",
+                cell=items[nbr][0], rule=f"{what}-order")
+
+
+def _coverage_fault(shape: ShiftedSkewShape, items: tuple[tuple[Cell, Entry], ...]) -> None:
+    """Raise the coverage error of sorted items whose cells are not the
+    shape's: the first cell filled more than once, else the least cell
+    off the shape, else the least missing one."""
+    filled = [c for c, _ in items]
+    cell = next((c for c, d in zip(filled, filled[1:]) if c == d), None)
+    if cell is not None:
         raise InvalidTableauError(f"cell {cell} is filled more than once",
                                   cell=cell, rule="coverage")
-    cells = shape.cells
-    if key.keys() != cells:
-        extra = set(key) - cells
-        missing = cells - set(key)
-        bad = (sorted(extra) or sorted(missing))[0]
-        raise InvalidTableauError(
-            f"filling does not cover shape exactly (extra={sorted(extra)}, missing={sorted(missing)})",
-            cell=bad, rule="coverage")
-    for cell, e in items:
-        if e.value > n:
-            raise InvalidTableauError(
-                f"entry {e} at {cell} exceeds alphabet bound n={n}", cell=cell, rule="alphabet")
-        r, c = cell
-        k = key[cell]
-        for nbr, what in (((r, c + 1), "row"), ((r + 1, c), "column")):
-            if key.get(nbr, k) < k:
-                raise InvalidTableauError(
-                    f"{what} not weakly increasing at {cell}: {e} > {dict(items)[nbr]}",
-                    cell=nbr, rule=f"{what}-order")
-    seen_col: set[tuple[int, int]] = set()
-    seen_row: set[tuple[int, int]] = set()
-    # first[v]: the first cell holding v in the reading word (bottom row
-    # first, each row left to right) and whether it is primed
-    first: dict[int, tuple[Cell, bool]] = {}
-    for (r, c), e in items:
-        if e.primed:
-            if (r, e.value) in seen_row:
-                raise InvalidTableauError(
-                    f"two {e.value}' in row {r}", cell=(r, c), rule="primed-row-multiplicity")
-            seen_row.add((r, e.value))
-        else:
-            if (c, e.value) in seen_col:
-                raise InvalidTableauError(
-                    f"two {e.value} in column {c}", cell=(r, c), rule="column-multiplicity")
-            seen_col.add((c, e.value))
-        if e.value not in first or first[e.value][0][0] < r:
-            first[e.value] = ((r, c), e.primed)
-    primed_first = [(-r, c, v) for v, ((r, c), primed) in first.items() if primed]
-    if primed_first:
-        raise InvalidTableauError(
-            f"first occurrence of letter {min(primed_first)[2]} in reading word is primed",
-            rule="canonical-form")
+    extra = sorted(set(filled) - shape.cells)
+    missing = sorted(shape.cells - set(filled))
+    raise InvalidTableauError(
+        f"filling does not cover shape exactly (extra={extra}, missing={missing})",
+        cell=(extra or missing)[0], rule="coverage")
 
 
 @dataclass(frozen=True)
@@ -516,8 +586,9 @@ def act_on_band(t: ShiftedTableau, i: int, j: int, op: MapOperator) -> ShiftedTa
         raise RuntimeError(f"operator on the letters {i}..{j} changed their cells")
     if out is key:
         return t
-    return ShiftedTableau.from_map({c: Entry((k + 1) // 2, k % 2 == 1)
-                                    for c, k in zip(cells, out)}, t.n)
+    # the result keeps t's cells, under their canonical pair
+    entries = tuple([(c, Entry((k + 1) // 2, k % 2 == 1)) for c, k in zip(cells, out)])
+    return ShiftedTableau(t.shape.canonical(), entries, t.n)
 
 
 # ---------------------------------------------------------------------------
@@ -549,23 +620,24 @@ def parse_tableau(text: str, n: int | None = None) -> ShiftedTableau:
     return ShiftedTableau.from_map(entries, n, shape)
 
 
+def _rows(t: ShiftedTableau) -> Iterator[tuple[int, list[str]]]:
+    """Each row's inner-cell count and the tokens of its entries, from
+    t.entries, which lists the cells row by row."""
+    inner, at = t.shape.inner, 0
+    for r, length in enumerate(t.shape.outer):
+        pad = inner[r] if r < len(inner) else 0
+        row = t.entries[at:at + length - pad]
+        at += length - pad
+        yield pad, [str(e) for _, e in row]
+
+
 def render_text(t: ShiftedTableau) -> str:
-    lines = []
-    for r in range(1, len(t.shape.outer) + 1):
-        length = t.shape.outer[r - 1]
-        pad = t.shape.inner[r - 1] if r - 1 < len(t.shape.inner) else 0
-        tokens = ["."] * pad
-        tokens += [str(t.entry_map[(r, c)]) for c in range(r + pad, r + length)]
-        lines.append(" ".join(tokens))
-    return "\n".join(lines)
+    return "\n".join(" ".join(["."] * pad + tokens) for pad, tokens in _rows(t))
 
 
 def to_json(t: ShiftedTableau) -> str:
-    rows = []
-    for r in range(1, len(t.shape.outer) + 1):
-        rows.append([str(t.entry_map[c]) for c in t.shape.row_cells(r)])
     doc = {"outer": list(t.shape.outer), "inner": list(t.shape.inner),
-           "rows": rows, "n": t.n}
+           "rows": [tokens for _, tokens in _rows(t)], "n": t.n}
     return json.dumps(doc)
 
 

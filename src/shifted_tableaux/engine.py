@@ -22,7 +22,8 @@ p, q and q_{i,j} compose the t_i tables.  The verifications of one
 run_preset call share one band memo (a search keeps one, and so does
 any other verification call), and each band result is computed once
 per memo, except on the whole alphabet 1..n, whose band is the whole
-member.  The cores of eta and sigma are jdt.reversal_map itself, given
+member; a preset keeps switching and eta band results for one line
+only.  The cores of eta and sigma are jdt.reversal_map itself, given
 the memo, so that jdt runs one standard reversal per standardization;
 switching evacuation is never standardized: it runs on semistandard
 bands.
@@ -822,7 +823,13 @@ def sbk_core_schemas() -> list[RelationSchema]:
 
 def _schema_result(schema: RelationSchema, families: Iterable[TableauFamily],
                    memo: _Memo) -> PresetResult:
+    """One line of a preset, verified with the preset's band memo.  Each
+    family keeps its tables, so the line's switching and eta band results
+    never recur in a later line and are dropped after it; t's band
+    results (t_i and t_j share them) and jdt's standard results stay."""
     verdict = verify_relation_over(schema, families, memo=memo)
+    for key in [key for key in memo if key[0] in (_band_evac, jdt.reversal_map)]:
+        del memo[key]
     return PresetResult(schema.name, verdict.holds, verdict)
 
 

@@ -8,7 +8,7 @@ search goes, and canonical form is a prefix rule: a primed key is offered
 only for a letter that already occurs in the prefix.  Keys are tried in
 increasing order, so the family comes out in reading-word lexicographic
 order, which keeps golden outputs byte-stable.  Every member is validated
-as a tableau.
+as a tableau, built from its entries in sorted-cell order.
 """
 
 from __future__ import annotations
@@ -61,6 +61,10 @@ def enumerate_tableaux(shape: ShiftedSkewShape, n: int) -> TableauFamily:
         raise ValueError("alphabet bound must be >= 0")
     cells = reading_cells(shape)
     at = {cell: i for i, cell in enumerate(cells)}
+    # members are built in sorted-cell order, from the reading position
+    # of each sorted cell
+    sorted_cells = shape.sorted_cells
+    reading = [at[cell] for cell in sorted_cells]
     # per cell: row, column, and the positions of its west and south
     # neighbours in reading order (-1 when outside the shape)
     plan = [(r, c, at.get((r, c - 1), -1), at.get((r + 1, c), -1))
@@ -74,8 +78,8 @@ def enumerate_tableaux(shape: ShiftedSkewShape, n: int) -> TableauFamily:
 
     def place(i: int) -> None:
         if i == len(cells):
-            filling = {cell: entry[k] for cell, k in zip(cells, keys)}
-            members.append(ShiftedTableau.from_map(filling, n, shape))
+            entries = [entry[keys[j]] for j in reading]
+            members.append(ShiftedTableau(shape, tuple(zip(sorted_cells, entries)), n))
             return
         r, c, west, south = plan[i]
         low = keys[west] if west >= 0 else 1

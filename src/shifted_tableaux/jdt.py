@@ -310,8 +310,9 @@ def reversal_map(entries: Mapping[Cell, Entry], n: int, memo: dict | None = None
 
 
 def reversal(t: ShiftedTableau) -> ShiftedTableau:
-    """The unique tableau Knuth equivalent to c_n(T) and dual equivalent to T."""
-    return ShiftedTableau.from_map(reversal_map(t.entry_map, t.n), t.n)
+    """The unique tableau Knuth equivalent to c_n(T) and dual equivalent to T,
+    on T's cells (reversal_map checks them), under their canonical pair."""
+    return ShiftedTableau.from_map(reversal_map(t.entry_map, t.n), t.n, t.shape.canonical())
 
 
 def eta(t: ShiftedTableau, i: int | None = None, j: int | None = None) -> ShiftedTableau:

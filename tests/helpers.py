@@ -1,7 +1,9 @@
 """Shared test helpers: an enumeration oracle independent of the library's
-backtracking enumerator."""
+backtracking enumerator, and reference forms of the tableau validator and
+the text and JSON renderers."""
 
 import itertools
+import json
 
 from shifted_tableaux.core import Entry, InvalidTableauError, ShiftedTableau
 
@@ -36,3 +38,81 @@ def brute_force_members(shape, n):
         except InvalidTableauError:
             continue
     return members
+
+
+def reference_validate_filling(shape, items, n):
+    """The tableau validator rule by rule: coverage through a cell -> key
+    map, then the alphabet and the row and column order cell by cell,
+    then both multiplicity rules and canonical form from seen sets over
+    all the cells."""
+    key = {cell: 2 * e.value - e.primed for cell, e in items}
+    if len(key) != len(items):
+        cell = next(c for (c, _), (d, _) in zip(items, items[1:]) if c == d)
+        raise InvalidTableauError(f"cell {cell} is filled more than once",
+                                  cell=cell, rule="coverage")
+    cells = shape.cells
+    if key.keys() != cells:
+        extra = set(key) - cells
+        missing = cells - set(key)
+        bad = (sorted(extra) or sorted(missing))[0]
+        raise InvalidTableauError(
+            f"filling does not cover shape exactly (extra={sorted(extra)}, missing={sorted(missing)})",
+            cell=bad, rule="coverage")
+    for cell, e in items:
+        if e.value > n:
+            raise InvalidTableauError(
+                f"entry {e} at {cell} exceeds alphabet bound n={n}", cell=cell, rule="alphabet")
+        r, c = cell
+        k = key[cell]
+        for nbr, what in (((r, c + 1), "row"), ((r + 1, c), "column")):
+            if key.get(nbr, k) < k:
+                raise InvalidTableauError(
+                    f"{what} not weakly increasing at {cell}: {e} > {dict(items)[nbr]}",
+                    cell=nbr, rule=f"{what}-order")
+    seen_col = set()
+    seen_row = set()
+    # first[v]: the first cell holding v in the reading word (bottom row
+    # first, each row left to right) and whether it is primed
+    first = {}
+    for (r, c), e in items:
+        if e.primed:
+            if (r, e.value) in seen_row:
+                raise InvalidTableauError(
+                    f"two {e.value}' in row {r}", cell=(r, c), rule="primed-row-multiplicity")
+            seen_row.add((r, e.value))
+        else:
+            if (c, e.value) in seen_col:
+                raise InvalidTableauError(
+                    f"two {e.value} in column {c}", cell=(r, c), rule="column-multiplicity")
+            seen_col.add((c, e.value))
+        if e.value not in first or first[e.value][0][0] < r:
+            first[e.value] = ((r, c), e.primed)
+    primed_first = [(-r, c, v) for v, ((r, c), primed) in first.items() if primed]
+    if primed_first:
+        raise InvalidTableauError(
+            f"first occurrence of letter {min(primed_first)[2]} in reading word is primed",
+            rule="canonical-form")
+
+
+def reference_render_text(t):
+    """The text form, cell by cell through a cell -> entry map."""
+    entry_map = dict(t.entries)
+    lines = []
+    for r in range(1, len(t.shape.outer) + 1):
+        length = t.shape.outer[r - 1]
+        pad = t.shape.inner[r - 1] if r - 1 < len(t.shape.inner) else 0
+        tokens = ["."] * pad
+        tokens += [str(entry_map[(r, c)]) for c in range(r + pad, r + length)]
+        lines.append(" ".join(tokens))
+    return "\n".join(lines)
+
+
+def reference_to_json(t):
+    """The JSON form, row by row through a cell -> entry map."""
+    entry_map = dict(t.entries)
+    rows = []
+    for r in range(1, len(t.shape.outer) + 1):
+        rows.append([str(entry_map[c]) for c in t.shape.row_cells(r)])
+    doc = {"outer": list(t.shape.outer), "inner": list(t.shape.inner),
+           "rows": rows, "n": t.n}
+    return json.dumps(doc)

@@ -457,6 +457,30 @@ class TestFamilyTables:
         assert all(r.ok for r in run_preset("evac-agreement", 3))
         assert bands and len(bands) == len(set(bands))
 
+    def test_preset_lines_keep_no_switching_or_eta_band_results(self, monkeypatch):
+        """Each family keeps its tables, so the switching and eta band
+        results of one evac-agreement line never recur in a later one:
+        every line starts without them, while t's band results and jdt's
+        standard results carry over, and switching evacuation still runs
+        once per band."""
+        verify, kept = engine.verify_relation_over, []
+        evac_map, bands = switching.evac_map, []
+
+        def spy(schema, families, exhaustive=False, memo=None):
+            kept.append({key[0] for key in memo})
+            return verify(schema, families, exhaustive, memo)
+
+        def counted_evac_map(entries, n):
+            bands.append(frozenset(entries.items()))
+            return evac_map(entries, n)
+
+        monkeypatch.setattr(engine, "verify_relation_over", spy)
+        monkeypatch.setattr(switching, "evac_map", counted_evac_map)
+        assert all(r.ok for r in run_preset("evac-agreement", 4))
+        assert not any({engine._band_evac, jdt.reversal_map} & cores for cores in kept)
+        assert engine._band_bk in kept[-1] and jdt._reverse_standard in kept[-1]
+        assert len(bands) == 6362
+
     def test_whole_member_images_destandardize_nothing(self, monkeypatch):
         """eta:1,n and the jdt side of the evacuation routes find each
         whole member's image by its standardization and weight: jdt runs

@@ -10,20 +10,25 @@ keep the row-order enumeration, with canonical form as a filter and a
 final sort, as the reference for the reading-order search; the
 member-by-member loops with eval_word and with the public evacuations
 as the reference for the verdicts, counts and first failures of the
-permutation checks; and the destandardization that tries every split of
-each letter as the reference for the one-pass split."""
+permutation checks; the destandardization that tries every split of
+each letter as the reference for the one-pass split; the rule-by-rule
+validator as the reference for the one pass over order keys, on every
+filling of the small shapes; and the cell-by-cell text and JSON
+renderers as the reference for the row walk over the sorted entries."""
 
+import sys
 from collections import Counter
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
 from shifted_tableaux import engine, jdt, switching
 from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape,
-                                   ShiftedTableau, TableauError, destandardize,
-                                   destandardize_map, parse_tableau, reading_cells,
-                                   render_text, standardize, standardize_map, weight)
+                                   ShiftedTableau, TableauError, _validate_filling,
+                                   destandardize, destandardize_map, parse_tableau,
+                                   reading_cells, render_text, standardize,
+                                   standardize_map, to_json, weight)
 from shifted_tableaux.engine import (Counterexample, eval_word, parse_word,
                                      sbk_core_schemas, skew_families, straight_families,
                                      verify_cactus_action, verify_relation_over)
@@ -32,6 +37,10 @@ from shifted_tableaux.jdt import (SlideRecord, complement, dual_equivalent, eta,
                                   inner_corners, inner_slide, outer_slide, rectify,
                                   reversal, reversal_map)
 from shifted_tableaux.switching import evac_interval_skew, evac_k_skew, evac_skew
+
+sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
+from helpers import (reference_render_text, reference_to_json,  # noqa: E402
+                     reference_validate_filling)
 
 N = 4
 INTERVALS = [(i, j) for i in range(1, N + 1) for j in range(i + 1, N + 1)]
@@ -635,3 +644,92 @@ def test_bad_filling_rule_and_message(build, rule, message, cell):
     with pytest.raises(InvalidTableauError) as info:
         build()
     assert (info.value.rule, str(info.value), info.value.cell) == (rule, message, cell)
+
+
+def every_representation(max_cells):
+    """Every (outer, inner) pair with outer_1 <= 4 and at most max_cells
+    cells, not deduplicated by cell set: the empty shape, lambda/lambda,
+    and pairs with an empty row such as (2,1)/(2) are among them."""
+    parts = [tuple(sorted(p, reverse=True)) for k in range(5)
+             for p in combinations(range(1, 5), k)]
+    shapes = []
+    for outer, inner in product(parts, parts):
+        try:
+            shape = ShiftedSkewShape(outer, inner)
+        except TableauError:
+            continue
+        if shape.size <= max_cells:
+            shapes.append(shape)
+    return shapes
+
+
+def validation_outcome(validate, shape, items, n):
+    try:
+        validate(shape, items, n)
+    except InvalidTableauError as exc:
+        return type(exc), exc.rule, str(exc), exc.cell
+    return None
+
+
+def test_validator_matches_rule_by_rule():
+    """Every filling with order keys 1..2n+2 (so letters up to n+1) of
+    every representation of at most 4 cells, at n = 1..3: the same
+    verdict, and on a fault the same rule, message and cell."""
+    shapes = every_representation(4)
+    assert ShiftedSkewShape((2, 1), (2,)) in shapes and ShiftedSkewShape((2,), (2,)) in shapes
+    faults = Counter()
+    for n in (1, 2, 3):
+        entries = [Entry((k + 1) // 2, k % 2 == 1) for k in range(1, 2 * n + 3)]
+        for shape in shapes:
+            for filling in product(entries, repeat=shape.size):
+                items = tuple(zip(shape.sorted_cells, filling))
+                got = validation_outcome(_validate_filling, shape, items, n)
+                assert got == validation_outcome(reference_validate_filling, shape, items, n), \
+                    (shape, items, n)
+                faults[got and got[1]] += 1
+    # every rule is met, and most fillings fail
+    assert set(faults) == {None, "alphabet", "row-order", "column-order",
+                           "primed-row-multiplicity", "column-multiplicity",
+                           "canonical-form"}
+    assert faults[None] < sum(faults.values()) // 4
+
+
+def test_validator_matches_rule_by_rule_on_bad_cells():
+    """Cells filled twice, missing or off the shape, alone and together,
+    on every representation of at most 3 cells."""
+    staircase = ShiftedSkewShape((4, 3, 2, 1)).sorted_cells
+    entries = [Entry(1), Entry(2, True), Entry(2)]
+    checked = 0
+    for shape in every_representation(3):
+        cells = list(shape.sorted_cells)
+        variants = [cells + [c] for c in cells]                       # repeated
+        variants += [cells[:x] + cells[x + 1:] for x in range(len(cells))]   # missing
+        variants += [cells + [c] for c in staircase if c not in cells]       # extra
+        variants += [cells[1:] + [c] for c in staircase if c not in cells]   # both
+        for variant in variants:
+            for filling in product(entries, repeat=len(variant)):
+                items = tuple(sorted(zip(variant, filling)))
+                got = validation_outcome(_validate_filling, shape, items, 2)
+                assert got == validation_outcome(reference_validate_filling, shape, items, 2), \
+                    (shape, items)
+                assert got is not None and got[1] == "coverage"
+                checked += 1
+    assert checked > 10000
+
+
+def test_render_matches_cell_by_cell():
+    """render_text and to_json walk the sorted entries row by row; the
+    reference looks every cell up in a cell -> entry map.  Every member
+    of every skew shape of at most 6 cells at n=3, lambda/lambda, and
+    shapes with an empty row."""
+    shapes = skew_shapes(6, include_straight=True) + [
+        ShiftedSkewShape(), ShiftedSkewShape((3,), (3,)), ShiftedSkewShape((3, 1), (3, 1)),
+        ShiftedSkewShape((2, 1), (2,)), ShiftedSkewShape((3, 1), (3,)),
+        ShiftedSkewShape((4, 2, 1), (4, 1))]
+    checked = 0
+    for shape in shapes:
+        for t in enumerate_tableaux(shape, 3):
+            assert render_text(t) == reference_render_text(t), t.entries
+            assert to_json(t) == reference_to_json(t), t.entries
+            checked += 1
+    assert checked == 46891
