@@ -12,6 +12,11 @@ once: coverage, the alphabet, the row and column order, both
 multiplicity rules and canonical form, in that order of priority.  The
 text and JSON forms walk the sorted entries row by row.
 
+Entries are interned: Entry(k, p) returns the one instance of its letter,
+which stores its order key, and entry_of_key maps an order key back to
+that instance.  band_keys, act_on_band and the enumerator take their
+entries from entry_of_key, so no entry is built per member.
+
 band_keys is the one band split of the library: it runs a map-level core
 on the letters i..j of a filling given by order keys, re-indexed to the
 alphabet 1..j-i+1, and puts the keys of the result back beside the other
@@ -47,20 +52,47 @@ class CapacityError(RuntimeError):
 
 
 @total_ordering
-@dataclass(frozen=True)
 class Entry:
-    """A letter k or k' of the primed alphabet, ordered 1' < 1 < 2' < 2 < ..."""
+    """A letter k or k' of the primed alphabet, ordered 1' < 1 < 2' < 2 < ...
 
-    value: int
-    primed: bool = False
+    An immutable value with one interned instance per letter: Entry(k, p)
+    returns the instance for (k, bool(p)), made on first use, so two
+    entries are equal exactly when they are the same object.  The intern
+    table grows by at most two instances per distinct letter value.  The
+    hash is hash((value, primed)), and order_key is 2*value - primed."""
 
-    def __post_init__(self):
-        if self.value < 1:
-            raise TableauError(f"entry value must be positive, got {self.value}")
+    __slots__ = ("value", "primed", "order_key", "_hash")
 
-    @property
-    def order_key(self) -> int:
-        return 2 * self.value - (1 if self.primed else 0)
+    def __new__(cls, value: int, primed: bool = False) -> "Entry":
+        e = _INTERNED.get((value, primed))
+        if e is None:
+            if value < 1:
+                raise TableauError(f"entry value must be positive, got {value}")
+            primed = bool(primed)
+            e = _INTERNED.get((value, primed))
+            if e is None:
+                e = object.__new__(cls)
+                for name, v in (("value", value), ("primed", primed),
+                                ("order_key", 2 * value - primed),
+                                ("_hash", hash((value, primed)))):
+                    object.__setattr__(e, name, v)
+                _INTERNED[value, primed] = e
+        return e
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return Entry, (self.value, self.primed)
+
+    def __repr__(self) -> str:
+        return f"Entry(value={self.value!r}, primed={self.primed!r})"
 
     def __lt__(self, other: "Entry") -> bool:
         return self.order_key < other.order_key
@@ -83,6 +115,21 @@ class Entry:
         if not tok.isdigit() or int(tok) < 1:
             raise TableauError(f"malformed cell token {token!r}")
         return cls(int(tok), primed)
+
+
+# the interned entries, by (value, primed)
+_INTERNED: dict[tuple[int, bool], Entry] = {}
+
+
+class _EntryOfKey(dict):
+    def __missing__(self, k: int) -> Entry:
+        e = self[k] = Entry((k + 1) >> 1, k & 1 == 1)
+        return e
+
+
+# order key -> its interned entry, filled on first use: the one way from
+# order keys back to entries
+entry_of_key: dict[int, Entry] = _EntryOfKey()
 
 
 def _check_strict(parts: tuple[int, ...], what: str,
@@ -282,7 +329,7 @@ def _validate_filling(
     cells = shape.sorted_cells
     if tuple([c for c, _ in items]) != cells:
         _coverage_fault(shape, items)
-    keys = [2 * e.value - e.primed for _, e in items]
+    keys = [e.order_key for _, e in items]
     top = 2 * n
     keys += (top + 1, 0)  # keys[-2] off the east or south edge, keys[-1] off the west
     repeat = len(cells)   # the least repeated position seen so far
@@ -370,7 +417,7 @@ class ShiftedTableau:
     @property
     def key(self) -> tuple[int, ...]:
         """The order keys of the entries, in sorted cell order."""
-        return tuple(2 * e.value - e.primed for _, e in self.entries)
+        return tuple([e.order_key for _, e in self.entries])
 
     @property
     def cells(self) -> frozenset[Cell]:
@@ -563,11 +610,11 @@ def band_keys(cells: Sequence[Cell], key: tuple[int, ...], i: int, j: int,
     band = tuple([(cells[s], key[s] - shift) for s in slots])
     done = None if results is None else results.get(band)
     if done is None:
-        local = {c: Entry((k + 1) // 2, k % 2 == 1) for c, k in band}
+        local = {c: entry_of_key[k] for c, k in band}
         result = core(local, j - i + 1, *args)
         if result.keys() != local.keys():
             return None
-        done = tuple(2 * e.value - e.primed for e in map(result.get, local))
+        done = tuple([e.order_key for e in map(result.get, local)])
         if results is not None:
             results[band] = done
     out = list(key)
@@ -587,7 +634,7 @@ def act_on_band(t: ShiftedTableau, i: int, j: int, op: MapOperator) -> ShiftedTa
     if out is key:
         return t
     # the result keeps t's cells, under their canonical pair
-    entries = tuple([(c, Entry((k + 1) // 2, k % 2 == 1)) for c, k in zip(cells, out)])
+    entries = tuple([(c, entry_of_key[k]) for c, k in zip(cells, out)])
     return ShiftedTableau(t.shape.canonical(), entries, t.n)
 
 

@@ -44,7 +44,6 @@ import ast
 import itertools
 import operator
 import re
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -243,11 +242,12 @@ def eval_word(word: Sequence[GeneratorSymbol], t: ShiftedTableau) -> ShiftedTabl
 # ---------------------------------------------------------------------------
 # words as permutations of a family
 
-def _table(family: TableauFamily, sym: GeneratorSymbol, memo: _Memo) -> array:
-    """The permutation sym induces on the family, computed whole the first
-    time it is asked for: composite symbols compose their t tables, band
-    generators run their core through band_keys on every member's key and
-    look the result up among the members."""
+def _table(family: TableauFamily, sym: GeneratorSymbol, memo: _Memo
+           ) -> tuple[int, ...]:
+    """The permutation sym induces on the family, as a tuple, computed
+    whole the first time it is asked for: composite symbols compose their
+    t tables, band generators run their core through band_keys on every
+    member's key and look the result up among the members."""
     table = family.tables.get(sym)
     if table is not None:
         return table
@@ -258,12 +258,13 @@ def _table(family: TableauFamily, sym: GeneratorSymbol, memo: _Memo) -> array:
     else:
         if kind.straight and family.members:
             switching.require_straight(family.shape, "evac_k_switch", "evac_k_skew")
-        table = array("i")
+        images = []
         for y in _images(family, *kind.band(*sym.indices), kind.core, memo):
             if y is None:
-                raise RuntimeError(f"{sym} took member {len(table)} of ShST({family.shape}, "
+                raise RuntimeError(f"{sym} took member {len(images)} of ShST({family.shape}, "
                                    f"{family.n}) out of its family")
-            table.append(y)
+            images.append(y)
+        table = tuple(images)
     family.tables[sym] = table
     return table
 
@@ -326,17 +327,21 @@ def _standard_index(family: TableauFamily, cells: list[Cell]) -> dict[tuple, int
 
 
 def _compose(family: TableauFamily, syms: Iterable[GeneratorSymbol], memo: _Memo
-             ) -> array:
-    """The permutation of the family that applies syms in the given order."""
-    perm = array("i", range(len(family)))
+             ) -> tuple[int, ...]:
+    """The permutation of the family that applies syms in the given order:
+    the first table itself, then each next table gathered through it by
+    itemgetter.  On at most one member every table is the identity, and
+    itemgetter with one index would return a scalar, so there the tables
+    are filled but not gathered."""
+    perm = None  # the identity, until the first table
     for sym in syms:
         table = _table(family, sym, memo)
-        perm = array("i", [table[x] for x in perm])
-    return perm
+        perm = table if perm is None or len(perm) < 2 else operator.itemgetter(*perm)(table)
+    return tuple(range(len(family))) if perm is None else perm
 
 
 def word_permutation(family: TableauFamily, word: Sequence[GeneratorSymbol]
-                     ) -> array:
+                     ) -> tuple[int, ...]:
     """The permutation a word induces on the family: entry x is the
     position of eval_word(word, family.members[x])."""
     return _compose(family, reversed(word), {})

@@ -13,12 +13,11 @@ as a tableau, built from its entries in sorted-cell order.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterator
 
-from .core import Cell, Entry, ShiftedSkewShape, ShiftedTableau, reading_cells
+from .core import Cell, ShiftedSkewShape, ShiftedTableau, entry_of_key, reading_cells
 
 
 @dataclass(frozen=True)
@@ -27,17 +26,18 @@ class TableauFamily:
 
     Every generator keeps the cell set, so on a family it is a permutation
     of the member positions; tables maps a generator to that permutation
-    as an array('i'), computed whole by the engine the first time the
-    generator is used.  standard_index is the engine's index of the
-    members by standardization and weight, built beside the tables the
-    first time a whole-alphabet jeu de taquin table needs it.  Both live
-    and die with the family."""
+    as a tuple of positions, computed whole by the engine the first time
+    the generator is used, and composed with other tables by itemgetter
+    gathers.  standard_index is the engine's index of the members by
+    standardization and weight, built beside the tables the first time a
+    whole-alphabet jeu de taquin table needs it.  Both live and die with
+    the family."""
 
     shape: ShiftedSkewShape
     n: int
     members: tuple[ShiftedTableau, ...]
-    tables: dict[Any, array] = field(default_factory=dict, init=False,
-                                     repr=False, compare=False)
+    tables: dict[Any, tuple[int, ...]] = field(default_factory=dict, init=False,
+                                               repr=False, compare=False)
     standard_index: dict[tuple, int] = field(default_factory=dict, init=False,
                                              repr=False, compare=False)
 
@@ -69,7 +69,6 @@ def enumerate_tableaux(shape: ShiftedSkewShape, n: int) -> TableauFamily:
     # neighbours in reading order (-1 when outside the shape)
     plan = [(r, c, at.get((r, c - 1), -1), at.get((r + 1, c), -1))
             for r, c in cells]
-    entry = {k: Entry((k + 1) // 2, k % 2 == 1) for k in range(1, 2 * n + 1)}
     keys = [0] * len(cells)
     seen = [0] * (n + 1)                       # occurrences of each letter so far
     primed_rows: set[tuple[int, int]] = set()  # (row, value) with a primed entry
@@ -78,7 +77,7 @@ def enumerate_tableaux(shape: ShiftedSkewShape, n: int) -> TableauFamily:
 
     def place(i: int) -> None:
         if i == len(cells):
-            entries = [entry[keys[j]] for j in reading]
+            entries = [entry_of_key[keys[j]] for j in reading]
             members.append(ShiftedTableau(shape, tuple(zip(sorted_cells, entries)), n))
             return
         r, c, west, south = plan[i]

@@ -21,8 +21,11 @@ bands (of eta and sigma), and its own whole-member lookups (eta:1,n and
 the evacuation routes), which find each image among the family's
 members by its standardization and weight instead of destandardizing.
 So all bands and whole members with the same standardization share one
-standard result.  Switching evacuation does not commute with
-standardization on skew bands, so its bands are not shared.
+standard result.  A standard reversal takes its evacuation step from
+standard_result with the same memo, so each straight standardization is
+evacuated once, whether a reversal or an evacuation asks.  Switching
+evacuation does not commute with standardization on skew bands, so its
+bands are not shared.
 
 rectify_map, evacuation_map and reversal_map compute on canonical cell ->
 entry maps; the public functions build one validated tableau from them.
@@ -139,11 +142,12 @@ def _rectify_standard(std: dict[Cell, int], outer: tuple[int, ...],
     return outer
 
 
-def _evacuate_standard(std: Mapping[Cell, int]) -> dict[Cell, int]:
+def _evacuate_standard(std: Mapping[Cell, int], memo: dict | None = None
+                       ) -> dict[Cell, int]:
     """Evacuation of the nonempty standard map std of a straight shape:
     the complement in the staircase of width outer[0] (each cell
     reflected in the anti-diagonal, each value v sent to N+1-v),
-    rectified."""
+    rectified.  memo is unused: evacuation runs no other standard core."""
     outer = pair_of_cells(std)[0]
     w, top = outer[0], len(std) + 1
     comp = {(w + 1 - c, w + 1 - r): top - v for (r, c), v in std.items()}
@@ -152,18 +156,25 @@ def _evacuate_standard(std: Mapping[Cell, int]) -> dict[Cell, int]:
     return comp
 
 
-def _reverse_standard(std: dict[Cell, int]) -> dict[Cell, int]:
+def _reverse_standard(std: dict[Cell, int], memo: dict | None = None
+                      ) -> dict[Cell, int]:
     """Reversal of the nonempty standard map std: rectify it in place,
-    evacuate, then replay the recorded slides outward in reverse."""
+    evacuate, then replay the recorded slides outward in reverse.  The
+    evacuation is standard_result's with memo, its cells listed by value,
+    so that it is shared with every other evacuation of the same
+    rectification."""
     record: list[tuple[Cell, Cell]] = []
     _rectify_standard(std, *pair_of_cells(std), record=record)
-    std = _evacuate_standard(std)
+    std = standard_result(_evacuate_standard,
+                          dict(sorted(std.items(), key=lambda item: item[1])), memo)
     for _, exit_cell in reversed(record):
         _slide_standard(std, exit_cell, outer=True)
     return std
 
 
-StandardCore = Callable[[dict[Cell, int]], dict[Cell, int]]
+# A standard core takes a standard map and the standard memo, which it
+# hands on to the standard cores it runs itself.
+StandardCore = Callable[[dict[Cell, int], dict | None], dict[Cell, int]]
 
 
 def standard_core(op: Callable) -> StandardCore | None:
@@ -182,13 +193,13 @@ def standard_result(core: StandardCore, std: dict[Cell, int], memo: dict | None
     std's cells.  With memo, core runs once per standardization: memo
     maps (core, std's items) to the values of the result in std's cell
     order, so std must list its cells by value, as standardize_map
-    does."""
+    does.  core is given the memo too."""
     if not std:
         return {}
     memo_key = (core, tuple(std.items()))
     values = None if memo is None else memo.get(memo_key)
     if values is None:
-        out = core(dict(std))
+        out = core(dict(std), memo)
         if out.keys() != std.keys() or sorted(out.values()) != list(range(1, len(std) + 1)):
             raise RuntimeError("a standard result is not a standard filling of its cells")
         values = tuple(map(out.get, std))

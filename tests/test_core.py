@@ -1,7 +1,11 @@
 """Entries, shapes, validation, canonical form, (de)standardization, I/O."""
 
+import copy
+import pickle
+
 import pytest
 
+from shifted_tableaux import core
 from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape,
                                    ShiftedTableau, StrictPartition, TableauError,
                                    canonicalize, destandardize, from_json,
@@ -32,6 +36,70 @@ class TestEntry:
             Entry.parse("0")
         with pytest.raises(TableauError):
             Entry.parse("x")
+        for value in (0, -2):
+            with pytest.raises(TableauError) as info:
+                Entry(value)
+            assert str(info.value) == f"entry value must be positive, got {value}"
+
+    def test_one_instance_per_letter(self):
+        assert Entry(3, 1) is Entry(3, True) is Entry(value=3, primed=True)
+        assert Entry(3) is Entry(3, False) is Entry(3, 0)
+        assert Entry(3) is not Entry(3, True)
+        # a letter first made with primed given as an int stores a bool
+        fresh = Entry(777_777, 1), Entry(777_778, 0)
+        assert [e.primed for e in fresh] == [True, False]
+        assert fresh == (Entry(777_777, True), Entry(777_778, False))
+        assert repr(fresh[0]) == "Entry(value=777777, primed=True)"
+        assert Entry.parse("3'") is Entry(3, True)
+
+    def test_intern_table_grows_by_two_per_value(self):
+        before = len(core._INTERNED)
+        values = range(10**6, 10**6 + 5)
+        for value in values:
+            for primed in (False, True, 0, 1):
+                Entry(value, primed)
+        assert len(core._INTERNED) - before == 2 * len(values)
+
+    def test_equality_order_and_hash(self):
+        letters = [Entry(1, True), Entry(1), Entry(2, True), Entry(2)]
+        for a, b in zip(letters, letters[1:]):
+            assert a < b and b > a and a <= b and b >= a and a != b
+            assert not (b < a or a > b or b <= a or a >= b or a == b)
+        assert Entry(2) == Entry(2) and Entry(2) <= Entry(2) and Entry(2) >= Entry(2)
+        assert Entry(2) != 2 and Entry(2) != (2, False)
+        for e in letters:
+            assert hash(e) == hash((e.value, e.primed))
+            assert e.order_key == 2 * e.value - e.primed
+        # sets and dicts of entries iterate as those of their (value, primed)
+        pairs = [(v, p) for v in (5, 1, 3, 2) for p in (True, False)]
+        assert [(e.value, e.primed) for e in set(Entry(*p) for p in pairs)] == list(set(pairs))
+
+    def test_key_table(self):
+        for k in range(1, 9):
+            assert core.entry_of_key[k] is Entry((k + 1) // 2, k % 2 == 1)
+            assert core.entry_of_key[k].order_key == k
+        with pytest.raises(TableauError, match="must be positive, got 0"):
+            core.entry_of_key[0]
+
+    def test_repr(self):
+        assert repr(Entry(1, True)) == "Entry(value=1, primed=True)"
+        assert repr(Entry(12)) == "Entry(value=12, primed=False)"
+
+    def test_copies_are_the_instance(self):
+        e = Entry(2, True)
+        assert copy.copy(e) is e and copy.deepcopy(e) is e
+        assert copy.deepcopy([e, {e: e}]) == [e, {e: e}]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(e, protocol)) is e
+
+    def test_immutable(self):
+        e = Entry(2)
+        for name in ("value", "primed", "order_key", "other"):
+            with pytest.raises(AttributeError):
+                setattr(e, name, 3)
+            with pytest.raises(AttributeError):
+                delattr(e, name)
+        assert (e.value, e.primed, e.order_key) == (2, False, 4)
 
 
 class TestShapes:

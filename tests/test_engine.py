@@ -336,10 +336,10 @@ class TestFamilyTables:
             word_permutation(fam, parse_word(word))
 
     @pytest.mark.parametrize("fake", [
-        *(lambda std, cells=cells: dict(zip(cells, range(1, len(cells) + 1)))
+        *(lambda std, memo, cells=cells: dict(zip(cells, range(1, len(cells) + 1)))
           for cells in ([(1, 1)], [(1, 1), (1, 2), (1, 3)], [(1, 1), (2, 2)])),
-        lambda std: {c: 1 for c in std},
-        lambda std: dict(zip(std, reversed(list(std.values())))),
+        lambda std, memo: {c: 1 for c in std},
+        lambda std, memo: dict(zip(std, reversed(list(std.values())))),
     ], ids=["fewer-cells", "more-cells", "other-cells", "not-standard",
             "no-destandardization"])
     def test_bad_standard_reversal_is_member_loop_error(self, monkeypatch, fake):
@@ -362,10 +362,10 @@ class TestFamilyTables:
         reverse, standardize = jdt._reverse_standard, jdt.standardize_map
         reversed_bands, standardized = [], []
 
-        def counted_reversal(std):
+        def counted_reversal(std, memo):
             assert sorted(std.values()) == list(range(1, len(std) + 1))
             reversed_bands.append(frozenset(std.items()))
-            return reverse(std)
+            return reverse(std, memo)
 
         def counted_standardize(items):
             std = standardize(items)
@@ -386,10 +386,10 @@ class TestFamilyTables:
         built, evacuated = [], []
         evacuate = jdt._evacuate_standard
 
-        def counted(std):
+        def counted(std, memo):
             assert sorted(std.values()) == list(range(1, len(std) + 1))
             evacuated.append(frozenset(std.items()))
-            return evacuate(std)
+            return evacuate(std, memo)
 
         monkeypatch.setattr(engine.ShiftedTableau, "__post_init__",
                             lambda t: built.append(t))
@@ -456,6 +456,46 @@ class TestFamilyTables:
         monkeypatch.setattr(bender_knuth, "bk_map", counted_bk_map)
         assert all(r.ok for r in run_preset("evac-agreement", 3))
         assert bands and len(bands) == len(set(bands))
+
+    def test_evac_agreement_evacuates_each_standardization_once(self, monkeypatch):
+        """A standard reversal takes its evacuation step from the preset's
+        standard memo: over evac-agreement at n=4, jdt's standard
+        evacuation runs once for each of the 62 straight standardizations
+        that the reversals of eta:1,k and the routes line evacuate."""
+        evacuate, evacuated = jdt._evacuate_standard, []
+
+        def counted(std, memo):
+            evacuated.append(tuple(std.items()))
+            return evacuate(std, memo)
+
+        monkeypatch.setattr(jdt, "_evacuate_standard", counted)
+        assert all(r.ok for r in run_preset("evac-agreement", 4))
+        assert len(evacuated) == len(set(evacuated)) == 62
+
+    @pytest.mark.parametrize("outer, n, size", [((2, 1), 0, 0), ((2,), 1, 1)])
+    def test_empty_and_one_member_families(self, outer, n, size):
+        """On a family of no member or one member every word is the
+        identity tuple, and the verdicts are those of larger families'
+        code paths: instances are members times checks, and a symbol out
+        of range is a WordError."""
+        fam = enumerate_tableaux(ShiftedSkewShape(outer), n)
+        assert len(fam) == size
+        identity = tuple(range(size))
+        assert word_permutation(fam, ()) == identity
+        for text in ("evacs1", "evacs1 evacs1 evac1"):
+            if n:
+                assert word_permutation(fam, parse_word(text)) == identity
+            else:
+                with pytest.raises(WordError, match="out of range for n=0"):
+                    word_permutation(fam, parse_word(text))
+        for text in ("e = e", "evacs1 = e", "evacs{i} evacs{i} = e", "evac1 = evacs1",
+                     "t1 = e"):
+            v = verify_relation(RelationSchema.parse(text), fam)
+            assert (v.holds, v.instances_checked, v.counterexample) == \
+                (True, 0 if text == "t1 = e" else size, None), text
+        for route in engine.CACTUS_ROUTES:
+            assert verify_cactus_action(route, [fam]) == engine.Verdict(True, 0)
+        assert engine._evac_routes([fam]) == engine.Verdict(True, size)
 
     def test_preset_lines_keep_no_switching_or_eta_band_results(self, monkeypatch):
         """Each family keeps its tables, so the switching and eta band

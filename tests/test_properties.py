@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape,
                                    canonicalize, standardize_map, weight)
 from shifted_tableaux.bender_knuth import bk, bk_trace, q
-from shifted_tableaux.engine import GeneratorSymbol, apply_symbol
+from shifted_tableaux.engine import GeneratorSymbol, apply_symbol, eval_word, word_permutation
+from shifted_tableaux.enumeration import enumerate_tableaux
 from shifted_tableaux.jdt import (dual_equivalent, eta, evacuation_jdt, evacuation_map, rectify,
                                   reversal, reversal_map)
 from shifted_tableaux.switching import PerforatedFilling, evac_switch, switch_pair
@@ -29,13 +30,14 @@ INNERS = ((), (1,), (2,), (2, 1), (3,), (3, 1), (3, 2), (4, 1))
 
 
 @st.composite
-def shapes(draw):
-    """A shifted shape of 1..MAX_CELLS cells, its size drawn first: an
+def shapes(draw, max_cells=MAX_CELLS):
+    """A shifted shape of 1..max_cells cells, its size drawn first: an
     inner strict partition from INNERS, and an outer one grown from it
     one cell at a time, each cell put at the end of a row where the
     parts stay strict (row 0 always qualifies, and a new row when the
     last part exceeds 1)."""
-    size = draw(st.one_of(st.integers(6, MAX_CELLS), st.integers(1, MAX_CELLS)))
+    size = draw(st.one_of(st.integers(min(6, max_cells), max_cells),
+                          st.integers(1, max_cells)))
     inner = draw(st.sampled_from(INNERS))
     outer = list(inner)
     for _ in range(size):
@@ -146,16 +148,21 @@ def test_evacuation_routes_agree_on_straight_shapes(t):
     assert evac_switch(s) == evacuation_jdt(s) == eta(s)
 
 
+def symbols(n, straight=False):
+    """Every generator in range for n; evac only on straight shapes."""
+    out = [GeneratorSymbol(kind, i) for kind in ("t", "p", "q", "sigma")
+           for i in range(1, n)]
+    out += [GeneratorSymbol(kind, i) for kind in ("evacs", "evac")[:1 + straight]
+            for i in range(1, n + 1)]
+    out += [GeneratorSymbol(kind, i, j) for kind in ("qij", "eta", "evacsij")
+            for i, j in intervals(n)]
+    return out
+
+
 @PROPERTY
 @given(tableaux())
 def test_operators_keep_the_cells(t):
-    n = t.n
-    symbols = [GeneratorSymbol(kind, i) for kind in ("t", "p", "q", "sigma")
-               for i in range(1, n)]
-    symbols += [GeneratorSymbol("evacs", i) for i in range(1, n + 1)]
-    symbols += [GeneratorSymbol(kind, i, j) for kind in ("qij", "eta", "evacsij")
-                for i, j in intervals(n)]
-    for sym in symbols:
+    for sym in symbols(t.n):
         assert apply_symbol(t, sym).cells == t.cells, sym
     assert reversal(t).cells == t.cells
 
@@ -191,3 +198,17 @@ def test_memoized_reversal_and_evacuation_equal_the_memo_free_ones(t):
         std = {c: Entry(v) for c, v in standardize_map(u.entries).items()}
         for entries, n in ((u.entry_map, u.n), (std, len(std))):
             assert op(entries, n, SHARED_MEMO) == op(entries, n)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(shapes(max_cells=6), st.integers(1, 4), st.data())
+def test_word_permutation_is_member_by_member_evaluation(shape, n, data):
+    """A word of 1..4 symbols, composed from the family's tables, sends
+    each member where eval_word sends it."""
+    family = enumerate_tableaux(shape, n)
+    word = data.draw(st.lists(st.sampled_from(symbols(n, shape.straight)),
+                              min_size=1, max_size=4))
+    perm = word_permutation(family, word)
+    assert type(perm) is tuple and len(perm) == len(family)
+    for x, member in enumerate(family):
+        assert perm[x] == family.positions[eval_word(word, member).key]

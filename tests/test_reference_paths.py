@@ -567,8 +567,8 @@ def swapped_evacuations(first, second):
     evacuate = jdt._evacuate_standard
     a, b = (standardize_map(parse_tableau(text).entries) for text in (first, second))
 
-    def wrong(std):
-        return evacuate(dict(b) if std == a else dict(a) if std == b else std)
+    def wrong(std, memo):
+        return evacuate(dict(b) if std == a else dict(a) if std == b else std, memo)
     return wrong
 
 
@@ -576,7 +576,7 @@ def swapped_evacuations(first, second):
 @pytest.mark.parametrize("wrong, verdict", [
     (None, True),
     (lambda: swapped_evacuations("1 2 3 7 / 4 5 / 6", "1 2 3 5 / 4 6 / 7"), False),
-    (lambda: lambda std: dict(std), InvalidTableauError),
+    (lambda: lambda std, memo: dict(std), InvalidTableauError),
 ], ids=["jdt", "swapped", "identity"])
 def test_evac_routes_match_member_loop(monkeypatch, n, wrong, verdict):
     """The routes line of evac-agreement on tables against the member loop
