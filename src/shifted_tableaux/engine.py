@@ -34,8 +34,11 @@ by standardization and weight, and a member's image is the member whose
 standardization is jdt's standard result on the member's and whose
 weight is the member's reversed.  The evacuation-routes line of
 evac-agreement compares the evac_n table (switching) with a table of
-these images.  Only the skew Knuth-equivalence witness of non-relations
-still compares tableaux member by member.
+these images.  _check, _evac_routes and _check_pointwise (the skew
+Knuth-equivalence witness of non-relations, the one check that still
+compares tableaux member by member) each give one family's Verdict, its
+first failing member found by _first_difference, and _first_failure
+alone adds up the verdicts of the families.
 """
 
 from __future__ import annotations
@@ -278,7 +281,7 @@ def _images(family: TableauFamily, lo: int, hi: int, core: Callable, memo: _Memo
     member, which no other family shares.  There a jdt core's image is
     looked up by its standard result instead (_standard_images)."""
     whole = (lo, hi) == (1, family.n)
-    cells, positions = sorted(family.shape.cells), family.positions
+    cells, positions = family.shape.sorted_cells, family.positions
     std_core = jdt.standard_core(core) if whole else None
     if std_core is not None:
         yield from _standard_images(family, cells, std_core, core, memo)
@@ -288,7 +291,7 @@ def _images(family: TableauFamily, lo: int, hi: int, core: Callable, memo: _Memo
         yield positions.get(band_keys(cells, key, lo, hi, core, memo, results=results))
 
 
-def _standard_images(family: TableauFamily, cells: list[Cell], std_core: Callable,
+def _standard_images(family: TableauFamily, cells: tuple[Cell, ...], std_core: Callable,
                      core: Callable, memo: _Memo) -> Iterator[int | None]:
     """_images of jdt.reversal_map or jdt.evacuation_map (core, whose
     standard core is std_core) on whole members: the image of a member
@@ -307,7 +310,7 @@ def _standard_images(family: TableauFamily, cells: list[Cell], std_core: Callabl
             positions.get(band_keys(cells, key, 1, family.n, core, memo))
 
 
-def _standard_index(family: TableauFamily, cells: list[Cell]) -> dict[tuple, int]:
+def _standard_index(family: TableauFamily, cells: tuple[Cell, ...]) -> dict[tuple, int]:
     """family.standard_index, built the first time it is asked for: each
     member's (values of jdt.standardize_map in sorted-cell order, weight)
     -> its position, in member order.  Two members with one key are an
@@ -548,7 +551,7 @@ def _check(family: TableauFamily, checks: Sequence[_Check], memo: _Memo,
         left = _compose(family, reversed(lhs), memo)
         right = _compose(family, reversed(rhs), memo)
         if left != right:
-            x = next(x for x, (y, z) in enumerate(zip(left, right)) if y != z)
+            x = _first_difference(left, right)
             if failed is None or x < failed[0]:
                 failed = x, c
     count = len(family) * len(checks)
@@ -560,6 +563,12 @@ def _check(family: TableauFamily, checks: Sequence[_Check], memo: _Memo,
     return Verdict(False, count if exhaustive else x * len(checks) + c + 1,
                    Counterexample(t, subs, eval_word(lhs, t), eval_word(rhs, t),
                                   family.shape), note)
+
+
+def _first_difference(left: Iterable, right: Iterable) -> int | None:
+    """The first position at which left and right differ, drawn pair by
+    pair, or None where they agree."""
+    return next((x for x, (y, z) in enumerate(zip(left, right)) if y != z), None)
 
 
 def _first_failure(verdicts: Iterable[Verdict], exhaustive: bool = False) -> Verdict:
@@ -742,8 +751,6 @@ class PresetResult:
     verdict: Verdict
 
 
-PRESETS = ("sbk-core", "cactus-q", "cactus-eta", "evac-agreement", "non-relations")
-
 STRAIGHT_MAX_PART = 4
 SKEW_MAX_CELLS = 5
 SEARCH_MAX_CELLS = 9
@@ -761,47 +768,36 @@ def skew_families(n: int, max_cells: int = SKEW_MAX_CELLS,
             for s in skew_shapes(max_cells, STRAIGHT_MAX_PART, include_straight)]
 
 
-def _check_pointwise(families: Iterable[TableauFamily],
+def _check_pointwise(family: TableauFamily,
                      left: Callable[[ShiftedTableau], ShiftedTableau],
                      right: Callable[[ShiftedTableau], ShiftedTableau]) -> Verdict:
-    """Compare two tableau functions member by member, stopping at the
-    first failure.  Only the skew Knuth-equivalence witness of
-    non-relations runs here: its two sides are rectified, so they leave
-    the family and no permutation table holds them."""
-    checked = 0
-    for family in families:
-        for t in family:
-            checked += 1
-            lres, rres = left(t), right(t)
-            if lres != rres:
-                return Verdict(False, checked,
-                               Counterexample(t, (), lres, rres, family.shape))
-    return Verdict(True, checked)
+    """Compare two tableau functions member by member up to the first
+    failure, and recompute both sides for its counterexample.  Only the
+    skew Knuth-equivalence witness of non-relations runs here: its sides
+    are rectified, so they leave the family and no table holds them."""
+    x = _first_difference(map(left, family), map(right, family))
+    if x is None:
+        return Verdict(True, len(family))
+    t = family.members[x]
+    return Verdict(False, x + 1, Counterexample(t, (), left(t), right(t), family.shape))
 
 
-def _evac_routes(families: Iterable[TableauFamily], memo: _Memo | None = None
-                 ) -> Verdict:
+def _evac_routes(family: TableauFamily, memo: _Memo) -> Verdict:
     """Switching evacuation against rectification after the complement
-    on straight families: the evac_n table against a table of
+    on a straight family: the evac_n table against a table of
     jdt.evacuation_map results, one standard evacuation per
     standardization, member by member up to the first failure.  A jdt
     result that is not a member fails its member.  The counterexample is
     rebuilt with evac_switch and evacuation_jdt."""
-    if memo is None:
-        memo = {}
-    checked = 0
-    for family in families:
-        if not family.members:  # at n=0, where evac_n is out of range
-            continue
-        left = _table(family, GeneratorSymbol("evac", family.n), memo)
-        right = _images(family, 1, family.n, jdt.evacuation_map, memo)
-        x = next((x for x, y in enumerate(right) if y != left[x]), None)
-        if x is not None:
-            t = family.members[x]
-            return Verdict(False, checked + x + 1, Counterexample(
-                t, (), switching.evac_switch(t), jdt.evacuation_jdt(t), family.shape))
-        checked += len(family)
-    return Verdict(True, checked)
+    if not family.members:  # at n=0, where evac_n is out of range
+        return Verdict(True, 0)
+    x = _first_difference(_table(family, GeneratorSymbol("evac", family.n), memo),
+                          _images(family, 1, family.n, jdt.evacuation_map, memo))
+    if x is None:
+        return Verdict(True, len(family))
+    t = family.members[x]
+    return Verdict(False, x + 1, Counterexample(
+        t, (), switching.evac_switch(t), jdt.evacuation_jdt(t), family.shape))
 
 
 def sbk_core_schemas() -> list[RelationSchema]:
@@ -862,7 +858,7 @@ def _preset_evac_agreement(n: int) -> list[PresetResult]:
             f"evac{k}", f"eta:1,{k}", name=f"evac_{k} = eta_1{k}"), families, memo))
         out.append(_schema_result(RelationSchema(
             f"evac{k}", f"q{k - 1}", name=f"evac_{k} = q_{k - 1}"), families, memo))
-    v = _evac_routes(families, memo)
+    v = _first_failure(_evac_routes(family, memo) for family in families)
     out.append(PresetResult("evac via switching = rectify after complement",
                             v.holds, v))
     skew = skew_families(n)
@@ -893,26 +889,28 @@ def _preset_non_relations(n: int) -> list[PresetResult]:
         out.append(PresetResult(label, not v.holds, v))
     # skew evacuation need not be Knuth equivalent to the complement; the
     # families are enumerated lazily, so the scan stops at the witness
-    v = _check_pointwise(
-        (enumerate_tableaux(s, n) for s in skew_shapes(SEARCH_MAX_CELLS, STRAIGHT_MAX_PART)),
-        lambda t: jdt.rectify(switching.evac_skew(t))[0],
+    v = _first_failure(_check_pointwise(
+        enumerate_tableaux(s, n), lambda t: jdt.rectify(switching.evac_skew(t))[0],
         lambda t: jdt.rectify(jdt.complement(t))[0])
+        for s in skew_shapes(SEARCH_MAX_CELLS, STRAIGHT_MAX_PART))
     out.append(PresetResult("skew evac not Knuth equivalent to complement",
                             not v.holds, v))
     return out
 
 
+_PRESETS = {
+    "sbk-core": _preset_sbk_core,
+    "cactus-q": lambda n: _preset_cactus("q", n),
+    "cactus-eta": lambda n: _preset_cactus("eta", n),
+    "evac-agreement": _preset_evac_agreement,
+    "non-relations": _preset_non_relations,
+}
+PRESETS = tuple(_PRESETS)
+
+
 def run_preset(name: str, n: int) -> list[PresetResult]:
     """Run one of the bundled suites; every result must be ok for the suite
     to pass."""
-    if name == "sbk-core":
-        return _preset_sbk_core(n)
-    if name == "cactus-q":
-        return _preset_cactus("q", n)
-    if name == "cactus-eta":
-        return _preset_cactus("eta", n)
-    if name == "evac-agreement":
-        return _preset_evac_agreement(n)
-    if name == "non-relations":
-        return _preset_non_relations(n)
-    raise WordError(f"unknown preset {name!r}; choose from {', '.join(PRESETS)}")
+    if name not in _PRESETS:
+        raise WordError(f"unknown preset {name!r}; choose from {', '.join(PRESETS)}")
+    return _PRESETS[name](n)

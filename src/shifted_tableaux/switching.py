@@ -228,12 +228,8 @@ def full_switch(s: ShiftedTableau, t: ShiftedTableau
     for i in sorted(s_bands, reverse=True):
         for j in sorted(t_bands):
             _run(s_bands[i], t_bands[j], on_step)
-    t_out, s_out = _merge(t_bands), _merge(s_bands)
-    st_top = (ShiftedTableau.from_map(t_out, t.n) if t_out
-              else ShiftedTableau(ShiftedSkewShape(), (), t.n))
-    st_bottom = (ShiftedTableau.from_map(s_out, s.n) if s_out
-                 else ShiftedTableau(ShiftedSkewShape(), (), s.n))
-    return st_top, st_bottom, trace
+    return (ShiftedTableau.from_map(_merge(t_bands), t.n),
+            ShiftedTableau.from_map(_merge(s_bands), s.n), trace)
 
 
 # ---------------------------------------------------------------------------

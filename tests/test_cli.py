@@ -1,6 +1,7 @@
 """Command line interface: subcommands, formats, and exit codes."""
 
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -155,6 +156,16 @@ class TestRectify:
         assert res[0] == res[1]
 
 
+# SHA-256 of each preset's --format json report at --n 3 without "timing"
+PRESET_REPORTS_N3 = {
+    "sbk-core": "f5175000f8ded8e025478eb90726720473b645ff753d2200944f317f1c336d1d",
+    "cactus-q": "b2c373b151d16d6e317bd5547a17c83d55b4093d133ccb890a7de367e255a937",
+    "cactus-eta": "43f4ee4de46b2a706170481ca0d0b3c9b6982f01944cdf7b3cdb66a513f8de2b",
+    "evac-agreement": "9ee2fa7b0452fddb266d563506018509dc2940e2f7973e32aa2bbcc8c128790c",
+    "non-relations": "4537cd025ecfecaa7cf29ff638875490139b3c2cffc2e7b13ce195ea9af44a3e",
+}
+
+
 class TestVerify:
     def test_schema_holds(self, capsys):
         code, out, _ = run(capsys, "verify", "--schema", "t{i} t{i} = e",
@@ -199,6 +210,17 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--preset", "evac-agreement",
                            "--n", "3")
         assert code == 0 and "PASS" in out
+
+    @pytest.mark.parametrize("preset, digest", PRESET_REPORTS_N3.items())
+    def test_preset_report_is_byte_stable(self, capsys, preset, digest):
+        """The JSON report of each preset at n=3 is byte-stable: without
+        its timing it hashes to the recorded digest."""
+        code, out, _ = run(capsys, "--format", "json", "verify", "--preset", preset,
+                           "--n", "3")
+        doc = json.loads(out)
+        del doc["timing"]
+        assert code == 0
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
 
     def test_zero_power_is_the_identity(self, capsys):
         assert run(capsys, "verify", "--schema", "t1^0 = e", "--n", "3") == \

@@ -7,7 +7,7 @@ import pytest
 from shifted_tableaux import bender_knuth, engine, jdt, switching
 from shifted_tableaux.core import (CapacityError, Entry, InvalidTableauError, ShiftedSkewShape,
                                    parse_tableau, render_text)
-from shifted_tableaux.enumeration import enumerate_tableaux
+from shifted_tableaux.enumeration import enumerate_tableaux, skew_shapes
 from shifted_tableaux.engine import (MAX_ASSIGNMENTS, MAX_WORD_LENGTH,
                                      GeneratorSymbol,
                                      RelationSchema, WordError, apply_symbol,
@@ -394,7 +394,8 @@ class TestFamilyTables:
         monkeypatch.setattr(engine.ShiftedTableau, "__post_init__",
                             lambda t: built.append(t))
         monkeypatch.setattr(jdt, "_evacuate_standard", counted)
-        v = engine._evac_routes(families)
+        memo = {}
+        v = engine._first_failure(engine._evac_routes(family, memo) for family in families)
         assert (v.holds, v.instances_checked, built) == (True, 236, [])
         assert len(evacuated) == len(set(evacuated)) < 236
 
@@ -495,7 +496,7 @@ class TestFamilyTables:
                 (True, 0 if text == "t1 = e" else size, None), text
         for route in engine.CACTUS_ROUTES:
             assert verify_cactus_action(route, [fam]) == engine.Verdict(True, 0)
-        assert engine._evac_routes([fam]) == engine.Verdict(True, size)
+        assert engine._evac_routes(fam, {}) == engine.Verdict(True, size)
 
     def test_preset_lines_keep_no_switching_or_eta_band_results(self, monkeypatch):
         """Each family keeps its tables, so the switching and eta band
@@ -540,7 +541,8 @@ class TestFamilyTables:
         families = engine.skew_families(3, include_straight=True)
         for family in families:
             word_permutation(family, parse_word("eta:1,3"))
-        assert engine._evac_routes(straight_families(3)).holds
+        memo = {}
+        assert all(engine._evac_routes(family, memo).holds for family in straight_families(3))
         assert calls["reverse"] > 0 and calls["destandardize"] == 0
         for family in families:
             word_permutation(family, parse_word("eta:1,2"))
@@ -548,6 +550,21 @@ class TestFamilyTables:
 
 
 class TestSearch:
+    def test_stops_at_the_witness_shape(self, monkeypatch):
+        """A search that finds a witness enumerates the shapes in order up
+        to the witness's shape and no further."""
+        enumerate_real, shapes = engine.enumerate_tableaux, []
+
+        def spy(shape, n):
+            shapes.append(shape)
+            return enumerate_real(shape, n)
+
+        monkeypatch.setattr(engine, "enumerate_tableaux", spy)
+        v = search_counterexample(RelationSchema("(t1 t2)^6", "e"), 3, 9, max_part=4)
+        order = engine.straight_shapes(9, 4)
+        assert not v.holds and len(shapes) < len(order)
+        assert shapes == order[:order.index(v.counterexample.shape) + 1]
+
     def test_finds_braid_failure(self):
         v = search_counterexample(RelationSchema("(t1 t2)^6", "e"), 3, 9,
                                   max_part=4)
@@ -616,5 +633,33 @@ class TestPresets:
                     for r in results] == counts, name
 
     def test_unknown_preset(self):
-        with pytest.raises(WordError):
+        with pytest.raises(WordError, match=r"^unknown preset 'nope'; choose from sbk-core, "
+                           "cactus-q, cactus-eta, evac-agreement, non-relations$"):
             run_preset("nope", 3)
+
+    def test_knuth_witness_scan_stops_at_its_witness(self, monkeypatch):
+        """The witness line of non-relations enumerates the skew shapes in
+        order, each family only as the scan reaches it, and none after the
+        counterexample's shape (3,1)/(1)."""
+        enumerate_real, search_real = engine.enumerate_tableaux, engine.search_counterexample
+        shapes, searching = [], []
+
+        def spy_enumerate(shape, n):
+            if not searching:
+                shapes.append(shape)
+            return enumerate_real(shape, n)
+
+        def spy_search(*args, **kwargs):
+            searching.append(True)
+            try:
+                return search_real(*args, **kwargs)
+            finally:
+                searching.pop()
+
+        monkeypatch.setattr(engine, "enumerate_tableaux", spy_enumerate)
+        monkeypatch.setattr(engine, "search_counterexample", spy_search)
+        witness = run_preset("non-relations", 3)[-1].verdict.counterexample
+        witness_shape = ShiftedSkewShape((3, 1), (1,))
+        assert witness.shape == witness_shape
+        order = skew_shapes(engine.SEARCH_MAX_CELLS, engine.STRAIGHT_MAX_PART)
+        assert shapes == order[:order.index(witness_shape) + 1]

@@ -166,14 +166,12 @@ def reference_dual_equivalent(t1, t2, slide=reference_slide,
 
 
 def reference_split(t, i, j):
-    """The prefix (letters < i), band (i..j) and suffix (> j) tableaux."""
+    """The prefix (letters < i) entry map, the band (i..j) tableau and the
+    suffix (> j) entry map."""
     def part(keep):
-        entries = {c: e for c, e in t.entries if keep(e.value)}
-        if not entries:
-            return ShiftedTableau(ShiftedSkewShape(), (), t.n)
-        return ShiftedTableau.from_map(entries, t.n)
+        return {c: e for c, e in t.entries if keep(e.value)}
 
-    return (part(lambda v: v < i), part(lambda v: i <= v <= j),
+    return (part(lambda v: v < i), ShiftedTableau.from_map(part(lambda v: i <= v <= j), t.n),
             part(lambda v: v > j))
 
 
@@ -189,8 +187,8 @@ def reference_band(t, i, j, split, op):
     back = ShiftedTableau.from_map({c: e.shift(i - 1) for c, e in done.entries},
                                    t.n, done.shape)
     entries = {}
-    for p in (prefix, back, suffix):
-        for c, e in p.entries:
+    for items in (prefix.items(), back.entries, suffix.items()):
+        for c, e in items:
             assert c not in entries
             entries[c] = e
     return ShiftedTableau.from_map(entries, t.n)
@@ -585,10 +583,13 @@ def test_evac_routes_match_member_loop(monkeypatch, n, wrong, verdict):
     a destandardization error, at the same member on both paths."""
     if wrong is not None:
         monkeypatch.setattr(jdt, "_evacuate_standard", wrong())
-    want = route_outcome(lambda: engine._check_pointwise(
-        straight_families(n), switching.evac_switch, jdt.evacuation_jdt))
+    want = route_outcome(lambda: engine._first_failure(
+        engine._check_pointwise(family, switching.evac_switch, jdt.evacuation_jdt)
+        for family in straight_families(n)))
     assert want[0] is verdict
-    assert route_outcome(lambda: engine._evac_routes(straight_families(n))) == want
+    memo = {}
+    assert route_outcome(lambda: engine._first_failure(
+        engine._evac_routes(family, memo) for family in straight_families(n))) == want
 
 
 def member_loop(family, op):

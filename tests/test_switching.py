@@ -48,6 +48,17 @@ class TestFullSwitchGolden:
         back_s, back_t, _ = full_switch(res_t, res_s)
         assert (back_s, back_t) == (s, t)
 
+    def test_empty_side(self):
+        """With S or T empty nothing switches: the other tableau passes
+        through with its (outer, inner) pair and the empty side stays the
+        empty tableau."""
+        empty, full = ShiftedTableau(ShiftedSkewShape(), (), 2), parse_tableau(". 1 2\n2", 2)
+        for s, t in ((empty, full), (full, empty)):
+            res_t, res_s, trace = full_switch(s, t)
+            assert (res_t, res_s, trace) == (t, s, [])
+            assert [(r.shape.outer, r.shape.inner) for r in (res_t, res_s)] == \
+                [(r.shape.outer, r.shape.inner) for r in (t, s)]
+
     def test_requires_extension(self):
         s = parse_tableau("1 1", 2)
         with pytest.raises(SwitchingError):
