@@ -406,8 +406,12 @@ class ShiftedTableau:
     n: int = 0
 
     def __post_init__(self):
-        ent = tuple(sorted(self.entries))
-        object.__setattr__(self, "entries", ent)
+        ent = self.entries
+        # entries already in sorted-cell order, as the family members and
+        # act_on_band give them, are not sorted again
+        if type(ent) is not tuple or tuple([c for c, _ in ent]) != self.shape.sorted_cells:
+            ent = tuple(sorted(ent))
+            object.__setattr__(self, "entries", ent)
         _validate_filling(self.shape, ent, self.n)
 
     @cached_property

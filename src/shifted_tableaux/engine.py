@@ -16,17 +16,17 @@ on the family; a word's permutation composes the tables of its symbols,
 and a relation compares the permutations of its two sides.  t_i, eta,
 sigma and the evac variants run their map-level core on their letter
 band alone, through core.band_keys on order keys (the band split the
-operators on one tableau share), and their result is looked up by key
-among the members, which are exactly the valid canonical fillings.
-p, q and q_{i,j} compose the t_i tables.  The verifications of one
-run_preset call share one band memo (a search keeps one, and so does
-any other verification call), and each band result is computed once
-per memo, except on the whole alphabet 1..n, whose band is the whole
-member; a preset keeps switching and eta band results for one line
-only.  The cores of eta and sigma are jdt.reversal_map itself, given
-the memo, so that jdt runs one standard reversal per standardization;
-switching evacuation is never standardized: it runs on semistandard
-bands.
+operators on one tableau share), and their result is looked up among
+the family's keys, which the enumerator makes exactly the keys of the
+valid canonical fillings.  p, q and q_{i,j} compose the t_i tables.
+The verifications of one run_preset call share one band memo (a search
+keeps one, and so does any other verification call), and each band
+result is computed once per memo, except on the whole alphabet 1..n,
+whose band is the whole member; a preset keeps switching and eta band
+results for one line only.  The cores of eta and sigma are
+jdt.reversal_map itself, given the memo, so that jdt runs one standard
+reversal per standardization; switching evacuation is never
+standardized: it runs on semistandard bands.
 
 On the whole alphabet, eta:1,n and the jdt side of the evacuation
 routes destandardize nothing: the family keeps an index of its members
@@ -39,6 +39,12 @@ Knuth-equivalence witness of non-relations, the one check that still
 compares tableaux member by member) each give one family's Verdict, its
 first failing member found by _first_difference, and _first_failure
 alone adds up the verdicts of the families.
+
+A family is its members' keys, and the tables are filled on keys, so a
+verification whose checks all hold builds no tableau.  A failing check
+builds, through family.member, only the member its counterexample
+prints, and then the two sides from it; the skew Knuth-equivalence
+witness alone walks the members as tableaux.
 """
 
 from __future__ import annotations
@@ -52,7 +58,8 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import bender_knuth, jdt, switching
-from .core import CapacityError, Cell, Entry, ShiftedSkewShape, ShiftedTableau, band_keys
+from .core import (CapacityError, Cell, Entry, ShiftedSkewShape, ShiftedTableau, band_keys,
+                   entry_of_key)
 from .enumeration import TableauFamily, enumerate_tableaux, skew_shapes, straight_shapes
 
 
@@ -259,7 +266,7 @@ def _table(family: TableauFamily, sym: GeneratorSymbol, memo: _Memo
         table = _compose(family, [GeneratorSymbol("t", k)
                                   for k in kind.factors(*sym.indices)], memo)
     else:
-        if kind.straight and family.members:
+        if kind.straight and family.keys:
             switching.require_straight(family.shape, "evac_k_switch", "evac_k_skew")
         images = []
         for y in _images(family, *kind.band(*sym.indices), kind.core, memo):
@@ -287,7 +294,7 @@ def _images(family: TableauFamily, lo: int, hi: int, core: Callable, memo: _Memo
         yield from _standard_images(family, cells, std_core, core, memo)
         return
     results = None if whole else memo.setdefault((core, hi - lo + 1), {})
-    for key in positions:
+    for key in family.keys:
         yield positions.get(band_keys(cells, key, lo, hi, core, memo, results=results))
 
 
@@ -301,9 +308,13 @@ def _standard_images(family: TableauFamily, cells: tuple[Cell, ...], std_core: C
     no member has runs band_keys on its member, as on a partial band, so
     its error or its None is the one the member gets there."""
     index, positions = _standard_index(family, cells), family.positions
-    for key, (values, wt) in zip(positions, index):
-        # the member's standardization, its cells in value order again
-        std = dict(sorted(zip(cells, values), key=lambda item: item[1]))
+    ranks = range(1, len(cells) + 1)
+    by_value = [None] * len(cells)
+    for key, (values, wt) in zip(family.keys, index):
+        # the member's standardization, its cells listed by value again
+        for c, v in zip(cells, values):
+            by_value[v - 1] = c
+        std = dict(zip(by_value, ranks))
         image = jdt.standard_result(std_core, std, memo)
         y = index.get((tuple(map(image.get, cells)), wt[::-1]))
         yield y if y is not None else \
@@ -318,10 +329,10 @@ def _standard_index(family: TableauFamily, cells: tuple[Cell, ...]) -> dict[tupl
     index, n = family.standard_index, family.n
     if index:
         return index
-    for x, t in enumerate(family.members):
-        std = jdt.standardize_map(t.entries)
+    for x, key in enumerate(family.keys):
+        std = jdt.standardize_map(zip(cells, map(entry_of_key.__getitem__, key)))
         wt = [0] * n
-        for k in t.key:
+        for k in key:
             wt[(k - 1) >> 1] += 1
         if index.setdefault((tuple(map(std.get, cells)), tuple(wt)), x) != x:
             raise RuntimeError(f"two members of ShST({family.shape}, {n}) share a "
@@ -559,7 +570,7 @@ def _check(family: TableauFamily, checks: Sequence[_Check], memo: _Memo,
         return Verdict(True, count)
     x, c = failed
     note, subs, lhs, rhs = checks[c]
-    t = family.members[x]
+    t = family.member(x)
     return Verdict(False, count if exhaustive else x * len(checks) + c + 1,
                    Counterexample(t, subs, eval_word(lhs, t), eval_word(rhs, t),
                                   family.shape), note)
@@ -778,7 +789,7 @@ def _check_pointwise(family: TableauFamily,
     x = _first_difference(map(left, family), map(right, family))
     if x is None:
         return Verdict(True, len(family))
-    t = family.members[x]
+    t = family.member(x)
     return Verdict(False, x + 1, Counterexample(t, (), left(t), right(t), family.shape))
 
 
@@ -789,13 +800,13 @@ def _evac_routes(family: TableauFamily, memo: _Memo) -> Verdict:
     standardization, member by member up to the first failure.  A jdt
     result that is not a member fails its member.  The counterexample is
     rebuilt with evac_switch and evacuation_jdt."""
-    if not family.members:  # at n=0, where evac_n is out of range
+    if not family.keys:  # at n=0, where evac_n is out of range
         return Verdict(True, 0)
     x = _first_difference(_table(family, GeneratorSymbol("evac", family.n), memo),
                           _images(family, 1, family.n, jdt.evacuation_map, memo))
     if x is None:
         return Verdict(True, len(family))
-    t = family.members[x]
+    t = family.member(x)
     return Verdict(False, x + 1, Counterexample(
         t, (), switching.evac_switch(t), jdt.evacuation_jdt(t), family.shape))
 

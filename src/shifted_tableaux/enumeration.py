@@ -7,8 +7,13 @@ neighbour, both already placed.  The multiplicity rules are tracked as the
 search goes, and canonical form is a prefix rule: a primed key is offered
 only for a letter that already occurs in the prefix.  Keys are tried in
 increasing order, so the family comes out in reading-word lexicographic
-order, which keeps golden outputs byte-stable.  Every member is validated
-as a tableau, built from its entries in sorted-cell order.
+order, which keeps golden outputs byte-stable.
+
+A family is its members' order keys: the search builds no tableau, and
+membership by key rests on it alone.  Every member that leaves the
+library as a tableau is validated: member(x) builds it with the
+tableau constructor, from its entries in sorted-cell order, and members
+holds them all once asked for.
 """
 
 from __future__ import annotations
@@ -22,7 +27,11 @@ from .core import Cell, ShiftedSkewShape, ShiftedTableau, entry_of_key, reading_
 
 @dataclass(frozen=True)
 class TableauFamily:
-    """The complete family ShST(shape, n), deterministically ordered.
+    """The complete family ShST(shape, n), deterministically ordered, as
+    its members' keys: keys[x] is the tuple of member x's order keys
+    2*value - primed over the shape's sorted cells.  member(x) builds and
+    validates member x as a tableau; members builds them all, the first
+    time it is asked for, and iteration walks them.
 
     Every generator keeps the cell set, so on a family it is a permutation
     of the member positions; tables maps a generator to that permutation
@@ -35,7 +44,7 @@ class TableauFamily:
 
     shape: ShiftedSkewShape
     n: int
-    members: tuple[ShiftedTableau, ...]
+    keys: tuple[tuple[int, ...], ...]
     tables: dict[Any, tuple[int, ...]] = field(default_factory=dict, init=False,
                                                repr=False, compare=False)
     standard_index: dict[tuple, int] = field(default_factory=dict, init=False,
@@ -43,16 +52,25 @@ class TableauFamily:
 
     @cached_property
     def positions(self) -> dict[tuple[int, ...], int]:
-        """Member key -> position.  A member's key is the tuple of its
-        entries' order keys over the shape's sorted cells, so a map on
-        the family's cells is a member exactly when its key is here."""
-        return {t.key: k for k, t in enumerate(self.members)}
+        """Member key -> position: a map on the family's cells is a member
+        exactly when its key is here."""
+        return {k: x for x, k in enumerate(self.keys)}
+
+    def member(self, x: int) -> ShiftedTableau:
+        """Member x, built and validated as a tableau."""
+        entries = [entry_of_key[k] for k in self.keys[x]]
+        return ShiftedTableau(self.shape, tuple(zip(self.shape.sorted_cells, entries)), self.n)
+
+    @cached_property
+    def members(self) -> tuple[ShiftedTableau, ...]:
+        """Every member, built by member."""
+        return tuple(map(self.member, range(len(self.keys))))
 
     def __iter__(self) -> Iterator[ShiftedTableau]:
         return iter(self.members)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.keys)
 
 
 def enumerate_tableaux(shape: ShiftedSkewShape, n: int) -> TableauFamily:
@@ -61,10 +79,8 @@ def enumerate_tableaux(shape: ShiftedSkewShape, n: int) -> TableauFamily:
         raise ValueError("alphabet bound must be >= 0")
     cells = reading_cells(shape)
     at = {cell: i for i, cell in enumerate(cells)}
-    # members are built in sorted-cell order, from the reading position
-    # of each sorted cell
-    sorted_cells = shape.sorted_cells
-    reading = [at[cell] for cell in sorted_cells]
+    # member keys list the sorted cells, by the reading position of each
+    reading = [at[cell] for cell in shape.sorted_cells]
     # per cell: row, column, and the positions of its west and south
     # neighbours in reading order (-1 when outside the shape)
     plan = [(r, c, at.get((r, c - 1), -1), at.get((r + 1, c), -1))
@@ -73,12 +89,11 @@ def enumerate_tableaux(shape: ShiftedSkewShape, n: int) -> TableauFamily:
     seen = [0] * (n + 1)                       # occurrences of each letter so far
     primed_rows: set[tuple[int, int]] = set()  # (row, value) with a primed entry
     used_cols: set[tuple[int, int]] = set()    # (col, value) with an unprimed entry
-    members: list[ShiftedTableau] = []
+    found: list[tuple[int, ...]] = []          # the members' keys
 
     def place(i: int) -> None:
         if i == len(cells):
-            entries = [entry_of_key[keys[j]] for j in reading]
-            members.append(ShiftedTableau(shape, tuple(zip(sorted_cells, entries)), n))
+            found.append(tuple([keys[j] for j in reading]))
             return
         r, c, west, south = plan[i]
         low = keys[west] if west >= 0 else 1
@@ -103,7 +118,7 @@ def enumerate_tableaux(shape: ShiftedSkewShape, n: int) -> TableauFamily:
                 used_cols.discard((c, v))
 
     place(0)
-    return TableauFamily(shape, n, tuple(members))
+    return TableauFamily(shape, n, tuple(found))
 
 
 def straight_shapes(max_cells: int, max_part: int | None = None

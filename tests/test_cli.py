@@ -156,7 +156,8 @@ class TestRectify:
         assert res[0] == res[1]
 
 
-# SHA-256 of each preset's --format json report at --n 3 without "timing"
+# SHA-256 of each preset's --format json report without "timing", at --n 3
+# and at --n 4
 PRESET_REPORTS_N3 = {
     "sbk-core": "f5175000f8ded8e025478eb90726720473b645ff753d2200944f317f1c336d1d",
     "cactus-q": "b2c373b151d16d6e317bd5547a17c83d55b4093d133ccb890a7de367e255a937",
@@ -164,6 +165,23 @@ PRESET_REPORTS_N3 = {
     "evac-agreement": "9ee2fa7b0452fddb266d563506018509dc2940e2f7973e32aa2bbcc8c128790c",
     "non-relations": "4537cd025ecfecaa7cf29ff638875490139b3c2cffc2e7b13ce195ea9af44a3e",
 }
+PRESET_REPORTS_N4 = {
+    "sbk-core": "febdf79372b00abc97adc43e9e519170d67e596ada80bd209818abafe68dbabc",
+    "cactus-q": "000926bf120e93cb7fb0b4e6331a2d3106c7fb9c9fff073b72d4961172e6626b",
+    "cactus-eta": "5e5f776bdee0514b68fcba008cd474fe70285ddb4487bb40d790f518daa41bcf",
+    "evac-agreement": "8324a222677e85ed4c074242e87ecfb4a95d90e31a2a0ae5007e28623a410234",
+    "non-relations": "44e98efdfb0c396c806267e23ac32264a4843185063dd1a0acc68b06ff445f6b",
+}
+
+
+def report_digest(capsys, preset, n):
+    """The SHA-256 of a preset's JSON report without its timing."""
+    code, out, _ = run(capsys, "--format", "json", "verify", "--preset", preset,
+                       "--n", str(n))
+    doc = json.loads(out)
+    del doc["timing"]
+    assert code == 0
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
 class TestVerify:
@@ -215,12 +233,13 @@ class TestVerify:
     def test_preset_report_is_byte_stable(self, capsys, preset, digest):
         """The JSON report of each preset at n=3 is byte-stable: without
         its timing it hashes to the recorded digest."""
-        code, out, _ = run(capsys, "--format", "json", "verify", "--preset", preset,
-                           "--n", "3")
-        doc = json.loads(out)
-        del doc["timing"]
-        assert code == 0
-        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
+        assert report_digest(capsys, preset, 3) == digest
+
+    @pytest.mark.parametrize("preset, digest", PRESET_REPORTS_N4.items())
+    def test_preset_report_is_byte_stable_at_n4(self, capsys, preset, digest):
+        """The same at n=4, where every preset has more families and
+        lines."""
+        assert report_digest(capsys, preset, 4) == digest
 
     def test_zero_power_is_the_identity(self, capsys):
         assert run(capsys, "verify", "--schema", "t1^0 = e", "--n", "3") == \

@@ -399,6 +399,38 @@ class TestFamilyTables:
         assert (v.holds, v.instances_checked, built) == (True, 236, [])
         assert len(evacuated) == len(set(evacuated)) < 236
 
+    @pytest.mark.parametrize("preset", ["sbk-core", "cactus-q", "cactus-eta",
+                                        "evac-agreement"])
+    def test_preset_builds_no_tableau(self, monkeypatch, preset):
+        """A family is its members' keys, and every table is filled on
+        keys: a preset whose lines all hold builds no tableau at all, its
+        enumeration included."""
+        built = []
+        monkeypatch.setattr(engine.ShiftedTableau, "__post_init__", lambda t: built.append(t))
+        results = run_preset(preset, 4)
+        assert all(r.ok for r in results) and built == []
+
+    def test_failing_check_builds_only_its_counterexample(self, monkeypatch):
+        """A failing relation builds the member its counterexample prints,
+        through family.member, and then its two sides, and no other
+        tableau; each is validated."""
+        family = enumerate_tableaux(ShiftedSkewShape((3, 1)), 3)
+        validate, built = engine.ShiftedTableau.__post_init__, []
+
+        def spy(t):
+            validate(t)
+            built.append(t)
+
+        monkeypatch.setattr(engine.ShiftedTableau, "__post_init__", spy)
+        v = verify_relation(RelationSchema("t1", "t2"), family)
+        ce = v.counterexample
+        assert (v.holds, v.instances_checked) == (False, 1)
+        assert [id(t) for t in built] == [id(ce.tableau), id(ce.left_result),
+                                          id(ce.right_result)]
+        monkeypatch.undo()
+        assert ce.tableau == family.members[0]
+        assert (rt(ce.left_result), rt(ce.right_result)) == ("1 2' 2 / 2", "1 1 1 / 3")
+
     def test_t_band_runs_once_per_band(self, monkeypatch):
         """t_i runs on its band {i, i+1} re-indexed to 1..2: in one
         relation check at n=3, bender_knuth.bk_map sees the letters 1 and

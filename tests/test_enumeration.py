@@ -8,6 +8,7 @@ sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 from helpers import brute_force_members  # noqa: E402
 
 from shifted_tableaux.core import ShiftedSkewShape, reading_word, render_text
+from shifted_tableaux.engine import skew_families, straight_families
 from shifted_tableaux.enumeration import (enumerate_tableaux, skew_shapes,
                                           straight_shapes)
 
@@ -24,6 +25,15 @@ def test_reading_word_lex_order():
         fam = enumerate_tableaux(shape, 3)
         keys = [tuple(e.order_key for e in reading_word(t)) for t in fam]
         assert all(a < b for a, b in zip(keys, keys[1:])), shape
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_keys_are_valid_canonical_fillings(n):
+    """Every enumerated key is the key of the validated tableau member
+    builds from it, over the preset families: membership by key, which
+    verification relies on, rests on the enumerator alone."""
+    for family in straight_families(n) + skew_families(n, include_straight=True):
+        assert tuple(t.key for t in family.members) == family.keys, family.shape
 
 
 def test_oracle_equivalence_small():

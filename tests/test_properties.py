@@ -212,3 +212,18 @@ def test_word_permutation_is_member_by_member_evaluation(shape, n, data):
     assert type(perm) is tuple and len(perm) == len(family)
     for x, member in enumerate(family):
         assert perm[x] == family.positions[eval_word(word, member).key]
+
+
+@settings(PROPERTY, max_examples=40)
+@given(shapes(max_cells=8), st.integers(0, 4), st.data())
+def test_members_are_built_from_the_keys(shape, n, data):
+    """positions is a bijection from the family's keys onto
+    range(len(family)), and member(x), drawn before members is built,
+    is members[x]."""
+    family = enumerate_tableaux(shape, n)
+    assert list(family.positions) == list(family.keys)
+    assert list(family.positions.values()) == list(range(len(family)))
+    drawn = data.draw(st.lists(st.integers(0, len(family) - 1), max_size=5)) \
+        if len(family) else []
+    singles = [family.member(x) for x in drawn]
+    assert singles == [family.members[x] for x in drawn]

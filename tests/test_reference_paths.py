@@ -718,6 +718,41 @@ def test_validator_matches_rule_by_rule_on_bad_cells():
     assert checked > 10000
 
 
+def construction_outcome(shape, items, n):
+    try:
+        t = ShiftedTableau(shape, items, n)
+    except InvalidTableauError as exc:
+        return type(exc), exc.rule, str(exc), exc.cell
+    return t.entries
+
+
+def test_constructor_sorts_only_what_is_unsorted():
+    """The constructor skips its sort when the entries come in
+    sorted-cell order, as family members and act_on_band results do.
+    Given in that order, reversed, or with cells filled twice, missing
+    or off the shape, on every representation of at most 3 cells, it
+    raises the reference's error on the sorted items, or keeps them
+    sorted."""
+    staircase = ShiftedSkewShape((4, 3, 2, 1)).sorted_cells
+    entries = [Entry(1), Entry(2, True), Entry(2)]
+    checked = 0
+    for shape in every_representation(3):
+        cells = list(shape.sorted_cells)
+        # every filling of the shape's cells, and two letters on bad cells
+        variants = [(cells, entries), (cells + cells[-1:], entries[::2]),
+                    (cells[1:], entries[::2])]
+        variants += [(cells + [c], entries[::2]) for c in staircase[:3] if c not in cells]
+        for variant, letters in variants:
+            for filling in product(letters, repeat=len(variant)):
+                items = tuple(zip(variant, filling))
+                ordered = tuple(sorted(items))
+                want = validation_outcome(reference_validate_filling, shape, ordered, 2)
+                for given in (items, items[::-1]):
+                    assert construction_outcome(shape, given, 2) == (want or ordered), given
+                    checked += 1
+    assert checked > 5000
+
+
 def test_render_matches_cell_by_cell():
     """render_text and to_json walk the sorted entries row by row; the
     reference looks every cell up in a cell -> entry map.  Every member
