@@ -58,7 +58,7 @@ class TableauFamily:
 
     def member(self, x: int) -> ShiftedTableau:
         """Member x, built and validated as a tableau."""
-        entries = [entry_of_key[k] for k in self.keys[x]]
+        entries = map(entry_of_key.__getitem__, self.keys[x])
         return ShiftedTableau(self.shape, tuple(zip(self.shape.sorted_cells, entries)), self.n)
 
     @cached_property
@@ -93,7 +93,7 @@ def enumerate_tableaux(shape: ShiftedSkewShape, n: int) -> TableauFamily:
 
     def place(i: int) -> None:
         if i == len(cells):
-            found.append(tuple([keys[j] for j in reading]))
+            found.append(tuple(map(keys.__getitem__, reading)))
             return
         r, c, west, south = plan[i]
         low = keys[west] if west >= 0 else 1
