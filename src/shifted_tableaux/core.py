@@ -441,8 +441,15 @@ class ShiftedTableau:
     @classmethod
     def from_map(cls, entries: Mapping[Cell, Entry], n: int,
                  shape: ShiftedSkewShape | None = None) -> "ShiftedTableau":
+        """The tableau of a cell -> entry map.  A map on exactly the shape's
+        cells is listed in sorted-cell order, so the constructor does not
+        sort it; any other map keeps its own order and gets the
+        constructor's sort and error."""
         if shape is None:
             shape = ShiftedSkewShape.from_cells(entries.keys())
+        if entries.keys() == shape.cells:
+            cells = shape.sorted_cells
+            return cls(shape, tuple(zip(cells, map(entries.__getitem__, cells))), n)
         return cls(shape, tuple(entries.items()), n)
 
 
@@ -598,32 +605,24 @@ MapOperator = Callable[[Mapping[Cell, Entry], int], Mapping[Cell, Entry]]
 
 
 def band_keys(cells: Sequence[Cell], key: tuple[int, ...], i: int, j: int,
-              core: Callable[..., Mapping[Cell, Entry]], *args,
-              results: dict | None = None) -> tuple[int, ...] | None:
+              core: Callable[..., Mapping[Cell, Entry]], *args) -> tuple[int, ...] | None:
     """The band split every band generator runs through: the map-level
     core(band, j-i+1, *args) on the letters i..j of the filling with order
     key key[s] in cells[s], the band re-indexed to the alphabet 1..j-i+1,
     and the order keys of its result put back beside the other letters.
     key itself when no letter lies in the band, None when the result is
-    on other cells.  With results, core runs once per distinct band:
-    results maps the band's (cell, order key) items to the result's keys."""
+    on other cells."""
     shift, top = 2 * (i - 1), 2 * j
     slots = [s for s, k in enumerate(key) if shift < k <= top]
     if not slots:
         return key
-    band = tuple([(cells[s], key[s] - shift) for s in slots])
-    done = None if results is None else results.get(band)
-    if done is None:
-        local = {c: entry_of_key[k] for c, k in band}
-        result = core(local, j - i + 1, *args)
-        if result.keys() != local.keys():
-            return None
-        done = tuple([e.order_key for e in map(result.get, local)])
-        if results is not None:
-            results[band] = done
+    local = {cells[s]: entry_of_key[key[s] - shift] for s in slots}
+    result = core(local, j - i + 1, *args)
+    if result.keys() != local.keys():
+        return None
     out = list(key)
-    for s, k in zip(slots, done):
-        out[s] = k + shift
+    for s, e in zip(slots, map(result.get, local)):
+        out[s] = e.order_key + shift
     return tuple(out)
 
 

@@ -15,15 +15,21 @@ generator's table is computed whole the first time it is used and kept
 on the family; a word's permutation composes the tables of its symbols,
 and a relation compares the permutations of its two sides.  t_i, eta,
 sigma and the evac variants run their map-level core on their letter
-band alone, through core.band_keys on order keys (the band split the
-operators on one tableau share), and their result is looked up among
-the family's keys, which the enumerator makes exactly the keys of the
-valid canonical fillings.  p, q and q_{i,j} compose the t_i tables.
-The verifications of one run_preset call share one band memo (a search
-keeps one, and so does any other verification call), and each band
-result is computed once per memo, except on the whole alphabet 1..n,
-whose band is the whole member; a preset keeps switching and eta band
-results for one line only.  The cores of eta and sigma are
+band alone, and their result is looked up among the family's members,
+which the enumerator makes exactly the valid canonical fillings.  On a
+band that is not the whole alphabet, the table is filled by string
+operations: each member's key, laid out once per family as a string
+over one global cell numbering (TableauFamily.layouts), splits into its
+band and its rest by two str.translate calls, and the image is the
+member with that rest and the moved band.  Each band is moved once per
+band memo, under its band string, which names the same cells and
+letters in every family; a miss runs the core through core.band_keys,
+the band split the operators on one tableau share.  p, q and q_{i,j}
+compose the t_i tables.  The verifications of one run_preset call share
+one band memo (a search keeps one, and so does any other verification
+call); the whole alphabet 1..n is the whole member, whose results are
+not kept, and a preset keeps switching and eta band results for one
+line only.  The cores of eta and sigma are
 jdt.reversal_map itself, given the memo, so that jdt runs one standard
 reversal per standardization; switching evacuation is never
 standardized: it runs on semistandard bands.
@@ -54,13 +60,14 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import bender_knuth, jdt, switching
 from .core import (CapacityError, Cell, Entry, ShiftedSkewShape, ShiftedTableau, band_keys,
                    entry_of_key)
-from .enumeration import TableauFamily, enumerate_tableaux, skew_shapes, straight_shapes
+from .enumeration import (TableauFamily, enumerate_tableaux, layout_cell, skew_shapes,
+                          straight_shapes)
 
 
 class WordError(ValueError):
@@ -68,7 +75,7 @@ class WordError(ValueError):
 
 
 # The band memo of a preset, a search or a verification call: (core, band
-# alphabet size) -> {re-indexed band items: result order keys}, and jdt's
+# alphabet size) -> {band string: band string of the result}, and jdt's
 # (standard core, standardized items) -> standard values of the result
 _Memo = dict[tuple, dict | tuple[int, ...]]
 
@@ -256,8 +263,9 @@ def _table(family: TableauFamily, sym: GeneratorSymbol, memo: _Memo
            ) -> tuple[int, ...]:
     """The permutation sym induces on the family, as a tuple, computed
     whole the first time it is asked for: composite symbols compose their
-    t tables, band generators run their core through band_keys on every
-    member's key and look the result up among the members."""
+    t tables, band generators move every member's letter band (_images)
+    and look the result up among the members.  The images are drawn up
+    to the first that is not a member, so no core runs past it."""
     table = family.tables.get(sym)
     if table is not None:
         return table
@@ -268,34 +276,88 @@ def _table(family: TableauFamily, sym: GeneratorSymbol, memo: _Memo
     else:
         if kind.straight and family.keys:
             switching.require_straight(family.shape, "evac_k_switch", "evac_k_skew")
-        images = []
-        for y in _images(family, *kind.band(*sym.indices), kind.core, memo):
-            if y is None:
-                raise RuntimeError(f"{sym} took member {len(images)} of ShST({family.shape}, "
-                                   f"{family.n}) out of its family")
-            images.append(y)
-        table = tuple(images)
+        table = tuple(itertools.takewhile(_is_member, _images(
+            family, *kind.band(*sym.indices), kind.core, memo)))
+        if len(table) < len(family):
+            raise RuntimeError(f"{sym} took member {len(table)} of ShST({family.shape}, "
+                               f"{family.n}) out of its family")
     family.tables[sym] = table
     return table
+
+
+# whether an image drawn from _images is a member's position
+_is_member = partial(operator.is_not, None)
 
 
 def _images(family: TableauFamily, lo: int, hi: int, core: Callable, memo: _Memo
             ) -> Iterator[int | None]:
     """The position of each member's image under core(band, size, memo)
-    run on its letters lo..hi through band_keys, in member order; None
-    where the image is not a member.  The band results are kept in memo,
-    except those of the whole alphabet 1..n: that band is the whole
-    member, which no other family shares.  There a jdt core's image is
-    looked up by its standard result instead (_standard_images)."""
-    whole = (lo, hi) == (1, family.n)
+    run on its letters lo..hi, re-indexed to start at 1, drawn lazily in
+    member order; None where the image is not a member.  A partial band
+    is cut out of the family's layouts (_band_images).  The whole
+    alphabet 1..n is the whole member, which no other family shares, so
+    its results are not kept: a jdt core's image is looked up by its
+    standard result (_standard_images), any other core runs through
+    band_keys."""
+    if (lo, hi) != (1, family.n):
+        return _band_images(family, lo, hi, core, memo)
     cells, positions = family.shape.sorted_cells, family.positions
-    std_core = jdt.standard_core(core) if whole else None
+    std_core = jdt.standard_core(core)
     if std_core is not None:
-        yield from _standard_images(family, cells, std_core, core, memo)
-        return
-    results = None if whole else memo.setdefault((core, hi - lo + 1), {})
-    for key in family.keys:
-        yield positions.get(band_keys(cells, key, lo, hi, core, memo, results=results))
+        return _standard_images(family, cells, std_core, core, memo)
+    return (positions.get(band_keys(cells, key, lo, hi, core, memo)) for key in family.keys)
+
+
+def _band_images(family: TableauFamily, lo: int, hi: int, core: Callable, memo: _Memo
+                 ) -> Iterator[int | None]:
+    """_images on the letters lo..hi, not the whole alphabet, by string
+    translation: each layout gives its band, shifted to start at letter
+    1, with chr(0) on every other position and no trailing chr(0), and
+    its rest, with chr(0) on the band.  A member's image is the member
+    with its rest and its band moved, found in a (rest, band) -> position
+    index.  A band is moved at the first member that has it (_Moves), so
+    the first failing member and its error are the ones band_keys gives
+    member by member.  The index and the split layouts live as long as
+    the iterator."""
+    shift, top = 2 * (lo - 1), 2 * hi
+    # translation tables, indexed by order key (chr(0) included)
+    to_band = [k - shift if shift < k <= top else 0 for k in range(2 * family.n + 1)]
+    to_rest = [0 if shift < k <= top else k for k in range(2 * family.n + 1)]
+    bands = [s.translate(to_band).rstrip("\0") for s in family.layouts]
+    rests = [s.translate(to_rest) for s in family.layouts]
+    # the positions' own int objects, which every table of the family shares
+    index = dict(zip(zip(rests, bands), family.positions.values()))
+    moves = _Moves(hi - lo + 1, core, memo, bands)
+    return map(index.get, zip(rests, map(moves.__getitem__, bands)))
+
+
+class _Moves(dict):
+    """Band string -> the band string of core(band, size, memo), or None
+    where the result is on other cells, for the bands of one table.  It
+    starts with the empty band, its own move, and the moves the band memo
+    keeps under (core, size) for the table's bands.  Any other band is
+    moved at its first lookup, through band_keys on its cells in sorted
+    order, and a move on the same cells joins the memo."""
+
+    def __init__(self, size: int, core: Callable, memo: _Memo, bands: Iterable[str]):
+        results = memo.setdefault((core, size), {})
+        known = results.keys() & bands
+        super().__init__(zip(known, map(results.__getitem__, known)))
+        self[""] = ""
+        self.size, self.core, self.memo, self.results = size, core, memo, results
+
+    def __missing__(self, band: str) -> str | None:
+        slots = sorted((p for p, k in enumerate(band) if k != "\0"), key=layout_cell)
+        out = band_keys(list(map(layout_cell, slots)), tuple([ord(band[p]) for p in slots]),
+                        1, self.size, self.core, self.memo)
+        moved = None
+        if out is not None:
+            chars = list(band)
+            for p, k in zip(slots, out):
+                chars[p] = chr(k)
+            moved = self.results[band] = "".join(chars)
+        self[band] = moved
+        return moved
 
 
 def _standard_images(family: TableauFamily, cells: tuple[Cell, ...], std_core: Callable,
@@ -305,8 +367,9 @@ def _standard_images(family: TableauFamily, cells: tuple[Cell, ...], std_core: C
     of weight wt is the member whose standardization is jdt's standard
     result on the member's, and whose weight is wt reversed, found in the
     family's standard_index; nothing is destandardized.  A result that
-    no member has runs band_keys on its member, as on a partial band, so
-    its error or its None is the one the member gets there."""
+    no member has runs band_keys on its member, as the whole alphabet
+    does for other cores, so its error or its None is the one the member
+    gets there."""
     index, positions = _standard_index(family, cells), family.positions
     ranks = range(1, len(cells) + 1)
     by_value = [None] * len(cells)

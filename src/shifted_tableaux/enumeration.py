@@ -18,6 +18,8 @@ holds them all once asked for.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterator
@@ -39,7 +41,10 @@ class TableauFamily:
     the generator is used, and composed with other tables by itemgetter
     gathers.  standard_index is the engine's index of the members by
     standardization and weight, built beside the tables the first time a
-    whole-alphabet jeu de taquin table needs it.  Both live and die with
+    whole-alphabet jeu de taquin table needs it.  layouts holds each
+    member's key as a string over the global cell numbering, encoded the
+    first time a table on a partial letter band needs it; the engine cuts
+    each band out of it by str.translate.  All three live and die with
     the family."""
 
     shape: ShiftedSkewShape
@@ -56,6 +61,23 @@ class TableauFamily:
         exactly when its key is here."""
         return {k: x for x, k in enumerate(self.keys)}
 
+    @cached_property
+    def layouts(self) -> tuple[str, ...]:
+        """Each member's key as a string over the global cell numbering
+        (layout_position): order key k as chr(k) at its cell's position,
+        and chr(0) at every other position up to one past the last cell.
+        So one band string names the same cells and letters in every
+        family."""
+        cells = self.shape.sorted_cells
+        # the sorted-cell index each position takes its letter from, and
+        # len(cells), the 0 appended to each key, where no cell is; the
+        # position past the last cell gives itemgetter two indices at least
+        source = [len(cells)] * (max(map(layout_position, cells), default=0) + 2)
+        for s, cell in enumerate(cells):
+            source[layout_position(cell)] = s
+        take = operator.itemgetter(*source)
+        return tuple(["".join(map(chr, take(key + (0,)))) for key in self.keys])
+
     def member(self, x: int) -> ShiftedTableau:
         """Member x, built and validated as a tableau."""
         entries = map(entry_of_key.__getitem__, self.keys[x])
@@ -71,6 +93,21 @@ class TableauFamily:
 
     def __len__(self) -> int:
         return len(self.keys)
+
+
+def layout_position(cell: Cell) -> int:
+    """The position of cell (r, c) in the global cell numbering of the
+    layouts: column by column, each from the top, c(c-1)/2 + r - 1.
+    Column c holds c cells, so the numbering needs no bound on the
+    shapes."""
+    r, c = cell
+    return c * (c - 1) // 2 + r - 1
+
+
+def layout_cell(p: int) -> Cell:
+    """The cell at position p of the global cell numbering."""
+    c = (1 + math.isqrt(8 * p + 1)) // 2
+    return p - c * (c - 1) // 2 + 1, c
 
 
 def enumerate_tableaux(shape: ShiftedSkewShape, n: int) -> TableauFamily:

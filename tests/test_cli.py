@@ -245,6 +245,13 @@ class TestVerify:
         assert run(capsys, "verify", "--schema", "t1^0 = e", "--n", "3") == \
             (0, "holds (236 instances)\n", "")
 
+    def test_order_keys_past_255(self, capsys):
+        """A large alphabet takes no other path: on the one-cell shape at
+        n=200, whose order keys run up to 400, t_i^2 = e holds on each of
+        the 200 members for each of the 199 indices."""
+        assert run(capsys, "verify", "--schema", "t{i} t{i} = e", "--outer", "1",
+                   "--n", "200") == (0, "holds (39800 instances)\n", "")
+
     def test_skew_max_cells_zero_checks_nothing(self, capsys):
         assert run(capsys, "verify", "--skew", "--max-cells", "0",
                    "--schema", "t1 t1 = e", "--n", "3") == (0, "holds (0 instances)\n", "")

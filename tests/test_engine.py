@@ -490,6 +490,27 @@ class TestFamilyTables:
         assert all(r.ok for r in run_preset("evac-agreement", 3))
         assert bands and len(bands) == len(set(bands))
 
+    @pytest.mark.parametrize("preset, module, name, runs", [
+        ("cactus-q", bender_knuth, "bk_map", 389),
+        ("sbk-core", bender_knuth, "bk_map", 412),
+        ("evac-agreement", switching, "evac_map", 6362),
+    ])
+    def test_band_results_are_shared_across_families(self, monkeypatch, preset, module,
+                                                     name, runs):
+        """A band is moved once per band memo, whatever family it comes
+        from: at n=4 the core runs these many times, where a memo kept per
+        family would run bk_map about 8,280 times over cactus-q and
+        sbk-core."""
+        core, calls = getattr(module, name), []
+
+        def counted(entries, k):
+            calls.append(None)
+            return core(entries, k)
+
+        monkeypatch.setattr(module, name, counted)
+        assert all(r.ok for r in run_preset(preset, 4))
+        assert len(calls) == runs
+
     def test_evac_agreement_evacuates_each_standardization_once(self, monkeypatch):
         """A standard reversal takes its evacuation step from the preset's
         standard memo: over evac-agreement at n=4, jdt's standard
