@@ -17,11 +17,12 @@ which stores its order key, and entry_of_key maps an order key back to
 that instance.  band_keys, act_on_band and the enumerator take their
 entries from entry_of_key, so no entry is built per member.
 
-band_keys is the one band split of the library: it runs a map-level core
-on the letters i..j of a filling given by order keys, re-indexed to the
+band_keys is the band split of one filling: it runs a map-level core on
+the letters i..j of a filling given by order keys, re-indexed to the
 alphabet 1..j-i+1, and puts the keys of the result back beside the other
 letters.  act_on_band runs the operators on one tableau through it, and
-the verification engine its family tables.
+the verification engine its whole-alphabet tables and the first move of
+each band on its partial-band tables.
 """
 
 from __future__ import annotations
@@ -407,8 +408,9 @@ class ShiftedTableau:
 
     def __post_init__(self):
         ent = self.entries
-        # entries already in sorted-cell order, as the family members and
-        # act_on_band give them, are not sorted again
+        # entries already in sorted-cell order, as the family members,
+        # act_on_band and from_map on the shape's cells give them, are not
+        # sorted again
         if type(ent) is not tuple or tuple([c for c, _ in ent]) != self.shape.sorted_cells:
             ent = tuple(sorted(ent))
             object.__setattr__(self, "entries", ent)
@@ -606,7 +608,7 @@ MapOperator = Callable[[Mapping[Cell, Entry], int], Mapping[Cell, Entry]]
 
 def band_keys(cells: Sequence[Cell], key: tuple[int, ...], i: int, j: int,
               core: Callable[..., Mapping[Cell, Entry]], *args) -> tuple[int, ...] | None:
-    """The band split every band generator runs through: the map-level
+    """The band split of one filling: the map-level
     core(band, j-i+1, *args) on the letters i..j of the filling with order
     key key[s] in cells[s], the band re-indexed to the alphabet 1..j-i+1,
     and the order keys of its result put back beside the other letters.
