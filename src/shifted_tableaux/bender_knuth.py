@@ -2,23 +2,43 @@
 generators q_i and q_{i,j}.
 
 t_i switches the letter bands (T^i, T^{i+1}) and then relabels by the
-simple transposition of i and i+1 extended to primes; the result is
-re-canonicalized if the prime toggle rule demands it.
+simple transposition of i and i+1 extended to primes.  Everything runs
+on switching bands (cell -> primed dicts): t_i moves the two bands
+through each other with switching._run, swaps their letters and unprimes
+the first reading cell of each, which is all canonical form asks of a
+canonical input; the composites apply their t_k to one set of bands.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
-from .core import Cell, Entry, ShiftedTableau, TableauError, canonical_map
-from .switching import Band, TraceStep, _run
+from .core import Cell, Entry, ShiftedTableau, TableauError
+from .switching import Band, TraceStep, _bands, _merge, _relabel, _run, _unprime_first
+
+
+def _switch(a: Band, b: Band, on_step: Callable[[str], None] | None = None
+            ) -> tuple[Band, Band]:
+    """t on the bands a and b of two adjacent letters, in place: move a
+    through b, then unprime the first reading cell of each.  Returns the
+    lower letter's band and the upper's: after the switch the a-cells
+    hold the lower letter and the b-cells the upper, and the
+    transposition of the two letters swaps them."""
+    _run(a, b, on_step)
+    _unprime_first(a)
+    _unprime_first(b)
+    return b, a
 
 
 def bk_map(entries: Mapping[Cell, Entry], i: int,
            steps: list[TraceStep] | None = None) -> dict[Cell, Entry]:
     """t_i on a canonical cell -> entry map; each switch appends a
-    TraceStep to steps unless it is None."""
-    rest: dict[Cell, Entry] = {}
+    TraceStep to steps unless it is None.
+
+    Only the i- and (i+1)-bands are split off and switched; every other
+    entry is copied as it is.  Canonical form can change only in the two
+    switched letters, since the input is canonical, so each gets its
+    first reading cell unprimed and no other cell is looked at."""
     a: Band = {}  # the i-band
     b: Band = {}  # the (i+1)-band
     for c, e in entries.items():
@@ -26,23 +46,21 @@ def bk_map(entries: Mapping[Cell, Entry], i: int,
             a[c] = e.primed
         elif e.value == i + 1:
             b[c] = e.primed
-        else:
-            rest[c] = e
     on_step = None
     if steps is not None:
-        fixed = tuple(sorted(rest.items()))
+        fixed = tuple(sorted((c, e) for c, e in entries.items()
+                             if e.value not in (i, i + 1)))
 
         def on_step(rule: str) -> None:
             moving = {c: Entry(i, p) for c, p in a.items()}
             moving.update((c, Entry(i + 1, p)) for c, p in b.items())
             steps.append(TraceStep(rule, tuple(sorted(moving.items())), fixed))
 
-    _run(a, b, on_step)
-    # after the switch the a-cells hold i and the b-cells i+1; the
-    # transposition of i and i+1 swaps them
-    rest.update((c, Entry(i + 1, p)) for c, p in a.items())
-    rest.update((c, Entry(i, p)) for c, p in b.items())
-    return canonical_map(rest)
+    lower, upper = _switch(a, b, on_step)
+    out = dict(entries)
+    _relabel(out, lower, i)
+    _relabel(out, upper, i + 1)
+    return out
 
 
 def _bk(t: ShiftedTableau, i: int, steps: list[TraceStep] | None
@@ -87,11 +105,13 @@ def q_interval_word(i: int, j: int) -> tuple[int, ...]:
 
 
 def _fold(t: ShiftedTableau, word: tuple[int, ...]) -> ShiftedTableau:
-    """The t_k of word in turn on t's cell map; one tableau for the result."""
-    entries = t.entry_map
+    """The t_k of word in turn on t's letter bands: t is split into bands
+    once, each t_k switches the bands k and k+1 in place and swaps their
+    letters, and one tableau is built from the bands at the end."""
+    bands = _bands(t.entries)
     for k in word:
-        entries = bk_map(entries, k)
-    return ShiftedTableau.from_map(entries, t.n, t.shape)
+        bands[k], bands[k + 1] = _switch(bands.get(k, {}), bands.get(k + 1, {}))
+    return ShiftedTableau.from_map(_merge(bands), t.n, t.shape)
 
 
 def promotion(t: ShiftedTableau, i: int) -> ShiftedTableau:

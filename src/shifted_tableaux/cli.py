@@ -17,8 +17,9 @@ import time
 from typing import Any
 
 from . import engine, jdt, switching
-from .core import (ShiftedSkewShape, ShiftedTableau, TableauError, from_json,
-                   parse_tableau, render_text, to_json)
+from .core import (MAX_CELLS, CapacityError, ShiftedSkewShape, ShiftedTableau,
+                   TableauError, check_cells, from_json, parse_tableau, render_text,
+                   to_json)
 from .enumeration import enumerate_tableaux
 
 EXIT_OK = 0
@@ -57,7 +58,16 @@ def _render_cells(entries: dict) -> list[str]:
 def _parse_shape(outer: str, inner: str | None) -> ShiftedSkewShape:
     out = tuple(int(p) for p in outer.split(",") if p)
     inn = tuple(int(p) for p in inner.split(",") if p) if inner else ()
-    return ShiftedSkewShape(out, inn)
+    shape = ShiftedSkewShape(out, inn)
+    check_cells(shape)
+    return shape
+
+
+def _max_cells(value: int) -> int:
+    """--max-cells, bounded by MAX_CELLS as the shapes are."""
+    if value > MAX_CELLS:
+        raise CapacityError(f"--max-cells {value} is more than {MAX_CELLS}")
+    return value
 
 
 def _render(t: ShiftedTableau, fmt: str) -> str:
@@ -203,7 +213,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                        args.n)]
     elif args.skew:
         max_cells = engine.SKEW_MAX_CELLS if args.max_cells is None else args.max_cells
-        families = engine.skew_families(args.n, max_cells)
+        families = engine.skew_families(args.n, _max_cells(max_cells))
     else:
         families = engine.straight_families(args.n)
     verdict = engine.verify_relation_over(schema, families,
@@ -221,7 +231,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     start = time.monotonic()
     schema = engine.RelationSchema.parse(args.schema)
     schema.check_literals(args.n)
-    verdict = engine.search_counterexample(schema, args.n, args.max_cells,
+    verdict = engine.search_counterexample(schema, args.n, _max_cells(args.max_cells),
                                            skew=args.skew)
     report = _report(args, verdict=_verdict_doc(verdict),
                      timing=round(time.monotonic() - start, 3))
@@ -337,7 +347,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (TableauError, engine.WordError, switching.SwitchingError,
-            FileNotFoundError, ValueError, RuntimeError) as exc:
+            OSError, ValueError, RuntimeError) as exc:
+        # OSError covers a missing file and a directory given as one;
         # RuntimeError covers CapacityError and the integrity checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

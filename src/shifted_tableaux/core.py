@@ -49,7 +49,23 @@ class InvalidTableauError(TableauError):
 
 
 class CapacityError(RuntimeError):
-    """A search outgrew its configured bound: orbit_graph's node limit."""
+    """A search outgrew its configured bound (orbit_graph's node limit), or
+    an input shape or cell budget exceeds MAX_CELLS."""
+
+
+# the most cells of a shape given as input (the CLI's --outer/--inner and
+# --max-cells, and from_json), far above the desk-scale shapes of at most
+# 15 cells that verification runs on; the shapes of at most MAX_CELLS
+# cells that search scans are still few enough to list (158,745 straight)
+MAX_CELLS = 64
+
+
+def check_cells(shape: "ShiftedSkewShape") -> None:
+    """Raise CapacityError when the shape has more than MAX_CELLS cells;
+    the count is read off its parts, so no cell is built."""
+    size = sum(shape.outer) - sum(shape.inner)
+    if size > MAX_CELLS:
+        raise CapacityError(f"shape has {size} cells, more than {MAX_CELLS}")
 
 
 @total_ordering
@@ -109,6 +125,8 @@ class Entry:
 
     @classmethod
     def parse(cls, token: str) -> "Entry":
+        if not isinstance(token, str):
+            raise TableauError(f"malformed cell token {token!r}")
         tok = token.strip()
         primed = tok.endswith("'") or tok.endswith("′")
         if primed:
@@ -694,10 +712,31 @@ def to_json(t: ShiftedTableau) -> str:
 
 
 def from_json(text: str) -> ShiftedTableau:
+    """The tableau of to_json's form: an object with the integer lists
+    outer and inner (optional), rows of cell tokens, and n.  A malformed
+    document raises TableauError, a shape of more than MAX_CELLS cells
+    CapacityError."""
     doc = json.loads(text)
-    shape = ShiftedSkewShape(tuple(doc["outer"]), tuple(doc.get("inner", ())))
+    if not isinstance(doc, dict):
+        raise TableauError("a JSON tableau must be an object")
+    missing = [k for k in ("outer", "rows", "n") if k not in doc]
+    if missing:
+        raise TableauError(f"JSON tableau lacks {', '.join(missing)}")
+    parts = {"outer": doc["outer"], "inner": doc.get("inner", [])}
+    for name, value in parts.items():
+        if not isinstance(value, list) or not all(type(p) is int for p in value):
+            raise TableauError(f"JSON tableau {name} is not a list of integers: {value!r}")
+    rows = doc["rows"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise TableauError(f"JSON tableau rows are not lists of cell tokens: {rows!r}")
+    try:
+        n = int(doc["n"])
+    except (TypeError, ValueError):
+        raise TableauError(f"JSON tableau n is not an integer: {doc['n']!r}") from None
+    shape = ShiftedSkewShape(tuple(parts["outer"]), tuple(parts["inner"]))
+    check_cells(shape)
     entries: dict[Cell, Entry] = {}
-    for r, row in enumerate(doc["rows"], start=1):
+    for r, row in enumerate(rows, start=1):
         for cell, tok in zip(shape.row_cells(r), row):
             entries[cell] = Entry.parse(tok)
-    return ShiftedTableau.from_map(entries, int(doc["n"]), shape)
+    return ShiftedTableau.from_map(entries, n, shape)

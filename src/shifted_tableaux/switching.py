@@ -4,7 +4,11 @@ evacuation operators (straight, restricted and skew variants).
 
 The only switching state is a band, a plain cell -> primed dict holding
 the cells of one letter.  Every switch in the library, t_i included,
-moves one band through another in place with _run(a, b, on_step).
+moves one band through another in place with _run(a, b, on_step), which
+finds each next box in one pass over the a-band (_select).  A band's
+letter can change its canonical form only at its first reading cell, so
+after bands are relabelled (evac_map here, t_i in bender_knuth)
+_unprime_first unprimes that cell and nothing sorts the whole map.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .core import (Cell, Entry, ShiftedSkewShape, ShiftedTableau, TableauError,
-                   act_on_band, canonical_map)
+                   act_on_band)
 
 
 class SwitchingError(TableauError):
@@ -82,12 +86,36 @@ Band = dict[Cell, bool]
 
 def _select(a: Band, b: Band) -> Cell | None:
     """The rightmost unprimed a-box north or west of a b-box, else the
-    bottommost such a'-box; a scan of the a-band."""
-    front = [(r, c) for r, c in a if (r, c + 1) in b or (r + 1, c) in b]
-    unprimed = [x for x in front if not a[x]]
-    if unprimed:
-        return max(unprimed, key=lambda rc: rc[1])
-    return max(front, key=lambda rc: rc[0], default=None)
+    bottommost such a'-box, ties going to the first in the a-band's
+    order; one pass over the a-band."""
+    unprimed = primed = None
+    col = row = 0  # the column and row of the best boxes so far
+    for x, p in a.items():
+        r, c = x
+        if (r > row if p else c > col) and ((r, c + 1) in b or (r + 1, c) in b):
+            if p:
+                primed, row = x, r
+            else:
+                unprimed, col = x, c
+    return unprimed or primed
+
+
+def _unprime_first(band: Band) -> None:
+    """Unprime the band's first cell in reading order (bottom row, then
+    leftmost): canonical form for one letter."""
+    first = None
+    row = col = 0
+    for r, c in band:
+        if r > row or (r == row and c < col):
+            first, row, col = (r, c), r, c
+    if first is not None:
+        band[first] = False
+
+
+def _relabel(out: dict[Cell, Entry], band: Band, letter: int) -> None:
+    """Write the band's cells into out as the letter."""
+    e = (Entry(letter), Entry(letter, True))
+    out.update((c, e[p]) for c, p in band.items())
 
 
 def _swap(a: Band, b: Band, x: Cell, y: Cell) -> None:
@@ -239,15 +267,16 @@ def evac_map(entries: Mapping[Cell, Entry], n: int) -> dict[Cell, Entry]:
     """Switching evacuation of a canonical cell -> entry map over the
     alphabet 1..n: expel bands 1..n-1 outward in turn; the k-th expelled
     band is relabelled to letter n-k+1 (the auxiliary-alphabet
-    bookkeeping)."""
+    bookkeeping), with its first reading cell unprimed."""
     bands = _bands(entries.items())
     out: dict[Cell, Entry] = {}
     for k in sorted(bands):
         band = bands.pop(k)
         for j in sorted(bands):  # the letters above k
             _run(band, bands[j], None)
-        out.update((cell, Entry(n - k + 1, p)) for cell, p in band.items())
-    return canonical_map(out)
+        _unprime_first(band)
+        _relabel(out, band, n - k + 1)
+    return out
 
 
 def require_straight(shape: ShiftedSkewShape, name: str, skew_name: str) -> None:

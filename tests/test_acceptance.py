@@ -18,8 +18,9 @@ from shifted_tableaux import jdt, switching
 from shifted_tableaux.bender_knuth import bk, promotion, q, q_interval
 from shifted_tableaux.engine import (RelationSchema, eval_word, parse_word,
                                      search_counterexample, sbk_core_schemas,
-                                     components_by_dual_equivalence,
-                                     verify_cactus_action, verify_relation_over)
+                                     components_by_dual_equivalence, skew_families,
+                                     straight_families, verify_cactus_action,
+                                     verify_relation_over)
 
 
 def rt(t):
@@ -293,3 +294,31 @@ def test_criterion_9_oracle_equivalence(capsys):
                 ok = False
     report(capsys, 9, "enumeration oracle equivalence", ok,
            f"{time.time() - start:.0f}s")
+
+
+def test_criterion_10_route_agreement(capsys):
+    """The cactus generator s_{i,j} by its three routes: q_{i,j} (a word
+    in the t_k), eta_{i,j} (jeu de taquin) and evac_j evac_{j-i+1} evac_j
+    (switching) agree on the straight families at n=4 and n=5, on every
+    interval i < j.  q = eta fails on skew shapes already at (1, 2), and
+    evacs_{i,j}, the evacuation of the band i..j alone, is another
+    operator from (2, 3) on, even on straight shapes."""
+    def verdict(left, right, families):
+        return verify_relation_over(RelationSchema(left, right, "i < j"), families)
+
+    def fails_at(v, i, j):
+        return not v.holds and dict(v.counterexample.substitution) == {"i": i, "j": j}
+
+    ok = True
+    for n, instances in ((4, 7782), (5, 56120)):
+        families = straight_families(n)
+        for right in ("eta:{i},{j}", "evac{j} evac{j-i+1} evac{j}"):
+            v = verdict("q:{i},{j}", right, families)
+            ok &= v.holds and v.instances_checked == instances
+        for left in ("q:{i},{j}", "eta:{i},{j}"):
+            ok &= fails_at(verdict(left, "evacs:{i},{j}", families), 2, 3)
+    v = verdict("q:{i},{j}", "eta:{i},{j}", skew_families(4, 6))
+    ok &= fails_at(v, 1, 2) and \
+        (v.counterexample.shape.outer, v.counterexample.shape.inner) == ((3, 1), (2,))
+    report(capsys, 10, "cactus route agreement", ok,
+           "q = eta = evac evac evac on straight shapes at n=4, 5")

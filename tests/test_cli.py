@@ -13,7 +13,7 @@ import pytest
 import shifted_tableaux
 from shifted_tableaux import engine
 from shifted_tableaux.cli import main
-from shifted_tableaux.core import CapacityError
+from shifted_tableaux.core import MAX_CELLS, CapacityError
 
 
 def run(capsys, *argv):
@@ -405,6 +405,54 @@ class TestErrors:
         code, _, _ = run(capsys, "rectify", "--in", "/nonexistent/t.txt",
                          "--n", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("apply", "--op", "t1", "--in", "{dir}"),
+        ("orbit", "--gens", "t1", "--in", "1 2", "--n", "2", "--dot", "{dir}"),
+    ], ids=["apply-in", "orbit-dot"])
+    def test_directory_as_file_is_one_line(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Is a directory" in err and str(tmp_path) in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ('{"outer": [2], "n": 2}', "JSON tableau lacks rows"),
+        ('{"rows": [["1", "2"]], "n": 2}', "JSON tableau lacks outer"),
+        ('{"outer": [2], "rows": [[1, 2]], "n": 2}', "malformed cell token 1"),
+        ('{"outer": [2], "rows": [["1", "2"]], "n": null}',
+         "JSON tableau n is not an integer: None"),
+        ('{"outer": "2", "rows": [["1", "2"]], "n": 2}',
+         "JSON tableau outer is not a list of integers: '2'"),
+        ('{"outer": [2], "rows": ["1 2"], "n": 2}',
+         "JSON tableau rows are not lists of cell tokens: ['1 2']"),
+    ])
+    def test_malformed_json_tableau_is_one_line(self, capsys, doc, message):
+        assert run(capsys, "apply", "--op", "t1", "--in", doc) == \
+            (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("enum", "--outer", "9999999", "--n", "2", "--count-only"),
+         "shape has 9999999 cells, more than {max}"),
+        (("verify", "--schema", "t1 = e", "--n", "2", "--outer", "70,60", "--inner", "5"),
+         "shape has 125 cells, more than {max}"),
+        (("apply", "--op", "t1", "--in", '{"outer":[99999999],"rows":[[]],"n":2}'),
+         "shape has 99999999 cells, more than {max}"),
+        (("search", "--schema", "t1 = e", "--n", "3", "--max-cells", "100000"),
+         "--max-cells 100000 is more than {max}"),
+        (("verify", "--schema", "t1 = e", "--n", "3", "--skew", "--max-cells", "100000"),
+         "--max-cells 100000 is more than {max}"),
+    ], ids=["enum", "verify-outer", "json", "search", "verify-skew"])
+    def test_oversized_shape_is_one_line(self, capsys, argv, message):
+        """Shapes and cell budgets over MAX_CELLS stop before any cell is
+        built; the bound is far above the shapes the suite and the
+        presets use."""
+        assert MAX_CELLS >= 4 * 15
+        assert run(capsys, *argv) == (2, "", f"error: {message.format(max=MAX_CELLS)}\n")
+
+    def test_shape_at_the_bound_is_accepted(self, capsys):
+        assert run(capsys, "enum", "--outer", str(MAX_CELLS), "--n", "1",
+                   "--count-only") == (0, "1\n", "")
 
     @pytest.mark.parametrize("exc", [CapacityError("orbit exceeds configured bound"),
                                      RuntimeError("orbit exceeds configured bound")])

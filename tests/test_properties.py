@@ -1,5 +1,6 @@
-"""Property tests on random shapes of at most 10 cells and n <= 5, beyond
-the reach of the exhaustive checks."""
+"""Property tests on random shapes of at most 10 cells and n <= 5 (12
+cells and n <= 6 for the Bender-Knuth kernel), beyond the reach of the
+exhaustive checks."""
 
 import random
 
@@ -7,14 +8,15 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape, band_keys,
-                                   canonicalize, standardize_map, weight)
-from shifted_tableaux.bender_knuth import bk, bk_trace, q
+                                   canonical_map, canonicalize, standardize_map, weight)
+from shifted_tableaux.bender_knuth import (bk, bk_map, bk_trace, promotion, promotion_word, q,
+                                           q_interval, q_interval_word, q_word)
 from shifted_tableaux.engine import (GeneratorSymbol, _band_bk, _band_evac, _images, apply_symbol,
                                      eval_word, word_permutation)
 from shifted_tableaux.enumeration import enumerate_tableaux
 from shifted_tableaux.jdt import (dual_equivalent, eta, evacuation_jdt, evacuation_map, rectify,
                                   reversal, reversal_map)
-from shifted_tableaux.switching import PerforatedFilling, evac_switch, switch_pair
+from shifted_tableaux.switching import PerforatedFilling, evac_map, evac_switch, switch_pair
 
 MAX_CELLS = 10
 MAX_N = 5
@@ -80,9 +82,9 @@ def random_filling(shape, n, rng):
 
 
 @st.composite
-def tableaux(draw):
-    shape = draw(shapes())
-    n = draw(st.integers(2, MAX_N))
+def tableaux(draw, max_cells=MAX_CELLS, max_n=MAX_N):
+    shape = draw(shapes(max_cells))
+    n = draw(st.integers(2, max_n))
     filling = random_filling(shape, n, random.Random(draw(st.integers(0, 2**32))))
     assume(filling is not None)
     try:
@@ -186,6 +188,59 @@ def test_bk_is_a_weight_swapping_involution_built_from_switching(t, data):
     back_a, back_b, _ = switch_pair(PerforatedFilling.from_map(i, new_b.cell_map),
                                     PerforatedFilling.from_map(i + 1, new_a.cell_map))
     assert (back_a.cell_map, back_b.cell_map) == (a, b)
+
+
+# the Bender-Knuth kernel is drawn over explore's range of tableaux
+KERNEL = settings(PROPERTY, max_examples=40)
+KERNEL_TABLEAUX = tableaux(max_cells=12, max_n=6)
+
+
+@KERNEL
+@given(KERNEL_TABLEAUX)
+def test_composites_are_bk_factor_by_factor(t):
+    """promotion, q and q_interval, each folded over one set of letter
+    bands, equal the public bk applied factor by factor, which builds
+    and validates every intermediate tableau."""
+    ops = [(promotion, (i,), promotion_word(i)) for i in range(1, t.n)]
+    ops += [(q, (i,), q_word(i)) for i in range(1, t.n)]
+    ops += [(q_interval, ij, q_interval_word(*ij)) for ij in intervals(t.n)]
+    for op, args, word in ops:
+        u = t
+        for k in word:
+            u = bk(u, k)
+        assert op(t, *args) == u, (op.__name__, args)
+
+
+@KERNEL
+@given(KERNEL_TABLEAUX)
+def test_bk_and_evac_maps_are_canonical(t):
+    """bk_map and evac_map unprime only the first reading cell of the
+    letters they move, which is all canonical form asks of them."""
+    for i in range(1, t.n):
+        out = bk_map(t.entry_map, i)
+        assert canonical_map(out) == out, i
+    out = evac_map(t.entry_map, t.n)
+    assert canonical_map(out) == out
+
+
+@KERNEL
+@given(KERNEL_TABLEAUX, st.data())
+def test_bk_trace_is_the_switch_of_its_two_bands(t, data):
+    """Each step of bk_trace is the matching step of switch_pair on the
+    i- and (i+1)-bands, with both bands under their own letters in
+    moving and every other entry, unchanged, in fixed."""
+    i = data.draw(st.integers(1, t.n - 1))
+    a = {c: e.primed for c, e in t.entries if e.value == i}
+    b = {c: e.primed for c, e in t.entries if e.value == i + 1}
+    _, _, pair_trace = switch_pair(PerforatedFilling.from_map(i, a),
+                                   PerforatedFilling.from_map(i + 1, b))
+    fixed = tuple((c, e) for c, e in t.entries if e.value not in (i, i + 1))
+    steps = bk_trace(t, i)[1]
+    assert [s.rule for s in steps] == [rule for rule, _ in pair_trace]
+    for step, (_, pair) in zip(steps, pair_trace):
+        moving = sorted([(c, Entry(i, p)) for c, p in pair.a.cells]
+                        + [(c, Entry(i + 1, p)) for c, p in pair.b.cells])
+        assert step.moving == tuple(moving) and step.fixed == fixed
 
 
 @PROPERTY
