@@ -4,30 +4,18 @@ generators q_i and q_{i,j}.
 t_i switches the letter bands (T^i, T^{i+1}) and then relabels by the
 simple transposition of i and i+1 extended to primes.  Everything runs
 on switching bands (cell -> primed dicts): t_i moves the two bands
-through each other with switching._run, swaps their letters and unprimes
-the first reading cell of each, which is all canonical form asks of a
-canonical input; the composites apply their t_k to one set of bands.
+through each other with switching._run and swaps their letters; a
+canonical input stays canonical, as switching leaves each band's first
+reading cell unprimed.  The composites apply their t_k to one set of
+bands.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .core import Cell, Entry, ShiftedTableau, TableauError
-from .switching import Band, TraceStep, _bands, _merge, _relabel, _run, _unprime_first
-
-
-def _switch(a: Band, b: Band, on_step: Callable[[str], None] | None = None
-            ) -> tuple[Band, Band]:
-    """t on the bands a and b of two adjacent letters, in place: move a
-    through b, then unprime the first reading cell of each.  Returns the
-    lower letter's band and the upper's: after the switch the a-cells
-    hold the lower letter and the b-cells the upper, and the
-    transposition of the two letters swaps them."""
-    _run(a, b, on_step)
-    _unprime_first(a)
-    _unprime_first(b)
-    return b, a
+from .switching import Band, TraceStep, _bands, _merge, _relabel, _run
 
 
 def bk_map(entries: Mapping[Cell, Entry], i: int,
@@ -35,10 +23,12 @@ def bk_map(entries: Mapping[Cell, Entry], i: int,
     """t_i on a canonical cell -> entry map; each switch appends a
     TraceStep to steps unless it is None.
 
-    Only the i- and (i+1)-bands are split off and switched; every other
-    entry is copied as it is.  Canonical form can change only in the two
-    switched letters, since the input is canonical, so each gets its
-    first reading cell unprimed and no other cell is looked at."""
+    Only the i- and (i+1)-bands are split off and moved through each
+    other with _run; every other entry is copied as it is.  After the
+    switch the a-cells hold the lower letter and the b-cells the upper,
+    and the transposition of the two letters swaps them: the b-cells are
+    written back as i and the a-cells as i+1, primes as _run leaves
+    them."""
     a: Band = {}  # the i-band
     b: Band = {}  # the (i+1)-band
     for c, e in entries.items():
@@ -56,10 +46,10 @@ def bk_map(entries: Mapping[Cell, Entry], i: int,
             moving.update((c, Entry(i + 1, p)) for c, p in b.items())
             steps.append(TraceStep(rule, tuple(sorted(moving.items())), fixed))
 
-    lower, upper = _switch(a, b, on_step)
+    _run(a, b, on_step)
     out = dict(entries)
-    _relabel(out, lower, i)
-    _relabel(out, upper, i + 1)
+    _relabel(out, b, i)
+    _relabel(out, a, i + 1)
     return out
 
 
@@ -106,11 +96,14 @@ def q_interval_word(i: int, j: int) -> tuple[int, ...]:
 
 def _fold(t: ShiftedTableau, word: tuple[int, ...]) -> ShiftedTableau:
     """The t_k of word in turn on t's letter bands: t is split into bands
-    once, each t_k switches the bands k and k+1 in place and swaps their
-    letters, and one tableau is built from the bands at the end."""
+    once, each t_k runs the k-band through the (k+1)-band in place and
+    swaps their letters, and one tableau is built from the bands at the
+    end."""
     bands = _bands(t.entries)
     for k in word:
-        bands[k], bands[k + 1] = _switch(bands.get(k, {}), bands.get(k + 1, {}))
+        a, b = bands.get(k, {}), bands.get(k + 1, {})
+        _run(a, b, None)
+        bands[k], bands[k + 1] = b, a
     return ShiftedTableau.from_map(_merge(bands), t.n, t.shape)
 
 

@@ -17,9 +17,9 @@ import time
 from typing import Any
 
 from . import engine, jdt, switching
-from .core import (MAX_CELLS, CapacityError, ShiftedSkewShape, ShiftedTableau,
-                   TableauError, check_cells, from_json, parse_tableau, render_text,
-                   to_json)
+from .core import (MAX_CELLS, MAX_SKEW_CELLS, CapacityError, ShiftedSkewShape,
+                   ShiftedTableau, TableauError, check_cells, from_json, parse_tableau,
+                   render_text, to_json)
 from .enumeration import enumerate_tableaux
 
 EXIT_OK = 0
@@ -63,8 +63,13 @@ def _parse_shape(outer: str, inner: str | None) -> ShiftedSkewShape:
     return shape
 
 
-def _max_cells(value: int) -> int:
-    """--max-cells, bounded by MAX_CELLS as the shapes are."""
+def _max_cells(value: int, skew_search: bool = False) -> int:
+    """--max-cells, bounded by MAX_CELLS as the shapes are, and by
+    MAX_SKEW_CELLS for a skew search, which lists every skew shape within
+    the budget before it enumerates a family."""
+    if skew_search and value > MAX_SKEW_CELLS:
+        raise CapacityError(f"--max-cells {value} is more than {MAX_SKEW_CELLS} "
+                            "for a skew search")
     if value > MAX_CELLS:
         raise CapacityError(f"--max-cells {value} is more than {MAX_CELLS}")
     return value
@@ -231,7 +236,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     start = time.monotonic()
     schema = engine.RelationSchema.parse(args.schema)
     schema.check_literals(args.n)
-    verdict = engine.search_counterexample(schema, args.n, _max_cells(args.max_cells),
+    verdict = engine.search_counterexample(schema, args.n,
+                                           _max_cells(args.max_cells, args.skew),
                                            skew=args.skew)
     report = _report(args, verdict=_verdict_doc(verdict),
                      timing=round(time.monotonic() - start, 3))

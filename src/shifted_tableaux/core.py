@@ -58,6 +58,11 @@ class CapacityError(RuntimeError):
 # 15 cells that verification runs on; the shapes of at most MAX_CELLS
 # cells that search scans are still few enough to list (158,745 straight)
 MAX_CELLS = 64
+# the most cells of a skew search (search --skew --max-cells), which lists
+# every skew shape of at most that many cells, each part at most that
+# many, before its first family: 70,941 shapes at 10 cells, 767,555 (and
+# about 1.4 GB) at 12
+MAX_SKEW_CELLS = 10
 
 
 def check_cells(shape: "ShiftedSkewShape") -> None:

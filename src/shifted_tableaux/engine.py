@@ -34,13 +34,15 @@ jdt.reversal_map itself, given the memo, so that jdt runs one standard
 reversal per standardization; switching evacuation is never
 standardized: it runs on semistandard bands.
 
-On the whole alphabet, eta:1,n and the jdt side of the evacuation
-routes destandardize nothing: the family keeps an index of its members
-by standardization and weight, and a member's image is the member whose
-standardization is jdt's standard result on the member's and whose
-weight is the member's reversed.  The evacuation-routes line of
-evac-agreement compares the evac_n table (switching) with a table of
-these images.  _check, _evac_routes and _check_pointwise (the skew
+On the whole alphabet, eta:1,n destandardizes nothing: the family keeps
+an index of its members by standardization and weight, and a member's
+image is the member whose standardization is jdt's standard reversal of
+the member's and whose weight is the member's reversed.  The
+evacuation-routes line of evac-agreement is one more check of each
+straight family, the evac_n table (switching) against the eta:1,n table
+(on a straight shape the reversal makes no slide, so it is rectification
+after the complement), and reads two tables the preset's evac_n = eta_1n
+line has filled.  _check and _check_pointwise (the skew
 Knuth-equivalence witness of non-relations, the one check that still
 compares tableaux member by member) each give one family's Verdict, its
 first failing member found by _first_difference, and _first_failure
@@ -296,15 +298,14 @@ def _images(family: TableauFamily, lo: int, hi: int, core: Callable, memo: _Memo
     member order; None where the image is not a member.  A partial band
     is cut out of the family's layouts (_band_images).  The whole
     alphabet 1..n is the whole member, which no other family shares, so
-    its results are not kept: a jdt core's image is looked up by its
-    standard result (_standard_images), any other core runs through
-    band_keys."""
+    its results are not kept: the image under jdt.reversal_map is looked
+    up by its standard result (_standard_images), any other core runs
+    through band_keys."""
     if (lo, hi) != (1, family.n):
         return _band_images(family, lo, hi, core, memo)
     cells, positions = family.shape.sorted_cells, family.positions
-    std_core = jdt.standard_core(core)
-    if std_core is not None:
-        return _standard_images(family, cells, std_core, core, memo)
+    if core is jdt.reversal_map:
+        return _standard_images(family, cells, memo)
     return (positions.get(band_keys(cells, key, lo, hi, core, memo)) for key in family.keys)
 
 
@@ -360,16 +361,15 @@ class _Moves(dict):
         return moved
 
 
-def _standard_images(family: TableauFamily, cells: tuple[Cell, ...], std_core: Callable,
-                     core: Callable, memo: _Memo) -> Iterator[int | None]:
-    """_images of jdt.reversal_map or jdt.evacuation_map (core, whose
-    standard core is std_core) on whole members: the image of a member
-    of weight wt is the member whose standardization is jdt's standard
-    result on the member's, and whose weight is wt reversed, found in the
-    family's standard_index; nothing is destandardized.  A result that
-    no member has runs band_keys on its member, as the whole alphabet
-    does for other cores, so its error or its None is the one the member
-    gets there."""
+def _standard_images(family: TableauFamily, cells: tuple[Cell, ...], memo: _Memo
+                     ) -> Iterator[int | None]:
+    """_images of jdt.reversal_map on whole members: the image of a
+    member of weight wt is the member whose standardization is jdt's
+    standard reversal of the member's, and whose weight is wt reversed,
+    found in the family's standard_index; nothing is destandardized.  A
+    result that no member has runs band_keys on its member, as the whole
+    alphabet does for other cores, so its error or its None is the one
+    the member gets there."""
     index, positions = _standard_index(family, cells), family.positions
     ranks = range(1, len(cells) + 1)
     by_value = [None] * len(cells)
@@ -378,10 +378,10 @@ def _standard_images(family: TableauFamily, cells: tuple[Cell, ...], std_core: C
         for c, v in zip(cells, values):
             by_value[v - 1] = c
         std = dict(zip(by_value, ranks))
-        image = jdt.standard_result(std_core, std, memo)
+        image = jdt.standard_result(jdt._reverse_standard, std, memo)
         y = index.get((tuple(map(image.get, cells)), wt[::-1]))
         yield y if y is not None else \
-            positions.get(band_keys(cells, key, 1, family.n, core, memo))
+            positions.get(band_keys(cells, key, 1, family.n, jdt.reversal_map, memo))
 
 
 def _standard_index(family: TableauFamily, cells: tuple[Cell, ...]) -> dict[tuple, int]:
@@ -856,22 +856,17 @@ def _check_pointwise(family: TableauFamily,
     return Verdict(False, x + 1, Counterexample(t, (), left(t), right(t), family.shape))
 
 
-def _evac_routes(family: TableauFamily, memo: _Memo) -> Verdict:
-    """Switching evacuation against rectification after the complement
-    on a straight family: the evac_n table against a table of
-    jdt.evacuation_map results, one standard evacuation per
-    standardization, member by member up to the first failure.  A jdt
-    result that is not a member fails its member.  The counterexample is
-    rebuilt with evac_switch and evacuation_jdt."""
-    if not family.keys:  # at n=0, where evac_n is out of range
-        return Verdict(True, 0)
-    x = _first_difference(_table(family, GeneratorSymbol("evac", family.n), memo),
-                          _images(family, 1, family.n, jdt.evacuation_map, memo))
-    if x is None:
-        return Verdict(True, len(family))
-    t = family.member(x)
-    return Verdict(False, x + 1, Counterexample(
-        t, (), switching.evac_switch(t), jdt.evacuation_jdt(t), family.shape))
+def _evac_route_checks(n: int) -> list[_Check]:
+    """The checks of the evacuation-routes line of evac-agreement on a
+    straight family over 1..n: switching evacuation evac_n against
+    rectification after the complement, which on a straight shape is
+    eta:1,n.  At n=1, where eta:1,1 is out of range, ShST(shape, 1) has
+    at most one member, and the empty word stands in; at n=0, where every
+    family is empty and evac_0 is out of range, there is no check."""
+    if n == 0:
+        return []
+    return [("", (), (GeneratorSymbol("evac", n),),
+             (GeneratorSymbol("eta", 1, n),) if n > 1 else ())]
 
 
 def sbk_core_schemas() -> list[RelationSchema]:
@@ -932,7 +927,8 @@ def _preset_evac_agreement(n: int) -> list[PresetResult]:
             f"evac{k}", f"eta:1,{k}", name=f"evac_{k} = eta_1{k}"), families, memo))
         out.append(_schema_result(RelationSchema(
             f"evac{k}", f"q{k - 1}", name=f"evac_{k} = q_{k - 1}"), families, memo))
-    v = _first_failure(_evac_routes(family, memo) for family in families)
+    routes = _evac_route_checks(n)
+    v = _first_failure(_check(family, routes, memo) for family in families)
     out.append(PresetResult("evac via switching = rectify after complement",
                             v.holds, v))
     skew = skew_families(n)

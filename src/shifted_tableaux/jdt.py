@@ -15,17 +15,17 @@ the same shapes.  Reversal and evacuation are standard-map cores
 standard map and checks its result; given a memo, it runs the core once
 per standardization.  _via_standard (reversal_map, evacuation_map)
 standardizes, takes standard_result and destandardizes with the
-reversed weight.  The verification engine shares one memo between both
-callers of standard_result: reversal_map and evacuation_map on partial
-bands (of eta and sigma), and its own whole-member lookups (eta:1,n and
-the evacuation routes), which find each image among the family's
-members by its standardization and weight instead of destandardizing.
-So all bands and whole members with the same standardization share one
-standard result.  A standard reversal takes its evacuation step from
-standard_result with the same memo, so each straight standardization is
-evacuated once, whether a reversal or an evacuation asks.  Switching
-evacuation does not commute with standardization on skew bands, so its
-bands are not shared.
+reversed weight.  Of the two, the verification engine runs only the
+reversal, and shares one memo between both callers of standard_result:
+reversal_map on partial bands (of eta and sigma), and its own
+whole-member lookups of eta:1,n, which run _reverse_standard and find
+each image among the family's members by its standardization and weight
+instead of destandardizing.  So all bands and whole members with the same
+standardization share one standard result.  A standard reversal takes
+its evacuation step from standard_result with the same memo, so each
+straight standardization is evacuated once.  Switching evacuation does
+not commute with standardization on skew bands, so its bands are not
+shared.
 
 rectify_map, evacuation_map and reversal_map compute on canonical cell ->
 entry maps; the public functions build one validated tableau from them.
@@ -175,16 +175,6 @@ def _reverse_standard(std: dict[Cell, int], memo: dict | None = None
 # A standard core takes a standard map and the standard memo, which it
 # hands on to the standard cores it runs itself.
 StandardCore = Callable[[dict[Cell, int], dict | None], dict[Cell, int]]
-
-
-def standard_core(op: Callable) -> StandardCore | None:
-    """The standard-map core that op runs when op is reversal_map or
-    evacuation_map, looked up at call time; None for any other operator."""
-    if op is reversal_map:
-        return _reverse_standard
-    if op is evacuation_map:
-        return _evacuate_standard
-    return None
 
 
 def standard_result(core: StandardCore, std: dict[Cell, int], memo: dict | None

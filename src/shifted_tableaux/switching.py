@@ -5,10 +5,12 @@ evacuation operators (straight, restricted and skew variants).
 The only switching state is a band, a plain cell -> primed dict holding
 the cells of one letter.  Every switch in the library, t_i included,
 moves one band through another in place with _run(a, b, on_step), which
-finds each next box in one pass over the a-band (_select).  A band's
-letter can change its canonical form only at its first reading cell, so
-after bands are relabelled (evac_map here, t_i in bender_knuth)
-_unprime_first unprimes that cell and nothing sorts the whole map.
+finds each next box in one pass over the a-band (_select).  Switching a
+canonical pair leaves the first reading cell of each band unprimed, so
+relabelled bands (evac_map here, t_i in bender_knuth) are written back
+as _run leaves them and nothing re-canonicalizes the map; a result that
+broke canonical form would be rejected by the ShiftedTableau
+constructor, and by a family table fill as out of its family.
 """
 
 from __future__ import annotations
@@ -98,18 +100,6 @@ def _select(a: Band, b: Band) -> Cell | None:
             else:
                 unprimed, col = x, c
     return unprimed or primed
-
-
-def _unprime_first(band: Band) -> None:
-    """Unprime the band's first cell in reading order (bottom row, then
-    leftmost): canonical form for one letter."""
-    first = None
-    row = col = 0
-    for r, c in band:
-        if r > row or (r == row and c < col):
-            first, row, col = (r, c), r, c
-    if first is not None:
-        band[first] = False
 
 
 def _relabel(out: dict[Cell, Entry], band: Band, letter: int) -> None:
@@ -267,14 +257,13 @@ def evac_map(entries: Mapping[Cell, Entry], n: int) -> dict[Cell, Entry]:
     """Switching evacuation of a canonical cell -> entry map over the
     alphabet 1..n: expel bands 1..n-1 outward in turn; the k-th expelled
     band is relabelled to letter n-k+1 (the auxiliary-alphabet
-    bookkeeping), with its first reading cell unprimed."""
+    bookkeeping) as _run leaves it, its first reading cell unprimed."""
     bands = _bands(entries.items())
     out: dict[Cell, Entry] = {}
     for k in sorted(bands):
         band = bands.pop(k)
         for j in sorted(bands):  # the letters above k
             _run(band, bands[j], None)
-        _unprime_first(band)
         _relabel(out, band, n - k + 1)
     return out
 

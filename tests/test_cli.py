@@ -13,7 +13,7 @@ import pytest
 import shifted_tableaux
 from shifted_tableaux import engine
 from shifted_tableaux.cli import main
-from shifted_tableaux.core import MAX_CELLS, CapacityError
+from shifted_tableaux.core import MAX_CELLS, MAX_SKEW_CELLS, CapacityError
 
 
 def run(capsys, *argv):
@@ -449,6 +449,20 @@ class TestErrors:
         presets use."""
         assert MAX_CELLS >= 4 * 15
         assert run(capsys, *argv) == (2, "", f"error: {message.format(max=MAX_CELLS)}\n")
+
+    def test_skew_search_budget_is_bounded_before_listing(self, capsys, monkeypatch):
+        """A skew search lists every skew shape within its budget before
+        its first family, so the budget stops at MAX_SKEW_CELLS, before
+        any shape is listed; the bound itself is accepted."""
+        listed = []
+        monkeypatch.setattr(engine, "skew_shapes", lambda *args: listed.append(args) or [])
+        argv = ("search", "--schema", "t1 t1 = e", "--skew", "--n", "2", "--max-cells")
+        assert MAX_SKEW_CELLS < MAX_CELLS
+        assert run(capsys, *argv, "24") == (2, "", "error: --max-cells 24 is more than "
+                                            f"{MAX_SKEW_CELLS} for a skew search\n")
+        assert listed == []
+        assert run(capsys, *argv, str(MAX_SKEW_CELLS))[0] == 1
+        assert listed == [(MAX_SKEW_CELLS, None)]
 
     def test_shape_at_the_bound_is_accepted(self, capsys):
         assert run(capsys, "enum", "--outer", str(MAX_CELLS), "--n", "1",

@@ -379,9 +379,9 @@ class TestFamilyTables:
         assert len(reversed_bands) < len(standardized)
 
     def test_evac_routes_build_no_tableau(self, monkeypatch):
-        """The routes line of evac-agreement fills its tables on cell maps,
-        and runs jdt's standard evacuation once per standardization:
-        fewer times than there are members."""
+        """The routes line of evac-agreement fills its evac_3 and eta:1,3
+        tables on cell maps, and runs jdt's standard evacuation once per
+        standardization: fewer times than there are members."""
         families = straight_families(3)
         built, evacuated = [], []
         evacuate = jdt._evacuate_standard
@@ -394,8 +394,8 @@ class TestFamilyTables:
         monkeypatch.setattr(engine.ShiftedTableau, "__post_init__",
                             lambda t: built.append(t))
         monkeypatch.setattr(jdt, "_evacuate_standard", counted)
-        memo = {}
-        v = engine._first_failure(engine._evac_routes(family, memo) for family in families)
+        memo, routes = {}, engine._evac_route_checks(3)
+        v = engine._first_failure(engine._check(family, routes, memo) for family in families)
         assert (v.holds, v.instances_checked, built) == (True, 236, [])
         assert len(evacuated) == len(set(evacuated)) < 236
 
@@ -515,7 +515,8 @@ class TestFamilyTables:
         """A standard reversal takes its evacuation step from the preset's
         standard memo: over evac-agreement at n=4, jdt's standard
         evacuation runs once for each of the 62 straight standardizations
-        that the reversals of eta:1,k and the routes line evacuate."""
+        that the reversals of eta:1,k evacuate; the routes line reads the
+        evac_4 and eta:1,4 tables and evacuates nothing more."""
         evacuate, evacuated = jdt._evacuate_standard, []
 
         def counted(std, memo):
@@ -531,7 +532,8 @@ class TestFamilyTables:
         """On a family of no member or one member every word is the
         identity tuple, and the verdicts are those of larger families'
         code paths: instances are members times checks, and a symbol out
-        of range is a WordError."""
+        of range is a WordError.  The routes line of evac-agreement has no
+        check at n=0 and compares evac_1 with the empty word at n=1."""
         fam = enumerate_tableaux(ShiftedSkewShape(outer), n)
         assert len(fam) == size
         identity = tuple(range(size))
@@ -549,7 +551,9 @@ class TestFamilyTables:
                 (True, 0 if text == "t1 = e" else size, None), text
         for route in engine.CACTUS_ROUTES:
             assert verify_cactus_action(route, [fam]) == engine.Verdict(True, 0)
-        assert engine._evac_routes(fam, {}) == engine.Verdict(True, size)
+        routes = engine._evac_route_checks(n)
+        assert len(routes) == n
+        assert engine._check(fam, routes, {}) == engine.Verdict(True, size)
 
     def test_preset_lines_keep_no_switching_or_eta_band_results(self, monkeypatch):
         """Each family keeps its tables, so the switching and eta band
@@ -576,10 +580,10 @@ class TestFamilyTables:
         assert len(bands) == 6362
 
     def test_whole_member_images_destandardize_nothing(self, monkeypatch):
-        """eta:1,n and the jdt side of the evacuation routes find each
-        whole member's image by its standardization and weight: jdt runs
-        its standard cores but never destandardizes, as it does for the
-        partial band of eta:1,n-1."""
+        """eta:1,n, on its own and in the routes line of evac-agreement,
+        finds each whole member's image by its standardization and
+        weight: jdt runs its standard cores but never destandardizes, as
+        it does for the partial band of eta:1,n-1."""
         destandardize, reverse = jdt.destandardize_map, jdt._reverse_standard
         calls = {"destandardize": 0, "reverse": 0}
 
@@ -594,8 +598,8 @@ class TestFamilyTables:
         families = engine.skew_families(3, include_straight=True)
         for family in families:
             word_permutation(family, parse_word("eta:1,3"))
-        memo = {}
-        assert all(engine._evac_routes(family, memo).holds for family in straight_families(3))
+        memo, routes = {}, engine._evac_route_checks(3)
+        assert all(engine._check(family, routes, memo).holds for family in straight_families(3))
         assert calls["reverse"] > 0 and calls["destandardize"] == 0
         for family in families:
             word_permutation(family, parse_word("eta:1,2"))
@@ -676,8 +680,44 @@ PRESET_COUNTS_N3 = {
                       ("skew evac not Knuth equivalent to complement", 155)],
 }
 
+# the same at n = 0, 1 and 2: at n=0 every family is empty, at n=1 each
+# nonempty straight family has one member, and non-relations finds none
+# of its witnesses below n=3 but the skew Knuth one at n=2
+_SBK_LABELS = [label for label, _ in PRESET_COUNTS_N3["sbk-core"]]
+_NON_RELATIONS_LABELS = [label for label, _ in PRESET_COUNTS_N3["non-relations"]]
+_ROUTES = "evac via switching = rectify after complement"
+PRESET_COUNTS_SMALL = {
+    0: {"sbk-core": [(label, 0) for label in _SBK_LABELS],
+        "cactus-q": [("cactus relations via q", 0)],
+        "cactus-eta": [("cactus relations via eta", 0)],
+        "evac-agreement": [(_ROUTES, 0)],
+        "non-relations": [(label, 0) for label in _NON_RELATIONS_LABELS]},
+    1: {"sbk-core": [(label, 0) for label in _SBK_LABELS],
+        "cactus-q": [("cactus relations via q", 0)],
+        "cactus-eta": [("cactus relations via eta", 0)],
+        "evac-agreement": [(_ROUTES, 4)],
+        "non-relations": list(zip(_NON_RELATIONS_LABELS, [0, 0, 0, 56]))},
+    2: {"sbk-core": list(zip(_SBK_LABELS, [378, 0, 0, 378, 0, 0])),
+        "cactus-q": [("cactus relations via q", 102)],
+        "cactus-eta": [("cactus relations via eta", 1116)],
+        "evac-agreement": [("evac_2 = eta_12", 34), ("evac_2 = q_1", 34), (_ROUTES, 34),
+                           ("evac2 = p1", 34), ("evacs2 = p1", 344)],
+        "non-relations": list(zip(_NON_RELATIONS_LABELS, [0, 0, 378, 83]))},
+}
+
 
 class TestPresets:
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_presets_at_small_n(self, n):
+        """The labels and instance counts of every preset where its
+        families are empty or small; every line holds but those of
+        non-relations, most of whose witnesses need n=3."""
+        for name, counts in PRESET_COUNTS_SMALL[n].items():
+            results = run_preset(name, n)
+            assert [(r.label, r.verdict.instances_checked) for r in results] == counts, name
+            if name != "non-relations":
+                assert all(r.ok for r in results), name
+
     def test_all_presets_pass_small(self):
         for name, counts in PRESET_COUNTS_N3.items():
             results = run_preset(name, 3)

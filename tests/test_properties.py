@@ -8,7 +8,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape, band_keys,
-                                   canonical_map, canonicalize, standardize_map, weight)
+                                   canonical_map, canonicalize, entry_of_key, standardize_map,
+                                   weight)
 from shifted_tableaux.bender_knuth import (bk, bk_map, bk_trace, promotion, promotion_word, q,
                                            q_interval, q_interval_word, q_word)
 from shifted_tableaux.engine import (GeneratorSymbol, _band_bk, _band_evac, _images, apply_symbol,
@@ -214,13 +215,20 @@ def test_composites_are_bk_factor_by_factor(t):
 @KERNEL
 @given(KERNEL_TABLEAUX)
 def test_bk_and_evac_maps_are_canonical(t):
-    """bk_map and evac_map unprime only the first reading cell of the
-    letters they move, which is all canonical form asks of them."""
+    """Switching a canonical pair leaves each band's first reading cell
+    unprimed.  So bk_map and evac_map, which write the switched bands
+    back as switching leaves them, give canonical maps: t_i on the whole
+    map, and switching evacuation on every letter band i..j, re-indexed
+    to 1..j-i+1 through band_keys as the family tables run it."""
     for i in range(1, t.n):
         out = bk_map(t.entry_map, i)
         assert canonical_map(out) == out, i
-    out = evac_map(t.entry_map, t.n)
-    assert canonical_map(out) == out
+    cells = [c for c, _ in t.entries]
+    for i in range(1, t.n + 1):
+        for j in range(i, t.n + 1):
+            key = band_keys(cells, t.key, i, j, evac_map)
+            out = {c: entry_of_key[k] for c, k in zip(cells, key)}
+            assert canonical_map(out) == out, (i, j)
 
 
 @KERNEL

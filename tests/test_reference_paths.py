@@ -577,19 +577,20 @@ def swapped_evacuations(first, second):
     (lambda: lambda std, memo: dict(std), InvalidTableauError),
 ], ids=["jdt", "swapped", "identity"])
 def test_evac_routes_match_member_loop(monkeypatch, n, wrong, verdict):
-    """The routes line of evac-agreement on tables against the member loop
-    with evac_switch and evacuation_jdt, also with a wrong standard
-    evacuation: two exchanged results give a counterexample, the identity
-    a destandardization error, at the same member on both paths."""
+    """The routes line of evac-agreement, evac_n against eta:1,n on
+    tables, against the member loop with evac_switch and evacuation_jdt,
+    also with a wrong standard evacuation: two exchanged results give a
+    counterexample, the identity a destandardization error, at the same
+    member on both paths."""
     if wrong is not None:
         monkeypatch.setattr(jdt, "_evacuate_standard", wrong())
     want = route_outcome(lambda: engine._first_failure(
         engine._check_pointwise(family, switching.evac_switch, jdt.evacuation_jdt)
         for family in straight_families(n)))
     assert want[0] is verdict
-    memo = {}
+    memo, routes = {}, engine._evac_route_checks(n)
     assert route_outcome(lambda: engine._first_failure(
-        engine._evac_routes(family, memo) for family in straight_families(n))) == want
+        engine._check(family, routes, memo) for family in straight_families(n))) == want
 
 
 def member_loop(family, op):
@@ -603,10 +604,10 @@ def member_loop(family, op):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_whole_member_tables_match_member_loop(n):
-    """eta:1,n on every family of cactus-eta and evac-agreement, and the
-    jdt side of the evacuation routes on the straight families, are
-    looked up by standardization and weight: they equal reversal_map and
-    evacuation_map run member by member, and each family's index has
+    """eta:1,n on every family of cactus-eta and evac-agreement is looked
+    up by standardization and weight: it equals reversal_map run member
+    by member, and, on the straight families, where the routes line of
+    evac-agreement reads it, evacuation_map; each family's index has
     exactly one entry per member."""
     straight = straight_families(n)
     eta_1n = (engine.GeneratorSymbol("eta", 1, n),)
@@ -615,7 +616,7 @@ def test_whole_member_tables_match_member_loop(n):
             member_loop(family, reversal_map), family.shape
         assert list(family.standard_index.values()) == list(range(len(family))), family.shape
     for family in straight:
-        assert list(engine._images(family, 1, n, jdt.evacuation_map, {})) == \
+        assert list(engine.word_permutation(family, eta_1n)) == \
             member_loop(family, jdt.evacuation_map), family.shape
 
 
