@@ -49,8 +49,9 @@ class InvalidTableauError(TableauError):
 
 
 class CapacityError(RuntimeError):
-    """A search outgrew its configured bound (orbit_graph's node limit), or
-    an input shape or cell budget exceeds MAX_CELLS."""
+    """A search outgrew its configured bound (orbit_graph's node limit), a
+    family outgrew MAX_MEMBERS, or an input shape or cell budget exceeds
+    MAX_CELLS."""
 
 
 # the most cells of a shape given as input (the CLI's --outer/--inner and
@@ -58,6 +59,9 @@ class CapacityError(RuntimeError):
 # 15 cells that verification runs on; the shapes of at most MAX_CELLS
 # cells that search scans are still few enough to list (158,745 straight)
 MAX_CELLS = 64
+# the most members of one family: ShST((4,3,2,1), 12) has 1,770,912 and
+# takes about 260 MB, while the largest preset family at n=8 has 50,568
+MAX_MEMBERS = 1_000_000
 # the most cells of a skew search (search --skew --max-cells), which lists
 # every skew shape of at most that many cells, each part at most that
 # many, before its first family: 70,941 shapes at 10 cells, 767,555 (and

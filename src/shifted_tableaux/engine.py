@@ -83,7 +83,7 @@ _Memo = dict[tuple, dict | tuple[int, ...]]
 
 
 def _band_bk(local: dict[Cell, Entry], n: int, memo: _Memo) -> Mapping[Cell, Entry]:
-    return bender_knuth.bk_map(local, 1)
+    return bender_knuth.bk_map(local, (1,))
 
 
 def _band_evac(local: dict[Cell, Entry], n: int, memo: _Memo) -> Mapping[Cell, Entry]:
@@ -110,10 +110,12 @@ class _Kind:
 
 # Each operator on one tableau, and the bk_map and evac_map cores, are
 # looked up on their module at call time, so that a patched module
-# function is the one that runs.  The core of eta and sigma is
-# jdt.reversal_map itself, which band_keys hands the memo; jdt
-# looks its standard core up at call time.  Kinds with the same core
-# share band results.
+# function is the one that runs.  bk_map is the one t_k kernel: the t
+# core runs it on the word (1,), the operators t, p, q and q:i,j run it
+# on their words, and the p and q tables compose t tables.  The core of
+# eta and sigma is jdt.reversal_map itself, which band_keys hands the
+# memo; jdt looks its standard core up at call time.  Kinds with the
+# same core share band results.
 _KINDS = {
     "t": _Kind("t", 1, lambda n, i: 1 <= i <= n - 1, lambda t, i: bender_knuth.bk(t, i),
                lambda i: (i, i + 1), _band_bk),
@@ -830,10 +832,9 @@ SKEW_MAX_CELLS = 5
 SEARCH_MAX_CELLS = 9
 
 
-def straight_families(n: int, max_part: int = STRAIGHT_MAX_PART
-                      ) -> list[TableauFamily]:
-    cells = max_part * (max_part + 1) // 2
-    return [enumerate_tableaux(s, n) for s in straight_shapes(cells, max_part)]
+def straight_families(n: int) -> list[TableauFamily]:
+    cells = STRAIGHT_MAX_PART * (STRAIGHT_MAX_PART + 1) // 2
+    return [enumerate_tableaux(s, n) for s in straight_shapes(cells, STRAIGHT_MAX_PART)]
 
 
 def skew_families(n: int, max_cells: int = SKEW_MAX_CELLS,

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterator
 
-from .core import Cell, ShiftedSkewShape, ShiftedTableau, entry_of_key, reading_cells
+from .core import (MAX_MEMBERS, CapacityError, Cell, ShiftedSkewShape, ShiftedTableau,
+                   entry_of_key, reading_cells)
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,8 @@ def layout_cell(p: int) -> Cell:
 
 
 def enumerate_tableaux(shape: ShiftedSkewShape, n: int) -> TableauFamily:
-    """All members of ShST(shape, n) in reading-word lexicographic order."""
+    """All members of ShST(shape, n) in reading-word lexicographic order;
+    CapacityError, before the member past MAX_MEMBERS is kept."""
     if n < 0:
         raise ValueError("alphabet bound must be >= 0")
     cells = reading_cells(shape)
@@ -130,6 +132,8 @@ def enumerate_tableaux(shape: ShiftedSkewShape, n: int) -> TableauFamily:
 
     def place(i: int) -> None:
         if i == len(cells):
+            if len(found) == MAX_MEMBERS:
+                raise CapacityError(f"ShST({shape}, {n}) has more than {MAX_MEMBERS:,} members")
             found.append(tuple(map(keys.__getitem__, reading)))
             return
         r, c, west, south = plan[i]

@@ -13,22 +13,23 @@ equivalent exactly when one rectifying slide order takes them through
 the same shapes.  Reversal and evacuation are standard-map cores
 (_reverse_standard, _evacuate_standard).  standard_result runs one on a
 standard map and checks its result; given a memo, it runs the core once
-per standardization.  _via_standard (reversal_map, evacuation_map)
-standardizes, takes standard_result and destandardizes with the
-reversed weight.  Of the two, the verification engine runs only the
-reversal, and shares one memo between both callers of standard_result:
-reversal_map on partial bands (of eta and sigma), and its own
-whole-member lookups of eta:1,n, which run _reverse_standard and find
-each image among the family's members by its standardization and weight
-instead of destandardizing.  So all bands and whole members with the same
-standardization share one standard result.  A standard reversal takes
-its evacuation step from standard_result with the same memo, so each
-straight standardization is evacuated once.  Switching evacuation does
-not commute with standardization on skew bands, so its bands are not
-shared.
+per standardization.  reversal_map standardizes, takes standard_result
+of _reverse_standard and destandardizes with the reversed weight.  On a
+straight shape the reversal makes no rectifying slide, so it is the
+evacuation, and evacuation_jdt is the reversal behind its
+straight-shape check.  The verification engine shares one memo between
+both callers of standard_result: reversal_map on partial bands (of eta
+and sigma), and its own whole-member lookups of eta:1,n, which run
+_reverse_standard and find each image among the family's members by its
+standardization and weight instead of destandardizing.  So all bands and
+whole members with the same standardization share one standard result.
+A standard reversal takes its evacuation step from standard_result with
+the same memo, so each straight standardization is evacuated once.
+Switching evacuation does not commute with standardization on skew
+bands, so its bands are not shared.
 
-rectify_map, evacuation_map and reversal_map compute on canonical cell ->
-entry maps; the public functions build one validated tableau from them.
+rectify_map and reversal_map compute on canonical cell -> entry maps;
+the public functions build one validated tableau from them.
 """
 
 from __future__ import annotations
@@ -198,16 +199,6 @@ def standard_result(core: StandardCore, std: dict[Cell, int], memo: dict | None
     return dict(zip(std, values))
 
 
-def _via_standard(core: StandardCore, entries: Mapping[Cell, Entry], n: int,
-                  memo: dict | None) -> dict[Cell, Entry]:
-    """core, a standard-map operator that commutes with standardization
-    and reverses the weight, on the canonical map entries over 1..n: run
-    on the standardization of entries through standard_result, and
-    destandardized with the reversed weight of entries."""
-    std = standard_result(core, standardize_map(entries.items()), memo)
-    return destandardize_map(std, weight_map(entries, n)[::-1])
-
-
 def rectify_map(entries: Mapping[Cell, Entry], outer: tuple[int, ...],
                 inner: tuple[int, ...], n: int, strategy: str = "first"
                 ) -> tuple[Mapping[Cell, Entry], tuple[int, ...], list[tuple[Cell, Cell]]]:
@@ -285,35 +276,30 @@ def complement(t: ShiftedTableau, n: int | None = None,
     return ShiftedTableau.from_map(canonical_map(reflected), n, shape)
 
 
-def evacuation_map(entries: Mapping[Cell, Entry], n: int, memo: dict | None = None
-                   ) -> dict[Cell, Entry]:
-    """evacuation_jdt on the cell -> entry map of a straight shape over
-    the alphabet 1..n.  Given a memo dict, which a caller keeps across
-    calls, the standard evacuation runs once per standardization."""
-    return _via_standard(_evacuate_standard, entries, n, memo)
-
-
-def evacuation_jdt(t: ShiftedTableau) -> ShiftedTableau:
-    """evac(T) = rect(c_n(T)) on straight shapes."""
-    if not t.shape.straight:
-        raise TableauError("evacuation is defined on straight shapes; use reversal")
-    return ShiftedTableau.from_map(evacuation_map(t.entry_map, t.n), t.n, t.shape)
-
-
 def reversal_map(entries: Mapping[Cell, Entry], n: int, memo: dict | None = None
                  ) -> dict[Cell, Entry]:
     """reversal on a canonical cell -> entry map over the alphabet 1..n:
-    rectify, evacuate, then replay the recorded slides outward in
-    reverse, all on one standardization of entries.  Given a memo dict,
-    which a caller keeps across calls, the standard reversal runs once
-    per standardization."""
-    return _via_standard(_reverse_standard, entries, n, memo)
+    standardize, take standard_result of _reverse_standard (rectify,
+    evacuate, replay the recorded slides outward in reverse), and
+    destandardize with the reversed weight of entries.  Given a memo
+    dict, which a caller keeps across calls, the standard reversal runs
+    once per standardization."""
+    std = standard_result(_reverse_standard, standardize_map(entries.items()), memo)
+    return destandardize_map(std, weight_map(entries, n)[::-1])
 
 
 def reversal(t: ShiftedTableau) -> ShiftedTableau:
     """The unique tableau Knuth equivalent to c_n(T) and dual equivalent to T,
     on T's cells (reversal_map checks them), under their canonical pair."""
     return ShiftedTableau.from_map(reversal_map(t.entry_map, t.n), t.n, t.shape.canonical())
+
+
+def evacuation_jdt(t: ShiftedTableau) -> ShiftedTableau:
+    """evac(T) = rect(c_n(T)) on straight shapes: the reversal, as a
+    straight shape needs no rectifying slide."""
+    if not t.shape.straight:
+        raise TableauError("evacuation is defined on straight shapes; use reversal")
+    return reversal(t)
 
 
 def eta(t: ShiftedTableau, i: int | None = None, j: int | None = None) -> ShiftedTableau:

@@ -1,11 +1,13 @@
 """Shared test helpers: an enumeration oracle independent of the library's
-backtracking enumerator, and reference forms of the tableau validator and
-the text and JSON renderers."""
+backtracking enumerator, a reference t_i on the public switch_pair, and
+reference forms of the tableau validator and the text and JSON
+renderers."""
 
 import itertools
 import json
 
 from shifted_tableaux.core import Entry, InvalidTableauError, ShiftedTableau
+from shifted_tableaux.switching import PerforatedFilling, switch_pair
 
 
 def brute_force_members(shape, n):
@@ -38,6 +40,21 @@ def brute_force_members(shape, n):
         except InvalidTableauError:
             continue
     return members
+
+
+def reference_bk_map(entries, i):
+    """t_i on a cell -> entry map through the public switch_pair: the i-
+    and (i+1)-bands split off as perforated fillings and switched, the
+    two letters swapped (the switched b-letters become i, the switched
+    a-letters i+1, primes kept), and every other entry copied."""
+    a = {c: e.primed for c, e in entries.items() if e.value == i}
+    b = {c: e.primed for c, e in entries.items() if e.value == i + 1}
+    new_b, new_a, _ = switch_pair(PerforatedFilling.from_map(i, a),
+                                  PerforatedFilling.from_map(i + 1, b))
+    out = {c: e for c, e in entries.items() if e.value not in (i, i + 1)}
+    out.update((c, Entry(i, p)) for c, p in new_b.cells)
+    out.update((c, Entry(i + 1, p)) for c, p in new_a.cells)
+    return out
 
 
 def reference_validate_filling(shape, items, n):

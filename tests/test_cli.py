@@ -11,9 +11,9 @@ import warnings
 import pytest
 
 import shifted_tableaux
-from shifted_tableaux import engine
+from shifted_tableaux import engine, enumeration
 from shifted_tableaux.cli import main
-from shifted_tableaux.core import MAX_CELLS, MAX_SKEW_CELLS, CapacityError
+from shifted_tableaux.core import MAX_CELLS, MAX_MEMBERS, MAX_SKEW_CELLS, CapacityError
 
 
 def run(capsys, *argv):
@@ -463,6 +463,22 @@ class TestErrors:
         assert listed == []
         assert run(capsys, *argv, str(MAX_SKEW_CELLS))[0] == 1
         assert listed == [(MAX_SKEW_CELLS, None)]
+
+    def test_oversized_family_is_one_line(self, capsys, monkeypatch):
+        """A family stops before it keeps the member past MAX_MEMBERS, so
+        the staircase (6,5,4,3,2,1) at n=8, which outgrows a 600 MB
+        address space, is one error line.  The bound is lowered here to
+        keep the suite fast (at 1,000,000 the command takes about 5 s
+        and 255 MB); a family of exactly the bound is accepted."""
+        assert enumeration.MAX_MEMBERS == MAX_MEMBERS == 1_000_000
+        monkeypatch.setattr(enumeration, "MAX_MEMBERS", 1_000)
+        assert run(capsys, "enum", "--outer", "6,5,4,3,2,1", "--n", "8", "--count-only") \
+            == (2, "", "error: ShST([6, 5, 4, 3, 2, 1], 8) has more than 1,000 members\n")
+        argv = ("enum", "--outer", "4,2", "--n", "3", "--count-only")
+        monkeypatch.setattr(enumeration, "MAX_MEMBERS", 38)
+        assert run(capsys, *argv) == (0, "38\n", "")
+        monkeypatch.setattr(enumeration, "MAX_MEMBERS", 37)
+        assert run(capsys, *argv) == (2, "", "error: ShST([4, 2], 3) has more than 37 members\n")
 
     def test_shape_at_the_bound_is_accepted(self, capsys):
         assert run(capsys, "enum", "--outer", str(MAX_CELLS), "--n", "1",

@@ -315,7 +315,7 @@ class TestFamilyTables:
         # same cells, but not a valid filling: its key is no member's
         fam = enumerate_tableaux(ShiftedSkewShape((2,), ()), 2)
         other = {(1, 1): Entry(2), (1, 2): Entry(1)}
-        monkeypatch.setattr(bender_knuth, "bk_map", lambda entries, i: other)
+        monkeypatch.setattr(bender_knuth, "bk_map", lambda entries, word: other)
         with pytest.raises(RuntimeError, match="out of its family"):
             verify_relation(RelationSchema("t1", "e"), fam)
 
@@ -433,15 +433,15 @@ class TestFamilyTables:
 
     def test_t_band_runs_once_per_band(self, monkeypatch):
         """t_i runs on its band {i, i+1} re-indexed to 1..2: in one
-        relation check at n=3, bender_knuth.bk_map sees the letters 1 and
-        2 only, runs once per distinct band, and fewer times than t table
-        entries are filled."""
+        relation check at n=3, bender_knuth.bk_map runs the word (1,) on
+        the letters 1 and 2 only, once per distinct band, and fewer times
+        than t table entries are filled."""
         bk_map, bands = bender_knuth.bk_map, []
 
-        def counted_bk_map(entries, i):
-            assert i == 1 and {e.value for e in entries.values()} <= {1, 2}
+        def counted_bk_map(entries, word):
+            assert word == (1,) and {e.value for e in entries.values()} <= {1, 2}
             bands.append(frozenset(entries.items()))
-            return bk_map(entries, i)
+            return bk_map(entries, word)
 
         monkeypatch.setattr(bender_knuth, "bk_map", counted_bk_map)
         families = engine.skew_families(3, include_straight=True)
@@ -456,19 +456,21 @@ class TestFamilyTables:
         """t_i and evacs:i,i+1 agree (both switch the i-band through the
         (i+1)-band and swap the letters), but their band results are kept
         under different memo keys: in one check of t{i} = evacs:{i},{i+1},
-        bk_map and evac_map each run once on every distinct band."""
+        bk_map (on the word (1,)) and evac_map (on the alphabet 1..2) each
+        run once on every distinct band."""
         runs = {"bk_map": [], "evac_map": []}
 
-        def counted(module, name):
+        def counted(module, name, want):
             original = getattr(module, name)
 
-            def run(entries, k):
+            def run(entries, arg):
+                assert arg == want
                 runs[name].append(frozenset(entries.items()))
-                return original(entries, k)
+                return original(entries, arg)
             monkeypatch.setattr(module, name, run)
 
-        counted(bender_knuth, "bk_map")
-        counted(switching, "evac_map")
+        counted(bender_knuth, "bk_map", (1,))
+        counted(switching, "evac_map", 2)
         schema = RelationSchema("t{i}", "evacs:{i},{i+1}")
         assert verify_relation_over(schema, engine.skew_families(3)).holds
         bk_bands, evac_bands = runs["bk_map"], runs["evac_map"]
@@ -482,9 +484,9 @@ class TestFamilyTables:
         twice."""
         bk_map, bands = bender_knuth.bk_map, []
 
-        def counted_bk_map(entries, i):
+        def counted_bk_map(entries, word):
             bands.append(frozenset(entries.items()))
-            return bk_map(entries, i)
+            return bk_map(entries, word)
 
         monkeypatch.setattr(bender_knuth, "bk_map", counted_bk_map)
         assert all(r.ok for r in run_preset("evac-agreement", 3))

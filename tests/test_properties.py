@@ -3,6 +3,8 @@ cells and n <= 6 for the Bender-Knuth kernel), beyond the reach of the
 exhaustive checks."""
 
 import random
+import sys
+from functools import reduce
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -15,9 +17,12 @@ from shifted_tableaux.bender_knuth import (bk, bk_map, bk_trace, promotion, prom
 from shifted_tableaux.engine import (GeneratorSymbol, _band_bk, _band_evac, _images, apply_symbol,
                                      eval_word, word_permutation)
 from shifted_tableaux.enumeration import enumerate_tableaux
-from shifted_tableaux.jdt import (dual_equivalent, eta, evacuation_jdt, evacuation_map, rectify,
-                                  reversal, reversal_map)
+from shifted_tableaux.jdt import (dual_equivalent, eta, evacuation_jdt, rectify, reversal,
+                                  reversal_map)
 from shifted_tableaux.switching import PerforatedFilling, evac_map, evac_switch, switch_pair
+
+sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
+from helpers import reference_bk_map  # noqa: E402
 
 MAX_CELLS = 10
 MAX_N = 5
@@ -213,6 +218,16 @@ def test_composites_are_bk_factor_by_factor(t):
 
 
 @KERNEL
+@given(KERNEL_TABLEAUX, st.data())
+def test_bk_map_folds_the_switch_pair_reference(t, data):
+    """bk_map on a word of at most 8 letters over 1..n-1 equals the
+    reference t_i, the two bands switched by the public switch_pair and
+    their letters swapped, folded over the word in the order it acts."""
+    word = data.draw(st.lists(st.integers(1, t.n - 1), max_size=8))
+    assert bk_map(t.entry_map, word) == reduce(reference_bk_map, word, t.entry_map), word
+
+
+@KERNEL
 @given(KERNEL_TABLEAUX)
 def test_bk_and_evac_maps_are_canonical(t):
     """Switching a canonical pair leaves each band's first reading cell
@@ -221,7 +236,7 @@ def test_bk_and_evac_maps_are_canonical(t):
     map, and switching evacuation on every letter band i..j, re-indexed
     to 1..j-i+1 through band_keys as the family tables run it."""
     for i in range(1, t.n):
-        out = bk_map(t.entry_map, i)
+        out = bk_map(t.entry_map, (i,))
         assert canonical_map(out) == out, i
     cells = [c for c, _ in t.entries]
     for i in range(1, t.n + 1):
@@ -254,14 +269,15 @@ def test_bk_trace_is_the_switch_of_its_two_bands(t, data):
 @PROPERTY
 @given(tableaux())
 def test_memoized_reversal_and_evacuation_equal_the_memo_free_ones(t):
-    """reversal_map, and evacuation_map on straight shapes, give with one
-    memo shared across all draws what they give without a memo; each
-    runs on a tableau and then on its standardization, which finds the
-    standard result the first call kept."""
-    for op, u in ((reversal_map, t), (evacuation_map, rectify(t)[0])):
+    """reversal_map gives with one memo shared across all draws what it
+    gives without a memo, on a tableau and on its rectification, where
+    the reversal is the evacuation; each runs on the tableau and then on
+    its standardization, which finds the standard result the first call
+    kept."""
+    for u in (t, rectify(t)[0]):
         std = {c: Entry(v) for c, v in standardize_map(u.entries).items()}
         for entries, n in ((u.entry_map, u.n), (std, len(std))):
-            assert op(entries, n, SHARED_MEMO) == op(entries, n)
+            assert reversal_map(entries, n, SHARED_MEMO) == reversal_map(entries, n)
 
 
 @settings(PROPERTY, max_examples=40)

@@ -1,0 +1,70 @@
+"""README.md names only what the library has: every backticked dotted
+name resolves, and every backticked identifier with an underscore is an
+attribute of a library module or class, or a dataclass field."""
+
+import builtins
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+import re
+from pathlib import Path
+
+import shifted_tableaux
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+MODULES = [shifted_tableaux] + [
+    importlib.import_module(f"shifted_tableaux.{info.name}")
+    for info in pkgutil.iter_modules(shifted_tableaux.__path__)]
+CLASSES = {cls for module in MODULES for _, cls in inspect.getmembers(module, inspect.isclass)
+           if cls.__module__.startswith("shifted_tableaux")}
+# a name in a module, in a class (methods, properties, slots and field
+# defaults) or a dataclass field without a default
+NAMES = ({name for module in MODULES for name in dir(module)}
+         | {name for cls in CLASSES for name in dir(cls)}
+         | {f.name for cls in CLASSES if dataclasses.is_dataclass(cls)
+            for f in dataclasses.fields(cls)})
+
+# a backticked name, or the head of a backticked call such as `f(x, y)`
+NAME_RE = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\([^`]*\))?`")
+FILE_RE = re.compile(r".*\.(toml|py|md|json|txt)")
+# a math symbol written as an identifier: t_i, p_i, q_i, t_1, s_ij
+MATH_RE = re.compile(r"[a-z]_[a-z0-9]{1,2}")
+
+
+def readme_names():
+    return sorted(set(NAME_RE.findall(README.read_text(encoding="utf-8"))))
+
+
+def resolves(dotted):
+    """The first part of dotted is a library module, a name in one (a
+    class, or a module it imports) or a builtin; each further part is
+    an attribute of the one before."""
+    first, *rest = dotted.split(".")
+    modules = {m.__name__.rsplit(".", 1)[-1]: m for m in MODULES}
+    if first in modules:
+        obj = modules[first]
+    else:
+        owner = next((m for m in MODULES if hasattr(m, first)), builtins)
+        if not hasattr(owner, first):
+            return False
+        obj = getattr(owner, first)
+    for part in rest:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_dotted_names_resolve():
+    dotted = [n for n in readme_names() if "." in n and not FILE_RE.fullmatch(n)]
+    assert len(dotted) >= 20
+    assert [n for n in dotted if not resolves(n)] == []
+
+
+def test_identifiers_are_library_names():
+    bare = [n for n in readme_names() if "." not in n and "_" in n
+            and not MATH_RE.fullmatch(n) and not n.startswith("test_")]
+    assert len(bare) >= 40
+    assert [n for n in bare if n not in NAMES] == []

@@ -607,8 +607,9 @@ def test_whole_member_tables_match_member_loop(n):
     """eta:1,n on every family of cactus-eta and evac-agreement is looked
     up by standardization and weight: it equals reversal_map run member
     by member, and, on the straight families, where the routes line of
-    evac-agreement reads it, evacuation_map; each family's index has
-    exactly one entry per member."""
+    evac-agreement reads it and the reversal is the evacuation, rectify
+    after the complement; each family's index has exactly one entry per
+    member."""
     straight = straight_families(n)
     eta_1n = (engine.GeneratorSymbol("eta", 1, n),)
     for family in skew_families(n, include_straight=True) + straight:
@@ -617,7 +618,7 @@ def test_whole_member_tables_match_member_loop(n):
         assert list(family.standard_index.values()) == list(range(len(family))), family.shape
     for family in straight:
         assert list(engine.word_permutation(family, eta_1n)) == \
-            member_loop(family, jdt.evacuation_map), family.shape
+            [family.positions[rectify(complement(t))[0].key] for t in family], family.shape
 
 
 # -- validation messages -----------------------------------------------------
