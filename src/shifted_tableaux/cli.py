@@ -20,7 +20,7 @@ from . import engine, jdt, switching
 from .core import (MAX_CELLS, MAX_SKEW_CELLS, CapacityError, ShiftedSkewShape,
                    ShiftedTableau, TableauError, check_cells, from_json, parse_tableau,
                    render_text, to_json)
-from .enumeration import enumerate_tableaux
+from .enumeration import count_tableaux, enumerate_tableaux
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -119,11 +119,13 @@ def _verdict_doc(v: engine.Verdict) -> dict[str, Any]:
 
 def cmd_enum(args: argparse.Namespace) -> int:
     shape = _parse_shape(args.outer, args.inner)
-    family = enumerate_tableaux(shape, args.n)
     if args.count_only:
-        _emit(args, _report(args, count=len(family)), str(len(family)))
+        count = count_tableaux(shape, args.n)
+        _emit(args, _report(args, count=count), str(count))
         return EXIT_OK
-    rendered = [render_text(t) for t in family]
+    family = enumerate_tableaux(shape, args.n)
+    # one validated member at a time: only its text is kept
+    rendered = list(map(render_text, map(family.member, range(len(family)))))
     _emit(args, _report(args, count=len(family), members=rendered),
           "\n\n".join(rendered))
     return EXIT_OK

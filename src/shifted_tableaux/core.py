@@ -9,13 +9,16 @@ A tableau keeps its entries sorted by cell (row, then column), and
 _validate_filling checks them in one pass over their order keys
 2*value - primed beside the neighbour positions each shape computes
 once: coverage, the alphabet, the row and column order, both
-multiplicity rules and canonical form, in that order of priority.  The
-text and JSON forms walk the sorted entries row by row.
+multiplicity rules and canonical form, in that order of priority.
 
 Entries are interned: Entry(k, p) returns the one instance of its letter,
-which stores its order key, and entry_of_key maps an order key back to
-that instance.  band_keys, act_on_band and the enumerator take their
-entries from entry_of_key, so no entry is built per member.
+which stores its order key and its text, and entry_of_key maps an order
+key back to that instance.  band_keys, act_on_band and the enumerator
+take their entries from entry_of_key, so no entry is built per member.
+Text is a lookup both ways: Entry.parse finds a token among the interned
+entries' texts, and render_text fills a template each shape builds once
+(text_template) with the entries' texts in sorted-cell order; to_json and
+from_json cut the rows out of that order by the shape's row_slices.
 
 band_keys is the band split of one filling: it runs a map-level core on
 the letters i..j of a filling given by order keys, re-indexed to the
@@ -85,9 +88,11 @@ class Entry:
     returns the instance for (k, bool(p)), made on first use, so two
     entries are equal exactly when they are the same object.  The intern
     table grows by at most two instances per distinct letter value.  The
-    hash is hash((value, primed)), and order_key is 2*value - primed."""
+    hash is hash((value, primed)), order_key is 2*value - primed, and
+    text is the token "k" or "k'" that str gives and parse reads back:
+    parse looks a token up among the interned entries' texts first."""
 
-    __slots__ = ("value", "primed", "order_key", "_hash")
+    __slots__ = ("value", "primed", "order_key", "text", "_hash")
 
     def __new__(cls, value: int, primed: bool = False) -> "Entry":
         e = _INTERNED.get((value, primed))
@@ -98,11 +103,12 @@ class Entry:
             e = _INTERNED.get((value, primed))
             if e is None:
                 e = object.__new__(cls)
+                text = f"{value}'" if primed else str(value)
                 for name, v in (("value", value), ("primed", primed),
-                                ("order_key", 2 * value - primed),
+                                ("order_key", 2 * value - primed), ("text", text),
                                 ("_hash", hash((value, primed)))):
                     object.__setattr__(e, name, v)
-                _INTERNED[value, primed] = e
+                _INTERNED[value, primed] = _BY_TEXT[text] = e
         return e
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -130,12 +136,18 @@ class Entry:
         return Entry(self.value + offset, self.primed)
 
     def __str__(self) -> str:
-        return f"{self.value}'" if self.primed else str(self.value)
+        return self.text
 
     @classmethod
     def parse(cls, token: str) -> "Entry":
+        """The entry of a cell token: the interned entry whose text is the
+        token, else the token parsed in full (surrounding blanks dropped,
+        a trailing ' or ′ primes, the rest a positive integer)."""
         if not isinstance(token, str):
             raise TableauError(f"malformed cell token {token!r}")
+        e = _BY_TEXT.get(token)
+        if e is not None:
+            return e
         tok = token.strip()
         primed = tok.endswith("'") or tok.endswith("′")
         if primed:
@@ -145,8 +157,9 @@ class Entry:
         return cls(int(tok), primed)
 
 
-# the interned entries, by (value, primed)
+# the interned entries, by (value, primed) and by text
 _INTERNED: dict[tuple[int, bool], Entry] = {}
+_BY_TEXT: dict[str, Entry] = {}
 
 
 class _EntryOfKey(dict):
@@ -293,6 +306,25 @@ class ShiftedSkewShape:
                             i - 1 if c > a else -1))
         return tuple(out)
 
+    @cached_property
+    def row_slices(self) -> tuple[slice, ...]:
+        """For each row, the slice of sorted_cells that holds its cells."""
+        inner = self.inner + (0,) * (len(self.outer) - len(self.inner))
+        out, at = [], 0
+        for p, q in zip(self.outer, inner):
+            out.append(slice(at, at + p - q))
+            at += p - q
+        return tuple(out)
+
+    @cached_property
+    def text_template(self) -> str:
+        """render_text's layout as a %-template: each row's inner cells as
+        dots and one %s per cell, space-separated, rows joined by
+        newlines."""
+        inner = self.inner + (0,) * (len(self.outer) - len(self.inner))
+        return "\n".join(" ".join(["."] * q + ["%s"] * (p - q))
+                         for p, q in zip(self.outer, inner))
+
     def canonical(self) -> "ShiftedSkewShape":
         """The shape of the same cells under canonical_pair's (outer,
         inner) pair, which from_cells gives; self when it has that pair."""
@@ -306,9 +338,6 @@ class ShiftedSkewShape:
     @property
     def size(self) -> int:
         return len(self.cells)
-
-    def row_cells(self, r: int) -> list[Cell]:
-        return sorted(c for c in self.cells if c[0] == r)
 
     @classmethod
     def from_cells(cls, cells: Iterable[Cell]) -> "ShiftedSkewShape":
@@ -699,24 +728,16 @@ def parse_tableau(text: str, n: int | None = None) -> ShiftedTableau:
     return ShiftedTableau.from_map(entries, n, shape)
 
 
-def _rows(t: ShiftedTableau) -> Iterator[tuple[int, list[str]]]:
-    """Each row's inner-cell count and the tokens of its entries, from
-    t.entries, which lists the cells row by row."""
-    inner, at = t.shape.inner, 0
-    for r, length in enumerate(t.shape.outer):
-        pad = inner[r] if r < len(inner) else 0
-        row = t.entries[at:at + length - pad]
-        at += length - pad
-        yield pad, [str(e) for _, e in row]
-
-
 def render_text(t: ShiftedTableau) -> str:
-    return "\n".join(" ".join(["."] * pad + tokens) for pad, tokens in _rows(t))
+    """The row-based text form: the shape's text_template filled with the
+    entries' texts in sorted-cell order."""
+    return t.shape.text_template % tuple([e.text for _, e in t.entries])
 
 
 def to_json(t: ShiftedTableau) -> str:
+    texts = [e.text for _, e in t.entries]
     doc = {"outer": list(t.shape.outer), "inner": list(t.shape.inner),
-           "rows": [tokens for _, tokens in _rows(t)], "n": t.n}
+           "rows": [texts[s] for s in t.shape.row_slices], "n": t.n}
     return json.dumps(doc)
 
 
@@ -738,14 +759,20 @@ def from_json(text: str) -> ShiftedTableau:
     rows = doc["rows"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise TableauError(f"JSON tableau rows are not lists of cell tokens: {rows!r}")
-    try:
-        n = int(doc["n"])
-    except (TypeError, ValueError):
-        raise TableauError(f"JSON tableau n is not an integer: {doc['n']!r}") from None
+    n = doc["n"]
+    if type(n) is not int:
+        raise TableauError(f"JSON tableau n is not an integer: {n!r}")
     shape = ShiftedSkewShape(tuple(parts["outer"]), tuple(parts["inner"]))
     check_cells(shape)
+    if len(rows) > len(shape.row_slices):
+        raise TableauError(f"JSON tableau row {len(shape.row_slices) + 1} is past its "
+                           "shape's last row")
     entries: dict[Cell, Entry] = {}
-    for r, row in enumerate(rows, start=1):
-        for cell, tok in zip(shape.row_cells(r), row):
+    for r, (row, part) in enumerate(zip(rows, shape.row_slices), start=1):
+        cells = shape.sorted_cells[part]
+        if len(row) != len(cells):
+            raise TableauError(f"JSON tableau row {r} has {len(row)} tokens for "
+                               f"{len(cells)} cells")
+        for cell, tok in zip(cells, row):
             entries[cell] = Entry.parse(tok)
     return ShiftedTableau.from_map(entries, n, shape)

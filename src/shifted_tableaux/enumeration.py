@@ -13,7 +13,8 @@ A family is its members' order keys: the search builds no tableau, and
 membership by key rests on it alone.  Every member that leaves the
 library as a tableau is validated: member(x) builds it with the
 tableau constructor, from its entries in sorted-cell order, and members
-holds them all once asked for.
+holds them all once asked for.  count_tableaux runs the same search and
+keeps no key.
 """
 
 from __future__ import annotations
@@ -114,6 +115,23 @@ def layout_cell(p: int) -> Cell:
 def enumerate_tableaux(shape: ShiftedSkewShape, n: int) -> TableauFamily:
     """All members of ShST(shape, n) in reading-word lexicographic order;
     CapacityError, before the member past MAX_MEMBERS is kept."""
+    found: list[tuple[int, ...]] = []
+    _search(shape, n, found)
+    return TableauFamily(shape, n, tuple(found))
+
+
+def count_tableaux(shape: ShiftedSkewShape, n: int) -> int:
+    """The number of members of ShST(shape, n), by enumerate_tableaux's
+    search keeping no key.  The search stops past MAX_MEMBERS as there,
+    which here bounds its time."""
+    return _search(shape, n, None)
+
+
+def _search(shape: ShiftedSkewShape, n: int, found: list[tuple[int, ...]] | None) -> int:
+    """Backtrack over the members of ShST(shape, n) in reading-word
+    lexicographic order, append each one's key to found unless found is
+    None, and return their number; CapacityError when a member comes
+    past MAX_MEMBERS."""
     if n < 0:
         raise ValueError("alphabet bound must be >= 0")
     cells = reading_cells(shape)
@@ -128,13 +146,16 @@ def enumerate_tableaux(shape: ShiftedSkewShape, n: int) -> TableauFamily:
     seen = [0] * (n + 1)                       # occurrences of each letter so far
     primed_rows: set[tuple[int, int]] = set()  # (row, value) with a primed entry
     used_cols: set[tuple[int, int]] = set()    # (col, value) with an unprimed entry
-    found: list[tuple[int, ...]] = []          # the members' keys
+    count = 0                                  # members found so far
 
     def place(i: int) -> None:
+        nonlocal count
         if i == len(cells):
-            if len(found) == MAX_MEMBERS:
+            if count == MAX_MEMBERS:
                 raise CapacityError(f"ShST({shape}, {n}) has more than {MAX_MEMBERS:,} members")
-            found.append(tuple(map(keys.__getitem__, reading)))
+            count += 1
+            if found is not None:
+                found.append(tuple(map(keys.__getitem__, reading)))
             return
         r, c, west, south = plan[i]
         low = keys[west] if west >= 0 else 1
@@ -159,7 +180,7 @@ def enumerate_tableaux(shape: ShiftedSkewShape, n: int) -> TableauFamily:
                 used_cols.discard((c, v))
 
     place(0)
-    return TableauFamily(shape, n, tuple(found))
+    return count
 
 
 def straight_shapes(max_cells: int, max_part: int | None = None

@@ -1,13 +1,18 @@
 """Shared test helpers: an enumeration oracle independent of the library's
 backtracking enumerator, a reference t_i on the public switch_pair, and
-reference forms of the tableau validator and the text and JSON
-renderers."""
+reference forms of the tableau validator, the text and JSON renderers
+and the cell-token parser."""
 
 import itertools
 import json
 
-from shifted_tableaux.core import Entry, InvalidTableauError, ShiftedTableau
+from shifted_tableaux.core import Entry, InvalidTableauError, ShiftedTableau, TableauError
 from shifted_tableaux.switching import PerforatedFilling, switch_pair
+
+
+def row_cells(shape, r):
+    """The cells of row r, sorted by column, picked out of the cell set."""
+    return sorted(c for c in shape.cells if c[0] == r)
 
 
 def brute_force_members(shape, n):
@@ -19,7 +24,7 @@ def brute_force_members(shape, n):
     rows = sorted({r for r, _ in shape.cells})
     row_choices = []
     for r in rows:
-        cells = sorted(shape.row_cells(r))
+        cells = row_cells(shape, r)
         good = []
         for combo in itertools.product(alphabet, repeat=len(cells)):
             if any(b < a for a, b in zip(combo, combo[1:])):
@@ -111,6 +116,26 @@ def reference_validate_filling(shape, items, n):
             rule="canonical-form")
 
 
+def reference_token(e):
+    """An entry's text, spelled from its value and prime."""
+    return f"{e.value}'" if e.primed else str(e.value)
+
+
+def reference_parse_entry(token):
+    """A cell token's entry, parsed character by character with no
+    lookup: surrounding blanks are dropped, one trailing ' or ′ primes,
+    and the rest must be the digits of a positive integer."""
+    if not isinstance(token, str):
+        raise TableauError(f"malformed cell token {token!r}")
+    tok = token.strip()
+    primed = tok.endswith("'") or tok.endswith("′")
+    if primed:
+        tok = tok[:-1]
+    if not tok.isdigit() or int(tok) < 1:
+        raise TableauError(f"malformed cell token {token!r}")
+    return Entry(int(tok), primed)
+
+
 def reference_render_text(t):
     """The text form, cell by cell through a cell -> entry map."""
     entry_map = dict(t.entries)
@@ -119,7 +144,7 @@ def reference_render_text(t):
         length = t.shape.outer[r - 1]
         pad = t.shape.inner[r - 1] if r - 1 < len(t.shape.inner) else 0
         tokens = ["."] * pad
-        tokens += [str(entry_map[(r, c)]) for c in range(r + pad, r + length)]
+        tokens += [reference_token(entry_map[(r, c)]) for c in range(r + pad, r + length)]
         lines.append(" ".join(tokens))
     return "\n".join(lines)
 
@@ -129,7 +154,7 @@ def reference_to_json(t):
     entry_map = dict(t.entries)
     rows = []
     for r in range(1, len(t.shape.outer) + 1):
-        rows.append([str(entry_map[c]) for c in t.shape.row_cells(r)])
+        rows.append([reference_token(entry_map[c]) for c in row_cells(t.shape, r)])
     doc = {"outer": list(t.shape.outer), "inner": list(t.shape.inner),
            "rows": rows, "n": t.n}
     return json.dumps(doc)

@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 import shifted_tableaux
-from shifted_tableaux import engine, enumeration
+from shifted_tableaux import cli, engine, enumeration
 from shifted_tableaux.cli import main
 from shifted_tableaux.core import MAX_CELLS, MAX_MEMBERS, MAX_SKEW_CELLS, CapacityError
 
@@ -45,6 +45,37 @@ class TestEnum:
         assert code == 0
         doc = json.loads(out)
         assert doc["count"] == 3
+
+    @pytest.mark.parametrize("fmt, shape, digest", [
+        ("text", ("--outer", "4,2", "--inner", "1"),
+         "30a8378c8fb78128859532cae36e014dedd074713a98aef71a260171c7f8e43b"),
+        ("text", ("--outer", "4,3,1"),
+         "6850e7f7edd96c77fd4be9823110f444453aef505d2165c8cd42a5e35d2c5c1c"),
+        ("json", ("--outer", "4,2", "--inner", "1"),
+         "62d3589ac3b4b78e192017412a54a591d942892d8ab4a06736f4e6447a380e26"),
+        ("json", ("--outer", "4,3,1"),
+         "1734e54f68a7c6324002a1ff13eec5a6bc0b31ff04053cfd49c66ae42c110f96"),
+    ], ids=["text-skew", "text-straight", "json-skew", "json-straight"])
+    def test_output_is_pinned(self, capsys, fmt, shape, digest):
+        """Every member's text, in order, at n=4, pinned by SHA-256."""
+        code, out, err = run(capsys, "--format", fmt, "enum", *shape, "--n", "4")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_members_are_rendered_one_at_a_time(self, capsys, monkeypatch):
+        """enum renders member(x) for each x and never builds the
+        family's members tuple."""
+        families = []
+        real = cli.enumerate_tableaux
+
+        def spy(*args):
+            families.append(real(*args))
+            return families[-1]
+
+        monkeypatch.setattr(cli, "enumerate_tableaux", spy)
+        code, out, _ = run(capsys, "enum", "--outer", "3,1", "--n", "3")
+        assert code == 0 and out.count("\n\n") + 1 == len(families[0]) > 1
+        assert "members" not in vars(families[0])
 
 
 class TestApply:
@@ -426,6 +457,26 @@ class TestErrors:
          "JSON tableau outer is not a list of integers: '2'"),
         ('{"outer": [2], "rows": ["1 2"], "n": 2}',
          "JSON tableau rows are not lists of cell tokens: ['1 2']"),
+        ('{"outer": [2], "rows": [["1", "1"]], "n": 1e400}',
+         "JSON tableau n is not an integer: inf"),
+        ('{"outer": [2], "rows": [["1", "1"]], "n": Infinity}',
+         "JSON tableau n is not an integer: inf"),
+        ('{"outer": [2], "rows": [["1", "1"]], "n": true}',
+         "JSON tableau n is not an integer: True"),
+        ('{"outer": [2], "rows": [["1", "1"]], "n": 2.5}',
+         "JSON tableau n is not an integer: 2.5"),
+        ('{"outer": [2], "rows": [["1", "1"]], "n": "3"}',
+         "JSON tableau n is not an integer: '3'"),
+        ('{"outer": [2], "rows": [["1", "1", "2"]], "n": 2}',
+         "JSON tableau row 1 has 3 tokens for 2 cells"),
+        ('{"outer": [3, 1], "rows": [["1", "1", "2"], []], "n": 2}',
+         "JSON tableau row 2 has 0 tokens for 1 cells"),
+        ('{"outer": [2], "rows": [["1", "1"], ["2"]], "n": 2}',
+         "JSON tableau row 2 is past its shape's last row"),
+        ('{"outer": [], "rows": [[]], "n": 2}',
+         "JSON tableau row 1 is past its shape's last row"),
+        ('{"outer": [2, 1], "rows": [["1", "1"]], "n": 2}',
+         "filling does not cover shape exactly (extra=[], missing=[(2, 2)])"),
     ])
     def test_malformed_json_tableau_is_one_line(self, capsys, doc, message):
         assert run(capsys, "apply", "--op", "t1", "--in", doc) == \

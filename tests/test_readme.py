@@ -1,6 +1,7 @@
 """README.md names only what the library has: every backticked dotted
 name resolves, and every backticked identifier with an underscore is an
-attribute of a library module or class, or a dataclass field."""
+attribute of a library module or class, or a dataclass field.  Every
+command of its CLI section runs."""
 
 import builtins
 import dataclasses
@@ -8,9 +9,11 @@ import importlib
 import inspect
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import shifted_tableaux
+from shifted_tableaux import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -68,3 +71,25 @@ def test_identifiers_are_library_names():
             and not MATH_RE.fullmatch(n) and not n.startswith("test_")]
     assert len(bare) >= 40
     assert [n for n in bare if n not in NAMES] == []
+
+
+def cli_commands():
+    """The shifted-tableaux lines of the first code block after the
+    "## CLI" heading, as argument lists."""
+    text = README.read_text(encoding="utf-8")
+    block = text[text.index("## CLI"):].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("shifted-tableaux ")]
+
+
+def test_cli_examples_run(tmp_path, monkeypatch, capsys):
+    """Each CLI example exits 0 with nothing on stderr; they run from
+    tmp_path, where the orbit example writes its DOT file."""
+    commands = cli_commands()
+    assert len(commands) >= 9
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert (code, err) == (0, ""), argv
+    assert (tmp_path / "orbit.dot").read_text().startswith("digraph")

@@ -27,7 +27,7 @@ from shifted_tableaux import engine, jdt, switching
 from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape,
                                    ShiftedTableau, TableauError, _validate_filling,
                                    destandardize, destandardize_map, parse_tableau,
-                                   reading_cells, render_text, standardize,
+                                   from_json, reading_cells, render_text, standardize,
                                    standardize_map, to_json, weight)
 from shifted_tableaux.engine import (Counterexample, eval_word, parse_word,
                                      sbk_core_schemas, skew_families, straight_families,
@@ -39,8 +39,8 @@ from shifted_tableaux.jdt import (SlideRecord, complement, dual_equivalent, eta,
 from shifted_tableaux.switching import evac_interval_skew, evac_k_skew, evac_skew
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
-from helpers import (reference_render_text, reference_to_json,  # noqa: E402
-                     reference_validate_filling)
+from helpers import (reference_parse_entry, reference_render_text,  # noqa: E402
+                     reference_to_json, reference_validate_filling)
 
 N = 4
 INTERVALS = [(i, j) for i in range(1, N + 1) for j in range(i + 1, N + 1)]
@@ -756,10 +756,12 @@ def test_constructor_sorts_only_what_is_unsorted():
 
 
 def test_render_matches_cell_by_cell():
-    """render_text and to_json walk the sorted entries row by row; the
-    reference looks every cell up in a cell -> entry map.  Every member
-    of every skew shape of at most 6 cells at n=3, lambda/lambda, and
-    shapes with an empty row."""
+    """render_text fills the shape's template and to_json cuts its rows
+    by the shape's row slices, both from the entries' texts; the
+    reference looks every cell up in a cell -> entry map and spells each
+    entry.  Each form also reads back to the tableau.  Every member of
+    every skew shape of at most 6 cells at n=3, lambda/lambda, and shapes
+    with an empty row."""
     shapes = skew_shapes(6, include_straight=True) + [
         ShiftedSkewShape(), ShiftedSkewShape((3,), (3,)), ShiftedSkewShape((3, 1), (3, 1)),
         ShiftedSkewShape((2, 1), (2,)), ShiftedSkewShape((3, 1), (3,)),
@@ -769,5 +771,34 @@ def test_render_matches_cell_by_cell():
         for t in enumerate_tableaux(shape, 3):
             assert render_text(t) == reference_render_text(t), t.entries
             assert to_json(t) == reference_to_json(t), t.entries
+            assert parse_tableau(render_text(t), t.n) == t, t.entries
+            assert from_json(to_json(t)) == t, t.entries
             checked += 1
     assert checked == 46891
+
+
+def _parsed(parse, token):
+    """parse(token), or the type and message of its error."""
+    try:
+        return parse(token)
+    except TableauError as exc:
+        return type(exc), str(exc)
+
+
+def test_entry_parse_matches_full_parse():
+    """Entry.parse looks a token up among the interned entries' texts
+    and parses any other token in full; the reference parses every
+    token in full.  Every text of the letters 1..12 gives the reference's
+    entry, and tokens that are no entry's text, a non-string among them,
+    keep the reference's entry or error."""
+    texts = [str(Entry(v, p)) for v in range(1, 13) for p in (False, True)]
+    assert texts[:4] == ["1", "1'", "2", "2'"]
+    for text in texts:
+        assert Entry.parse(text) is reference_parse_entry(text)
+        assert Entry.parse(text).text == text
+    odd = ["01", "1\u2032", " 2' ", "0", "1''", "a", "", "'", 1, None, ["1"]]
+    for token in odd:
+        assert _parsed(Entry.parse, token) == _parsed(reference_parse_entry, token), token
+    assert [_parsed(Entry.parse, t) for t in ("01", "1\u2032", " 2' ")] == \
+        [Entry(1), Entry(1, True), Entry(2, True)]
+    assert _parsed(Entry.parse, "1''") == (TableauError, "malformed cell token \"1''\"")
