@@ -192,8 +192,29 @@ def cmd_rectify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _verify_conflict(args: argparse.Namespace) -> str | None:
+    """The first option verify would ignore, as an error message: a preset
+    takes no schema and no family option, --inner needs --outer, which
+    takes neither --skew nor --max-cells, and --max-cells needs --skew."""
+    given = {"--schema": args.schema is not None, "--exhaustive": args.exhaustive,
+             "--outer": args.outer is not None, "--inner": args.inner is not None,
+             "--skew": args.skew, "--max-cells": args.max_cells is not None}
+    rules = [(option, "cannot be used with --preset", args.preset)
+             for option in given]
+    rules += [("--inner", "needs --outer", not given["--outer"]),
+              ("--skew", "cannot be used with --outer", given["--outer"]),
+              ("--max-cells", "cannot be used with --outer", given["--outer"]),
+              ("--max-cells", "needs --skew", not args.skew)]
+    return next((f"{option} {what}" for option, what, conflict in rules
+                 if given[option] and conflict), None)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     start = time.monotonic()
+    conflict = _verify_conflict(args)
+    if conflict:
+        print(f"error: {conflict}", file=sys.stderr)
+        return EXIT_USAGE
     if args.preset:
         results = engine.run_preset(args.preset, args.n)
         ok = all(r.ok for r in results)

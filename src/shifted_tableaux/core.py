@@ -53,8 +53,8 @@ class InvalidTableauError(TableauError):
 
 class CapacityError(RuntimeError):
     """A search outgrew its configured bound (orbit_graph's node limit), a
-    family outgrew MAX_MEMBERS, or an input shape or cell budget exceeds
-    MAX_CELLS."""
+    family outgrew MAX_MEMBERS, an input shape or cell budget exceeds
+    MAX_CELLS, or an alphabet bound exceeds MAX_LETTERS."""
 
 
 # the most cells of a shape given as input (the CLI's --outer/--inner and
@@ -70,6 +70,10 @@ MAX_MEMBERS = 1_000_000
 # many, before its first family: 70,941 shapes at 10 cells, 767,555 (and
 # about 1.4 GB) at 12
 MAX_SKEW_CELLS = 10
+# the largest alphabet bound n of a tableau or a family, far above the
+# n=200 and n=300 the tests use; the validator and the enumerator keep a
+# list indexed by letter, so a larger n is refused before it is allocated
+MAX_LETTERS = 1_000
 
 
 def check_cells(shape: "ShiftedSkewShape") -> None:
@@ -78,6 +82,12 @@ def check_cells(shape: "ShiftedSkewShape") -> None:
     size = sum(shape.outer) - sum(shape.inner)
     if size > MAX_CELLS:
         raise CapacityError(f"shape has {size} cells, more than {MAX_CELLS}")
+
+
+def check_letters(n: int) -> None:
+    """Raise CapacityError when the alphabet bound n exceeds MAX_LETTERS."""
+    if n > MAX_LETTERS:
+        raise CapacityError(f"alphabet bound n={n} is more than {MAX_LETTERS}")
 
 
 @total_ordering
@@ -470,6 +480,7 @@ class ShiftedTableau:
         if type(ent) is not tuple or tuple([c for c, _ in ent]) != self.shape.sorted_cells:
             ent = tuple(sorted(ent))
             object.__setattr__(self, "entries", ent)
+        check_letters(self.n)
         _validate_filling(self.shape, ent, self.n)
 
     @cached_property
@@ -704,7 +715,8 @@ def act_on_band(t: ShiftedTableau, i: int, j: int, op: MapOperator) -> ShiftedTa
 
 def parse_tableau(text: str, n: int | None = None) -> ShiftedTableau:
     """Parse the row-based textual form ('.' marks inner cells; rows separated
-    by newlines or '/')."""
+    by newlines or '/').  A shape of more than MAX_CELLS cells raises
+    CapacityError, as from_json does."""
     text = text.strip()
     if not text:
         return ShiftedTableau(ShiftedSkewShape(), (), n or 0)
@@ -723,6 +735,7 @@ def parse_tableau(text: str, n: int | None = None) -> ShiftedTableau:
         for idx, tok in enumerate(tokens[dots:]):
             entries[(r, r + dots + idx)] = Entry.parse(tok)
     shape = ShiftedSkewShape(tuple(outer), tuple(inner))
+    check_cells(shape)
     if n is None:
         n = max((e.value for e in entries.values()), default=0)
     return ShiftedTableau.from_map(entries, n, shape)

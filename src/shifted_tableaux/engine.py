@@ -38,21 +38,20 @@ On the whole alphabet, eta:1,n destandardizes nothing: the family keeps
 an index of its members by standardization and weight, and a member's
 image is the member whose standardization is jdt's standard reversal of
 the member's and whose weight is the member's reversed.  The
-evacuation-routes line of evac-agreement is one more check of each
-straight family, the evac_n table (switching) against the eta:1,n table
-(on a straight shape the reversal makes no slide, so it is rectification
-after the complement), and reads two tables the preset's evac_n = eta_1n
-line has filled.  _check and _check_pointwise (the skew
-Knuth-equivalence witness of non-relations, the one check that still
-compares tableaux member by member) each give one family's Verdict, its
-first failing member found by _first_difference, and _first_failure
-alone adds up the verdicts of the families.
+evacuation-routes line of evac-agreement is the schema evac_n = eta:1,n
+once more (on a straight shape the reversal is rectification after the
+complement), and reads two tables the evac_n = eta_1n line has filled.
+The skew Knuth-equivalence witness of non-relations (_knuth_witness)
+compares rectifications computed on keys (_rectifications), whose slide
+records components_by_dual_equivalence groups by.  _check and
+_knuth_witness each give one family's Verdict, its first failing member
+found by _first_difference, and _first_failure alone adds up the
+verdicts of the families.
 
-A family is its members' keys, and the tables are filled on keys, so a
-verification whose checks all hold builds no tableau.  A failing check
-builds, through family.member, only the member its counterexample
-prints, and then the two sides from it; the skew Knuth-equivalence
-witness alone walks the members as tableaux.
+A family is its members' keys, and every check reads tables filled on
+keys, so a verification whose checks all hold builds no tableau.  A
+failing check builds, through family.member, only the member its
+counterexample prints, and then the two sides from it.
 """
 
 from __future__ import annotations
@@ -268,8 +267,7 @@ def _table(family: TableauFamily, sym: GeneratorSymbol, memo: _Memo
     """The permutation sym induces on the family, as a tuple, computed
     whole the first time it is asked for: composite symbols compose their
     t tables, band generators move every member's letter band (_images)
-    and look the result up among the members.  The images are drawn up
-    to the first that is not a member, so no core runs past it."""
+    and look the result up among the members (_positions)."""
     table = family.tables.get(sym)
     if table is not None:
         return table
@@ -280,17 +278,21 @@ def _table(family: TableauFamily, sym: GeneratorSymbol, memo: _Memo
     else:
         if kind.straight and family.keys:
             switching.require_straight(family.shape, "evac_k_switch", "evac_k_skew")
-        table = tuple(itertools.takewhile(_is_member, _images(
-            family, *kind.band(*sym.indices), kind.core, memo)))
-        if len(table) < len(family):
-            raise RuntimeError(f"{sym} took member {len(table)} of ShST({family.shape}, "
-                               f"{family.n}) out of its family")
+        table = _positions(family, sym, *kind.band(*sym.indices), kind.core, memo)
     family.tables[sym] = table
     return table
 
 
-# whether an image drawn from _images is a member's position
-_is_member = partial(operator.is_not, None)
+def _positions(family: TableauFamily, name: object, lo: int, hi: int, core: Callable,
+               memo: _Memo) -> tuple[int, ...]:
+    """_images drawn up to the first that is not a member, so no core runs
+    past it; a RuntimeError naming the generator there."""
+    images = _images(family, lo, hi, core, memo)
+    table = tuple(itertools.takewhile(partial(operator.is_not, None), images))
+    if len(table) < len(family):
+        raise RuntimeError(f"{name} took member {len(table)} of ShST({family.shape}, "
+                           f"{family.n}) out of its family")
+    return table
 
 
 def _images(family: TableauFamily, lo: int, hi: int, core: Callable, memo: _Memo
@@ -422,7 +424,7 @@ def _compose(family: TableauFamily, syms: Iterable[GeneratorSymbol], memo: _Memo
 def word_permutation(family: TableauFamily, word: Sequence[GeneratorSymbol]
                      ) -> tuple[int, ...]:
     """The permutation a word induces on the family: entry x is the
-    position of eval_word(word, family.members[x])."""
+    position of eval_word(word, family.member(x))."""
     return _compose(family, reversed(word), {})
 
 
@@ -809,13 +811,21 @@ def components_by_dual_equivalence(family: TableauFamily
                                    ) -> list[tuple[ShiftedSkewShape, tuple[ShiftedTableau, ...]]]:
     """Partition a family into dual-equivalence classes, in order of first
     member; each class is reported with its common rectification shape.
-    Members are grouped by the slide record of rectify_map, as in
-    jdt.dual_equivalent."""
-    classes: dict[tuple, tuple[ShiftedSkewShape, list[ShiftedTableau]]] = {}
-    for t in family:
-        _, outer, record = jdt.rectify_map(t.entry_map, t.shape.outer, t.shape.inner, t.n)
-        classes.setdefault(tuple(record), (ShiftedSkewShape(outer), []))[1].append(t)
-    return [(shape, tuple(members)) for shape, members in classes.values()]
+    Positions are grouped by the slide records of _rectifications, as in
+    jdt.dual_equivalent, and only then built as members."""
+    classes: dict[tuple, tuple[tuple[int, ...], list[int]]] = {}
+    for x, (_, outer, record) in enumerate(_rectifications(family)):
+        classes.setdefault(tuple(record), (outer, []))[1].append(x)
+    return [(ShiftedSkewShape(outer), tuple(map(family.member, xs)))
+            for outer, xs in classes.values()]
+
+
+def _rectifications(family: TableauFamily) -> list[tuple]:
+    """jdt.rectify_map of each member's key, in member order: its straight
+    map, outer partition and (corner, exit) slides; no tableau is built."""
+    shape = family.shape
+    return [jdt.rectify_map(dict(zip(shape.sorted_cells, map(entry_of_key.__getitem__, key))),
+                            shape.outer, shape.inner, family.n) for key in family.keys]
 
 # ---------------------------------------------------------------------------
 # bundled verification suites
@@ -843,31 +853,20 @@ def skew_families(n: int, max_cells: int = SKEW_MAX_CELLS,
             for s in skew_shapes(max_cells, STRAIGHT_MAX_PART, include_straight)]
 
 
-def _check_pointwise(family: TableauFamily,
-                     left: Callable[[ShiftedTableau], ShiftedTableau],
-                     right: Callable[[ShiftedTableau], ShiftedTableau]) -> Verdict:
-    """Compare two tableau functions member by member up to the first
-    failure, and recompute both sides for its counterexample.  Only the
-    skew Knuth-equivalence witness of non-relations runs here: its sides
-    are rectified, so they leave the family and no table holds them."""
-    x = _first_difference(map(left, family), map(right, family))
+def _knuth_witness(family: TableauFamily, memo: _Memo) -> Verdict:
+    """Whether each member's switching evacuation is Knuth equivalent to
+    its complement, or to its reversal: the rectifications of the members
+    the whole-alphabet evac_map and jdt.reversal_map take it to agree.
+    The counterexample rectifies evac_skew and complement of its member."""
+    n, rects = family.n, [rect for rect, _, _ in _rectifications(family)]
+    evac = _positions(family, f"evacs{n}", 1, n, _band_evac, memo)
+    rev = _positions(family, f"eta:1,{n}", 1, n, jdt.reversal_map, memo)
+    x = _first_difference(map(rects.__getitem__, evac), map(rects.__getitem__, rev))
     if x is None:
         return Verdict(True, len(family))
     t = family.member(x)
-    return Verdict(False, x + 1, Counterexample(t, (), left(t), right(t), family.shape))
-
-
-def _evac_route_checks(n: int) -> list[_Check]:
-    """The checks of the evacuation-routes line of evac-agreement on a
-    straight family over 1..n: switching evacuation evac_n against
-    rectification after the complement, which on a straight shape is
-    eta:1,n.  At n=1, where eta:1,1 is out of range, ShST(shape, 1) has
-    at most one member, and the empty word stands in; at n=0, where every
-    family is empty and evac_0 is out of range, there is no check."""
-    if n == 0:
-        return []
-    return [("", (), (GeneratorSymbol("evac", n),),
-             (GeneratorSymbol("eta", 1, n),) if n > 1 else ())]
+    return Verdict(False, x + 1, Counterexample(t, (), jdt.rectify(switching.evac_skew(t))[0],
+                                                jdt.rectify(jdt.complement(t))[0], family.shape))
 
 
 def sbk_core_schemas() -> list[RelationSchema]:
@@ -928,10 +927,11 @@ def _preset_evac_agreement(n: int) -> list[PresetResult]:
             f"evac{k}", f"eta:1,{k}", name=f"evac_{k} = eta_1{k}"), families, memo))
         out.append(_schema_result(RelationSchema(
             f"evac{k}", f"q{k - 1}", name=f"evac_{k} = q_{k - 1}"), families, memo))
-    routes = _evac_route_checks(n)
-    v = _first_failure(_check(family, routes, memo) for family in families)
-    out.append(PresetResult("evac via switching = rectify after complement",
-                            v.holds, v))
+    # eta:1,n is rectification after the complement on a straight shape;
+    # at n=1 a family has one member at most, at n=0 evac0 checks nothing
+    out.append(_schema_result(RelationSchema(
+        f"evac{n}", f"eta:1,{n}" if n > 1 else "e",
+        name="evac via switching = rectify after complement"), families, memo))
     skew = skew_families(n)
     for i in range(1, n):
         word = " ".join(f"p{k}" for k in range(1, i + 1))
@@ -960,10 +960,9 @@ def _preset_non_relations(n: int) -> list[PresetResult]:
         out.append(PresetResult(label, not v.holds, v))
     # skew evacuation need not be Knuth equivalent to the complement; the
     # families are enumerated lazily, so the scan stops at the witness
-    v = _first_failure(_check_pointwise(
-        enumerate_tableaux(s, n), lambda t: jdt.rectify(switching.evac_skew(t))[0],
-        lambda t: jdt.rectify(jdt.complement(t))[0])
-        for s in skew_shapes(SEARCH_MAX_CELLS, STRAIGHT_MAX_PART))
+    memo: _Memo = {}
+    v = _first_failure(_knuth_witness(enumerate_tableaux(s, n), memo)
+                       for s in skew_shapes(SEARCH_MAX_CELLS, STRAIGHT_MAX_PART))
     out.append(PresetResult("skew evac not Knuth equivalent to complement",
                             not v.holds, v))
     return out

@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Any, Iterator
 
 from .core import (MAX_MEMBERS, CapacityError, Cell, ShiftedSkewShape, ShiftedTableau,
-                   entry_of_key, reading_cells)
+                   check_letters, entry_of_key, reading_cells)
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,9 @@ class TableauFamily:
     """The complete family ShST(shape, n), deterministically ordered, as
     its members' keys: keys[x] is the tuple of member x's order keys
     2*value - primed over the shape's sorted cells.  member(x) builds and
-    validates member x as a tableau; members builds them all, the first
-    time it is asked for, and iteration walks them.
+    validates member x as a tableau, and is how the library builds one;
+    members builds them all, the first time it is asked for, and
+    iteration walks them, for callers that want every member at once.
 
     Every generator keeps the cell set, so on a family it is a permutation
     of the member positions; tables maps a generator to that permutation
@@ -131,9 +132,10 @@ def _search(shape: ShiftedSkewShape, n: int, found: list[tuple[int, ...]] | None
     """Backtrack over the members of ShST(shape, n) in reading-word
     lexicographic order, append each one's key to found unless found is
     None, and return their number; CapacityError when a member comes
-    past MAX_MEMBERS."""
+    past MAX_MEMBERS, or at once when n exceeds MAX_LETTERS."""
     if n < 0:
         raise ValueError("alphabet bound must be >= 0")
+    check_letters(n)
     cells = reading_cells(shape)
     at = {cell: i for i, cell in enumerate(cells)}
     # member keys list the sorted cells, by the reading position of each

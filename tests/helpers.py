@@ -1,13 +1,16 @@
 """Shared test helpers: an enumeration oracle independent of the library's
-backtracking enumerator, a reference t_i on the public switch_pair, and
+backtracking enumerator, a reference t_i on the public switch_pair,
 reference forms of the tableau validator, the text and JSON renderers
-and the cell-token parser."""
+and the cell-token parser, and the member loop the engine's
+verification lines are checked against."""
 
 import itertools
 import json
 
 from shifted_tableaux.core import Entry, InvalidTableauError, ShiftedTableau, TableauError
-from shifted_tableaux.switching import PerforatedFilling, switch_pair
+from shifted_tableaux.engine import Counterexample, RelationSchema, Verdict
+from shifted_tableaux.jdt import complement, rectify
+from shifted_tableaux.switching import PerforatedFilling, evac_skew, switch_pair
 
 
 def row_cells(shape, r):
@@ -158,3 +161,33 @@ def reference_to_json(t):
     doc = {"outer": list(t.shape.outer), "inner": list(t.shape.inner),
            "rows": rows, "n": t.n}
     return json.dumps(doc)
+
+
+def reference_member_loop(family, left, right):
+    """Two tableau functions compared member by member, both sides of one
+    member before the next, up to the first member where they differ,
+    whose counterexample recomputes both sides: the verdict the engine's
+    tables must give."""
+    sides = ((left(t), right(t)) for t in family)
+    x = next((x for x, (a, b) in enumerate(sides) if a != b), None)
+    if x is None:
+        return Verdict(True, len(family))
+    t = family.member(x)
+    return Verdict(False, x + 1, Counterexample(t, (), left(t), right(t), family.shape))
+
+
+def reference_knuth_witness(family):
+    """The skew Knuth-equivalence witness of non-relations on one family
+    as a member loop: the rectifications of each member's switching
+    evacuation and of its complement."""
+    return reference_member_loop(family, lambda t: rectify(evac_skew(t))[0],
+                                 lambda t: rectify(complement(t))[0])
+
+
+def evac_routes_schema(n):
+    """The evacuation-routes line of evac-agreement over 1..n as a schema:
+    switching evacuation evac_n against eta:1,n, which on a straight
+    shape is rectification after the complement; the empty word stands
+    in for eta:1,1, and evac_0 is out of range."""
+    return RelationSchema(f"evac{n}", f"eta:1,{n}" if n > 1 else "e",
+                          name="evac via switching = rectify after complement")

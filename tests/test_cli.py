@@ -13,7 +13,8 @@ import pytest
 import shifted_tableaux
 from shifted_tableaux import cli, engine, enumeration
 from shifted_tableaux.cli import main
-from shifted_tableaux.core import MAX_CELLS, MAX_MEMBERS, MAX_SKEW_CELLS, CapacityError
+from shifted_tableaux.core import (MAX_CELLS, MAX_LETTERS, MAX_MEMBERS, MAX_SKEW_CELLS,
+                                   CapacityError)
 
 
 def run(capsys, *argv):
@@ -204,15 +205,42 @@ PRESET_REPORTS_N4 = {
     "non-relations": "44e98efdfb0c396c806267e23ac32264a4843185063dd1a0acc68b06ff445f6b",
 }
 
+# the exit code and SHA-256 of the same reports at --n 0, 1 and 2, where
+# every family is empty or small; non-relations exits 1 there, as most of
+# its witnesses need n=3
+PRESET_REPORTS_SMALL = {
+    0: {
+        "sbk-core": (0, "63825dcf730a5303ea596bd257c62fd5548f2f971681521ba176000d70b4db36"),
+        "cactus-q": (0, "d856f4eee0b0daad7225a91b3dab965fe8c3aa20da68dc154c0f51088249aed1"),
+        "cactus-eta": (0, "c5e25c0d3d818a37d7e9e54771c1a929e512ea5dfcdb7383c377e1d4bf7313d0"),
+        "evac-agreement": (0, "a2de2bf3f0953e8bc504c34e15690300b09c964968e2158d8205460c63b7d6cc"),
+        "non-relations": (1, "34e7a48c8e1ba74b32b14058c197ead4194dc2e39dc62510105847a06fff8c0d"),
+    },
+    1: {
+        "sbk-core": (0, "2810a9047499c27dfc46b0c94b972e91a00d092c8860e7983d4a626f9c2e86bb"),
+        "cactus-q": (0, "00760191be9e86882cfad490227f0b812c6f0de48cc147ff5bd6d6667edb814f"),
+        "cactus-eta": (0, "ce6f1e0f1f9adeba4645c5ca31c05d9d53e6cef0d5595f5fb40cd9bfe8995e6e"),
+        "evac-agreement": (0, "2acb8e8b5fd1842f5b0ba4b941200f2479f08a7e66f03d8d660f84867df325a5"),
+        "non-relations": (1, "a980ff34af4a622de1adecbd7f09c85145b1c725ef38bf699708fc0714940238"),
+    },
+    2: {
+        "sbk-core": (0, "8d3beb45417a29c1639da3c03c1d5cb90917682dc84282c23bb0540294290bc4"),
+        "cactus-q": (0, "76f9caa62ee720996a2ef1ce39ce7df5f2c6163d95ce0588bd21262533757606"),
+        "cactus-eta": (0, "5455af3f04c3ed6c6227f24b1ca893548fe212fa1712cf7e9784e788916bfa71"),
+        "evac-agreement": (0, "522e6ddf810407e304af820186111ed99b98b17bfa260b94b18056dd41b7fe20"),
+        "non-relations": (1, "410757a70fdec119d7561b73996a754b2d048cd69e81769609b9f53541b1b020"),
+    },
+}
+
 
 def report_digest(capsys, preset, n):
-    """The SHA-256 of a preset's JSON report without its timing."""
+    """The exit code and the SHA-256 of a preset's JSON report without its
+    timing."""
     code, out, _ = run(capsys, "--format", "json", "verify", "--preset", preset,
                        "--n", str(n))
     doc = json.loads(out)
     del doc["timing"]
-    assert code == 0
-    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    return code, hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
 class TestVerify:
@@ -264,13 +292,22 @@ class TestVerify:
     def test_preset_report_is_byte_stable(self, capsys, preset, digest):
         """The JSON report of each preset at n=3 is byte-stable: without
         its timing it hashes to the recorded digest."""
-        assert report_digest(capsys, preset, 3) == digest
+        assert report_digest(capsys, preset, 3) == (0, digest)
 
     @pytest.mark.parametrize("preset, digest", PRESET_REPORTS_N4.items())
     def test_preset_report_is_byte_stable_at_n4(self, capsys, preset, digest):
         """The same at n=4, where every preset has more families and
         lines."""
-        assert report_digest(capsys, preset, 4) == digest
+        assert report_digest(capsys, preset, 4) == (0, digest)
+
+    @pytest.mark.parametrize("n, preset, pinned", [
+        (n, preset, pinned) for n, reports in PRESET_REPORTS_SMALL.items()
+        for preset, pinned in reports.items()])
+    def test_preset_report_is_byte_stable_at_small_n(self, capsys, n, preset, pinned):
+        """The same at n=0, 1 and 2, with the exit code: these reports hold
+        the routes line of evac-agreement on the empty word at n=1 and the
+        skew Knuth witness of non-relations, none at n=1 and one at n=2."""
+        assert report_digest(capsys, preset, n) == pinned
 
     def test_zero_power_is_the_identity(self, capsys):
         assert run(capsys, "verify", "--schema", "t1^0 = e", "--n", "3") == \
@@ -424,6 +461,31 @@ class TestErrors:
         assert (code, out, err) == \
             (2, "", "error: verify requires --schema or --preset\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--preset", "non-relations", "--schema", "t1 = e"),
+         "--schema cannot be used with --preset"),
+        (("--preset", "sbk-core", "--exhaustive"), "--exhaustive cannot be used with --preset"),
+        (("--preset", "sbk-core", "--outer", "2"), "--outer cannot be used with --preset"),
+        (("--preset", "sbk-core", "--inner", "1"), "--inner cannot be used with --preset"),
+        (("--preset", "sbk-core", "--skew"), "--skew cannot be used with --preset"),
+        (("--preset", "sbk-core", "--max-cells", "3"),
+         "--max-cells cannot be used with --preset"),
+        (("--schema", "t1 = e", "--inner", "1"), "--inner needs --outer"),
+        (("--schema", "t1 = e", "--inner", "1", "--skew"), "--inner needs --outer"),
+        (("--schema", "t1 = e", "--outer", "3", "--skew"), "--skew cannot be used with --outer"),
+        (("--schema", "t1 = e", "--outer", "3", "--max-cells", "3"),
+         "--max-cells cannot be used with --outer"),
+        (("--schema", "t1 = e", "--max-cells", "3"), "--max-cells needs --skew"),
+    ])
+    def test_ignored_verify_option_is_one_line(self, capsys, monkeypatch, argv, message):
+        """verify refuses an option it would drop, naming it, before any
+        family is enumerated."""
+        enumerated = []
+        monkeypatch.setattr(engine, "enumerate_tableaux", lambda *a: enumerated.append(a))
+        monkeypatch.setattr(cli, "enumerate_tableaux", lambda *a: enumerated.append(a))
+        assert run(capsys, "verify", "--n", "2", *argv) == (2, "", f"error: {message}\n")
+        assert enumerated == []
+
     def test_too_many_schema_assignments_is_one_line(self, capsys):
         code, out, err = run(capsys, "verify", "--schema",
                              "t1 = e : i < j and k < l", "--n", "300",
@@ -534,6 +596,45 @@ class TestErrors:
     def test_shape_at_the_bound_is_accepted(self, capsys):
         assert run(capsys, "enum", "--outer", str(MAX_CELLS), "--n", "1",
                    "--count-only") == (0, "1\n", "")
+
+    def test_text_tableau_is_bounded_by_max_cells(self, capsys):
+        """A text tableau is bounded as a JSON one is: one row of
+        MAX_CELLS + 1 cells is one error line, MAX_CELLS cells are
+        accepted."""
+        row = " ".join(["1"] * MAX_CELLS)
+        assert run(capsys, "apply", "--op", "e", "--in", row) == (0, row + "\n", "")
+        assert run(capsys, "apply", "--op", "e", "--in", row + " 1") == \
+            (2, "", f"error: shape has {MAX_CELLS + 1} cells, more than {MAX_CELLS}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("apply", "--op", "t1", "--in", "1 2", "--n", "{n}"),
+        ("rectify", "--in", ". 1 / 2", "--n", "{n}"),
+        ("orbit", "--gens", "t1", "--in", "1 2", "--n", "{n}"),
+        ("switch", "--s", "1", "--t", ". 2", "--n", "{n}"),
+        ("enum", "--outer", "2", "--n", "{n}"),
+        ("enum", "--outer", "2", "--n", "{n}", "--count-only"),
+        ("verify", "--schema", "t1 = e", "--n", "{n}"),
+        ("verify", "--preset", "non-relations", "--n", "{n}"),
+        ("search", "--schema", "t1 = e", "--n", "{n}", "--max-cells", "3"),
+        ("apply", "--op", "t1", "--in", '{{"outer": [2], "rows": [["1", "2"]], "n": {n}}}'),
+        ("apply", "--op", "e", "--in", "1 {n}"),
+    ], ids=["apply", "rectify", "orbit", "switch", "enum", "enum-count", "verify",
+            "verify-preset", "search", "json", "text-token"])
+    def test_huge_alphabet_is_one_line(self, capsys, argv):
+        """An alphabet bound over MAX_LETTERS, given by --n, by a JSON
+        tableau's n or by the largest text token, is one error line,
+        raised before the validator or the enumerator allocates a list
+        indexed by letter."""
+        n = 10 ** 12
+        assert run(capsys, *(a.format(n=n) for a in argv)) == \
+            (2, "", f"error: alphabet bound n={n} is more than {MAX_LETTERS}\n")
+
+    def test_alphabet_at_the_bound_is_accepted(self, capsys):
+        n = str(MAX_LETTERS)
+        assert run(capsys, "enum", "--outer", "1", "--n", n, "--count-only") == \
+            (0, n + "\n", "")
+        assert run(capsys, "apply", "--op", f"t{MAX_LETTERS - 1}", "--in", f"1 {n}") == \
+            (0, f"1 {MAX_LETTERS - 1}\n", "")
 
     @pytest.mark.parametrize("exc", [CapacityError("orbit exceeds configured bound"),
                                      RuntimeError("orbit exceeds configured bound")])

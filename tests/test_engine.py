@@ -1,13 +1,14 @@
 """Word parsing, relation schemas, verification, searches, orbits, presets."""
 
 import itertools
+import sys
 
 import pytest
 
 from shifted_tableaux import bender_knuth, engine, jdt, switching
 from shifted_tableaux.core import (CapacityError, Entry, InvalidTableauError, ShiftedSkewShape,
                                    parse_tableau, render_text)
-from shifted_tableaux.enumeration import enumerate_tableaux, skew_shapes
+from shifted_tableaux.enumeration import TableauFamily, enumerate_tableaux, skew_shapes
 from shifted_tableaux.engine import (MAX_ASSIGNMENTS, MAX_WORD_LENGTH,
                                      GeneratorSymbol,
                                      RelationSchema, WordError, apply_symbol,
@@ -18,6 +19,9 @@ from shifted_tableaux.engine import (MAX_ASSIGNMENTS, MAX_WORD_LENGTH,
                                      straight_families, word_permutation)
 from shifted_tableaux.bender_knuth import bk, q_interval
 from shifted_tableaux.jdt import eta, rectify
+
+sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
+from helpers import evac_routes_schema  # noqa: E402
 
 
 def rt(t):
@@ -394,8 +398,7 @@ class TestFamilyTables:
         monkeypatch.setattr(engine.ShiftedTableau, "__post_init__",
                             lambda t: built.append(t))
         monkeypatch.setattr(jdt, "_evacuate_standard", counted)
-        memo, routes = {}, engine._evac_route_checks(3)
-        v = engine._first_failure(engine._check(family, routes, memo) for family in families)
+        v = verify_relation_over(evac_routes_schema(3), families)
         assert (v.holds, v.instances_checked, built) == (True, 236, [])
         assert len(evacuated) == len(set(evacuated)) < 236
 
@@ -409,6 +412,26 @@ class TestFamilyTables:
         monkeypatch.setattr(engine.ShiftedTableau, "__post_init__", lambda t: built.append(t))
         results = run_preset(preset, 4)
         assert all(r.ok for r in results) and built == []
+
+    def test_non_relations_builds_only_its_counterexamples(self, monkeypatch):
+        """Every line of non-relations at n=4 finds its witness, and each
+        builds through family.member only the member its counterexample
+        prints: the skew Knuth-equivalence witness compares
+        rectifications on keys, so the preset builds 33 tableaux, the
+        witnesses and their two sides with the words' intermediate
+        tableaux."""
+        member, built, members = TableauFamily.member, [], []
+
+        def spy(family, x):
+            members.append(x)
+            return member(family, x)
+
+        monkeypatch.setattr(engine.ShiftedTableau, "__post_init__", lambda t: built.append(t))
+        monkeypatch.setattr(TableauFamily, "member", spy)
+        results = run_preset("non-relations", 4)
+        assert all(r.ok for r in results)
+        assert len(members) == len(results) == 5
+        assert len(built) == 33
 
     def test_failing_check_builds_only_its_counterexample(self, monkeypatch):
         """A failing relation builds the member its counterexample prints,
@@ -553,9 +576,9 @@ class TestFamilyTables:
                 (True, 0 if text == "t1 = e" else size, None), text
         for route in engine.CACTUS_ROUTES:
             assert verify_cactus_action(route, [fam]) == engine.Verdict(True, 0)
-        routes = engine._evac_route_checks(n)
-        assert len(routes) == n
-        assert engine._check(fam, routes, {}) == engine.Verdict(True, size)
+        routes = evac_routes_schema(n)
+        assert len(list(routes.instantiations(n))) == n
+        assert verify_relation(routes, fam) == engine.Verdict(True, size)
 
     def test_preset_lines_keep_no_switching_or_eta_band_results(self, monkeypatch):
         """Each family keeps its tables, so the switching and eta band
@@ -600,8 +623,7 @@ class TestFamilyTables:
         families = engine.skew_families(3, include_straight=True)
         for family in families:
             word_permutation(family, parse_word("eta:1,3"))
-        memo, routes = {}, engine._evac_route_checks(3)
-        assert all(engine._check(family, routes, memo).holds for family in straight_families(3))
+        assert verify_relation_over(evac_routes_schema(3), straight_families(3)).holds
         assert calls["reverse"] > 0 and calls["destandardize"] == 0
         for family in families:
             word_permutation(family, parse_word("eta:1,2"))
@@ -663,6 +685,21 @@ class TestOrbits:
         for shape, members in comps:
             assert sorted(rectify(t)[0].key for t in members) == \
                 sorted(u.key for u in enumerate_tableaux(shape, 4))
+
+    def test_components_build_only_the_members_they_return(self, monkeypatch):
+        """The classes are grouped by slide records computed on keys, so
+        exactly one tableau is built per member, the one returned."""
+        fam = enumerate_tableaux(ShiftedSkewShape((4, 2, 1), (2,)), 3)
+        validate, built = engine.ShiftedTableau.__post_init__, []
+
+        def spy(t):
+            validate(t)
+            built.append(t)
+
+        monkeypatch.setattr(engine.ShiftedTableau, "__post_init__", spy)
+        comps = components_by_dual_equivalence(fam)
+        assert len(built) == len(fam) > 0
+        assert sorted(map(id, built)) == sorted(id(t) for _, members in comps for t in members)
 
 
 PRESET_COUNTS_N3 = {
@@ -726,6 +763,13 @@ class TestPresets:
             assert results and all(r.ok for r in results), name
             assert [(r.label, r.verdict.instances_checked)
                     for r in results] == counts, name
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_routes_line_is_its_schema(self, n):
+        """The evacuation-routes line of evac-agreement is the verdict of
+        its schema over the straight families."""
+        line = next(r for r in run_preset("evac-agreement", n) if r.label == _ROUTES)
+        assert line.verdict == verify_relation_over(evac_routes_schema(n), straight_families(n))
 
     def test_unknown_preset(self):
         with pytest.raises(WordError, match=r"^unknown preset 'nope'; choose from sbk-core, "

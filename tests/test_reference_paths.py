@@ -39,7 +39,8 @@ from shifted_tableaux.jdt import (SlideRecord, complement, dual_equivalent, eta,
 from shifted_tableaux.switching import evac_interval_skew, evac_k_skew, evac_skew
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
-from helpers import (reference_parse_entry, reference_render_text,  # noqa: E402
+from helpers import (evac_routes_schema, reference_knuth_witness,  # noqa: E402
+                     reference_member_loop, reference_parse_entry, reference_render_text,
                      reference_to_json, reference_validate_filling)
 
 N = 4
@@ -585,12 +586,41 @@ def test_evac_routes_match_member_loop(monkeypatch, n, wrong, verdict):
     if wrong is not None:
         monkeypatch.setattr(jdt, "_evacuate_standard", wrong())
     want = route_outcome(lambda: engine._first_failure(
-        engine._check_pointwise(family, switching.evac_switch, jdt.evacuation_jdt)
+        reference_member_loop(family, switching.evac_switch, jdt.evacuation_jdt)
         for family in straight_families(n)))
     assert want[0] is verdict
-    memo, routes = {}, engine._evac_route_checks(n)
-    assert route_outcome(lambda: engine._first_failure(
-        engine._check(family, routes, memo) for family in straight_families(n))) == want
+    assert route_outcome(lambda: verify_relation_over(
+        evac_routes_schema(n), straight_families(n))) == want
+
+
+@pytest.mark.parametrize("evac_map", [None, lambda entries, n: dict(entries)],
+                         ids=["switching", "identity"])
+def test_knuth_witness_matches_member_loop(monkeypatch, evac_map):
+    """The skew Knuth-equivalence witness of non-relations, which compares
+    rectifications of table images on keys, gives the verdict of the
+    member loop that rectifies evac_skew and complement of each member,
+    on every family of skew_shapes(7, 4) at n=0..4; also with the
+    identity in place of switching evacuation, where the witness is
+    found elsewhere."""
+    if evac_map is not None:
+        monkeypatch.setattr(switching, "evac_map", evac_map)
+    shapes = skew_shapes(7, 4)
+    for n in range(5):
+        memo = {}
+        for shape in shapes:
+            family = enumerate_tableaux(shape, n)
+            assert engine._knuth_witness(family, memo) == reference_knuth_witness(family), \
+                (shape, n)
+
+
+def test_knuth_witness_image_off_its_family_is_a_runtime_error(monkeypatch):
+    """An evac_map image that is no member of the family raises the
+    RuntimeError a table raises, naming the whole-alphabet generator."""
+    monkeypatch.setattr(switching, "evac_map", lambda entries, n: dict.fromkeys(entries, Entry(1)))
+    family = enumerate_tableaux(ShiftedSkewShape((3, 1), (1,)), 2)
+    with pytest.raises(RuntimeError, match=r"^evacs2 took member 0 of ShST\(.*, 2\) out of its "
+                       "family$"):
+        engine._knuth_witness(family, {})
 
 
 def member_loop(family, op):
