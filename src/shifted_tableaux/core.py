@@ -5,20 +5,23 @@ columns r .. r + outer_r - 1, with the first inner_r of them removed for
 skew shapes.  All public constructors validate and enforce canonical form
 (the first occurrence of each letter in the reading word is unprimed).
 
-A tableau keeps its entries sorted by cell (row, then column), and
-_validate_filling checks them in one pass over their order keys
-2*value - primed beside the neighbour positions each shape computes
-once: coverage, the alphabet, the row and column order, both
-multiplicity rules and canonical form, in that order of priority.
+A tableau is its shape, its alphabet bound n and its key, the order keys
+2*value - primed of its entries over the shape's cells sorted by row,
+then column.  _validate_filling checks a key in one pass beside the
+neighbour positions each shape computes once: coverage, the alphabet,
+the row and column order, both multiplicity rules and canonical form, in
+that order of priority.  from_map builds a tableau from a cell -> entry
+map, and refuses a map on other cells than its shape's.
 
 Entries are interned: Entry(k, p) returns the one instance of its letter,
 which stores its order key and its text, and entry_of_key maps an order
-key back to that instance.  band_keys, act_on_band and the enumerator
-take their entries from entry_of_key, so no entry is built per member.
-Text is a lookup both ways: Entry.parse finds a token among the interned
-entries' texts, and render_text fills a template each shape builds once
-(text_template) with the entries' texts in sorted-cell order; to_json and
-from_json cut the rows out of that order by the shape's row_slices.
+key back to that instance; a tableau's entries and entry_map are views
+of its key through it.  Text is a lookup both ways: Entry.parse finds a
+token among the interned entries' texts, and refuses a letter above
+MAX_LETTERS before interning it; render_text fills a template each shape
+builds once (text_template) with the texts of the key's entries; to_json
+and from_json cut the rows out of the key's order by the shape's
+row_slices.
 
 band_keys is the band split of one filling: it runs a map-level core on
 the letters i..j of a filling given by order keys, re-indexed to the
@@ -31,7 +34,7 @@ each band on its partial-band tables.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -77,11 +80,9 @@ MAX_LETTERS = 1_000
 
 
 def check_cells(shape: "ShiftedSkewShape") -> None:
-    """Raise CapacityError when the shape has more than MAX_CELLS cells;
-    the count is read off its parts, so no cell is built."""
-    size = sum(shape.outer) - sum(shape.inner)
-    if size > MAX_CELLS:
-        raise CapacityError(f"shape has {size} cells, more than {MAX_CELLS}")
+    """Raise CapacityError when the shape has more than MAX_CELLS cells."""
+    if shape.size > MAX_CELLS:
+        raise CapacityError(f"shape has {shape.size} cells, more than {MAX_CELLS}")
 
 
 def check_letters(n: int) -> None:
@@ -164,6 +165,8 @@ class Entry:
             tok = tok[:-1]
         if not tok.isdigit() or int(tok) < 1:
             raise TableauError(f"malformed cell token {token!r}")
+        # refused before it is interned, so no refused token stays in the table
+        check_letters(int(tok))
         return cls(int(tok), primed)
 
 
@@ -347,7 +350,8 @@ class ShiftedSkewShape:
 
     @property
     def size(self) -> int:
-        return len(self.cells)
+        """The number of cells, read off the parts, so no cell is built."""
+        return sum(self.outer) - sum(self.inner)
 
     @classmethod
     def from_cells(cls, cells: Iterable[Cell]) -> "ShiftedSkewShape":
@@ -372,14 +376,10 @@ def reading_cells(shape: ShiftedSkewShape) -> list[Cell]:
     return sorted(shape.cells, key=lambda rc: (-rc[0], rc[1]))
 
 
-def _validate_filling(
-    shape: ShiftedSkewShape,
-    items: tuple[tuple[Cell, Entry], ...],
-    n: int,
-) -> None:
-    """Check the (cell, entry) pairs, sorted by cell, against every rule in
-    one pass over their order keys k = 2*value - primed in sorted-cell
-    order, beside the shape's neighbours.
+def _validate_filling(shape: ShiftedSkewShape, key: tuple[int, ...], n: int) -> None:
+    """Check a filling, given by its order keys k = 2*value - primed over
+    the shape's sorted cells, against every rule in one pass beside the
+    shape's neighbours.
 
     The order rules compare a cell's key with the keys of its east and
     south neighbours.  Where they hold, a repeat is adjacent: two k' in a
@@ -388,23 +388,28 @@ def _validate_filling(
     the reading word is the leftmost in its lowest row: the last cell in
     sorted order whose west neighbour holds a smaller letter.
 
-    The error raised is the first of: a coverage fault (a cell filled
-    more than once, then cells off or missing from the shape); the first
-    cell in sorted order whose entry exceeds n, or whose east or south
-    neighbour is smaller, checked in that order; the least repeated cell;
-    the primed first occurrence earliest in the reading word."""
+    The error raised is the first of: a key whose length is not the
+    shape's number of cells (coverage); the first nonpositive key; the
+    first cell in sorted order whose entry exceeds n, or whose east or
+    south neighbour is smaller, checked in that order; the least repeated
+    cell; the primed first occurrence earliest in the reading word."""
     cells = shape.sorted_cells
-    if tuple([c for c, _ in items]) != cells:
-        _coverage_fault(shape, items)
-    keys = [e.order_key for _, e in items]
+    if len(key) != len(cells):
+        raise InvalidTableauError(
+            f"filling of {len(key)} keys does not cover the {len(cells)} cells of {shape}",
+            rule="coverage")
+    if min(key, default=1) < 1:
+        i = next(i for i, k in enumerate(key) if k < 1)
+        raise InvalidTableauError(f"order key {key[i]} at {cells[i]} is not positive",
+                                  cell=cells[i], rule="alphabet")
     top = 2 * n
-    keys += (top + 1, 0)  # keys[-2] off the east or south edge, keys[-1] off the west
+    keys = [*key, top + 1, 0]  # keys[-2] off the east or south edge, keys[-1] off the west
     repeat = len(cells)   # the least repeated position seen so far
     first = [-1] * (n + 1)  # each letter's first reading position, -1 if unused
     for i, (east, south, west) in enumerate(shape.neighbours):
         k = keys[i]
         if k > top or keys[east] < k or keys[south] < k:
-            _order_fault(items, i, east, south, n)
+            _order_fault(cells, keys, i, east, south, n)
         twin = east if k & 1 else south
         if keys[twin] == k and twin < repeat:
             repeat = twin
@@ -412,7 +417,7 @@ def _validate_filling(
         if keys[west] < 2 * v - 1:
             first[v] = i
     if repeat < len(cells):
-        (r, c), e = items[repeat]
+        (r, c), e = cells[repeat], entry_of_key[keys[repeat]]
         if e.primed:
             raise InvalidTableauError(
                 f"two {e.value}' in row {r}", cell=(r, c), rule="primed-row-multiplicity")
@@ -421,76 +426,64 @@ def _validate_filling(
     primed_first = [i for i in first if i >= 0 and keys[i] & 1]
     if primed_first:
         # the earliest in the reading word: bottom row first, then leftmost
-        (r, c), e = min((items[i] for i in primed_first), key=lambda ce: (-ce[0][0], ce[0][1]))
+        i = min(primed_first, key=lambda i: (-cells[i][0], cells[i][1]))
         raise InvalidTableauError(
-            f"first occurrence of letter {e.value} in reading word is primed",
+            f"first occurrence of letter {(keys[i] + 1) >> 1} in reading word is primed",
             rule="canonical-form")
 
 
-def _order_fault(items: tuple[tuple[Cell, Entry], ...], i: int, east: int, south: int,
+def _order_fault(cells: tuple[Cell, ...], keys: list[int], i: int, east: int, south: int,
                  n: int) -> None:
     """Raise the first fault of the cell at sorted position i, whose
     neighbours east and south are given by position: its entry exceeds
     n, or its east or south neighbour holds a smaller one."""
-    cell, e = items[i]
+    cell, e = cells[i], entry_of_key[keys[i]]
     if e.value > n:
         raise InvalidTableauError(
             f"entry {e} at {cell} exceeds alphabet bound n={n}", cell=cell, rule="alphabet")
     for nbr, what in ((east, "row"), (south, "column")):
-        if nbr >= 0 and items[nbr][1] < e:
+        if nbr >= 0 and keys[nbr] < keys[i]:
             raise InvalidTableauError(
-                f"{what} not weakly increasing at {cell}: {e} > {items[nbr][1]}",
-                cell=items[nbr][0], rule=f"{what}-order")
+                f"{what} not weakly increasing at {cell}: {e} > {entry_of_key[keys[nbr]]}",
+                cell=cells[nbr], rule=f"{what}-order")
 
 
-def _coverage_fault(shape: ShiftedSkewShape, items: tuple[tuple[Cell, Entry], ...]) -> None:
-    """Raise the coverage error of sorted items whose cells are not the
-    shape's: the first cell filled more than once, else the least cell
-    off the shape, else the least missing one."""
-    filled = [c for c, _ in items]
-    cell = next((c for c, d in zip(filled, filled[1:]) if c == d), None)
-    if cell is not None:
-        raise InvalidTableauError(f"cell {cell} is filled more than once",
-                                  cell=cell, rule="coverage")
-    extra = sorted(set(filled) - shape.cells)
-    missing = sorted(shape.cells - set(filled))
-    raise InvalidTableauError(
-        f"filling does not cover shape exactly (extra={extra}, missing={missing})",
-        cell=(extra or missing)[0], rule="coverage")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShiftedTableau:
-    """A shifted semistandard tableau in canonical form.
+    """A shifted semistandard tableau in canonical form: its shape, its
+    key (the order keys 2*value - primed of its entries over the shape's
+    sorted cells) and its alphabet bound n.  entries and entry_map are
+    views of the key, built on first use.
 
-    Equality and hashing use the entry map and the alphabet bound; the
-    (outer, inner) representation is excluded so that tableaux built from
+    Equality and hashing use the key, n and the cell set; the (outer,
+    inner) representation is excluded so that tableaux built from
     equivalent shape descriptions compare equal.
     """
 
-    shape: ShiftedSkewShape = field(compare=False)
-    entries: tuple[tuple[Cell, Entry], ...] = ()
+    shape: ShiftedSkewShape
+    key: tuple[int, ...] = ()
     n: int = 0
 
     def __post_init__(self):
-        ent = self.entries
-        # entries already in sorted-cell order, as the family members,
-        # act_on_band and from_map on the shape's cells give them, are not
-        # sorted again
-        if type(ent) is not tuple or tuple([c for c, _ in ent]) != self.shape.sorted_cells:
-            ent = tuple(sorted(ent))
-            object.__setattr__(self, "entries", ent)
         check_letters(self.n)
-        _validate_filling(self.shape, ent, self.n)
+        _validate_filling(self.shape, self.key, self.n)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ShiftedTableau):
+            return NotImplemented
+        return (self.key, self.n, self.shape.cells) == (other.key, other.n, other.shape.cells)
+
+    def __hash__(self) -> int:
+        return hash((self.key, self.n, self.shape.cells))
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Cell, Entry], ...]:
+        """The (cell, entry) pairs in sorted cell order."""
+        return tuple(zip(self.shape.sorted_cells, map(entry_of_key.__getitem__, self.key)))
 
     @cached_property
     def entry_map(self) -> dict[Cell, Entry]:
-        return dict(self.entries)
-
-    @property
-    def key(self) -> tuple[int, ...]:
-        """The order keys of the entries, in sorted cell order."""
-        return tuple([e.order_key for _, e in self.entries])
+        return dict(zip(self.shape.sorted_cells, map(entry_of_key.__getitem__, self.key)))
 
     @property
     def cells(self) -> frozenset[Cell]:
@@ -498,7 +491,7 @@ class ShiftedTableau:
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.key)
 
     def __str__(self) -> str:
         return render_text(self)
@@ -510,16 +503,18 @@ class ShiftedTableau:
     @classmethod
     def from_map(cls, entries: Mapping[Cell, Entry], n: int,
                  shape: ShiftedSkewShape | None = None) -> "ShiftedTableau":
-        """The tableau of a cell -> entry map.  A map on exactly the shape's
-        cells is listed in sorted-cell order, so the constructor does not
-        sort it; any other map keeps its own order and gets the
-        constructor's sort and error."""
+        """The tableau of a cell -> entry map, on the shape of its cells
+        unless a shape is given; a map on other cells than the shape's
+        is a coverage error."""
         if shape is None:
             shape = ShiftedSkewShape.from_cells(entries.keys())
-        if entries.keys() == shape.cells:
-            cells = shape.sorted_cells
-            return cls(shape, tuple(zip(cells, map(entries.__getitem__, cells))), n)
-        return cls(shape, tuple(entries.items()), n)
+        elif entries.keys() != shape.cells:
+            extra = sorted(entries.keys() - shape.cells)
+            missing = sorted(shape.cells - entries.keys())
+            raise InvalidTableauError(
+                f"filling does not cover shape exactly (extra={extra}, missing={missing})",
+                cell=(extra or missing)[0], rule="coverage")
+        return cls(shape, tuple([entries[c].order_key for c in shape.sorted_cells]), n)
 
 
 def reading_word(t: ShiftedTableau) -> tuple[Entry, ...]:
@@ -699,15 +694,13 @@ def act_on_band(t: ShiftedTableau, i: int, j: int, op: MapOperator) -> ShiftedTa
     """Apply a map-level operator to the letters i..j of t, re-indexed to
     the alphabet 1..j-i+1, and put the result back beside the other
     letters, through band_keys; t itself when no letter lies in the band."""
-    cells, key = [c for c, _ in t.entries], t.key
-    out = band_keys(cells, key, i, j, op)
+    out = band_keys(t.shape.sorted_cells, t.key, i, j, op)
     if out is None:
         raise RuntimeError(f"operator on the letters {i}..{j} changed their cells")
-    if out is key:
+    if out is t.key:
         return t
     # the result keeps t's cells, under their canonical pair
-    entries = tuple([(c, entry_of_key[k]) for c, k in zip(cells, out)])
-    return ShiftedTableau(t.shape.canonical(), entries, t.n)
+    return ShiftedTableau(t.shape.canonical(), out, t.n)
 
 
 # ---------------------------------------------------------------------------
@@ -743,12 +736,12 @@ def parse_tableau(text: str, n: int | None = None) -> ShiftedTableau:
 
 def render_text(t: ShiftedTableau) -> str:
     """The row-based text form: the shape's text_template filled with the
-    entries' texts in sorted-cell order."""
-    return t.shape.text_template % tuple([e.text for _, e in t.entries])
+    texts of the key's entries, in sorted-cell order."""
+    return t.shape.text_template % tuple([entry_of_key[k].text for k in t.key])
 
 
 def to_json(t: ShiftedTableau) -> str:
-    texts = [e.text for _, e in t.entries]
+    texts = [entry_of_key[k].text for k in t.key]
     doc = {"outer": list(t.shape.outer), "inner": list(t.shape.inner),
            "rows": [texts[s] for s in t.shape.row_slices], "n": t.n}
     return json.dumps(doc)

@@ -12,8 +12,8 @@ order, which keeps golden outputs byte-stable.
 A family is its members' order keys: the search builds no tableau, and
 membership by key rests on it alone.  Every member that leaves the
 library as a tableau is validated: member(x) builds it with the
-tableau constructor, from its entries in sorted-cell order, and members
-holds them all once asked for.  count_tableaux runs the same search and
+tableau constructor, on the family's own key tuple, and members holds
+them all once asked for.  count_tableaux runs the same search and
 keeps no key.
 """
 
@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Any, Iterator
 
 from .core import (MAX_MEMBERS, CapacityError, Cell, ShiftedSkewShape, ShiftedTableau,
-                   check_letters, entry_of_key, reading_cells)
+                   check_letters, reading_cells)
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,8 @@ class TableauFamily:
         return tuple(["".join(map(chr, take(key + (0,)))) for key in self.keys])
 
     def member(self, x: int) -> ShiftedTableau:
-        """Member x, built and validated as a tableau."""
-        entries = map(entry_of_key.__getitem__, self.keys[x])
-        return ShiftedTableau(self.shape, tuple(zip(self.shape.sorted_cells, entries)), self.n)
+        """Member x, built and validated as a tableau on its key."""
+        return ShiftedTableau(self.shape, self.keys[x], self.n)
 
     @cached_property
     def members(self) -> tuple[ShiftedTableau, ...]:

@@ -192,19 +192,18 @@ def switch_pair(a: PerforatedFilling, b: PerforatedFilling
 # tableau-level switching
 
 def _check_extends(s: ShiftedTableau, t: ShiftedTableau) -> None:
+    """T extends S: the two are disjoint, and the inner shape mu of
+    their union together with S is a straight shape."""
     if s.cells & t.cells:
         raise SwitchingError("tableaux overlap; T must extend S")
     union = ShiftedSkewShape.from_cells(s.cells | t.cells)
     try:
-        inner_plus_s = ShiftedSkewShape.from_cells(
-            set(ShiftedSkewShape(union.outer).cells - union.cells) | set(s.cells)) \
-            if s.cells else None
+        straight = ShiftedSkewShape.from_cells(
+            (ShiftedSkewShape(union.outer).cells - union.cells) | s.cells).straight
     except TableauError as exc:
         raise SwitchingError(f"T does not extend S: {exc}") from exc
-    if inner_plus_s is not None:
-        expected_t = union.cells - inner_plus_s.cells
-        if expected_t != t.cells:
-            raise SwitchingError("T does not extend S")
+    if not straight:
+        raise SwitchingError("T does not extend S")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 import shifted_tableaux
-from shifted_tableaux import cli, engine, enumeration
+from shifted_tableaux import cli, core, engine, enumeration
 from shifted_tableaux.cli import main
 from shifted_tableaux.core import (MAX_CELLS, MAX_LETTERS, MAX_MEMBERS, MAX_SKEW_CELLS,
                                    CapacityError)
@@ -170,6 +170,14 @@ class TestSwitch:
         assert code == 0
         assert "S1, S1, S7, S1" in out
         assert "1' 1" in out
+
+
+    def test_t_must_extend_s(self, capsys):
+        """T inside S is refused; T outside S switches."""
+        assert run(capsys, "switch", "--s", ". 1", "--t", "1", "--n", "2") == \
+            (2, "", "error: T does not extend S\n")
+        assert run(capsys, "switch", "--s", "1", "--t", ". 1", "--n", "2") == \
+            (0, "1\n\n. 1\n", "")
 
 
 class TestRectify:
@@ -628,6 +636,19 @@ class TestErrors:
         n = 10 ** 12
         assert run(capsys, *(a.format(n=n) for a in argv)) == \
             (2, "", f"error: alphabet bound n={n} is more than {MAX_LETTERS}\n")
+
+    def test_refused_tokens_are_not_interned(self, capsys):
+        """A text token above MAX_LETTERS is refused before it is
+        interned, so refused queries leave the intern table as it was."""
+        assert run(capsys, "apply", "--op", "e", "--in", "1") == (0, "1\n", "")
+        before = len(core._INTERNED)
+        for k in range(50):
+            n = 10 ** 12 + k
+            assert run(capsys, "apply", "--op", "e", "--in", f"1 {n}") == \
+                (2, "", f"error: alphabet bound n={n} is more than {MAX_LETTERS}\n")
+        assert run(capsys, "apply", "--op", "e", "--in", "1 2000", "--n", "5") == \
+            (2, "", f"error: alphabet bound n=2000 is more than {MAX_LETTERS}\n")
+        assert len(core._INTERNED) == before
 
     def test_alphabet_at_the_bound_is_accepted(self, capsys):
         n = str(MAX_LETTERS)

@@ -166,17 +166,57 @@ class TestValidation:
         with pytest.raises(InvalidTableauError):
             parse_tableau("2 1", 2)
 
-    def test_repeated_cell_rejected(self):
-        entries = (((1, 1), Entry(1)), ((1, 1), Entry(2)))
+    def test_key_of_wrong_length_rejected(self):
+        for key in ((2, 4), ()):
+            with pytest.raises(InvalidTableauError) as exc:
+                ShiftedTableau(ShiftedSkewShape((1,)), key, 2)
+            assert exc.value.rule == "coverage" and exc.value.cell is None
+            assert str(exc.value) == \
+                f"filling of {len(key)} keys does not cover the 1 cells of [1]"
+
+    @pytest.mark.parametrize("key", [(0, 2), (2, -1)])
+    def test_nonpositive_key_rejected(self, key):
         with pytest.raises(InvalidTableauError) as exc:
-            ShiftedTableau(ShiftedSkewShape((1,)), entries, 2)
-        assert exc.value.rule == "coverage"
-        assert exc.value.cell == (1, 1)
-        assert "(1, 1)" in str(exc.value)
+            ShiftedTableau(ShiftedSkewShape((2,)), key, 2)
+        cell = (1, 1 + key.index(min(key)))
+        assert (exc.value.rule, exc.value.cell) == ("alphabet", cell)
+        assert str(exc.value) == f"order key {min(key)} at {cell} is not positive"
 
     def test_bad_skew_rejected(self):
         with pytest.raises(TableauError):
             parse_tableau("1 2'\n. 2", 2)
+
+
+class TestKeyForm:
+    def test_same_key_on_two_cell_sets_is_unequal(self):
+        row, column = ShiftedSkewShape((2,)), ShiftedSkewShape((2, 1), (1,))
+        a, b = ShiftedTableau(row, (2, 4), 2), ShiftedTableau(column, (2, 4), 2)
+        assert a.key == b.key and a != b
+
+    def test_one_cell_set_under_two_pairs_is_equal(self):
+        a = ShiftedTableau(ShiftedSkewShape((3, 1), (3,)), (2,), 1)
+        b = ShiftedTableau(ShiftedSkewShape((2, 1), (2,)), (2,), 1)
+        assert a.shape != b.shape and a.cells == b.cells
+        assert a == b and hash(a) == hash(b)
+
+    def test_alphabet_bound_is_compared(self):
+        shape = ShiftedSkewShape((2,))
+        assert ShiftedTableau(shape, (2, 4), 2) != ShiftedTableau(shape, (2, 4), 3)
+
+    def test_entries_are_views_of_the_key(self):
+        t = parse_tableau("1 2' 2\n2", 3)
+        assert t.key == (2, 3, 4, 4)
+        assert t.entries == (((1, 1), Entry(1)), ((1, 2), Entry(2, True)),
+                             ((1, 3), Entry(2)), ((2, 2), Entry(2)))
+        assert t.entry_map == dict(t.entries)
+
+    def test_from_map_on_other_cells_is_a_coverage_error(self):
+        with pytest.raises(InvalidTableauError) as exc:
+            ShiftedTableau.from_map({(1, 1): Entry(1), (2, 2): Entry(2)}, 2,
+                                    ShiftedSkewShape((2,)))
+        assert (exc.value.rule, exc.value.cell) == ("coverage", (2, 2))
+        assert str(exc.value) == \
+            "filling does not cover shape exactly (extra=[(2, 2)], missing=[(1, 2)])"
 
 
 class TestCanonicalForm:

@@ -73,6 +73,12 @@ def test_empty_shape_has_one_member():
         assert len(fam) == 1 and fam.members[0].entries == ()
 
 
+def test_member_is_built_on_the_family_key():
+    fam = enumerate_tableaux(ShiftedSkewShape((3, 1), (1,)), 3)
+    for x in range(len(fam)):
+        assert fam.member(x).key is fam.keys[x]
+
+
 def test_no_letters_no_members():
     assert len(enumerate_tableaux(ShiftedSkewShape((2, 1)), 0)) == 0
 

@@ -9,9 +9,9 @@ from functools import reduce
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape, band_keys,
-                                   canonical_map, canonicalize, entry_of_key, standardize_map,
-                                   weight)
+from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape, ShiftedTableau,
+                                   band_keys, canonical_map, canonicalize, entry_of_key,
+                                   standardize_map, weight)
 from shifted_tableaux.bender_knuth import (bk, bk_map, bk_trace, promotion, promotion_word, q,
                                            q_interval, q_interval_word, q_word)
 from shifted_tableaux.engine import (GeneratorSymbol, _band_bk, _band_evac, _images, apply_symbol,
@@ -101,6 +101,16 @@ def tableaux(draw, max_cells=MAX_CELLS, max_n=MAX_N):
 
 def intervals(n):
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+@PROPERTY
+@given(tableaux())
+def test_from_map_of_the_entry_map_is_the_tableau(t):
+    """The entry map, a view of the key, builds the tableau back, on its
+    own shape and on the canonical shape of its cells."""
+    u = ShiftedTableau.from_map(t.entry_map, t.n, t.shape)
+    assert u == t and u.key == t.key and hash(u) == hash(t)
+    assert ShiftedTableau.from_map(t.entry_map, t.n) == t
 
 
 @PROPERTY

@@ -14,7 +14,7 @@ permutation checks; the destandardization that tries every split of
 each letter as the reference for the one-pass split; the rule-by-rule
 validator as the reference for the one pass over order keys, on every
 filling of the small shapes; and the cell-by-cell text and JSON
-renderers as the reference for the row walk over the sorted entries."""
+renderers as the reference for the row walk over the key."""
 
 import sys
 from collections import Counter
@@ -696,9 +696,9 @@ def every_representation(max_cells):
     return shapes
 
 
-def validation_outcome(validate, shape, items, n):
+def validation_outcome(validate, *args):
     try:
-        validate(shape, items, n)
+        validate(*args)
     except InvalidTableauError as exc:
         return type(exc), exc.rule, str(exc), exc.cell
     return None
@@ -706,8 +706,9 @@ def validation_outcome(validate, shape, items, n):
 
 def test_validator_matches_rule_by_rule():
     """Every filling with order keys 1..2n+2 (so letters up to n+1) of
-    every representation of at most 4 cells, at n = 1..3: the same
-    verdict, and on a fault the same rule, message and cell."""
+    every representation of at most 4 cells, at n = 1..3: the validator
+    on the key gives the reference's verdict on the (cell, entry) items,
+    and on a fault the same rule, message and cell."""
     shapes = every_representation(4)
     assert ShiftedSkewShape((2, 1), (2,)) in shapes and ShiftedSkewShape((2,), (2,)) in shapes
     faults = Counter()
@@ -716,7 +717,8 @@ def test_validator_matches_rule_by_rule():
         for shape in shapes:
             for filling in product(entries, repeat=shape.size):
                 items = tuple(zip(shape.sorted_cells, filling))
-                got = validation_outcome(_validate_filling, shape, items, n)
+                key = tuple(e.order_key for e in filling)
+                got = validation_outcome(_validate_filling, shape, key, n)
                 assert got == validation_outcome(reference_validate_filling, shape, items, n), \
                     (shape, items, n)
                 faults[got and got[1]] += 1
@@ -728,61 +730,31 @@ def test_validator_matches_rule_by_rule():
 
 
 def test_validator_matches_rule_by_rule_on_bad_cells():
-    """Cells filled twice, missing or off the shape, alone and together,
-    on every representation of at most 3 cells."""
+    """Maps on cells missing from or off the shape, alone and together, on
+    every representation of at most 3 cells: from_map raises the
+    reference's coverage error.  A key one entry too short or too long
+    is a coverage error of the validator."""
     staircase = ShiftedSkewShape((4, 3, 2, 1)).sorted_cells
     entries = [Entry(1), Entry(2, True), Entry(2)]
     checked = 0
     for shape in every_representation(3):
         cells = list(shape.sorted_cells)
-        variants = [cells + [c] for c in cells]                       # repeated
-        variants += [cells[:x] + cells[x + 1:] for x in range(len(cells))]   # missing
+        variants = [cells[:x] + cells[x + 1:] for x in range(len(cells))]   # missing
         variants += [cells + [c] for c in staircase if c not in cells]       # extra
         variants += [cells[1:] + [c] for c in staircase if c not in cells]   # both
         for variant in variants:
             for filling in product(entries, repeat=len(variant)):
                 items = tuple(sorted(zip(variant, filling)))
-                got = validation_outcome(_validate_filling, shape, items, 2)
+                got = validation_outcome(ShiftedTableau.from_map, dict(items), 2, shape)
                 assert got == validation_outcome(reference_validate_filling, shape, items, 2), \
                     (shape, items)
                 assert got is not None and got[1] == "coverage"
                 checked += 1
+        for size in (len(cells) - 1, len(cells) + 1):
+            if size >= 0:
+                got = validation_outcome(_validate_filling, shape, (2,) * size, 2)
+                assert got is not None and got[1] == "coverage", (shape, size)
     assert checked > 10000
-
-
-def construction_outcome(shape, items, n):
-    try:
-        t = ShiftedTableau(shape, items, n)
-    except InvalidTableauError as exc:
-        return type(exc), exc.rule, str(exc), exc.cell
-    return t.entries
-
-
-def test_constructor_sorts_only_what_is_unsorted():
-    """The constructor skips its sort when the entries come in
-    sorted-cell order, as family members and act_on_band results do.
-    Given in that order, reversed, or with cells filled twice, missing
-    or off the shape, on every representation of at most 3 cells, it
-    raises the reference's error on the sorted items, or keeps them
-    sorted."""
-    staircase = ShiftedSkewShape((4, 3, 2, 1)).sorted_cells
-    entries = [Entry(1), Entry(2, True), Entry(2)]
-    checked = 0
-    for shape in every_representation(3):
-        cells = list(shape.sorted_cells)
-        # every filling of the shape's cells, and two letters on bad cells
-        variants = [(cells, entries), (cells + cells[-1:], entries[::2]),
-                    (cells[1:], entries[::2])]
-        variants += [(cells + [c], entries[::2]) for c in staircase[:3] if c not in cells]
-        for variant, letters in variants:
-            for filling in product(letters, repeat=len(variant)):
-                items = tuple(zip(variant, filling))
-                ordered = tuple(sorted(items))
-                want = validation_outcome(reference_validate_filling, shape, ordered, 2)
-                for given in (items, items[::-1]):
-                    assert construction_outcome(shape, given, 2) == (want or ordered), given
-                    checked += 1
-    assert checked > 5000
 
 
 def test_render_matches_cell_by_cell():

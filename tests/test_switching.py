@@ -136,6 +136,20 @@ def test_overlapping_fillings_rejected():
         switch_pair(a, b)
 
 
+class TestExtends:
+    def test_t_inside_s_rejected(self):
+        """T on (1,1) lies inside S on (1,2): mu ∪ S is (2)/(1), not
+        straight."""
+        s, t = parse_tableau(". 1", 2), parse_tableau("1", 2)
+        with pytest.raises(SwitchingError, match="^T does not extend S$"):
+            full_switch(s, t)
+
+    def test_t_outside_s_switches(self):
+        s, t = parse_tableau("1", 2), parse_tableau(". 1", 2)
+        new_t, new_s, trace = full_switch(s, t)
+        assert (rt(new_t), rt(new_s), [step.rule for step in trace]) == ("1", ". 1", ["S1"])
+
+
 class TestPerforatedValidation:
     def test_overlap_rejected(self):
         a = PerforatedFilling.from_map("a", {(1, 1): False})
