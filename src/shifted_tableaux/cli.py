@@ -40,21 +40,6 @@ def _read_tableau(path: str, n: int | None) -> ShiftedTableau:
     return parse_tableau(text, n)
 
 
-def _render_cells(entries: dict) -> list[str]:
-    """Render a raw cell map row by row; intermediate switching states are
-    not valid tableaux, so this bypasses validation."""
-    if not entries:
-        return ["(empty)"]
-    lines = []
-    for r in range(min(r for r, _ in entries), max(r for r, _ in entries) + 1):
-        cols = [c for rr, c in entries if rr == r]
-        if not cols:
-            continue
-        lines.append(" ".join(str(entries.get((r, c), "."))
-                              for c in range(r, max(cols) + 1)))
-    return lines
-
-
 def _parse_shape(outer: str, inner: str | None) -> ShiftedSkewShape:
     out = tuple(int(p) for p in outer.split(",") if p)
     inn = tuple(int(p) for p in inner.split(",") if p) if inner else ()
@@ -64,9 +49,11 @@ def _parse_shape(outer: str, inner: str | None) -> ShiftedSkewShape:
 
 
 def _max_cells(value: int, skew_search: bool = False) -> int:
-    """--max-cells, bounded by MAX_CELLS as the shapes are, and by
-    MAX_SKEW_CELLS for a skew search, which lists every skew shape within
-    the budget before it enumerates a family."""
+    """--max-cells, at least 0, bounded by MAX_CELLS as the shapes are,
+    and by MAX_SKEW_CELLS for a skew search, which lists every skew shape
+    within the budget before it enumerates a family."""
+    if value < 0:
+        raise ValueError(f"--max-cells {value} is negative")
     if skew_search and value > MAX_SKEW_CELLS:
         raise CapacityError(f"--max-cells {value} is more than {MAX_SKEW_CELLS} "
                             "for a skew search")
@@ -143,11 +130,14 @@ def cmd_apply(args: argparse.Namespace) -> int:
             nxt, steps = bk_trace(cur, sym.i)
             rules = [s.rule for s in steps]
             trace_lines.append(f"{sym}: rules {', '.join(rules) or '(none)'}")
+            # a switch trades cells between the two bands, so every
+            # snapshot fills cur's cells; it need not be a valid tableau
             for s in steps:
                 snapshot = dict(s.moving) | dict(s.fixed)
+                text = cur.shape.text_template % tuple(
+                    [snapshot[c].text for c in cur.shape.sorted_cells])
                 trace_lines.append(f"  after {s.rule}:")
-                trace_lines.extend("    " + ln
-                                   for ln in _render_cells(snapshot))
+                trace_lines.extend("    " + ln for ln in text.splitlines())
         else:
             nxt = engine.apply_symbol(cur, sym)
             if args.trace:

@@ -86,7 +86,10 @@ def check_cells(shape: "ShiftedSkewShape") -> None:
 
 
 def check_letters(n: int) -> None:
-    """Raise CapacityError when the alphabet bound n exceeds MAX_LETTERS."""
+    """Raise TableauError when the alphabet bound n is negative, and
+    CapacityError when it exceeds MAX_LETTERS."""
+    if n < 0:
+        raise TableauError("alphabet bound must be >= 0")
     if n > MAX_LETTERS:
         raise CapacityError(f"alphabet bound n={n} is more than {MAX_LETTERS}")
 

@@ -34,13 +34,14 @@ jdt.reversal_map itself, given the memo, so that jdt runs one standard
 reversal per standardization; switching evacuation is never
 standardized: it runs on semistandard bands.
 
-On the whole alphabet, eta:1,n destandardizes nothing: the family keeps
-an index of its members by standardization and weight, and a member's
-image is the member whose standardization is jdt's standard reversal of
-the member's and whose weight is the member's reversed.  The
-evacuation-routes line of evac-agreement is the schema evac_n = eta:1,n
-once more (on a straight shape the reversal is rectification after the
-complement), and reads two tables the evac_n = eta_1n line has filled.
+On the whole alphabet, eta:1,n destandardizes nothing: its fill indexes
+the members by standardization and weight, and a member's image is the
+member whose standardization is jdt's standard reversal of the member's
+and whose weight is the member's reversed; the index is dropped with the
+fill.  The evacuation-routes line of evac-agreement is the schema
+evac_n = eta:1,n once more (on a straight shape the reversal is
+rectification after the complement), and reads two tables the
+evac_n = eta_1n line has filled.
 The skew Knuth-equivalence witness of non-relations (_knuth_witness)
 compares rectifications computed on keys (_rectifications), whose slide
 records components_by_dual_equivalence groups by.  _check and
@@ -51,7 +52,10 @@ verdicts of the families.
 A family is its members' keys, and every check reads tables filled on
 keys, so a verification whose checks all hold builds no tableau.  A
 failing check builds, through family.member, only the member its
-counterexample prints, and then the two sides from it.
+counterexample prints, and then the two sides from it.  A family holds
+its keys, its tables and the two views every fill reads (positions and
+layouts), no more; the cactus presets and search enumerate each family
+only when the check reaches it, so no family outlives its check there.
 """
 
 from __future__ import annotations
@@ -369,12 +373,25 @@ def _standard_images(family: TableauFamily, cells: tuple[Cell, ...], memo: _Memo
                      ) -> Iterator[int | None]:
     """_images of jdt.reversal_map on whole members: the image of a
     member of weight wt is the member whose standardization is jdt's
-    standard reversal of the member's, and whose weight is wt reversed,
-    found in the family's standard_index; nothing is destandardized.  A
-    result that no member has runs band_keys on its member, as the whole
+    standard reversal of the member's, and whose weight is wt reversed;
+    nothing is destandardized.  The members are first indexed by
+    (values of jdt.standardize_map in sorted-cell order, weight), each
+    to its position's own int, in member order; two members with one
+    index key are an error, as jdt's destandardization would be
+    ambiguous there.  The index lives as long as the iterator.  A result
+    that no member has runs band_keys on its member, as the whole
     alphabet does for other cores, so its error or its None is the one
     the member gets there."""
-    index, positions = _standard_index(family, cells), family.positions
+    n, positions = family.n, family.positions
+    index: dict[tuple, int] = {}
+    for key, x in positions.items():
+        std = jdt.standardize_map(zip(cells, map(entry_of_key.__getitem__, key)))
+        wt = [0] * n
+        for k in key:
+            wt[(k - 1) >> 1] += 1
+        if index.setdefault((tuple(map(std.get, cells)), tuple(wt)), x) != x:
+            raise RuntimeError(f"two members of ShST({family.shape}, {n}) share a "
+                               "standardization and a weight")
     ranks = range(1, len(cells) + 1)
     by_value = [None] * len(cells)
     for key, (values, wt) in zip(family.keys, index):
@@ -385,26 +402,7 @@ def _standard_images(family: TableauFamily, cells: tuple[Cell, ...], memo: _Memo
         image = jdt.standard_result(jdt._reverse_standard, std, memo)
         y = index.get((tuple(map(image.get, cells)), wt[::-1]))
         yield y if y is not None else \
-            positions.get(band_keys(cells, key, 1, family.n, jdt.reversal_map, memo))
-
-
-def _standard_index(family: TableauFamily, cells: tuple[Cell, ...]) -> dict[tuple, int]:
-    """family.standard_index, built the first time it is asked for: each
-    member's (values of jdt.standardize_map in sorted-cell order, weight)
-    -> its position, in member order.  Two members with one key are an
-    error: jdt's destandardization would be ambiguous there."""
-    index, n = family.standard_index, family.n
-    if index:
-        return index
-    for x, key in enumerate(family.keys):
-        std = jdt.standardize_map(zip(cells, map(entry_of_key.__getitem__, key)))
-        wt = [0] * n
-        for k in key:
-            wt[(k - 1) >> 1] += 1
-        if index.setdefault((tuple(map(std.get, cells)), tuple(wt)), x) != x:
-            raise RuntimeError(f"two members of ShST({family.shape}, {n}) share a "
-                               "standardization and a weight")
-    return index
+            positions.get(band_keys(cells, key, 1, n, jdt.reversal_map, memo))
 
 
 def _compose(family: TableauFamily, syms: Iterable[GeneratorSymbol], memo: _Memo
@@ -842,15 +840,24 @@ SKEW_MAX_CELLS = 5
 SEARCH_MAX_CELLS = 9
 
 
+def _straight_shapes() -> list[ShiftedSkewShape]:
+    """The straight preset shapes: parts at most STRAIGHT_MAX_PART."""
+    return straight_shapes(STRAIGHT_MAX_PART * (STRAIGHT_MAX_PART + 1) // 2, STRAIGHT_MAX_PART)
+
+
+def _skew_shapes(max_cells: int = SKEW_MAX_CELLS, include_straight: bool = False
+                 ) -> list[ShiftedSkewShape]:
+    """The skew preset shapes: outer parts at most STRAIGHT_MAX_PART."""
+    return skew_shapes(max_cells, STRAIGHT_MAX_PART, include_straight)
+
+
 def straight_families(n: int) -> list[TableauFamily]:
-    cells = STRAIGHT_MAX_PART * (STRAIGHT_MAX_PART + 1) // 2
-    return [enumerate_tableaux(s, n) for s in straight_shapes(cells, STRAIGHT_MAX_PART)]
+    return [enumerate_tableaux(s, n) for s in _straight_shapes()]
 
 
 def skew_families(n: int, max_cells: int = SKEW_MAX_CELLS,
                   include_straight: bool = False) -> list[TableauFamily]:
-    return [enumerate_tableaux(s, n)
-            for s in skew_shapes(max_cells, STRAIGHT_MAX_PART, include_straight)]
+    return [enumerate_tableaux(s, n) for s in _skew_shapes(max_cells, include_straight)]
 
 
 def _knuth_witness(family: TableauFamily, memo: _Memo) -> Verdict:
@@ -912,9 +919,11 @@ def _preset_sbk_core(n: int) -> list[PresetResult]:
 
 
 def _preset_cactus(route: str, n: int) -> list[PresetResult]:
-    families = (straight_families(n) if route in ("q", "evac")
-                else skew_families(n, include_straight=True))
-    verdict = verify_cactus_action(route, families)
+    """Each family is checked once, so it is enumerated only when the
+    check reaches it and dropped after it."""
+    shapes = (_straight_shapes() if route in ("q", "evac")
+              else _skew_shapes(include_straight=True))
+    verdict = verify_cactus_action(route, (enumerate_tableaux(s, n) for s in shapes))
     return [PresetResult(f"cactus relations via {route}", verdict.holds, verdict)]
 
 

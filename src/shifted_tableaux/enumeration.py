@@ -42,21 +42,18 @@ class TableauFamily:
     of the member positions; tables maps a generator to that permutation
     as a tuple of positions, computed whole by the engine the first time
     the generator is used, and composed with other tables by itemgetter
-    gathers.  standard_index is the engine's index of the members by
-    standardization and weight, built beside the tables the first time a
-    whole-alphabet jeu de taquin table needs it.  layouts holds each
-    member's key as a string over the global cell numbering, encoded the
-    first time a table on a partial letter band needs it; the engine cuts
-    each band out of it by str.translate.  All three live and die with
-    the family."""
+    gathers.  positions and layouts are the two views every table fill
+    reads: layouts holds each member's key as a string over the global
+    cell numbering, encoded the first time a table on a partial letter
+    band needs it; the engine cuts each band out of it by str.translate.
+    The tables and both views live and die with the family; any other
+    index a fill needs is its own, dropped with it."""
 
     shape: ShiftedSkewShape
     n: int
     keys: tuple[tuple[int, ...], ...]
     tables: dict[Any, tuple[int, ...]] = field(default_factory=dict, init=False,
                                                repr=False, compare=False)
-    standard_index: dict[tuple, int] = field(default_factory=dict, init=False,
-                                             repr=False, compare=False)
 
     @cached_property
     def positions(self) -> dict[tuple[int, ...], int]:
@@ -131,9 +128,8 @@ def _search(shape: ShiftedSkewShape, n: int, found: list[tuple[int, ...]] | None
     """Backtrack over the members of ShST(shape, n) in reading-word
     lexicographic order, append each one's key to found unless found is
     None, and return their number; CapacityError when a member comes
-    past MAX_MEMBERS, or at once when n exceeds MAX_LETTERS."""
-    if n < 0:
-        raise ValueError("alphabet bound must be >= 0")
+    past MAX_MEMBERS; check_letters' error at once when n is negative or
+    exceeds MAX_LETTERS."""
     check_letters(n)
     cells = reading_cells(shape)
     at = {cell: i for i, cell in enumerate(cells)}

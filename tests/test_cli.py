@@ -136,6 +136,21 @@ q2:
 3
 """, "")
 
+    def test_trace_keeps_empty_rows(self, capsys):
+        """Each step is drawn on the input's shape: row 2 holds only inner
+        cells, and row 3's cell stays in row 3."""
+        assert run(capsys, "apply", "--trace", "--op", "t1",
+                   "--in", ". . . 1 2 / . . / 1", "--n", "2") == (0, """\
+t1: rules S1
+  after S1:
+    . . . 2 1
+    . .
+    1
+. . . 1 2
+. .
+2
+""", "")
+
     def test_bad_word(self, capsys):
         code, _, err = run(capsys, "apply", "--op", "zap",
                            "--in", "1 2", "--n", "2")
@@ -394,6 +409,37 @@ class TestErrors:
         assert run(capsys, "enum", "--outer", "2", "--n", "-1") == \
             (2, "", "error: alphabet bound must be >= 0\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("apply", "--op", "e", "--in", "", "--n", "-1"),
+        ("rectify", "--in", '{"outer":[],"rows":[],"n":-7}'),
+    ], ids=["apply", "json"])
+    def test_negative_tableau_alphabet_is_one_line(self, capsys, argv):
+        """The tableau constructor refuses a negative n as the enumerator
+        does, also on the empty shape, where no entry exceeds it."""
+        assert run(capsys, *argv) == (2, "", "error: alphabet bound must be >= 0\n")
+
+    @pytest.mark.parametrize("command", [("search",), ("verify", "--skew")],
+                             ids=["search", "verify"])
+    def test_negative_max_cells_is_one_line(self, capsys, command):
+        assert run(capsys, *command, "--schema", "t1 = t1", "--n", "3", "--max-cells", "-5") \
+            == (2, "", "error: --max-cells -5 is negative\n")
+
+    def test_zero_max_cells_is_an_empty_search(self, capsys):
+        assert run(capsys, "search", "--schema", "t1 = t1", "--n", "3", "--max-cells", "0") \
+            == (1, "exhausted: no counterexample within budget (0 instances)\n", "")
+
+    @pytest.mark.parametrize("argv", [
+        ("apply", "--op", "evac2", "--in", ". 1 / 2", "--n", "2"),
+        ("verify", "--schema", "evac2 = e", "--n", "2", "--outer", "2,1", "--inner", "1"),
+    ], ids=["apply", "verify"])
+    def test_straight_evac_on_skew_shape_is_one_line(self, capsys, argv):
+        assert run(capsys, *argv) == \
+            (2, "", "error: evac_k_switch requires a straight shape; use evac_k_skew\n")
+
+    def test_inner_dots_after_an_entry_is_one_line(self, capsys):
+        assert run(capsys, "apply", "--op", "e", "--in", "1 . 2") == \
+            (2, "", "error: row 1: inner dots must be a prefix: '1 . 2'\n")
+
     def test_invalid_tableau(self, capsys):
         code, _, err = run(capsys, "apply", "--op", "t1", "--in", "2 1",
                            "--n", "2")
@@ -433,6 +479,11 @@ class TestErrors:
         ("t1^ = e", "power without an exponent"),
         ("(t1 t2)^ = e", "power without an exponent"),
         ("t1^^2 = e", "power without an exponent"),
+        ("^2 t1 = e", "power without a base"),
+        ("t1,2 = e", "generator 't1,2' does not take two indices"),
+        ("t1 t2", "schema 't1 t2' has no '='"),
+        ("t1 = e : " + "-" * 60 + "i > 0",
+         "nesting too deep in schema expression '" + "-" * 60 + "i > 0'"),
     ])
     def test_malformed_schema_is_one_line(self, capsys, schema, message):
         code, out, err = run(capsys, "verify", "--schema", schema, "--n", "3")

@@ -270,3 +270,23 @@ class TestIO:
         t = ShiftedTableau.from_map({(1, 1): Entry(1, False),
                                      (1, 2): Entry(2, False)}, 2)
         assert rt(t) == "1 2"
+
+    @pytest.mark.parametrize("doc", ["[1, 2]", '"1 2"', "3", "null"])
+    def test_json_tableau_must_be_an_object(self, doc):
+        with pytest.raises(TableauError, match="^a JSON tableau must be an object$"):
+            from_json(doc)
+
+
+class TestBounds:
+    @pytest.mark.parametrize("n", [-1, -7])
+    def test_negative_alphabet_is_a_tableau_error(self, n):
+        with pytest.raises(TableauError, match="^alphabet bound must be >= 0$"):
+            core.check_letters(n)
+        with pytest.raises(TableauError, match="^alphabet bound must be >= 0$"):
+            ShiftedTableau(ShiftedSkewShape(), (), n)
+
+    def test_band_operator_on_other_cells_is_an_error(self):
+        t = parse_tableau("1 2 / 3", 3)
+        with pytest.raises(RuntimeError, match=r"^operator on the letters 1\.\.2 changed "
+                           "their cells$"):
+            core.act_on_band(t, 1, 2, lambda entries, n: {(5, 5): Entry(1)})

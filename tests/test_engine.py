@@ -1,11 +1,14 @@
 """Word parsing, relation schemas, verification, searches, orbits, presets."""
 
+import gc
 import itertools
 import sys
+import weakref
 
 import pytest
 
 from shifted_tableaux import bender_knuth, engine, jdt, switching
+from shifted_tableaux.cli import main
 from shifted_tableaux.core import (CapacityError, Entry, InvalidTableauError, ShiftedSkewShape,
                                    parse_tableau, render_text)
 from shifted_tableaux.enumeration import TableauFamily, enumerate_tableaux, skew_shapes
@@ -129,6 +132,18 @@ class TestSchemas:
         subs = [dict(x) for x, _, _ in s.instantiations(4)]
         assert {"i": 1, "j": 3} in subs
         assert {"i": 1, "j": 2} not in subs
+
+    def test_negative_brace_expression_skips_its_assignment(self):
+        """t{i-2} at n=3 is t-1 at i=1, skipped as negative, not parsed;
+        t0 at i=2, out of range; and t1 at i=3, where it fails."""
+        schema = RelationSchema.parse("t{i-2} = e")
+        assert [subs for subs, _, _ in schema.instantiations(3)] == [{"i": 3}]
+        v = verify_relation_over(schema, straight_families(3))
+        assert not v.holds and v.counterexample.substitution == (("i", 3),)
+
+    def test_constraint_with_unary_minus(self):
+        schema = RelationSchema.parse("t{i} t{i} = e : -i < -1")
+        assert [subs for subs, _, _ in schema.instantiations(4)] == [{"i": 2}, {"i": 3}]
 
     def test_verify_holds(self):
         fam = enumerate_tableaux(ShiftedSkewShape((3, 1), ()), 3)
@@ -358,6 +373,18 @@ class TestFamilyTables:
         assert want[0] is (InvalidTableauError if "destandardization" in want[1]
                            else RuntimeError)
         assert error_of(lambda: word_permutation(fam, word)) == want
+
+    def test_shared_standardization_and_weight_is_integrity_error(self, monkeypatch):
+        """The whole-alphabet eta fill indexes the members by
+        standardization and weight; a standardization that ranks the
+        cells the same way for every member makes two members of one
+        weight collide."""
+        fam = enumerate_tableaux(ShiftedSkewShape((3, 1)), 3)
+        monkeypatch.setattr(jdt, "standardize_map",
+                            lambda items: {c: v for v, (c, _) in enumerate(items, start=1)})
+        with pytest.raises(RuntimeError, match=r"^two members of ShST\(\[3, 1\], 3\) share a "
+                           "standardization and a weight$"):
+            word_permutation(fam, parse_word("eta:1,3"))
 
     def test_band_reversal_runs_once_per_standardization(self, monkeypatch):
         """eta shares band reversals across weights: in one cactus check
@@ -628,6 +655,48 @@ class TestFamilyTables:
         for family in families:
             word_permutation(family, parse_word("eta:1,2"))
         assert calls["destandardize"] > 0
+
+
+class TestLifetimes:
+    @pytest.mark.parametrize("preset", engine.PRESETS)
+    def test_families_hold_only_keys_tables_and_views(self, monkeypatch, preset):
+        """After a preset, each family it enumerated holds its keys, its
+        tables and the two views the fills read, and no index."""
+        enumerate_real, families = engine.enumerate_tableaux, []
+
+        def kept(shape, n):
+            families.append(enumerate_real(shape, n))
+            return families[-1]
+
+        monkeypatch.setattr(engine, "enumerate_tableaux", kept)
+        run_preset(preset, 3)
+        assert families
+        allowed = {"shape", "n", "keys", "tables", "positions", "layouts"}
+        for family in families:
+            assert set(vars(family)) <= allowed, (family.shape, set(vars(family)) - allowed)
+
+    @pytest.mark.parametrize("preset", ["cactus-q", "cactus-eta"])
+    def test_cactus_presets_hold_at_most_two_families(self, monkeypatch, preset):
+        """verify --preset cactus-q and cactus-eta check each family once,
+        so no more than two are alive at once: the one being checked and
+        the next one being enumerated.  The collector is off, so only
+        what holds a family keeps it."""
+        enumerate_real, refs, alive = engine.enumerate_tableaux, [], []
+
+        def watched(shape, n):
+            family = enumerate_real(shape, n)
+            refs.append(weakref.ref(family))
+            alive.append(sum(ref() is not None for ref in refs))
+            return family
+
+        monkeypatch.setattr(engine, "enumerate_tableaux", watched)
+        gc.disable()
+        try:
+            assert main(["verify", "--preset", preset, "--n", "3"]) == 0
+        finally:
+            gc.enable()
+        assert len(refs) > 2 and max(alive) == 2
+        assert all(ref() is None for ref in refs)
 
 
 class TestSearch:

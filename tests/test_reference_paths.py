@@ -638,14 +638,17 @@ def test_whole_member_tables_match_member_loop(n):
     up by standardization and weight: it equals reversal_map run member
     by member, and, on the straight families, where the routes line of
     evac-agreement reads it and the reversal is the evacuation, rectify
-    after the complement; each family's index has exactly one entry per
-    member."""
+    after the complement; no two members share a standardization and a
+    weight, so the lookup is well defined."""
     straight = straight_families(n)
     eta_1n = (engine.GeneratorSymbol("eta", 1, n),)
     for family in skew_families(n, include_straight=True) + straight:
         assert list(engine.word_permutation(family, eta_1n)) == \
             member_loop(family, reversal_map), family.shape
-        assert list(family.standard_index.values()) == list(range(len(family))), family.shape
+        cells = sorted(family.shape.cells)
+        labels = {(tuple(map(standardize_map(t.entries).get, cells)), weight(t))
+                  for t in family}
+        assert len(labels) == len(family), family.shape
     for family in straight:
         assert list(engine.word_permutation(family, eta_1n)) == \
             [family.positions[rectify(complement(t))[0].key] for t in family], family.shape

@@ -1,6 +1,8 @@
 """Tableau switching: local rules, the full process, and the switching-based
 evacuation operators."""
 
+import re
+
 import pytest
 
 from shifted_tableaux.core import (Entry, ShiftedSkewShape, ShiftedTableau,
@@ -163,6 +165,38 @@ class TestPerforatedValidation:
         b = PerforatedFilling.from_map("b", {(1, 2): False})
         with pytest.raises(SwitchingError):
             PerforatedPair(a, b).validate()
+
+    @pytest.mark.parametrize("band", ["a", "b"])
+    @pytest.mark.parametrize("cells, message", [
+        ({(1, 2): False, (2, 3): True}, "{x}'-box (2, 3) south-east of {x}-box (1, 2)"),
+        ({(1, 2): False, (2, 2): False}, "two unprimed {x}-letters in one column"),
+        ({(1, 2): True, (1, 3): True}, "two primed {x}-letters in one row"),
+        ({(1, 1): False, (2, 2): False}, "two {x}-letters on the main diagonal"),
+    ], ids=["primed-south-east", "column", "row", "diagonal"])
+    def test_each_band_rule(self, band, cells, message):
+        """Each band rule on a pair that breaks it alone, in either band;
+        the other band is one cell away from the first."""
+        fillings = {band: PerforatedFilling.from_map(band, cells),
+                    "ab".replace(band, ""): PerforatedFilling.from_map("other", {(4, 7): False})}
+        with pytest.raises(SwitchingError, match=f"^{re.escape(message.format(x=band))}$"):
+            PerforatedPair(fillings["a"], fillings["b"]).validate()
+
+    def test_band_pairs_of_tableaux_are_valid_before_and_after_switching(self):
+        """Every (i, i+1) band pair of every member of the skew shapes of at
+        most 7 cells at n=3, empty bands included, is a valid perforated
+        pair, and so is its switch."""
+        validated = 0
+        for shape in skew_shapes(7, 4, include_straight=True):
+            for t in enumerate_tableaux(shape, 3):
+                for i in (1, 2):
+                    a, b = (PerforatedFilling.from_map(k, {c: e.primed for c, e in t.entries
+                                                           if e.value == k})
+                            for k in (i, i + 1))
+                    new_b, new_a, _ = switch_pair(a, b)
+                    for pair in (PerforatedPair(a, b), PerforatedPair(new_b, new_a)):
+                        pair.validate()
+                        validated += 1
+        assert validated == 7484
 
 
 class TestEvacSwitch:
