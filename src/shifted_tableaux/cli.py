@@ -36,7 +36,10 @@ def _read_tableau(path: str, n: int | None) -> ShiftedTableau:
         text = path  # literal tableau text
 
     if text.lstrip().startswith("{"):
-        return from_json(text)
+        t = from_json(text)
+        if n is not None and n != t.n:
+            raise TableauError(f"--n {n} differs from the JSON tableau's n={t.n}")
+        return t
     return parse_tableau(text, n)
 
 

@@ -1,20 +1,22 @@
 """Exhaustive generation of canonical shifted semistandard tableaux.
 
 Generation backtracks over the cells in reading order (bottom row first,
-each row left to right) on the integer order keys 2*value - primed, so a
-cell's key is bounded below by its west neighbour and above by its south
-neighbour, both already placed.  The multiplicity rules are tracked as the
-search goes, and canonical form is a prefix rule: a primed key is offered
-only for a letter that already occurs in the prefix.  Keys are tried in
-increasing order, so the family comes out in reading-word lexicographic
-order, which keeps golden outputs byte-stable.
+each row left to right) on the integer order keys 2*value - primed, laid
+out as the validator's and read off the shape's neighbour table: a cell's
+key is bounded by its west and south neighbours', both already placed.
+As a repeat is then adjacent, a k' equal to its west neighbour or a k
+equal to its south neighbour breaks a multiplicity rule, and canonical
+form is a prefix rule: a primed key is offered only for a letter that
+already occurs in the prefix.  Keys are tried in increasing order, so
+the family comes out in reading-word lexicographic order, which keeps
+golden outputs byte-stable.
 
 A family is its members' order keys: the search builds no tableau, and
 membership by key rests on it alone.  Every member that leaves the
 library as a tableau is validated: member(x) builds it with the
-tableau constructor, on the family's own key tuple, and members holds
-them all once asked for.  count_tableaux runs the same search and
-keeps no key.
+tableau constructor, on the family's own key tuple, and iteration
+builds one member at a time the same way.  count_tableaux runs the same
+search and keeps no key.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import cached_property
 from typing import Any, Iterator
 
 from .core import (MAX_MEMBERS, CapacityError, Cell, ShiftedSkewShape, ShiftedTableau,
-                   check_letters, reading_cells)
+                   canonical_pair, check_letters)
 
 
 @dataclass(frozen=True)
@@ -35,8 +37,7 @@ class TableauFamily:
     its members' keys: keys[x] is the tuple of member x's order keys
     2*value - primed over the shape's sorted cells.  member(x) builds and
     validates member x as a tableau, and is how the library builds one;
-    members builds them all, the first time it is asked for, and
-    iteration walks them, for callers that want every member at once.
+    iteration builds the members in order by member and keeps none.
 
     Every generator keeps the cell set, so on a family it is a permutation
     of the member positions; tables maps a generator to that permutation
@@ -82,13 +83,8 @@ class TableauFamily:
         """Member x, built and validated as a tableau on its key."""
         return ShiftedTableau(self.shape, self.keys[x], self.n)
 
-    @cached_property
-    def members(self) -> tuple[ShiftedTableau, ...]:
-        """Every member, built by member."""
-        return tuple(map(self.member, range(len(self.keys))))
-
     def __iter__(self) -> Iterator[ShiftedTableau]:
-        return iter(self.members)
+        return map(self.member, range(len(self.keys)))
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -131,50 +127,39 @@ def _search(shape: ShiftedSkewShape, n: int, found: list[tuple[int, ...]] | None
     past MAX_MEMBERS; check_letters' error at once when n is negative or
     exceeds MAX_LETTERS."""
     check_letters(n)
-    cells = reading_cells(shape)
-    at = {cell: i for i, cell in enumerate(cells)}
-    # member keys list the sorted cells, by the reading position of each
-    reading = [at[cell] for cell in shape.sorted_cells]
-    # per cell: row, column, and the positions of its west and south
-    # neighbours in reading order (-1 when outside the shape)
-    plan = [(r, c, at.get((r, c - 1), -1), at.get((r + 1, c), -1))
-            for r, c in cells]
-    keys = [0] * len(cells)
-    seen = [0] * (n + 1)                       # occurrences of each letter so far
-    primed_rows: set[tuple[int, int]] = set()  # (row, value) with a primed entry
-    used_cols: set[tuple[int, int]] = set()    # (col, value) with an unprimed entry
-    count = 0                                  # members found so far
+    m = shape.size
+    nbrs = shape.neighbours
+    # the sorted positions in reading order, each with the positions of
+    # its south and west neighbours, both placed before it
+    plan = [(i, nbrs[i][1], nbrs[i][2])
+            for s in reversed(shape.row_slices) for i in range(s.start, s.stop)]
+    top = 2 * n
+    keys = [0] * m + [top + 1, 0]  # keys[-2] off the south edge, keys[-1] off the west
+    seen = [0] * (n + 1)           # occurrences of each letter so far
+    count = 0                      # members found so far
 
-    def place(i: int) -> None:
+    def place(d: int) -> None:
         nonlocal count
-        if i == len(cells):
+        if d == m:
             if count == MAX_MEMBERS:
                 raise CapacityError(f"ShST({shape}, {n}) has more than {MAX_MEMBERS:,} members")
             count += 1
             if found is not None:
-                found.append(tuple(map(keys.__getitem__, reading)))
+                found.append(tuple(keys[:m]))
             return
-        r, c, west, south = plan[i]
-        low = keys[west] if west >= 0 else 1
-        high = keys[south] if south >= 0 else 2 * n
-        for k in range(low, high + 1):
+        i, south, west = plan[d]
+        low, high = keys[west], keys[south]
+        for k in range(low or 1, min(high, top) + 1):
             v = (k + 1) >> 1
             if k & 1:
-                if not seen[v] or (r, v) in primed_rows:
+                if k == low or not seen[v]:
                     continue
-                primed_rows.add((r, v))
-            else:
-                if (c, v) in used_cols:
-                    continue
-                used_cols.add((c, v))
+            elif k == high:
+                continue
             seen[v] += 1
             keys[i] = k
-            place(i + 1)
+            place(d + 1)
             seen[v] -= 1
-            if k & 1:
-                primed_rows.discard((r, v))
-            else:
-                used_cols.discard((c, v))
 
     place(0)
     return count
@@ -211,19 +196,19 @@ def skew_shapes(max_cells: int, max_part: int | None = None,
             extend(prefix + (p,), p - 1)
 
     extend((), cap)
-    seen: set[frozenset[Cell]] = set()
+    # canonical_pair names a cell set, so the first pair of each is kept
+    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     out: list[ShiftedSkewShape] = []
     for outer in outers:
         for inner in _subpartitions(outer):
             if not include_straight and not inner:
                 continue
-            shape = ShiftedSkewShape(outer, inner)
-            if not 0 < shape.size <= max_cells:
+            if not 0 < sum(outer) - sum(inner) <= max_cells:
                 continue
-            if shape.cells in seen:
-                continue
-            seen.add(shape.cells)
-            out.append(shape)
+            pair = canonical_pair(outer, inner)
+            if pair not in seen:
+                seen.add(pair)
+                out.append(ShiftedSkewShape(outer, inner))
     out.sort(key=lambda s: (s.size, s.outer, s.inner))
     return out
 

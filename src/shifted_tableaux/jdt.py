@@ -265,6 +265,9 @@ def complement(t: ShiftedTableau, n: int | None = None,
         n = t.n
     if t.size == 0:
         return ShiftedTableau(ShiftedSkewShape(), (), n)
+    top = (max(t.key) + 1) >> 1
+    if top > n:
+        raise TableauError(f"complement with n={n} needs n >= the largest entry {top}")
     if width is None:
         width = t.shape.outer[0]
     elif width < t.shape.outer[0]:
@@ -309,6 +312,8 @@ def eta(t: ShiftedTableau, i: int | None = None, j: int | None = None) -> Shifte
     back; eta() with no interval is the full involution."""
     if i is None and j is None:
         i, j = 1, t.n
+    elif i is None or j is None:
+        raise TableauError("eta takes both ends of the interval or neither")
     if not (1 <= i <= j <= t.n):
         raise TableauError(f"invalid interval [{i},{j}] for n={t.n}")
     return act_on_band(t, i, j, reversal_map)

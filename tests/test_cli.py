@@ -603,6 +603,38 @@ class TestErrors:
         assert run(capsys, "apply", "--op", "t1", "--in", doc) == \
             (2, "", f"error: {message}\n")
 
+    JSON_N2 = '{"outer": [2], "rows": [["1", "1"]], "n": 2}'
+
+    @pytest.mark.parametrize("argv, equal_err", [
+        (("apply", "--op", "t4", "--in", JSON_N2), "error: generator t4 out of range for n=2\n"),
+        (("--format", "json", "apply", "--op", "e", "--in", JSON_N2), ""),
+        (("rectify", "--in", JSON_N2), ""),
+        (("orbit", "--gens", "t1", "--in", JSON_N2), ""),
+        (("switch", "--s", JSON_N2, "--t", ". . 1"), ""),
+        (("switch", "--s", "1 1", "--t",
+          '{"outer": [3], "inner": [2], "rows": [["1"]], "n": 2}'), ""),
+    ], ids=["apply", "apply-json", "rectify", "orbit", "switch-s", "switch-t"])
+    def test_n_differing_from_a_json_tableau_is_one_line(self, capsys, argv, equal_err):
+        """A JSON tableau carries its n, so a --n other than it is refused,
+        not silently overridden; an equal --n is accepted."""
+        assert run(capsys, *argv, "--n", "5") == \
+            (2, "", "error: --n 5 differs from the JSON tableau's n=2\n")
+        code, _, err = run(capsys, *argv, "--n", "2")
+        assert (code, err) == (2 if equal_err else 0, equal_err)
+
+    @pytest.mark.parametrize("argv", [
+        ("enum", "--outer", "3,2", "--inner", "0,1", "--n", "2", "--count-only"),
+        ("verify", "--schema", "t1 = t1", "--n", "2", "--outer", "3,2", "--inner", "0,1"),
+        ("rectify", "--in",
+         '{"outer": [3, 2], "inner": [0, 1], "rows": [["1", "1"], ["2", "2"]], "n": 2}'),
+        ("rectify", "--in", "1 1 2 / . 3"),
+    ], ids=["enum", "verify", "json", "text"])
+    def test_interior_zero_inner_part_is_one_line(self, capsys, argv):
+        """An inner shape with an empty row above a nonempty one is not a
+        strict partition: it is refused, not read as another shape."""
+        assert run(capsys, *argv) == \
+            (2, "", "error: inner shape not strictly decreasing: (0, 1)\n")
+
     @pytest.mark.parametrize("argv, message", [
         (("enum", "--outer", "9999999", "--n", "2", "--count-only"),
          "shape has 9999999 cells, more than {max}"),

@@ -121,11 +121,19 @@ class TestShapes:
          "inner shape not strictly decreasing: (1, 1)"),
         (lambda: ShiftedSkewShape((3, 2), (1, -1)),
          "inner shape must have positive parts: (1, -1)"),
+        (lambda: ShiftedSkewShape((3, 2), (0, 1)),
+         "inner shape not strictly decreasing: (0, 1)"),
+        (lambda: ShiftedSkewShape((4, 2, 1), (2, 0, 1)),
+         "inner shape not strictly decreasing: (2, 0, 1)"),
     ])
     def test_strict_parts_messages(self, build, message):
         with pytest.raises(TableauError) as info:
             build()
         assert str(info.value) == message
+
+    def test_trailing_zero_inner_parts_are_dropped(self):
+        assert ShiftedSkewShape((3, 2), (1, 0)) == ShiftedSkewShape((3, 2), (1,))
+        assert ShiftedSkewShape((3, 2), (0, 0)).inner == ()
 
     def test_staircase_complement(self):
         assert StrictPartition((3,)).complement(3).parts == (2, 1)

@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from shifted_tableaux import bender_knuth, engine, jdt, switching
+from shifted_tableaux import bender_knuth, cli, engine, jdt, switching
 from shifted_tableaux.cli import main
 from shifted_tableaux.core import (CapacityError, Entry, InvalidTableauError, ShiftedSkewShape,
                                    parse_tableau, render_text)
@@ -275,7 +275,7 @@ class TestFamilyTables:
             perm = word_permutation(fam, (sym,))
             assert fam.tables[sym] == perm, sym
             for x, t in enumerate(fam):
-                assert fam.members[perm[x]] == apply_symbol(t, sym), sym
+                assert fam.member(perm[x]) == apply_symbol(t, sym), sym
             assert sorted(perm) == list(range(len(fam))), sym
             if sym.kind != "p":
                 assert all(perm[perm[x]] == x for x in range(len(fam))), sym
@@ -293,7 +293,7 @@ class TestFamilyTables:
             composed = [fam.tables[sym][x] for x in composed]
         assert list(perm) == composed
         for x, t in enumerate(fam):
-            assert fam.members[perm[x]] == eval_word(word, t)
+            assert fam.member(perm[x]) == eval_word(word, t)
 
     def test_tables_are_whole_after_a_check(self):
         """One verify_relation_over call leaves every table it used a
@@ -478,7 +478,7 @@ class TestFamilyTables:
         assert [id(t) for t in built] == [id(ce.tableau), id(ce.left_result),
                                           id(ce.right_result)]
         monkeypatch.undo()
-        assert ce.tableau == family.members[0]
+        assert ce.tableau == family.member(0)
         assert (rt(ce.left_result), rt(ce.right_result)) == ("1 2' 2 / 2", "1 1 1 / 3")
 
     def test_t_band_runs_once_per_band(self, monkeypatch):
@@ -674,6 +674,24 @@ class TestLifetimes:
         allowed = {"shape", "n", "keys", "tables", "positions", "layouts"}
         for family in families:
             assert set(vars(family)) <= allowed, (family.shape, set(vars(family)) - allowed)
+
+    def test_iteration_and_enum_add_nothing_to_a_family(self, monkeypatch, capsys):
+        """Iterating a family, and enum, build each member on its key and
+        keep none of them: the family holds what it was built with."""
+        family = enumerate_tableaux(ShiftedSkewShape((3, 1), (1,)), 3)
+        built = set(vars(family))
+        assert len(list(family)) == len(family) > 1
+        assert set(vars(family)) == built
+        enumerate_real, families = cli.enumerate_tableaux, []
+
+        def kept(shape, n):
+            families.append(enumerate_real(shape, n))
+            return families[-1]
+
+        monkeypatch.setattr(cli, "enumerate_tableaux", kept)
+        assert main(["enum", "--outer", "3,1", "--inner", "1", "--n", "3"]) == 0
+        assert capsys.readouterr().out.count("\n\n") == len(family) - 1
+        assert [set(vars(f)) for f in families] == [built]
 
     @pytest.mark.parametrize("preset", ["cactus-q", "cactus-eta"])
     def test_cactus_presets_hold_at_most_two_families(self, monkeypatch, preset):

@@ -33,7 +33,7 @@ def test_keys_are_valid_canonical_fillings(n):
     builds from it, over the preset families: membership by key, which
     verification relies on, rests on the enumerator alone."""
     for family in straight_families(n) + skew_families(n, include_straight=True):
-        assert tuple(t.key for t in family.members) == family.keys, family.shape
+        assert tuple(t.key for t in family) == family.keys, family.shape
 
 
 def test_oracle_equivalence_small():
@@ -70,7 +70,7 @@ def test_empty_family_for_overfull_shape():
 def test_empty_shape_has_one_member():
     for n in (0, 3):
         fam = enumerate_tableaux(ShiftedSkewShape(), n)
-        assert len(fam) == 1 and fam.members[0].entries == ()
+        assert len(fam) == 1 and fam.member(0).entries == ()
 
 
 def test_member_is_built_on_the_family_key():

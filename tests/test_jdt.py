@@ -77,6 +77,13 @@ class TestComplement:
         c = complement(t)
         assert c.shape.outer == (3, 2, 1) and c.shape.inner == (2, 1)
 
+    def test_n_below_the_largest_entry(self):
+        t = parse_tableau("1 2' 2 / 2", 2)
+        with pytest.raises(TableauError) as info:
+            complement(t, n=1)
+        assert str(info.value) == "complement with n=1 needs n >= the largest entry 2"
+        assert rt(complement(t, n=2)) == rt(complement(t))
+
 
 class TestEvacuation:
     def test_golden(self):
@@ -133,6 +140,12 @@ class TestEta:
     def test_invalid_interval(self):
         with pytest.raises(TableauError):
             eta(parse_tableau("1 2", 2), 2, 1)
+
+    @pytest.mark.parametrize("i, j", [(1, None), (None, 2)])
+    def test_one_end_of_the_interval(self, i, j):
+        with pytest.raises(TableauError) as info:
+            eta(parse_tableau("1 2", 2), i, j)
+        assert str(info.value) == "eta takes both ends of the interval or neither"
 
 
 class TestDualEquivalence:

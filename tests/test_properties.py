@@ -316,7 +316,7 @@ def test_members_are_built_from_the_keys(shape, n, data):
     drawn = data.draw(st.lists(st.integers(0, len(family) - 1), max_size=5)) \
         if len(family) else []
     singles = [family.member(x) for x in drawn]
-    assert singles == [family.members[x] for x in drawn]
+    assert singles == [tuple(family)[x] for x in drawn]
 
 
 # the most cells a band-table family is drawn with, by n

@@ -406,7 +406,7 @@ def test_dual_equivalent_matches_slide_by_slide():
     slide, corners = cache(reference_slide), cache(probing_inner_corners)
     pairs = equivalent = 0
     for shape in skew_shapes(5, 4, include_straight=True):
-        family = enumerate_tableaux(shape, 3).members
+        family = tuple(enumerate_tableaux(shape, 3))
         for a in family:
             for b in family:
                 got = dual_equivalent(a, b)
@@ -462,6 +462,8 @@ def test_band_operators_match_band_composition(members):
 
 ENUMERATION_SHAPES = skew_shapes(7, 4, include_straight=True) + [
     ShiftedSkewShape((4, 2, 1), (3, 2)),  # an empty middle row
+    # an empty middle row off canonical form, with outer part 5
+    ShiftedSkewShape((5, 3, 1), (4, 3)),
     ShiftedSkewShape(),
     ShiftedSkewShape((3, 1), (3, 1)),
 ]
@@ -471,7 +473,7 @@ ENUMERATION_SHAPES = skew_shapes(7, 4, include_straight=True) + [
 def test_enumeration_matches_row_order(n):
     """Members, their order and each member's (outer, inner) pair."""
     for shape in ENUMERATION_SHAPES:
-        got = enumerate_tableaux(shape, n).members
+        got = tuple(enumerate_tableaux(shape, n))
         want = row_order_enumeration(shape, n)
         assert got == want, (shape, n)
         assert [(t.shape.outer, t.shape.inner) for t in got] == \
@@ -546,7 +548,7 @@ def test_later_check_failing_at_earlier_member_comes_first(exhaustive):
                parse_word(f"t{i}")) for i in (2, 1)]
     want = reference_verify([family], lambda _: [checks], exhaustive)
     assert want[:3] == (False, 34 if exhaustive else 4, "sigma1 = t1 fails")
-    assert want[3].tableau == family.members[1]
+    assert want[3].tableau == family.member(1)
     assert fields(engine._check(family, checks, {}, exhaustive)) == want
 
 
