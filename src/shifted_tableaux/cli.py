@@ -272,6 +272,8 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     t = _read_tableau(args.infile, args.n)
     gens = tuple(engine.parse_symbol(g.strip())
                  for g in args.gens.split(",") if g.strip())
+    if not gens:
+        raise engine.WordError(f"--gens {args.gens!r} names no generator")
     graph = engine.orbit_graph(t, gens)
     dot = graph.to_dot()
     if args.dot:

@@ -34,8 +34,8 @@ each band on its partial-band tables.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property, total_ordering
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Cell = tuple[int, int]
@@ -189,6 +189,54 @@ class _EntryOfKey(dict):
 entry_of_key: dict[int, Entry] = _EntryOfKey()
 
 
+class _Value:
+    """An immutable value over the fields its class names in __slots__, in
+    order (a "__dict__" there holds cached_property values and is no
+    field).  Assignment and deletion raise AttributeError; two values are
+    equal when they are of one class and their fields are equal; the hash
+    is hash(tuple of fields) and the repr Name(field=value, ...); copy and
+    pickle rebuild a value by calling its class on its fields.  Each class
+    writes its own __init__, which sets the fields (with _assign, or one
+    by one with object.__setattr__) and runs the class's checks."""
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...]
+    _values: Callable[[_Value], tuple]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+        get = attrgetter(*fields)
+        # attrgetter gives a bare value for one name, a tuple for more
+        cls._values = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values(self)
+
+    def _assign(self, *values: object) -> None:
+        """Set the fields, in order, to values."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+
 def _check_strict(parts: tuple[int, ...], what: str,
                   positive: str = "must have positive parts") -> None:
     """Reject parts that are not strictly decreasing and positive; the
@@ -200,14 +248,14 @@ def _check_strict(parts: tuple[int, ...], what: str,
         raise TableauError(f"{what} {positive}: {parts}")
 
 
-@dataclass(frozen=True)
-class StrictPartition:
+class StrictPartition(_Value):
     """A strictly decreasing sequence of positive integers."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
+    parts: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
+    def __init__(self, parts: Iterable[int] = ()):
+        self._assign(tuple(parts))
         _check_strict(self.parts, "parts", "must be positive")
 
     def __iter__(self) -> Iterator[int]:
@@ -270,19 +318,18 @@ def pair_of_cells(cells: Iterable[Cell]) -> tuple[tuple[int, ...], tuple[int, ..
     return canonical_pair(outer, inner)
 
 
-@dataclass(frozen=True)
-class ShiftedSkewShape:
+class ShiftedSkewShape(_Value):
     """A skew shifted shape outer/inner (inner possibly empty)."""
 
-    outer: tuple[int, ...] = ()
-    inner: tuple[int, ...] = ()
+    __slots__ = ("outer", "inner", "__dict__")
+    outer: tuple[int, ...]
+    inner: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "outer", tuple(self.outer))
-        inner = list(self.inner)
+    def __init__(self, outer: Iterable[int] = (), inner: Iterable[int] = ()):
+        outer, inner = tuple(outer), list(inner)
         while inner and inner[-1] == 0:  # trailing empty inner rows
             inner.pop()
-        object.__setattr__(self, "inner", tuple(inner))
+        self._assign(outer, tuple(inner))
         _check_strict(self.outer, "outer shape")
         _check_strict(self.inner, "inner shape")
         if len(self.inner) > len(self.outer):
@@ -453,8 +500,7 @@ def _order_fault(cells: tuple[Cell, ...], keys: list[int], i: int, east: int, so
                 cell=cells[nbr], rule=f"{what}-order")
 
 
-@dataclass(frozen=True, eq=False)
-class ShiftedTableau:
+class ShiftedTableau(_Value):
     """A shifted semistandard tableau in canonical form: its shape, its
     key (the order keys 2*value - primed of its entries over the shape's
     sorted cells) and its alphabet bound n.  entries and entry_map are
@@ -465,13 +511,19 @@ class ShiftedTableau:
     equivalent shape descriptions compare equal.
     """
 
+    __slots__ = ("shape", "key", "n", "__dict__")
     shape: ShiftedSkewShape
-    key: tuple[int, ...] = ()
-    n: int = 0
+    key: tuple[int, ...]
+    n: int
 
-    def __post_init__(self):
-        check_letters(self.n)
-        _validate_filling(self.shape, self.key, self.n)
+    def __init__(self, shape: ShiftedSkewShape, key: tuple[int, ...] = (), n: int = 0):
+        # set one by one, not by _assign's loop: this runs once per
+        # tableau the library builds
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "n", n)
+        check_letters(n)
+        _validate_filling(shape, key, n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ShiftedTableau):

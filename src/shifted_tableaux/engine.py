@@ -64,13 +64,12 @@ import ast
 import itertools
 import operator
 import re
-from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import bender_knuth, jdt, switching
-from .core import (CapacityError, Cell, Entry, ShiftedSkewShape, ShiftedTableau, band_keys,
-                   entry_of_key)
+from .core import (CapacityError, Cell, Entry, ShiftedSkewShape, ShiftedTableau, _Value,
+                   band_keys, entry_of_key)
 from .enumeration import (TableauFamily, enumerate_tableaux, layout_cell, skew_shapes,
                           straight_shapes)
 
@@ -93,22 +92,30 @@ def _band_evac(local: dict[Cell, Entry], n: int, memo: _Memo) -> Mapping[Cell, E
     return switching.evac_map(local, n)
 
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(_Value):
     """A generator kind: its token, its number of indices and their valid
     range, its operator on one tableau, and either its letter band and
     the map-level core the family tables run on the band re-indexed to
     1..k, or its t_k factors in the order they act.  straight: the kind
     acts on straight shapes only."""
 
+    __slots__ = ("token", "indices", "valid", "act", "band", "core", "factors", "straight")
     token: str
     indices: int
     valid: Callable[..., bool]
     act: Callable[..., ShiftedTableau]
-    band: Callable[..., tuple[int, int]] | None = None
-    core: Callable[[dict, int, _Memo], Mapping] | None = None
-    factors: Callable[..., tuple[int, ...]] | None = None
-    straight: bool = False
+    band: Callable[..., tuple[int, int]] | None
+    core: Callable[[dict, int, _Memo], Mapping] | None
+    factors: Callable[..., tuple[int, ...]] | None
+    straight: bool
+
+    def __init__(self, token: str, indices: int, valid: Callable[..., bool],
+                 act: Callable[..., ShiftedTableau],
+                 band: Callable[..., tuple[int, int]] | None = None,
+                 core: Callable[[dict, int, _Memo], Mapping] | None = None,
+                 factors: Callable[..., tuple[int, ...]] | None = None,
+                 straight: bool = False):
+        self._assign(token, indices, valid, act, band, core, factors, straight)
 
 
 # Each operator on one tableau, and the bk_map and evac_map cores, are
@@ -145,15 +152,16 @@ _KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class GeneratorSymbol:
+class GeneratorSymbol(_Value):
+    __slots__ = ("kind", "i", "j")
     kind: str          # a key of _KINDS
-    i: int = 0
-    j: int = 0
+    i: int
+    j: int
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise WordError(f"unknown generator kind {self.kind!r}")
+    def __init__(self, kind: str, i: int = 0, j: int = 0):
+        self._assign(kind, i, j)
+        if kind not in _KINDS:
+            raise WordError(f"unknown generator kind {kind!r}")
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -437,15 +445,19 @@ _CONSTRAINT_RE = re.compile(
     "".join(rf"(?<!\b{name})" for name in _GENERATOR_NAMES) + r":|:(?![\d{])")
 
 
-@dataclass(frozen=True)
-class RelationSchema:
+class RelationSchema(_Value):
     """left = right over all index instantiations satisfying constraint."""
 
+    __slots__ = ("left", "right", "constraint", "name", "straight_only", "__dict__")
     left: str
-    right: str = "e"
-    constraint: str = "True"
-    name: str = ""
-    straight_only: bool = False
+    right: str
+    constraint: str
+    name: str
+    straight_only: bool
+
+    def __init__(self, left: str, right: str = "e", constraint: str = "True", name: str = "",
+                 straight_only: bool = False):
+        self._assign(left, right, constraint, name, straight_only)
 
     @classmethod
     def parse(cls, text: str, name: str = "", straight_only: bool = False
@@ -593,21 +605,30 @@ def _template(text: str, names: Sequence[str]
     return fill
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(_Value):
+    __slots__ = ("tableau", "substitution", "left_result", "right_result", "shape")
     tableau: ShiftedTableau
     substitution: tuple[tuple[str, int], ...]
     left_result: ShiftedTableau
     right_result: ShiftedTableau
-    shape: ShiftedSkewShape | None = None
+    shape: ShiftedSkewShape | None
+
+    def __init__(self, tableau: ShiftedTableau, substitution: tuple[tuple[str, int], ...],
+                 left_result: ShiftedTableau, right_result: ShiftedTableau,
+                 shape: ShiftedSkewShape | None = None):
+        self._assign(tableau, substitution, left_result, right_result, shape)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Value):
+    __slots__ = ("holds", "instances_checked", "counterexample", "note")
     holds: bool
     instances_checked: int
-    counterexample: Counterexample | None = None
-    note: str = ""
+    counterexample: Counterexample | None
+    note: str
+
+    def __init__(self, holds: bool, instances_checked: int,
+                 counterexample: Counterexample | None = None, note: str = ""):
+        self._assign(holds, instances_checked, counterexample, note)
 
 
 # (failure note, substitution, left word, right word)
@@ -765,10 +786,13 @@ def search_counterexample(schema: RelationSchema, n: int, max_cells: int,
     return Verdict(v.holds, v.instances_checked, v.counterexample, note)
 
 
-@dataclass(frozen=True)
-class OrbitGraph:
+class OrbitGraph(_Value):
+    __slots__ = ("nodes", "edges")
     nodes: tuple[ShiftedTableau, ...]
     edges: tuple[tuple[int, str, int], ...]
+
+    def __init__(self, nodes: tuple[ShiftedTableau, ...], edges: tuple[tuple[int, str, int], ...]):
+        self._assign(nodes, edges)
 
     def to_dot(self) -> str:
         lines = ["digraph orbit {"]
@@ -828,11 +852,14 @@ def _rectifications(family: TableauFamily) -> list[tuple]:
 # ---------------------------------------------------------------------------
 # bundled verification suites
 
-@dataclass(frozen=True)
-class PresetResult:
+class PresetResult(_Value):
+    __slots__ = ("label", "ok", "verdict")
     label: str
     ok: bool
     verdict: Verdict
+
+    def __init__(self, label: str, ok: bool, verdict: Verdict):
+        self._assign(label, ok, verdict)
 
 
 STRAIGHT_MAX_PART = 4

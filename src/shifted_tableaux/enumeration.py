@@ -23,16 +23,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterator
 
 from .core import (MAX_MEMBERS, CapacityError, Cell, ShiftedSkewShape, ShiftedTableau,
-                   canonical_pair, check_letters)
+                   _Value, canonical_pair, check_letters)
 
 
-@dataclass(frozen=True)
-class TableauFamily:
+class TableauFamily(_Value):
     """The complete family ShST(shape, n), deterministically ordered, as
     its members' keys: keys[x] is the tuple of member x's order keys
     2*value - primed over the shape's sorted cells.  member(x) builds and
@@ -50,11 +48,17 @@ class TableauFamily:
     The tables and both views live and die with the family; any other
     index a fill needs is its own, dropped with it."""
 
+    # tables lives in __dict__, beside the two views: no field, so it is
+    # neither compared nor shown
+    __slots__ = ("shape", "n", "keys", "__dict__")
     shape: ShiftedSkewShape
     n: int
     keys: tuple[tuple[int, ...], ...]
-    tables: dict[Any, tuple[int, ...]] = field(default_factory=dict, init=False,
-                                               repr=False, compare=False)
+    tables: dict[Any, tuple[int, ...]]
+
+    def __init__(self, shape: ShiftedSkewShape, n: int, keys: tuple[tuple[int, ...], ...]):
+        self._assign(shape, n, keys)
+        object.__setattr__(self, "tables", {})
 
     @cached_property
     def positions(self) -> dict[tuple[int, ...], int]:

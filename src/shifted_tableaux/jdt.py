@@ -34,22 +34,24 @@ the public functions build one validated tableau from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .core import (Cell, Entry, ShiftedSkewShape, ShiftedTableau, StrictPartition,
-                   TableauError, act_on_band, canonical_map, canonical_pair,
+                   TableauError, _Value, act_on_band, canonical_map, canonical_pair,
                    destandardize_map, pair_of_cells, standardize_map, weight,
                    weight_map)
 
 
-@dataclass(frozen=True)
-class SlideRecord:
+class SlideRecord(_Value):
     """Inner corners used during a rectification, with the cell vacated at
     the end of each slide; replaying the vacated cells as outer slides in
     reverse restores the original shape."""
 
-    slides: tuple[tuple[Cell, Cell], ...] = ()  # (corner, exit)
+    __slots__ = ("slides",)
+    slides: tuple[tuple[Cell, Cell], ...]  # (corner, exit)
+
+    def __init__(self, slides: tuple[tuple[Cell, Cell], ...] = ()):
+        self._assign(slides)
 
     def __len__(self) -> int:
         return len(self.slides)

@@ -15,10 +15,9 @@ constructor, and by a family table fill as out of its family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .core import (Cell, Entry, ShiftedSkewShape, ShiftedTableau, TableauError,
+from .core import (Cell, Entry, ShiftedSkewShape, ShiftedTableau, TableauError, _Value,
                    act_on_band)
 
 
@@ -26,13 +25,16 @@ class SwitchingError(TableauError):
     """Invalid perforated pair or an algorithm-integrity failure."""
 
 
-@dataclass(frozen=True)
-class PerforatedFilling:
+class PerforatedFilling(_Value):
     """Cells of one letter family inside a perforated pair; each cell
     records whether the letter is primed."""
 
+    __slots__ = ("letter", "cells")
     letter: int
     cells: tuple[tuple[Cell, bool], ...]  # (cell, primed), sorted
+
+    def __init__(self, letter: int, cells: tuple[tuple[Cell, bool], ...]):
+        self._assign(letter, cells)
 
     @classmethod
     def from_map(cls, letter: int, cells: dict[Cell, bool]) -> "PerforatedFilling":
@@ -43,12 +45,15 @@ class PerforatedFilling:
         return dict(self.cells)
 
 
-@dataclass(frozen=True)
-class PerforatedPair:
+class PerforatedPair(_Value):
     """A perforated (a, b)-pair tiling a double border strip."""
 
+    __slots__ = ("a", "b")
     a: PerforatedFilling
     b: PerforatedFilling
+
+    def __init__(self, a: PerforatedFilling, b: PerforatedFilling):
+        self._assign(a, b)
 
     @property
     def region(self) -> frozenset[Cell]:
@@ -206,14 +211,18 @@ def _check_extends(s: ShiftedTableau, t: ShiftedTableau) -> None:
         raise SwitchingError("T does not extend S")
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(_Value):
     """One switch applied inside a larger computation: the rule name and
     the complete entry layout of both sides afterwards."""
 
+    __slots__ = ("rule", "moving", "fixed")
     rule: str
     moving: tuple[tuple[Cell, Entry], ...]  # the band(s) being moved through
     fixed: tuple[tuple[Cell, Entry], ...]   # everything else
+
+    def __init__(self, rule: str, moving: tuple[tuple[Cell, Entry], ...],
+                 fixed: tuple[tuple[Cell, Entry], ...]):
+        self._assign(rule, moving, fixed)
 
 
 def _bands(entries: Iterable[tuple[Cell, Entry]]) -> dict[int, Band]:

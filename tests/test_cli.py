@@ -400,6 +400,13 @@ class TestOrbit:
         assert run(capsys, "orbit", "--gens", "q1,t2", "--in", tableau, "--n", "3") \
             == (0, "\n".join(lines + ["}", ""]), "")
 
+    @pytest.mark.parametrize("gens", ["", " , "], ids=["empty", "blank"])
+    def test_no_generator_is_one_line(self, capsys, gens):
+        """An empty generator list is refused, not taken as the one-node
+        orbit of the trivial action."""
+        assert run(capsys, "orbit", "--gens", gens, "--in", "1 2", "--n", "2") \
+            == (2, "", f"error: --gens {gens!r} names no generator\n")
+
 
 class TestErrors:
     def test_unknown_command(self, capsys):

@@ -31,6 +31,19 @@ def rt(t):
     return render_text(t).replace("\n", " / ")
 
 
+def built_tableaux(monkeypatch):
+    """The list every tableau the constructor builds from now on is
+    appended to, once its checks have passed."""
+    init, built = engine.ShiftedTableau.__init__, []
+
+    def spy(t, *args, **kwargs):
+        init(t, *args, **kwargs)
+        built.append(t)
+
+    monkeypatch.setattr(engine.ShiftedTableau, "__init__", spy)
+    return built
+
+
 def error_of(run):
     """The type and message of the error run raises."""
     with pytest.raises(Exception) as info:
@@ -414,7 +427,7 @@ class TestFamilyTables:
         tables on cell maps, and runs jdt's standard evacuation once per
         standardization: fewer times than there are members."""
         families = straight_families(3)
-        built, evacuated = [], []
+        evacuated = []
         evacuate = jdt._evacuate_standard
 
         def counted(std, memo):
@@ -422,8 +435,7 @@ class TestFamilyTables:
             evacuated.append(frozenset(std.items()))
             return evacuate(std, memo)
 
-        monkeypatch.setattr(engine.ShiftedTableau, "__post_init__",
-                            lambda t: built.append(t))
+        built = built_tableaux(monkeypatch)
         monkeypatch.setattr(jdt, "_evacuate_standard", counted)
         v = verify_relation_over(evac_routes_schema(3), families)
         assert (v.holds, v.instances_checked, built) == (True, 236, [])
@@ -435,8 +447,7 @@ class TestFamilyTables:
         """A family is its members' keys, and every table is filled on
         keys: a preset whose lines all hold builds no tableau at all, its
         enumeration included."""
-        built = []
-        monkeypatch.setattr(engine.ShiftedTableau, "__post_init__", lambda t: built.append(t))
+        built = built_tableaux(monkeypatch)
         results = run_preset(preset, 4)
         assert all(r.ok for r in results) and built == []
 
@@ -447,13 +458,13 @@ class TestFamilyTables:
         rectifications on keys, so the preset builds 33 tableaux, the
         witnesses and their two sides with the words' intermediate
         tableaux."""
-        member, built, members = TableauFamily.member, [], []
+        member, members = TableauFamily.member, []
 
         def spy(family, x):
             members.append(x)
             return member(family, x)
 
-        monkeypatch.setattr(engine.ShiftedTableau, "__post_init__", lambda t: built.append(t))
+        built = built_tableaux(monkeypatch)
         monkeypatch.setattr(TableauFamily, "member", spy)
         results = run_preset("non-relations", 4)
         assert all(r.ok for r in results)
@@ -465,13 +476,7 @@ class TestFamilyTables:
         through family.member, and then its two sides, and no other
         tableau; each is validated."""
         family = enumerate_tableaux(ShiftedSkewShape((3, 1)), 3)
-        validate, built = engine.ShiftedTableau.__post_init__, []
-
-        def spy(t):
-            validate(t)
-            built.append(t)
-
-        monkeypatch.setattr(engine.ShiftedTableau, "__post_init__", spy)
+        built = built_tableaux(monkeypatch)
         v = verify_relation(RelationSchema("t1", "t2"), family)
         ce = v.counterexample
         assert (v.holds, v.instances_checked) == (False, 1)
@@ -777,13 +782,7 @@ class TestOrbits:
         """The classes are grouped by slide records computed on keys, so
         exactly one tableau is built per member, the one returned."""
         fam = enumerate_tableaux(ShiftedSkewShape((4, 2, 1), (2,)), 3)
-        validate, built = engine.ShiftedTableau.__post_init__, []
-
-        def spy(t):
-            validate(t)
-            built.append(t)
-
-        monkeypatch.setattr(engine.ShiftedTableau, "__post_init__", spy)
+        built = built_tableaux(monkeypatch)
         comps = components_by_dual_equivalence(fam)
         assert len(built) == len(fam) > 0
         assert sorted(map(id, built)) == sorted(id(t) for _, members in comps for t in members)

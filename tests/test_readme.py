@@ -1,10 +1,9 @@
 """README.md names only what the library has: every backticked dotted
 name resolves, and every backticked identifier with an underscore is an
-attribute of a library module or class, or a dataclass field.  Every
-command of its CLI section runs."""
+attribute of a library module or class (a value class's fields are its
+slots, so they are among them).  Every command of its CLI section runs."""
 
 import builtins
-import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -22,12 +21,9 @@ MODULES = [shifted_tableaux] + [
     for info in pkgutil.iter_modules(shifted_tableaux.__path__)]
 CLASSES = {cls for module in MODULES for _, cls in inspect.getmembers(module, inspect.isclass)
            if cls.__module__.startswith("shifted_tableaux")}
-# a name in a module, in a class (methods, properties, slots and field
-# defaults) or a dataclass field without a default
+# a name in a module, or in a class: methods, properties and slots
 NAMES = ({name for module in MODULES for name in dir(module)}
-         | {name for cls in CLASSES for name in dir(cls)}
-         | {f.name for cls in CLASSES if dataclasses.is_dataclass(cls)
-            for f in dataclasses.fields(cls)})
+         | {name for cls in CLASSES for name in dir(cls)})
 
 # a backticked name, or the head of a backticked call such as `f(x, y)`
 NAME_RE = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\([^`]*\))?`")
