@@ -10,8 +10,9 @@ A tableau is its shape, its alphabet bound n and its key, the order keys
 then column.  _validate_filling checks a key in one pass beside the
 neighbour positions each shape computes once: coverage, the alphabet,
 the row and column order, both multiplicity rules and canonical form, in
-that order of priority.  from_map builds a tableau from a cell -> entry
-map, and refuses a map on other cells than its shape's.
+that order of priority.  from_keys builds a tableau from a cell -> order
+key map, and from_map from a cell -> entry map through it; both refuse a
+map on other cells than the shape's.
 
 Entries are interned: Entry(k, p) returns the one instance of its letter,
 which stores its order key and its text, and entry_of_key maps an order
@@ -23,12 +24,14 @@ builds once (text_template) with the texts of the key's entries; to_json
 and from_json cut the rows out of the key's order by the shape's
 row_slices.
 
-band_keys is the band split of one filling: it runs a map-level core on
-the letters i..j of a filling given by order keys, re-indexed to the
-alphabet 1..j-i+1, and puts the keys of the result back beside the other
-letters.  act_on_band runs the operators on one tableau through it, and
-the verification engine its whole-alphabet tables and the first move of
-each band on its partial-band tables.
+The map-level operators compute on canonical cell -> order key maps, and
+so do standardize_map, destandardize_map and weight_map.  band_keys is
+the band split of one filling: it hands a map-level core the letters
+i..j of a filling given by order keys, as the map {cell: key - 2*(i-1)}
+over the alphabet 1..j-i+1, and puts the keys of the result, shifted
+back, beside the other letters.  act_on_band runs the operators on one
+tableau through it; the verification engine runs the cores on its bands
+directly.
 """
 
 from __future__ import annotations
@@ -543,6 +546,12 @@ class ShiftedTableau(_Value):
         return dict(zip(self.shape.sorted_cells, map(entry_of_key.__getitem__, self.key)))
 
     @property
+    def key_map(self) -> dict[Cell, int]:
+        """The cell -> order key map the map-level operators take, built
+        at each use."""
+        return dict(zip(self.shape.sorted_cells, self.key))
+
+    @property
     def cells(self) -> frozenset[Cell]:
         return self.shape.cells
 
@@ -560,18 +569,25 @@ class ShiftedTableau(_Value):
     @classmethod
     def from_map(cls, entries: Mapping[Cell, Entry], n: int,
                  shape: ShiftedSkewShape | None = None) -> "ShiftedTableau":
-        """The tableau of a cell -> entry map, on the shape of its cells
-        unless a shape is given; a map on other cells than the shape's
-        is a coverage error."""
+        """The tableau of a cell -> entry map: from_keys on the entries'
+        order keys."""
+        return cls.from_keys({c: e.order_key for c, e in entries.items()}, n, shape)
+
+    @classmethod
+    def from_keys(cls, keys: Mapping[Cell, int], n: int,
+                  shape: ShiftedSkewShape | None = None) -> "ShiftedTableau":
+        """The tableau of a cell -> order key map, on the shape of its
+        cells unless a shape is given; a map on other cells than the
+        shape's is a coverage error."""
         if shape is None:
-            shape = ShiftedSkewShape.from_cells(entries.keys())
-        elif entries.keys() != shape.cells:
-            extra = sorted(entries.keys() - shape.cells)
-            missing = sorted(shape.cells - entries.keys())
+            shape = ShiftedSkewShape.from_cells(keys.keys())
+        elif keys.keys() != shape.cells:
+            extra = sorted(keys.keys() - shape.cells)
+            missing = sorted(shape.cells - keys.keys())
             raise InvalidTableauError(
                 f"filling does not cover shape exactly (extra={extra}, missing={missing})",
                 cell=(extra or missing)[0], rule="coverage")
-        return cls(shape, tuple([entries[c].order_key for c in shape.sorted_cells]), n)
+        return cls(shape, tuple([keys[c] for c in shape.sorted_cells]), n)
 
 
 def reading_word(t: ShiftedTableau) -> tuple[Entry, ...]:
@@ -579,17 +595,22 @@ def reading_word(t: ShiftedTableau) -> tuple[Entry, ...]:
     return tuple(t.entry_map[c] for c in reading_cells(t.shape))
 
 
-def weight_map(entries: Mapping[Cell, Entry], n: int) -> tuple[int, ...]:
-    """Occurrences of each unprimed value, as a vector of length n."""
+def _weight(keys: Iterable[int], n: int) -> tuple[int, ...]:
     counts = [0] * n
-    for e in entries.values():
-        counts[e.value - 1] += 1
+    for k in keys:
+        counts[(k - 1) >> 1] += 1
     return tuple(counts)
+
+
+def weight_map(entries: Mapping[Cell, int], n: int) -> tuple[int, ...]:
+    """Occurrences of each unprimed value in a cell -> order key map, as a
+    vector of length n."""
+    return _weight(entries.values(), n)
 
 
 def weight(t: ShiftedTableau) -> tuple[int, ...]:
     """Occurrences of each unprimed value, as a vector of length n."""
-    return weight_map(t.entry_map, t.n)
+    return _weight(t.key, t.n)
 
 
 def canonical_map(entries: Mapping[Cell, Entry]) -> dict[Cell, Entry]:
@@ -615,23 +636,23 @@ def canonicalize(shape: ShiftedSkewShape, entries: Mapping[Cell, Entry],
 # ---------------------------------------------------------------------------
 # standardization
 #
-# The operators slide and evacuate plain cell -> entry maps and build one
-# tableau per result; the public functions wrap the map-level ones.
+# The operators slide and evacuate plain cell -> order key maps and build
+# one tableau per result; the public functions wrap the map-level ones.
 
-def standardize_map(entries: Iterable[tuple[Cell, Entry]]) -> dict[Cell, int]:
-    """Replace entries by 1..N: for each letter, primed cells top to bottom,
-    then unprimed cells left to right."""
-    order = sorted(entries, key=lambda ce: (
-        (ce[1].value, 0, ce[0][0], ce[0][1]) if ce[1].primed
-        else (ce[1].value, 1, ce[0][1], ce[0][0])))
+def standardize_map(entries: Iterable[tuple[Cell, int]]) -> dict[Cell, int]:
+    """Replace the order keys of (cell, key) pairs by 1..N: for each
+    letter, primed cells top to bottom, then unprimed cells left to
+    right.  A letter's primed key 2k-1 sorts before its unprimed key 2k."""
+    order = sorted(entries, key=lambda ck: (
+        (ck[1], ck[0][0], ck[0][1]) if ck[1] & 1 else (ck[1], ck[0][1], ck[0][0])))
     return {cell: i for i, (cell, _) in enumerate(order, start=1)}
 
 
 def standardize(t: ShiftedTableau) -> ShiftedTableau:
     """Replace entries by 1..N: for each letter, primed cells top to bottom,
     then unprimed cells left to right."""
-    entries = {cell: Entry(i) for cell, i in standardize_map(t.entries).items()}
-    return ShiftedTableau.from_map(entries, len(entries), t.shape)
+    std = standardize_map(zip(t.shape.sorted_cells, t.key))
+    return ShiftedTableau.from_keys({cell: 2 * i for cell, i in std.items()}, len(std), t.shape)
 
 
 def _letter_splits(group: list[Cell]) -> list[int]:
@@ -681,8 +702,9 @@ def _letter_splits(group: list[Cell]) -> list[int]:
     return [s for s in range(least, top + 1) if not any(a < s <= b for a, b in clashes)]
 
 
-def destandardize_map(std: Mapping[Cell, int], wt: tuple[int, ...]) -> dict[Cell, Entry]:
-    """Inverse of standardize_map for a given weight vector.
+def destandardize_map(std: Mapping[Cell, int], wt: tuple[int, ...]) -> dict[Cell, int]:
+    """Inverse of standardize_map for a given weight vector, as a cell ->
+    order key map.
 
     For each letter, the cells holding its standard values split into a
     primed prefix and unprimed suffix; the split is forced by semistandard
@@ -691,7 +713,7 @@ def destandardize_map(std: Mapping[Cell, int], wt: tuple[int, ...]) -> dict[Cell
     if sum(wt) != len(std):
         raise TableauError(f"weight {wt} does not sum to {len(std)} cells")
     by_value = {v: c for c, v in std.items()}
-    entries: dict[Cell, Entry] = {}
+    entries: dict[Cell, int] = {}
     offset = 0
     for k, w in enumerate(wt, start=1):
         group = [by_value[v] for v in range(offset + 1, offset + w + 1)]
@@ -705,7 +727,7 @@ def destandardize_map(std: Mapping[Cell, int], wt: tuple[int, ...]) -> dict[Cell
         if not splits:
             raise InvalidTableauError(
                 f"no valid destandardization for letter {k}", rule="destandardize")
-        s, primed, unprimed = splits[0], Entry(k, True), Entry(k)
+        s, primed, unprimed = splits[0], 2 * k - 1, 2 * k
         for x, c in enumerate(group):
             entries[c] = primed if x < s else unprimed
     return entries
@@ -713,37 +735,37 @@ def destandardize_map(std: Mapping[Cell, int], wt: tuple[int, ...]) -> dict[Cell
 
 def destandardize(std: ShiftedTableau, wt: tuple[int, ...]) -> ShiftedTableau:
     """Inverse of standardize for a given weight vector."""
-    values = {c: e.value for c, e in std.entries}
-    return ShiftedTableau.from_map(destandardize_map(values, wt), len(wt), std.shape)
+    values = {c: (k + 1) >> 1 for c, k in zip(std.shape.sorted_cells, std.key)}
+    return ShiftedTableau.from_keys(destandardize_map(values, wt), len(wt), std.shape)
 
 
 # ---------------------------------------------------------------------------
 # letter bands
 
-# A map-level operator takes a canonical cell -> entry map over the alphabet
-# 1..n, and n, to a canonical map on the same cells.
-MapOperator = Callable[[Mapping[Cell, Entry], int], Mapping[Cell, Entry]]
+# A map-level operator takes a canonical cell -> order key map over the
+# alphabet 1..n, and n, to a canonical map on the same cells.
+MapOperator = Callable[[Mapping[Cell, int], int], Mapping[Cell, int]]
 
 
 def band_keys(cells: Sequence[Cell], key: tuple[int, ...], i: int, j: int,
-              core: Callable[..., Mapping[Cell, Entry]], *args) -> tuple[int, ...] | None:
+              core: Callable[..., Mapping[Cell, int]], *args) -> tuple[int, ...] | None:
     """The band split of one filling: the map-level
     core(band, j-i+1, *args) on the letters i..j of the filling with order
-    key key[s] in cells[s], the band re-indexed to the alphabet 1..j-i+1,
-    and the order keys of its result put back beside the other letters.
-    key itself when no letter lies in the band, None when the result is
-    on other cells."""
+    key key[s] in cells[s], the band re-indexed to the alphabet 1..j-i+1
+    (each key less 2*(i-1)), and the keys of its result, shifted back,
+    put beside the other letters.  key itself when no letter lies in the
+    band, None when the result is on other cells."""
     shift, top = 2 * (i - 1), 2 * j
     slots = [s for s, k in enumerate(key) if shift < k <= top]
     if not slots:
         return key
-    local = {cells[s]: entry_of_key[key[s] - shift] for s in slots}
+    local = {cells[s]: key[s] - shift for s in slots}
     result = core(local, j - i + 1, *args)
     if result.keys() != local.keys():
         return None
     out = list(key)
-    for s, e in zip(slots, map(result.get, local)):
-        out[s] = e.order_key + shift
+    for s, k in zip(slots, map(result.__getitem__, local)):
+        out[s] = k + shift
     return tuple(out)
 
 

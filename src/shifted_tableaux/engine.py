@@ -23,16 +23,17 @@ over one global cell numbering (TableauFamily.layouts), splits into its
 band and its rest by two str.translate calls, and the image is the
 member with that rest and the moved band.  Each band is moved once per
 band memo, under its band string, which names the same cells and
-letters in every family; a miss runs the core through core.band_keys,
-the band split the operators on one tableau share.  p, q and q_{i,j}
-compose the t_i tables.  The verifications of one run_preset call share
-one band memo (a search keeps one, and so does any other verification
-call); the whole alphabet 1..n is the whole member, whose results are
-not kept, and a preset keeps switching and eta band results for one
-line only.  The cores of eta and sigma are
-jdt.reversal_map itself, given the memo, so that jdt runs one standard
-reversal per standardization; switching evacuation is never
-standardized: it runs on semistandard bands.
+letters in every family.  Every core runs on a cell -> order key map:
+a band the memo misses is handed over as its cells and keys, a whole
+member as its key over the shape's cells (_whole_image), and no fill
+builds an Entry.  p, q and q_{i,j} compose the t_i tables.  The
+verifications of one run_preset call share one band memo (a search
+keeps one, and so does any other verification call); the whole
+alphabet 1..n is the whole member, whose results are not kept, and a
+preset keeps switching and eta band results for one line only.  The
+cores of eta and sigma are jdt.reversal_map itself, given the memo, so
+that jdt runs one standard reversal per standardization; switching
+evacuation is never standardized: it runs on semistandard bands.
 
 On the whole alphabet, eta:1,n destandardizes nothing: its fill indexes
 the members by standardization and weight, and a member's image is the
@@ -55,7 +56,9 @@ failing check builds, through family.member, only the member its
 counterexample prints, and then the two sides from it.  A family holds
 its keys, its tables and the two views every fill reads (positions and
 layouts), no more; the cactus presets and search enumerate each family
-only when the check reaches it, so no family outlives its check there.
+only when the check reaches it, so no family outlives its check there,
+and sbk-core drops each family's layouts once its first line, which
+fills every band table, has checked the family.
 """
 
 from __future__ import annotations
@@ -68,8 +71,7 @@ from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import bender_knuth, jdt, switching
-from .core import (CapacityError, Cell, Entry, ShiftedSkewShape, ShiftedTableau, _Value,
-                   band_keys, entry_of_key)
+from .core import CapacityError, Cell, ShiftedSkewShape, ShiftedTableau, _Value
 from .enumeration import (TableauFamily, enumerate_tableaux, layout_cell, skew_shapes,
                           straight_shapes)
 
@@ -84,11 +86,11 @@ class WordError(ValueError):
 _Memo = dict[tuple, dict | tuple[int, ...]]
 
 
-def _band_bk(local: dict[Cell, Entry], n: int, memo: _Memo) -> Mapping[Cell, Entry]:
+def _band_bk(local: dict[Cell, int], n: int, memo: _Memo) -> Mapping[Cell, int]:
     return bender_knuth.bk_map(local, (1,))
 
 
-def _band_evac(local: dict[Cell, Entry], n: int, memo: _Memo) -> Mapping[Cell, Entry]:
+def _band_evac(local: dict[Cell, int], n: int, memo: _Memo) -> Mapping[Cell, int]:
     return switching.evac_map(local, n)
 
 
@@ -123,7 +125,7 @@ class _Kind(_Value):
 # function is the one that runs.  bk_map is the one t_k kernel: the t
 # core runs it on the word (1,), the operators t, p, q and q:i,j run it
 # on their words, and the p and q tables compose t tables.  The core of
-# eta and sigma is jdt.reversal_map itself, which band_keys hands the
+# eta and sigma is jdt.reversal_map itself, which the fills hand the
 # memo; jdt looks its standard core up at call time.  Kinds with the
 # same core share band results.
 _KINDS = {
@@ -315,14 +317,26 @@ def _images(family: TableauFamily, lo: int, hi: int, core: Callable, memo: _Memo
     is cut out of the family's layouts (_band_images).  The whole
     alphabet 1..n is the whole member, which no other family shares, so
     its results are not kept: the image under jdt.reversal_map is looked
-    up by its standard result (_standard_images), any other core runs
-    through band_keys."""
+    up by its standard result (_standard_images), any other core runs on
+    the member's cell -> order key map (_whole_image)."""
     if (lo, hi) != (1, family.n):
         return _band_images(family, lo, hi, core, memo)
     cells, positions = family.shape.sorted_cells, family.positions
     if core is jdt.reversal_map:
         return _standard_images(family, cells, memo)
-    return (positions.get(band_keys(cells, key, lo, hi, core, memo)) for key in family.keys)
+    return (positions.get(_whole_image(cells, key, core, family.n, memo))
+            for key in family.keys)
+
+
+def _whole_image(cells: tuple[Cell, ...], key: tuple[int, ...], core: Callable, n: int,
+                 memo: _Memo) -> tuple[int, ...] | None:
+    """The key of core(member, n, memo) on the whole member with this key
+    over cells, or None where the result is on other cells."""
+    local = dict(zip(cells, key))
+    out = core(local, n, memo)
+    if out.keys() != local.keys():
+        return None
+    return tuple([out[c] for c in cells])
 
 
 def _band_images(family: TableauFamily, lo: int, hi: int, core: Callable, memo: _Memo
@@ -333,9 +347,9 @@ def _band_images(family: TableauFamily, lo: int, hi: int, core: Callable, memo: 
     its rest, with chr(0) on the band.  A member's image is the member
     with its rest and its band moved, found in a (rest, band) -> position
     index.  A band is moved at the first member that has it (_Moves), so
-    the first failing member and its error are the ones band_keys gives
-    member by member.  The index and the split layouts live as long as
-    the iterator."""
+    the first failing member and its error are the ones core.band_keys
+    gives member by member.  The index and the split layouts live as
+    long as the iterator."""
     shift, top = 2 * (lo - 1), 2 * hi
     # translation tables, indexed by order key (chr(0) included)
     to_band = [k - shift if shift < k <= top else 0 for k in range(2 * family.n + 1)]
@@ -353,8 +367,8 @@ class _Moves(dict):
     where the result is on other cells, for the bands of one table.  It
     starts with the empty band, its own move, and the moves the band memo
     keeps under (core, size) for the table's bands.  Any other band is
-    moved at its first lookup, through band_keys on its cells in sorted
-    order, and a move on the same cells joins the memo."""
+    moved at its first lookup, by the core on its cell -> order key map in
+    sorted cell order, and a move on the same cells joins the memo."""
 
     def __init__(self, size: int, core: Callable, memo: _Memo, bands: Iterable[str]):
         results = memo.setdefault((core, size), {})
@@ -364,14 +378,15 @@ class _Moves(dict):
         self.size, self.core, self.memo, self.results = size, core, memo, results
 
     def __missing__(self, band: str) -> str | None:
-        slots = sorted((p for p, k in enumerate(band) if k != "\0"), key=layout_cell)
-        out = band_keys(list(map(layout_cell, slots)), tuple([ord(band[p]) for p in slots]),
-                        1, self.size, self.core, self.memo)
+        # the band's (cell, position) pairs in sorted cell order
+        slots = sorted([(layout_cell(p), p) for p, k in enumerate(band) if k != "\0"])
+        local = {cell: ord(band[p]) for cell, p in slots}
+        out = self.core(local, self.size, self.memo)
         moved = None
-        if out is not None:
+        if out.keys() == local.keys():
             chars = list(band)
-            for p, k in zip(slots, out):
-                chars[p] = chr(k)
+            for cell, p in slots:
+                chars[p] = chr(out[cell])
             moved = self.results[band] = "".join(chars)
         self[band] = moved
         return moved
@@ -387,13 +402,13 @@ def _standard_images(family: TableauFamily, cells: tuple[Cell, ...], memo: _Memo
     to its position's own int, in member order; two members with one
     index key are an error, as jdt's destandardization would be
     ambiguous there.  The index lives as long as the iterator.  A result
-    that no member has runs band_keys on its member, as the whole
-    alphabet does for other cores, so its error or its None is the one
-    the member gets there."""
+    that no member has runs jdt.reversal_map on its member (_whole_image),
+    as the whole alphabet does for other cores, so its error or its None
+    is the one the member gets there."""
     n, positions = family.n, family.positions
     index: dict[tuple, int] = {}
     for key, x in positions.items():
-        std = jdt.standardize_map(zip(cells, map(entry_of_key.__getitem__, key)))
+        std = jdt.standardize_map(zip(cells, key))
         wt = [0] * n
         for k in key:
             wt[(k - 1) >> 1] += 1
@@ -410,7 +425,7 @@ def _standard_images(family: TableauFamily, cells: tuple[Cell, ...], memo: _Memo
         image = jdt.standard_result(jdt._reverse_standard, std, memo)
         y = index.get((tuple(map(image.get, cells)), wt[::-1]))
         yield y if y is not None else \
-            positions.get(band_keys(cells, key, 1, n, jdt.reversal_map, memo))
+            positions.get(_whole_image(cells, key, jdt.reversal_map, n, memo))
 
 
 def _compose(family: TableauFamily, syms: Iterable[GeneratorSymbol], memo: _Memo
@@ -846,8 +861,8 @@ def _rectifications(family: TableauFamily) -> list[tuple]:
     """jdt.rectify_map of each member's key, in member order: its straight
     map, outer partition and (corner, exit) slides; no tableau is built."""
     shape = family.shape
-    return [jdt.rectify_map(dict(zip(shape.sorted_cells, map(entry_of_key.__getitem__, key))),
-                            shape.outer, shape.inner, family.n) for key in family.keys]
+    return [jdt.rectify_map(dict(zip(shape.sorted_cells, key)), shape.outer, shape.inner,
+                            family.n) for key in family.keys]
 
 # ---------------------------------------------------------------------------
 # bundled verification suites
@@ -938,11 +953,24 @@ def _schema_result(schema: RelationSchema, families: Iterable[TableauFamily],
 
 
 def _preset_sbk_core(n: int) -> list[PresetResult]:
+    """The first line, t_i^2 = 1, fills every t table of every family, and
+    every later line composes t tables, so each family's layouts are
+    dropped once the first line has checked the family."""
     straight = straight_families(n)
     mixed = straight + skew_families(n)
     memo: _Memo = {}
-    return [_schema_result(schema, straight if schema.straight_only else mixed, memo)
-            for schema in sbk_core_schemas()]
+    first, *rest = sbk_core_schemas()
+    out = [_schema_result(first, _dropping_layouts(mixed), memo)]
+    return out + [_schema_result(schema, straight if schema.straight_only else mixed, memo)
+                  for schema in rest]
+
+
+def _dropping_layouts(families: Iterable[TableauFamily]) -> Iterator[TableauFamily]:
+    """The families in turn, each one's layouts dropped when the next is
+    drawn, which a verification does once it has checked the family."""
+    for family in families:
+        yield family
+        vars(family).pop("layouts", None)
 
 
 def _preset_cactus(route: str, n: int) -> list[PresetResult]:

@@ -28,8 +28,9 @@ the same memo, so each straight standardization is evacuated once.
 Switching evacuation does not commute with standardization on skew
 bands, so its bands are not shared.
 
-rectify_map and reversal_map compute on canonical cell -> entry maps;
-the public functions build one validated tableau from them.
+rectify_map and reversal_map compute on canonical cell -> order key
+maps, and standardize and destandardize them by the keys; the public
+functions build one validated tableau from the keys of their result.
 """
 
 from __future__ import annotations
@@ -95,9 +96,9 @@ def _slide_standard(entries: dict[Cell, int], cell: Cell, outer: bool) -> Cell:
 def _slide(t: ShiftedTableau, cell: Cell, outer: bool) -> tuple[ShiftedTableau, Cell]:
     if t.size == 0:
         raise TableauError("cannot slide an empty tableau")
-    std = standardize_map(t.entries)
+    std = standardize_map(zip(t.shape.sorted_cells, t.key))
     exit_cell = _slide_standard(std, cell, outer)
-    return ShiftedTableau.from_map(destandardize_map(std, weight(t)), t.n), exit_cell
+    return ShiftedTableau.from_keys(destandardize_map(std, weight(t)), t.n), exit_cell
 
 
 def inner_slide(t: ShiftedTableau, corner: Cell) -> ShiftedTableau:
@@ -201,10 +202,10 @@ def standard_result(core: StandardCore, std: dict[Cell, int], memo: dict | None
     return dict(zip(std, values))
 
 
-def rectify_map(entries: Mapping[Cell, Entry], outer: tuple[int, ...],
+def rectify_map(entries: Mapping[Cell, int], outer: tuple[int, ...],
                 inner: tuple[int, ...], n: int, strategy: str = "first"
-                ) -> tuple[Mapping[Cell, Entry], tuple[int, ...], list[tuple[Cell, Cell]]]:
-    """rectify on the cell -> entry map of the shape outer/inner: the
+                ) -> tuple[Mapping[Cell, int], tuple[int, ...], list[tuple[Cell, Cell]]]:
+    """rectify on the cell -> order key map of the shape outer/inner: the
     straight map, its outer partition and the (corner, exit) slides.
     entries itself is returned when no slide happens."""
     outer, inner = canonical_pair(outer, inner)
@@ -226,11 +227,11 @@ def rectify(t: ShiftedTableau, strategy: str = "first"
     if t.size == 0:
         # covers shapes like lambda/lambda
         return ShiftedTableau(ShiftedSkewShape(), (), t.n), SlideRecord()
-    rect, outer, record = rectify_map(t.entry_map, t.shape.outer, t.shape.inner,
+    rect, outer, record = rectify_map(t.key_map, t.shape.outer, t.shape.inner,
                                       t.n, strategy)
     if not record:
         return t, SlideRecord()
-    return (ShiftedTableau.from_map(rect, t.n, ShiftedSkewShape(outer)),
+    return (ShiftedTableau.from_keys(rect, t.n, ShiftedSkewShape(outer)),
             SlideRecord(tuple(record)))
 
 
@@ -249,7 +250,7 @@ def dual_equivalent(t1: ShiftedTableau, t2: ShiftedTableau) -> bool:
     rectify_map, which builds no tableau)."""
     if t1.cells != t2.cells:
         raise TableauError("dual equivalence requires equal shapes")
-    t1_slides, t2_slides = (rectify_map(t.entry_map, t.shape.outer, t.shape.inner, t.n)[2]
+    t1_slides, t2_slides = (rectify_map(t.key_map, t.shape.outer, t.shape.inner, t.n)[2]
                             for t in (t1, t2))
     return t1_slides == t2_slides
 
@@ -281,9 +282,9 @@ def complement(t: ShiftedTableau, n: int | None = None,
     return ShiftedTableau.from_map(canonical_map(reflected), n, shape)
 
 
-def reversal_map(entries: Mapping[Cell, Entry], n: int, memo: dict | None = None
-                 ) -> dict[Cell, Entry]:
-    """reversal on a canonical cell -> entry map over the alphabet 1..n:
+def reversal_map(entries: Mapping[Cell, int], n: int, memo: dict | None = None
+                 ) -> dict[Cell, int]:
+    """reversal on a canonical cell -> order key map over the alphabet 1..n:
     standardize, take standard_result of _reverse_standard (rectify,
     evacuate, replay the recorded slides outward in reverse), and
     destandardize with the reversed weight of entries.  Given a memo
@@ -296,7 +297,7 @@ def reversal_map(entries: Mapping[Cell, Entry], n: int, memo: dict | None = None
 def reversal(t: ShiftedTableau) -> ShiftedTableau:
     """The unique tableau Knuth equivalent to c_n(T) and dual equivalent to T,
     on T's cells (reversal_map checks them), under their canonical pair."""
-    return ShiftedTableau.from_map(reversal_map(t.entry_map, t.n), t.n, t.shape.canonical())
+    return ShiftedTableau.from_keys(reversal_map(t.key_map, t.n), t.n, t.shape.canonical())
 
 
 def evacuation_jdt(t: ShiftedTableau) -> ShiftedTableau:

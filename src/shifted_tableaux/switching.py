@@ -5,12 +5,17 @@ evacuation operators (straight, restricted and skew variants).
 The only switching state is a band, a plain cell -> primed dict holding
 the cells of one letter.  Every switch in the library, t_i included,
 moves one band through another in place with _run(a, b, on_step), which
-finds each next box in one pass over the a-band (_select).  Switching a
+finds each next box in one pass over the a-band (_select).  The kernels
+(evac_map here, bk_map in bender_knuth) take and return cell -> order
+key maps: _bands reads each band straight off the keys k, the letter
+(k + 1) >> 1 and the prime k & 1, and _relabel and _merge write the
+keys 2*letter - primed back.  Entries are built only for the TraceStep
+snapshots (_snapshot), and only when steps are asked for.  Switching a
 canonical pair leaves the first reading cell of each band unprimed, so
-relabelled bands (evac_map here, t_i in bender_knuth) are written back
-as _run leaves them and nothing re-canonicalizes the map; a result that
-broke canonical form would be rejected by the ShiftedTableau
-constructor, and by a family table fill as out of its family.
+relabelled bands are written back as _run leaves them and nothing
+re-canonicalizes the map; a result that broke canonical form would be
+rejected by the ShiftedTableau constructor, and by a family table fill
+as out of its family.
 """
 
 from __future__ import annotations
@@ -87,8 +92,9 @@ class PerforatedPair(_Value):
                 raise SwitchingError(f"two {name}-letters on the main diagonal")
 
 
-# a band: the cells of one letter family, each mapped to whether it is primed
-Band = dict[Cell, bool]
+# a band: the cells of one letter family, each mapped to whether it is
+# primed (k & 1 of its order key k, or a bool)
+Band = dict[Cell, int]
 
 
 def _select(a: Band, b: Band) -> Cell | None:
@@ -107,10 +113,9 @@ def _select(a: Band, b: Band) -> Cell | None:
     return unprimed or primed
 
 
-def _relabel(out: dict[Cell, Entry], band: Band, letter: int) -> None:
-    """Write the band's cells into out as the letter."""
-    e = (Entry(letter), Entry(letter, True))
-    out.update((c, e[p]) for c, p in band.items())
+def _relabel(out: dict[Cell, int], band: Band, letter: int) -> None:
+    """Write the band's cells into out as the letter's order keys."""
+    out.update(zip(band, map((2 * letter).__sub__, band.values())))
 
 
 def _swap(a: Band, b: Band, x: Cell, y: Cell) -> None:
@@ -225,18 +230,25 @@ class TraceStep(_Value):
         self._assign(rule, moving, fixed)
 
 
-def _bands(entries: Iterable[tuple[Cell, Entry]]) -> dict[int, Band]:
-    """The band of each letter that occurs."""
+def _bands(keys: Iterable[tuple[Cell, int]]) -> dict[int, Band]:
+    """The band of each letter that occurs among (cell, order key) pairs."""
     bands: dict[int, Band] = {}
-    for cell, e in entries:
-        bands.setdefault(e.value, {})[cell] = e.primed
+    for cell, k in keys:
+        bands.setdefault((k + 1) >> 1, {})[cell] = k & 1
     return bands
 
 
-def _merge(bands: dict[int, Band]) -> dict[Cell, Entry]:
-    """The cell -> entry map of the bands."""
-    return {cell: Entry(letter, p) for letter, band in bands.items()
+def _merge(bands: dict[int, Band]) -> dict[Cell, int]:
+    """The cell -> order key map of the bands."""
+    return {cell: 2 * letter - p for letter, band in bands.items()
             for cell, p in band.items()}
+
+
+def _snapshot(bands: dict[int, Band]) -> tuple[tuple[Cell, Entry], ...]:
+    """The (cell, entry) pairs of the bands in sorted cell order, as a
+    TraceStep holds them."""
+    return tuple(sorted((cell, Entry(letter, p)) for letter, band in bands.items()
+                        for cell, p in band.items()))
 
 
 def full_switch(s: ShiftedTableau, t: ShiftedTableau
@@ -244,33 +256,33 @@ def full_switch(s: ShiftedTableau, t: ShiftedTableau
     """Move S through T: switch the pairs (S^m, T^1), ..., (S^m, T^n), ...,
     (S^1, T^1), ..., (S^1, T^n).  Returns (^S T, S_T, trace)."""
     _check_extends(s, t)
-    s_bands, t_bands = _bands(s.entries), _bands(t.entries)
+    s_bands, t_bands = (_bands(zip(u.shape.sorted_cells, u.key)) for u in (s, t))
     trace: list[TraceStep] = []
 
     def on_step(rule: str) -> None:
-        trace.append(TraceStep(rule, tuple(sorted(_merge(s_bands).items())),
-                               tuple(sorted(_merge(t_bands).items()))))
+        trace.append(TraceStep(rule, _snapshot(s_bands), _snapshot(t_bands)))
 
     for i in sorted(s_bands, reverse=True):
         for j in sorted(t_bands):
             _run(s_bands[i], t_bands[j], on_step)
-    return (ShiftedTableau.from_map(_merge(t_bands), t.n),
-            ShiftedTableau.from_map(_merge(s_bands), s.n), trace)
+    return (ShiftedTableau.from_keys(_merge(t_bands), t.n),
+            ShiftedTableau.from_keys(_merge(s_bands), s.n), trace)
 
 
 # ---------------------------------------------------------------------------
 # evacuation via switching
 
-def evac_map(entries: Mapping[Cell, Entry], n: int) -> dict[Cell, Entry]:
-    """Switching evacuation of a canonical cell -> entry map over the
+def evac_map(entries: Mapping[Cell, int], n: int) -> dict[Cell, int]:
+    """Switching evacuation of a canonical cell -> order key map over the
     alphabet 1..n: expel bands 1..n-1 outward in turn; the k-th expelled
     band is relabelled to letter n-k+1 (the auxiliary-alphabet
     bookkeeping) as _run leaves it, its first reading cell unprimed."""
     bands = _bands(entries.items())
-    out: dict[Cell, Entry] = {}
-    for k in sorted(bands):
-        band = bands.pop(k)
-        for j in sorted(bands):  # the letters above k
+    letters = sorted(bands)
+    out: dict[Cell, int] = {}
+    for x, k in enumerate(letters):
+        band = bands[k]
+        for j in letters[x + 1:]:  # the letters above k
             _run(band, bands[j], None)
         _relabel(out, band, n - k + 1)
     return out
@@ -292,7 +304,7 @@ def evac_skew(t: ShiftedTableau) -> ShiftedTableau:
     """The skew extension of evacuation (generally not the reversal)."""
     if t.size == 0:
         return t
-    return ShiftedTableau.from_map(evac_map(t.entry_map, t.n), t.n, t.shape)
+    return ShiftedTableau.from_keys(evac_map(t.key_map, t.n), t.n, t.shape)
 
 
 def evac_k_switch(t: ShiftedTableau, k: int) -> ShiftedTableau:

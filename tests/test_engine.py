@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from shifted_tableaux import bender_knuth, cli, engine, jdt, switching
+from shifted_tableaux import bender_knuth, cli, core, engine, jdt, switching
 from shifted_tableaux.cli import main
 from shifted_tableaux.core import (CapacityError, Entry, InvalidTableauError, ShiftedSkewShape,
                                    parse_tableau, render_text)
@@ -41,6 +41,24 @@ def built_tableaux(monkeypatch):
         built.append(t)
 
     monkeypatch.setattr(engine.ShiftedTableau, "__init__", spy)
+    return built
+
+
+def built_entries(monkeypatch):
+    """The list every Entry asked for from now on is appended to, by
+    Entry(value, primed) or by an order key looked up in entry_of_key."""
+    new, lookup, built = core.Entry.__new__, core._EntryOfKey.__getitem__, []
+
+    def spy_new(cls, *args):
+        built.append(args)
+        return new(cls, *args)
+
+    def spy_lookup(table, k):
+        built.append(k)
+        return lookup(table, k)
+
+    monkeypatch.setattr(core.Entry, "__new__", staticmethod(spy_new))
+    monkeypatch.setattr(core._EntryOfKey, "__getitem__", spy_lookup)
     return built
 
 
@@ -346,7 +364,7 @@ class TestFamilyTables:
     def test_output_outside_family_is_integrity_error(self, monkeypatch):
         # same cells, but not a valid filling: its key is no member's
         fam = enumerate_tableaux(ShiftedSkewShape((2,), ()), 2)
-        other = {(1, 1): Entry(2), (1, 2): Entry(1)}
+        other = {(1, 1): 4, (1, 2): 2}  # the order keys of 2 1
         monkeypatch.setattr(bender_knuth, "bk_map", lambda entries, word: other)
         with pytest.raises(RuntimeError, match="out of its family"):
             verify_relation(RelationSchema("t1", "e"), fam)
@@ -363,7 +381,7 @@ class TestFamilyTables:
         # so each core sees the whole member and returns another cell set
         fam = enumerate_tableaux(ShiftedSkewShape((2,), ()), 2)
         monkeypatch.setattr(module, name,
-                            lambda entries, k: {c: Entry(1) for c in cells})
+                            lambda entries, k: dict.fromkeys(cells, 2))
         with pytest.raises(RuntimeError, match="out of its family"):
             word_permutation(fam, parse_word(word))
 
@@ -451,6 +469,17 @@ class TestFamilyTables:
         results = run_preset(preset, 4)
         assert all(r.ok for r in results) and built == []
 
+    @pytest.mark.parametrize("preset", ["sbk-core", "cactus-q", "cactus-eta",
+                                        "evac-agreement"])
+    def test_preset_builds_no_entry(self, monkeypatch, preset):
+        """The map-level kernels take and return cell -> order key maps,
+        and the table fills hand them their bands and members as such:
+        a preset whose lines all hold asks for no Entry at all."""
+        entries = built_entries(monkeypatch)
+        assert Entry(2, True) and entries == [(2, True)]
+        entries.clear()
+        assert all(r.ok for r in run_preset(preset, 4)) and entries == []
+
     def test_non_relations_builds_only_its_counterexamples(self, monkeypatch):
         """Every line of non-relations at n=4 finds its witness, and each
         builds through family.member only the member its counterexample
@@ -489,12 +518,12 @@ class TestFamilyTables:
     def test_t_band_runs_once_per_band(self, monkeypatch):
         """t_i runs on its band {i, i+1} re-indexed to 1..2: in one
         relation check at n=3, bender_knuth.bk_map runs the word (1,) on
-        the letters 1 and 2 only, once per distinct band, and fewer times
-        than t table entries are filled."""
+        the letters 1 and 2 only (order keys 1 to 4), once per distinct
+        band, and fewer times than t table entries are filled."""
         bk_map, bands = bender_knuth.bk_map, []
 
         def counted_bk_map(entries, word):
-            assert word == (1,) and {e.value for e in entries.values()} <= {1, 2}
+            assert word == (1,) and set(entries.values()) <= {1, 2, 3, 4}
             bands.append(frozenset(entries.items()))
             return bk_map(entries, word)
 
@@ -679,6 +708,22 @@ class TestLifetimes:
         allowed = {"shape", "n", "keys", "tables", "positions", "layouts"}
         for family in families:
             assert set(vars(family)) <= allowed, (family.shape, set(vars(family)) - allowed)
+
+    def test_sbk_core_families_keep_no_layouts(self, monkeypatch):
+        """sbk-core's first line, t_i^2 = 1, fills every band table its
+        families get, and each family drops its layouts once that line
+        has checked it: every family has t tables, and none keeps its
+        layouts, once the preset returns."""
+        enumerate_real, families = engine.enumerate_tableaux, []
+
+        def kept(shape, n):
+            families.append(enumerate_real(shape, n))
+            return families[-1]
+
+        monkeypatch.setattr(engine, "enumerate_tableaux", kept)
+        assert all(r.ok for r in run_preset("sbk-core", 4))
+        assert families and all(GeneratorSymbol("t", 1) in f.tables for f in families)
+        assert [f.shape for f in families if "layouts" in vars(f)] == []
 
     def test_iteration_and_enum_add_nothing_to_a_family(self, monkeypatch, capsys):
         """Iterating a family, and enum, build each member on its key and

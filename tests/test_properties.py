@@ -10,16 +10,17 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape, ShiftedTableau,
-                                   band_keys, canonical_map, canonicalize, entry_of_key,
-                                   standardize_map, weight)
+                                   act_on_band, band_keys, canonical_map, canonicalize,
+                                   entry_of_key, standardize_map, weight)
 from shifted_tableaux.bender_knuth import (bk, bk_map, bk_trace, promotion, promotion_word, q,
                                            q_interval, q_interval_word, q_word)
 from shifted_tableaux.engine import (GeneratorSymbol, _band_bk, _band_evac, _images, apply_symbol,
                                      eval_word, word_permutation)
 from shifted_tableaux.enumeration import enumerate_tableaux
-from shifted_tableaux.jdt import (dual_equivalent, eta, evacuation_jdt, rectify, reversal,
-                                  reversal_map)
-from shifted_tableaux.switching import PerforatedFilling, evac_map, evac_switch, switch_pair
+from shifted_tableaux.jdt import (dual_equivalent, eta, evacuation_jdt, rectify, rectify_map,
+                                  reversal, reversal_map)
+from shifted_tableaux.switching import (PerforatedFilling, evac_map, evac_skew, evac_switch,
+                                        switch_pair)
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 from helpers import reference_bk_map  # noqa: E402
@@ -230,11 +231,14 @@ def test_composites_are_bk_factor_by_factor(t):
 @KERNEL
 @given(KERNEL_TABLEAUX, st.data())
 def test_bk_map_folds_the_switch_pair_reference(t, data):
-    """bk_map on a word of at most 8 letters over 1..n-1 equals the
+    """bk_map on a word of at most 8 letters over 1..n-1, on the
+    tableau's cell -> order key map, gives the order keys of the
     reference t_i, the two bands switched by the public switch_pair and
-    their letters swapped, folded over the word in the order it acts."""
+    their letters swapped, folded over the word in the order it acts on
+    the cell -> entry map."""
     word = data.draw(st.lists(st.integers(1, t.n - 1), max_size=8))
-    assert bk_map(t.entry_map, word) == reduce(reference_bk_map, word, t.entry_map), word
+    want = reduce(reference_bk_map, word, t.entry_map)
+    assert bk_map(t.key_map, word) == {c: e.order_key for c, e in want.items()}, word
 
 
 @KERNEL
@@ -244,16 +248,69 @@ def test_bk_and_evac_maps_are_canonical(t):
     unprimed.  So bk_map and evac_map, which write the switched bands
     back as switching leaves them, give canonical maps: t_i on the whole
     map, and switching evacuation on every letter band i..j, re-indexed
-    to 1..j-i+1 through band_keys as the family tables run it."""
+    to 1..j-i+1 through band_keys as act_on_band runs it.  Each result's
+    order keys are read as entries for canonical_map."""
     for i in range(1, t.n):
-        out = bk_map(t.entry_map, (i,))
+        out = {c: entry_of_key[k] for c, k in bk_map(t.key_map, (i,)).items()}
         assert canonical_map(out) == out, i
-    cells = [c for c, _ in t.entries]
+    cells = t.shape.sorted_cells
     for i in range(1, t.n + 1):
         for j in range(i, t.n + 1):
             key = band_keys(cells, t.key, i, j, evac_map)
             out = {c: entry_of_key[k] for c, k in zip(cells, key)}
             assert canonical_map(out) == out, (i, j)
+
+
+def key_on(shape, out):
+    """The order keys of a cell -> order key map over shape's sorted cells."""
+    return tuple(out[c] for c in shape.sorted_cells)
+
+
+def t_band(local, size):
+    """t_1 on a band re-indexed to start at 1, as the t tables run it."""
+    return bk_map(local, (1,))
+
+
+def band_reference(t, lo, hi, op):
+    """The public operator op on the letters lo..hi of t taken as a
+    tableau of their own cells, re-indexed to start at 1, and its keys
+    shifted back beside the other letters."""
+    shift = 2 * (lo - 1)
+    band = {c: k - shift for c, k in t.key_map.items() if shift < k <= 2 * hi}
+    if not band:
+        return t.key
+    out = op(ShiftedTableau.from_keys(band, hi - lo + 1)).key_map
+    return tuple(out[c] + shift if c in out else k for c, k in t.key_map.items())
+
+
+@KERNEL
+@given(KERNEL_TABLEAUX, st.data())
+def test_kernels_on_order_keys_give_the_public_operators_keys(t, data):
+    """Each map-level kernel, on the cell -> order key map
+    dict(zip(shape.sorted_cells, t.key)), gives the key of its public
+    operator's result: bk_map on the words of t_i, p_i, q_i and a drawn
+    q_{i,j}, evac_map, reversal_map and rectify_map.  band_keys on a
+    drawn band i..j gives act_on_band's key, for switching evacuation,
+    reversal and, on the band {i, i+1}, t_i, and so does the public
+    operator on the band as a tableau of its own (band_reference)."""
+    cells = t.shape.sorted_cells
+    keys = dict(zip(cells, t.key))
+    for i in range(1, t.n):
+        for op, word in ((bk, (i,)), (promotion, promotion_word(i)), (q, q_word(i))):
+            assert key_on(t.shape, bk_map(keys, word)) == op(t, i).key, (op.__name__, i)
+    i, j = data.draw(st.sampled_from(intervals(t.n)))
+    assert key_on(t.shape, bk_map(keys, q_interval_word(i, j))) == q_interval(t, i, j).key
+    assert key_on(t.shape, evac_map(keys, t.n)) == evac_skew(t).key
+    assert key_on(t.shape, reversal_map(keys, t.n)) == reversal(t).key
+    rect, outer, _ = rectify_map(keys, t.shape.outer, t.shape.inner, t.n)
+    assert key_on(ShiftedSkewShape(outer), rect) == rectify(t)[0].key
+    lo = data.draw(st.integers(1, t.n))
+    hi = data.draw(st.integers(lo, t.n))
+    for core, op, band in ((evac_map, evac_skew, (lo, hi)), (reversal_map, reversal, (lo, hi)),
+                           (t_band, lambda u: bk(u, 1), (i, i + 1))):
+        want = band_reference(t, *band, op)
+        assert band_keys(cells, t.key, *band, core) == act_on_band(t, *band, core).key == want, \
+            (core.__name__, band)
 
 
 @KERNEL
@@ -285,8 +342,8 @@ def test_memoized_reversal_and_evacuation_equal_the_memo_free_ones(t):
     its standardization, which finds the standard result the first call
     kept."""
     for u in (t, rectify(t)[0]):
-        std = {c: Entry(v) for c, v in standardize_map(u.entries).items()}
-        for entries, n in ((u.entry_map, u.n), (std, len(std))):
+        std = {c: 2 * v for c, v in standardize_map(u.key_map.items()).items()}
+        for entries, n in ((u.key_map, u.n), (std, len(std))):
             assert reversal_map(entries, n, SHARED_MEMO) == reversal_map(entries, n)
 
 

@@ -260,7 +260,7 @@ def letter_split_ok(cells_in_order, s):
 
 def try_every_split(std, wt):
     """destandardize_map, trying every primed/unprimed split of each
-    letter's cells against every rule."""
+    letter's cells against every rule; a cell -> order key map."""
     if sum(wt) != len(std):
         raise TableauError(f"weight {wt} does not sum to {len(std)} cells")
     by_value = {v: c for c, v in std.items()}
@@ -283,8 +283,8 @@ def try_every_split(std, wt):
         if chosen is None:
             raise InvalidTableauError(
                 f"no valid destandardization for letter {k}", rule="destandardize")
-        entries.update((c, Entry(k, True)) for c in group[:chosen])
-        entries.update((c, Entry(k)) for c in group[chosen:])
+        entries.update((c, Entry(k, True).order_key) for c in group[:chosen])
+        entries.update((c, Entry(k).order_key) for c in group[chosen:])
     return entries
 
 
@@ -330,11 +330,11 @@ def test_reversal_commutes_with_standardization(members):
     the reversal of its standardization, destandardized with the
     reversed weight."""
     for t in members:
-        std = standardize_map(t.entries)
-        out = reversal_map({c: Entry(v) for c, v in std.items()}, len(std))
-        assert all(not e.primed for e in out.values()), render_text(t)
-        values = {c: e.value for c, e in out.items()}
-        assert reversal_map(t.entry_map, t.n) == \
+        std = standardize_map(t.key_map.items())
+        out = reversal_map({c: 2 * v for c, v in std.items()}, len(std))
+        assert all(k % 2 == 0 for k in out.values()), render_text(t)
+        values = {c: k // 2 for c, k in out.items()}
+        assert reversal_map(t.key_map, t.n) == \
             destandardize_map(values, weight(t)[::-1]), render_text(t)
 
 
@@ -359,8 +359,8 @@ def test_destandardize_matches_every_split(members):
     every other weight vector of length at most 4 and the same sum."""
     seen, outcomes = set(), Counter()
     for t in members:
-        std = standardize_map(t.entries)
-        assert destandardize_map(std, weight(t)) == t.entry_map, render_text(t)
+        std = standardize_map(t.key_map.items())
+        assert destandardize_map(std, weight(t)) == t.key_map, render_text(t)
         key = frozenset(std.items())
         if key in seen:
             continue
@@ -566,7 +566,7 @@ def swapped_evacuations(first, second):
     """A standard evacuation with the results of two standard tableaux
     of one shape exchanged."""
     evacuate = jdt._evacuate_standard
-    a, b = (standardize_map(parse_tableau(text).entries) for text in (first, second))
+    a, b = (standardize_map(parse_tableau(text).key_map.items()) for text in (first, second))
 
     def wrong(std, memo):
         return evacuate(dict(b) if std == a else dict(a) if std == b else std, memo)
@@ -618,7 +618,7 @@ def test_knuth_witness_matches_member_loop(monkeypatch, evac_map):
 def test_knuth_witness_image_off_its_family_is_a_runtime_error(monkeypatch):
     """An evac_map image that is no member of the family raises the
     RuntimeError a table raises, naming the whole-alphabet generator."""
-    monkeypatch.setattr(switching, "evac_map", lambda entries, n: dict.fromkeys(entries, Entry(1)))
+    monkeypatch.setattr(switching, "evac_map", lambda entries, n: dict.fromkeys(entries, 2))
     family = enumerate_tableaux(ShiftedSkewShape((3, 1), (1,)), 2)
     with pytest.raises(RuntimeError, match=r"^evacs2 took member 0 of ShST\(.*, 2\) out of its "
                        "family$"):
@@ -627,11 +627,11 @@ def test_knuth_witness_image_off_its_family_is_a_runtime_error(monkeypatch):
 
 def member_loop(family, op):
     """The position of op(member) for each member, op run on the member's
-    map with no memo and its result's key looked up among the members."""
+    cell -> order key map with no memo and its result's key looked up
+    among the members."""
     cells = sorted(family.shape.cells)
-    images = (op(t.entry_map, family.n) for t in family)
-    return [family.positions[tuple(2 * out[c].value - out[c].primed for c in cells)]
-            for out in images]
+    images = (op(t.key_map, family.n) for t in family)
+    return [family.positions[tuple(out[c] for c in cells)] for out in images]
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -648,7 +648,7 @@ def test_whole_member_tables_match_member_loop(n):
         assert list(engine.word_permutation(family, eta_1n)) == \
             member_loop(family, reversal_map), family.shape
         cells = sorted(family.shape.cells)
-        labels = {(tuple(map(standardize_map(t.entries).get, cells)), weight(t))
+        labels = {(tuple(map(standardize_map(t.key_map.items()).get, cells)), weight(t))
                   for t in family}
         assert len(labels) == len(family), family.shape
     for family in straight:
