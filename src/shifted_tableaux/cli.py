@@ -230,15 +230,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     schema.instantiations(args.n)
     schema.check_literals(args.n)
     if args.outer:
-        families = [enumerate_tableaux(_parse_shape(args.outer, args.inner),
-                                       args.n)]
+        shapes = [_parse_shape(args.outer, args.inner)]
     elif args.skew:
         max_cells = engine.SKEW_MAX_CELLS if args.max_cells is None else args.max_cells
-        families = engine.skew_families(args.n, _max_cells(max_cells))
+        shapes = engine._skew_shapes(_max_cells(max_cells))
     else:
-        families = engine.straight_families(args.n)
-    verdict = engine.verify_relation_over(schema, families,
-                                          exhaustive=args.exhaustive)
+        shapes = engine._straight_shapes()
+    # each family is enumerated when the walk reaches it, and dropped after
+    verdict = engine.verify_relation_over(
+        schema, (enumerate_tableaux(s, args.n) for s in shapes), exhaustive=args.exhaustive)
     report = _report(args, verdict=_verdict_doc(verdict),
                      timing=round(time.monotonic() - start, 3))
     if verdict.holds:

@@ -26,14 +26,13 @@ band memo, under its band string, which names the same cells and
 letters in every family.  Every core runs on a cell -> order key map:
 a band the memo misses is handed over as its cells and keys, a whole
 member as its key over the shape's cells (_whole_image), and no fill
-builds an Entry.  p, q and q_{i,j} compose the t_i tables.  The
-verifications of one run_preset call share one band memo (a search
-keeps one, and so does any other verification call); the whole
-alphabet 1..n is the whole member, whose results are not kept, and a
-preset keeps switching and eta band results for one line only.  The
-cores of eta and sigma are jdt.reversal_map itself, given the memo, so
-that jdt runs one standard reversal per standardization; switching
-evacuation is never standardized: it runs on semistandard bands.
+builds an Entry.  p, q and q_{i,j} compose the t_i tables.  Every
+walk (below) keeps one band memo, which all its lines share, and so
+does each word_permutation call; the whole alphabet 1..n is the whole
+member, whose results are not kept.  The cores of eta and sigma are
+jdt.reversal_map itself, given the memo, so that jdt runs one standard
+reversal per standardization; switching evacuation is never
+standardized: it runs on semistandard bands.
 
 On the whole alphabet, eta:1,n destandardizes nothing: its fill indexes
 the members by standardization and weight, and a member's image is the
@@ -47,18 +46,22 @@ The skew Knuth-equivalence witness of non-relations (_knuth_witness)
 compares rectifications computed on keys (_rectifications), whose slide
 records components_by_dual_equivalence groups by.  _check and
 _knuth_witness each give one family's Verdict, its first failing member
-found by _first_difference, and _first_failure alone adds up the
-verdicts of the families.
+found by _first_difference.
+
+Every verification, search and preset is one _walk: its lines each take
+the straight shapes, the skew ones or all, and give their verdicts on
+one family; the walk is the one loop over families, and adds up each
+line's verdicts apart.
 
 A family is its members' keys, and every check reads tables filled on
 keys, so a verification whose checks all hold builds no tableau.  A
 failing check builds, through family.member, only the member its
 counterexample prints, and then the two sides from it.  A family holds
 its keys, its tables and the two views every fill reads (positions and
-layouts), no more; the cactus presets and search enumerate each family
-only when the check reaches it, so no family outlives its check there,
-and sbk-core drops each family's layouts once its first line, which
-fills every band table, has checked the family.
+layouts), no more.  A walk enumerates a family only when an open line
+takes its shape, and every open line checks it before the next is
+drawn, so a family lives for its turn in the walk, and its tables and
+views with it; the walk's band memo lives as long as the walk.
 """
 
 from __future__ import annotations
@@ -412,7 +415,7 @@ def _standard_images(family: TableauFamily, cells: tuple[Cell, ...], memo: _Memo
         wt = [0] * n
         for k in key:
             wt[(k - 1) >> 1] += 1
-        if index.setdefault((tuple(map(std.get, cells)), tuple(wt)), x) != x:
+        if index.setdefault((tuple([std[c] for c in cells]), tuple(wt)), x) != x:
             raise RuntimeError(f"two members of ShST({family.shape}, {n}) share a "
                                "standardization and a weight")
     ranks = range(1, len(cells) + 1)
@@ -423,7 +426,7 @@ def _standard_images(family: TableauFamily, cells: tuple[Cell, ...], memo: _Memo
             by_value[v - 1] = c
         std = dict(zip(by_value, ranks))
         image = jdt.standard_result(jdt._reverse_standard, std, memo)
-        y = index.get((tuple(map(image.get, cells)), wt[::-1]))
+        y = index.get((tuple([image[c] for c in cells]), wt[::-1]))
         yield y if y is not None else \
             positions.get(_whole_image(cells, key, jdt.reversal_map, n, memo))
 
@@ -683,20 +686,79 @@ def _first_difference(left: Iterable, right: Iterable) -> int | None:
     return next((x for x, (y, z) in enumerate(zip(left, right)) if y != z), None)
 
 
-def _first_failure(verdicts: Iterable[Verdict], exhaustive: bool = False) -> Verdict:
-    """Add up the instances of verdicts drawn one by one and keep the
-    counterexample and note of the first failure, which ends the draw
-    unless exhaustive."""
-    checked, failed = 0, None
-    for verdict in verdicts:
-        checked += verdict.instances_checked
-        if not verdict.holds and failed is None:
-            failed = verdict
-            if not exhaustive:
-                break
-    if failed is None:
-        return Verdict(True, checked)
-    return Verdict(False, checked, failed.counterexample, failed.note)
+# A line of a walk: the shapes it takes (the straight ones if True, the
+# skew ones if False, all if None), and its verdicts on one family under
+# the walk's band memo, drawn one by one
+_Line = tuple[bool | None, Callable[[TableauFamily, _Memo], Iterable[Verdict]]]
+
+
+def _walk(lines: Sequence[_Line],
+          families: Iterable[tuple[ShiftedSkewShape, Callable[[], TableauFamily]]],
+          exhaustive: bool = False) -> list[Verdict]:
+    """Each line's verdict over the families, given in order as their
+    shapes with the functions that enumerate them: the one loop over
+    families.  A family is enumerated only when an open line takes its
+    shape, and every open line that takes it checks it, in line order,
+    before the next is drawn, so a family lives for its turn.  Each line
+    adds up its own instances and keeps its own first failure, which
+    closes the line unless exhaustive; the walk ends once every line is
+    closed.  All lines share one band memo."""
+    memo: _Memo = {}
+    counts, failures = [0] * len(lines), [None] * len(lines)
+    open_lines = list(range(len(lines)))
+    for shape, enumerate_family in families:
+        taking = [k for k in open_lines if lines[k][0] in (None, shape.straight)]
+        family = enumerate_family() if taking else None
+        for k in taking:
+            for verdict in lines[k][1](family, memo):
+                counts[k] += verdict.instances_checked
+                if not verdict.holds and failures[k] is None:
+                    failures[k] = verdict
+                    if not exhaustive:
+                        open_lines.remove(k)
+                        break
+        if not open_lines:
+            break
+    return [Verdict(True, count) if failed is None
+            else Verdict(False, count, failed.counterexample, failed.note)
+            for count, failed in zip(counts, failures)]
+
+
+def _given(families: Iterable[TableauFamily]
+           ) -> Iterator[tuple[ShiftedSkewShape, Callable[[], TableauFamily]]]:
+    """Families a caller enumerated, in _walk's form, drawn as it asks."""
+    return ((family.shape, lambda family=family: family) for family in families)
+
+
+def _enumerated(shapes: Iterable[ShiftedSkewShape], n: int
+                ) -> list[tuple[ShiftedSkewShape, Callable[[], TableauFamily]]]:
+    """The shapes in _walk's form, each family over n enumerated when the
+    walk reaches it."""
+    return [(shape, partial(enumerate_tableaux, shape, n)) for shape in shapes]
+
+
+def _schema_line(schema: RelationSchema, exhaustive: bool = False,
+                 straight: bool | None = None) -> _Line:
+    """The line that checks the schema on every family it takes, one
+    instantiation after another.  The instantiations for each n are drawn
+    once, lazily, by the first family over n; a draw runs to its end
+    unless the line closes there, so the later families replay a
+    complete list."""
+    drawn: dict[int, list[tuple[dict[str, int], Word, Word]]] = {}
+
+    def instantiations(n: int) -> Iterator[tuple[dict[str, int], Word, Word]]:
+        if n in drawn:
+            yield from drawn[n]
+            return
+        drawn[n] = []
+        for item in schema.instantiations(n):
+            drawn[n].append(item)
+            yield item
+
+    def verdicts(family: TableauFamily, memo: _Memo) -> Iterator[Verdict]:
+        return (_check(family, [("", tuple(sorted(subs.items())), lhs, rhs)], memo, exhaustive)
+                for subs, lhs, rhs in instantiations(family.n))
+    return straight, verdicts
 
 
 def verify_relation(schema: RelationSchema, family: TableauFamily,
@@ -708,30 +770,11 @@ def verify_relation(schema: RelationSchema, family: TableauFamily,
 
 
 def verify_relation_over(schema: RelationSchema, families: Iterable[TableauFamily],
-                         exhaustive: bool = False, memo: _Memo | None = None
-                         ) -> Verdict:
-    """verify_relation on each family in turn; exhaustive goes on through
-    every family and keeps the first counterexample.  The instantiations
-    for each n are drawn once, lazily, by the first family over n; a
-    draw runs to its end unless the verification stops there, so the
-    later families replay a complete list.  memo is the band memo, a
-    fresh one unless a caller shares one across calls."""
-    if memo is None:
-        memo = {}
-    drawn: dict[int, list[tuple[dict[str, int], Word, Word]]] = {}
-
-    def instantiations(n: int) -> Iterator[tuple[dict[str, int], Word, Word]]:
-        if n in drawn:
-            yield from drawn[n]
-            return
-        drawn[n] = []
-        for item in schema.instantiations(n):
-            drawn[n].append(item)
-            yield item
-    return _first_failure(
-        (_check(family, [("", tuple(sorted(subs.items())), lhs, rhs)], memo, exhaustive)
-         for family in families for subs, lhs, rhs in instantiations(family.n)),
-        exhaustive)
+                         exhaustive: bool = False) -> Verdict:
+    """verify_relation on each family in turn, each drawn from families
+    only when the walk reaches it; exhaustive goes on through every
+    family and keeps the first counterexample."""
+    return _walk([_schema_line(schema, exhaustive)], _given(families), exhaustive)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -779,9 +822,8 @@ def verify_cactus_action(route: str, families: Iterable[TableauFamily]) -> Verdi
     for the given realization over the given families."""
     if route not in CACTUS_ROUTES:
         raise WordError(f"unknown cactus route {route!r}")
-    memo: _Memo = {}
-    return _first_failure(_check(family, _cactus_checks(route, family.n), memo)
-                          for family in families)
+    line = None, lambda family, memo: [_check(family, _cactus_checks(route, family.n), memo)]
+    return _walk([line], _given(families))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +837,11 @@ def search_counterexample(schema: RelationSchema, n: int, max_cells: int,
     reaches them."""
     shapes = (skew_shapes(max_cells, max_part) if skew
               else straight_shapes(max_cells, max_part))
-    v = verify_relation_over(schema, (enumerate_tableaux(s, n) for s in shapes))
+    return _searched(_walk([_schema_line(schema)], _enumerated(shapes, n))[0])
+
+
+def _searched(v: Verdict) -> Verdict:
+    """A search's verdict, with the note that says how the search ended."""
     note = ("exhausted search budget without counterexample" if v.holds
             else "counterexample found")
     return Verdict(v.holds, v.instances_checked, v.counterexample, note)
@@ -940,42 +986,24 @@ def sbk_core_schemas() -> list[RelationSchema]:
     ]
 
 
-def _schema_result(schema: RelationSchema, families: Iterable[TableauFamily],
-                   memo: _Memo) -> PresetResult:
-    """One line of a preset, verified with the preset's band memo.  Each
-    family keeps its tables, so the line's switching and eta band results
-    never recur in a later line and are dropped after it; t's band
-    results (t_i and t_j share them) and jdt's standard results stay."""
-    verdict = verify_relation_over(schema, families, memo=memo)
-    for key in [key for key in memo if key[0] in (_band_evac, jdt.reversal_map)]:
-        del memo[key]
-    return PresetResult(schema.name, verdict.holds, verdict)
+def _schema_preset(lines: Sequence[tuple[RelationSchema, bool | None]],
+                   shapes: Iterable[ShiftedSkewShape], n: int) -> list[PresetResult]:
+    """One result per schema, each checked on the shapes it takes as
+    _walk's lines do, all in one walk over the shapes."""
+    verdicts = _walk([_schema_line(schema, straight=straight) for schema, straight in lines],
+                     _enumerated(shapes, n))
+    return [PresetResult(schema.name, v.holds, v) for (schema, _), v in zip(lines, verdicts)]
 
 
 def _preset_sbk_core(n: int) -> list[PresetResult]:
-    """The first line, t_i^2 = 1, fills every t table of every family, and
-    every later line composes t tables, so each family's layouts are
-    dropped once the first line has checked the family."""
-    straight = straight_families(n)
-    mixed = straight + skew_families(n)
-    memo: _Memo = {}
-    first, *rest = sbk_core_schemas()
-    out = [_schema_result(first, _dropping_layouts(mixed), memo)]
-    return out + [_schema_result(schema, straight if schema.straight_only else mixed, memo)
-                  for schema in rest]
-
-
-def _dropping_layouts(families: Iterable[TableauFamily]) -> Iterator[TableauFamily]:
-    """The families in turn, each one's layouts dropped when the next is
-    drawn, which a verification does once it has checked the family."""
-    for family in families:
-        yield family
-        vars(family).pop("layouts", None)
+    return _schema_preset([(schema, schema.straight_only or None)
+                           for schema in sbk_core_schemas()],
+                          _straight_shapes() + _skew_shapes(), n)
 
 
 def _preset_cactus(route: str, n: int) -> list[PresetResult]:
-    """Each family is checked once, so it is enumerated only when the
-    check reaches it and dropped after it."""
+    """The walk draws each family from the generator when it reaches it,
+    so a family is enumerated when its turn comes and dropped after it."""
     shapes = (_straight_shapes() if route in ("q", "evac")
               else _skew_shapes(include_straight=True))
     verdict = verify_cactus_action(route, (enumerate_tableaux(s, n) for s in shapes))
@@ -983,53 +1011,46 @@ def _preset_cactus(route: str, n: int) -> list[PresetResult]:
 
 
 def _preset_evac_agreement(n: int) -> list[PresetResult]:
-    families = straight_families(n)
-    memo: _Memo = {}
-    out = []
+    """The evac lines take the straight shapes, the evacs lines the skew
+    ones."""
+    lines = []
     for k in range(2, n + 1):
-        out.append(_schema_result(RelationSchema(
-            f"evac{k}", f"eta:1,{k}", name=f"evac_{k} = eta_1{k}"), families, memo))
-        out.append(_schema_result(RelationSchema(
-            f"evac{k}", f"q{k - 1}", name=f"evac_{k} = q_{k - 1}"), families, memo))
+        lines += [(RelationSchema(f"evac{k}", f"eta:1,{k}", name=f"evac_{k} = eta_1{k}"), True),
+                  (RelationSchema(f"evac{k}", f"q{k - 1}", name=f"evac_{k} = q_{k - 1}"), True)]
     # eta:1,n is rectification after the complement on a straight shape;
     # at n=1 a family has one member at most, at n=0 evac0 checks nothing
-    out.append(_schema_result(RelationSchema(
-        f"evac{n}", f"eta:1,{n}" if n > 1 else "e",
-        name="evac via switching = rectify after complement"), families, memo))
-    skew = skew_families(n)
+    lines.append((RelationSchema(f"evac{n}", f"eta:1,{n}" if n > 1 else "e",
+                                 name="evac via switching = rectify after complement"),
+                  True))
     for i in range(1, n):
         word = " ".join(f"p{k}" for k in range(1, i + 1))
-        for template, fams in ((f"evac{i + 1}", families),
-                               (f"evacs{i + 1}", skew)):
-            out.append(_schema_result(RelationSchema(
-                template, word, name=f"{template} = {word}"), fams, memo))
-    return out
+        for template, straight in ((f"evac{i + 1}", True), (f"evacs{i + 1}", False)):
+            lines.append((RelationSchema(template, word, name=f"{template} = {word}"), straight))
+    return _schema_preset(lines, _straight_shapes() + _skew_shapes(), n)
 
 
 def _preset_non_relations(n: int) -> list[PresetResult]:
-    out = []
+    """Searches and the skew Knuth-equivalence witness in one walk over the
+    skew search shapes with the straight ones, which come in
+    straight_shapes' order: the straight search takes those, the rest
+    take the skew shapes."""
     searches = [
-        ("(t1 t2)^6 != e", RelationSchema("(t1 t2)^6", "e"), False),
-        ("(sigma1 sigma2)^3 != e", RelationSchema("(sigma1 sigma2)^3", "e"), True),
-        ("skew evac_ij != q_ij", RelationSchema("evacs:{i},{j}", "q:{i},{j}",
-                                                "i < j"), True),
+        ("(t1 t2)^6 != e", RelationSchema("(t1 t2)^6", "e"), True),
+        ("(sigma1 sigma2)^3 != e", RelationSchema("(sigma1 sigma2)^3", "e"), False),
+        ("skew evac_ij != q_ij", RelationSchema("evacs:{i},{j}", "q:{i},{j}", "i < j"), False),
     ]
     if n >= 4:
         searches.append(("skew (t_i q_jk)^2 != e",
-                         RelationSchema("(t{i} q:{j},{k})^2", "e",
-                                        "i+1 < j and j < k"), True))
-    for label, schema, skew in searches:
-        v = search_counterexample(schema, n, SEARCH_MAX_CELLS, skew=skew,
-                                  max_part=STRAIGHT_MAX_PART)
-        out.append(PresetResult(label, not v.holds, v))
-    # skew evacuation need not be Knuth equivalent to the complement; the
-    # families are enumerated lazily, so the scan stops at the witness
-    memo: _Memo = {}
-    v = _first_failure(_knuth_witness(enumerate_tableaux(s, n), memo)
-                       for s in skew_shapes(SEARCH_MAX_CELLS, STRAIGHT_MAX_PART))
-    out.append(PresetResult("skew evac not Knuth equivalent to complement",
-                            not v.holds, v))
-    return out
+                         RelationSchema("(t{i} q:{j},{k})^2", "e", "i+1 < j and j < k"), False))
+    # skew evacuation need not be Knuth equivalent to the complement
+    knuth = False, lambda family, memo: [_knuth_witness(family, memo)]
+    *found, witness = _walk(
+        [_schema_line(schema, straight=straight) for _, schema, straight in searches] + [knuth],
+        _enumerated(_skew_shapes(SEARCH_MAX_CELLS, include_straight=True), n))
+    out = [PresetResult(label, not v.holds, _searched(v))
+           for (label, _, _), v in zip(searches, found)]
+    return out + [PresetResult("skew evac not Knuth equivalent to complement",
+                               not witness.holds, witness)]
 
 
 _PRESETS = {

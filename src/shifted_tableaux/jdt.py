@@ -196,7 +196,7 @@ def standard_result(core: StandardCore, std: dict[Cell, int], memo: dict | None
         out = core(dict(std), memo)
         if out.keys() != std.keys() or sorted(out.values()) != list(range(1, len(std) + 1)):
             raise RuntimeError("a standard result is not a standard filling of its cells")
-        values = tuple(map(out.get, std))
+        values = tuple([out[c] for c in std])
         if memo is not None:
             memo[memo_key] = values
     return dict(zip(std, values))

@@ -691,6 +691,36 @@ class TestErrors:
         monkeypatch.setattr(enumeration, "MAX_MEMBERS", 37)
         assert run(capsys, *argv) == (2, "", "error: ShST([4, 2], 3) has more than 37 members\n")
 
+    @pytest.mark.parametrize("skew", [(), ("--skew",)], ids=["straight", "skew"])
+    def test_schema_counterexample_comes_before_an_oversized_family(self, capsys, monkeypatch,
+                                                                    skew):
+        """verify --schema enumerates each family when the walk reaches it,
+        so a schema failing on the first family reports its counterexample
+        (exit 1) though a later family is past MAX_MEMBERS, as search
+        does; a schema that holds reaches that family and fails there with
+        the capacity error (exit 2).  The bound is lowered as in
+        test_oversized_family_is_one_line."""
+        monkeypatch.setattr(enumeration, "MAX_MEMBERS", 10)
+        code, out, err = run(capsys, "verify", "--schema", "t1 = t2", "--n", "3", *skew)
+        assert (code, out.splitlines()[0], err) == (1, "counterexample found", "")
+        code, out, err = run(capsys, "verify", "--schema", "t1 t1 = e", "--n", "3", *skew)
+        assert (code, out) == (2, "") and err.endswith("has more than 10 members\n")
+
+    @pytest.mark.parametrize("max_cells, message", [
+        ("-5", "--max-cells -5 is negative"),
+        (str(MAX_CELLS + 1), f"--max-cells {MAX_CELLS + 1} is more than {MAX_CELLS}")])
+    def test_bad_verify_budget_fails_before_any_family(self, capsys, monkeypatch, max_cells,
+                                                       message):
+        """verify --skew checks --max-cells before it lists a shape or
+        enumerates a family."""
+        listed, enumerated = [], []
+        monkeypatch.setattr(engine, "skew_shapes", lambda *args: listed.append(args) or [])
+        monkeypatch.setattr(cli, "enumerate_tableaux",
+                            lambda *args: enumerated.append(args))
+        assert run(capsys, "verify", "--schema", "t1 = e", "--n", "3", "--skew",
+                   "--max-cells", max_cells) == (2, "", f"error: {message}\n")
+        assert listed == enumerated == []
+
     def test_shape_at_the_bound_is_accepted(self, capsys):
         assert run(capsys, "enum", "--outer", str(MAX_CELLS), "--n", "1",
                    "--count-only") == (0, "1\n", "")

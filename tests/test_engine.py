@@ -1,11 +1,14 @@
 """Word parsing, relation schemas, verification, searches, orbits, presets."""
 
+import functools
 import gc
 import itertools
 import sys
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shifted_tableaux import bender_knuth, cli, core, engine, jdt, switching
 from shifted_tableaux.cli import main
@@ -641,29 +644,27 @@ class TestFamilyTables:
         assert len(list(routes.instantiations(n))) == n
         assert verify_relation(routes, fam) == engine.Verdict(True, size)
 
-    def test_preset_lines_keep_no_switching_or_eta_band_results(self, monkeypatch):
-        """Each family keeps its tables, so the switching and eta band
-        results of one evac-agreement line never recur in a later one:
-        every line starts without them, while t's band results and jdt's
-        standard results carry over, and switching evacuation still runs
-        once per band."""
-        verify, kept = engine.verify_relation_over, []
+    def test_preset_lines_share_one_band_memo(self, monkeypatch):
+        """A preset is one walk, and all its lines fill their tables with
+        the walk's one band memo: over evac-agreement at n=4 every check
+        is handed the same memo, and switching evacuation runs once per
+        band across all the lines."""
+        check, memos = engine._check, []
         evac_map, bands = switching.evac_map, []
 
-        def spy(schema, families, exhaustive=False, memo=None):
-            kept.append({key[0] for key in memo})
-            return verify(schema, families, exhaustive, memo)
+        def spy(family, checks, memo, exhaustive=False):
+            memos.append(memo)
+            return check(family, checks, memo, exhaustive)
 
         def counted_evac_map(entries, n):
-            bands.append(frozenset(entries.items()))
+            bands.append((frozenset(entries.items()), n))
             return evac_map(entries, n)
 
-        monkeypatch.setattr(engine, "verify_relation_over", spy)
+        monkeypatch.setattr(engine, "_check", spy)
         monkeypatch.setattr(switching, "evac_map", counted_evac_map)
         assert all(r.ok for r in run_preset("evac-agreement", 4))
-        assert not any({engine._band_evac, jdt.reversal_map} & cores for cores in kept)
-        assert engine._band_bk in kept[-1] and jdt._reverse_standard in kept[-1]
-        assert len(bands) == 6362
+        assert memos and all(memo is memos[0] for memo in memos)
+        assert len(bands) == len(set(bands)) == 6362
 
     def test_whole_member_images_destandardize_nothing(self, monkeypatch):
         """eta:1,n, on its own and in the routes line of evac-agreement,
@@ -710,20 +711,32 @@ class TestLifetimes:
             assert set(vars(family)) <= allowed, (family.shape, set(vars(family)) - allowed)
 
     def test_sbk_core_families_keep_no_layouts(self, monkeypatch):
-        """sbk-core's first line, t_i^2 = 1, fills every band table its
-        families get, and each family drops its layouts once that line
-        has checked it: every family has t tables, and none keeps its
-        layouts, once the preset returns."""
-        enumerate_real, families = engine.enumerate_tableaux, []
+        """sbk-core is one walk, whose lines all check a family in its turn,
+        so no family keeps its layouts, or anything else, past the walk:
+        each preset shape is enumerated once, in order, every line that
+        takes a family has checked it by the time the next is enumerated,
+        and no family is alive once the preset returns.  The collector is
+        off, so only what holds a family keeps it."""
+        enumerate_real, refs, shapes, lines_done = engine.enumerate_tableaux, [], [], []
+        t_tables = {GeneratorSymbol("t", 1), GeneratorSymbol("t", 2), GeneratorSymbol("t", 3)}
 
-        def kept(shape, n):
-            families.append(enumerate_real(shape, n))
-            return families[-1]
+        def watched(shape, n):
+            if refs and refs[-1]() is not None:
+                lines_done.append(t_tables <= set(refs[-1]().tables))
+            family = enumerate_real(shape, n)
+            refs.append(weakref.ref(family))
+            shapes.append(shape)
+            return family
 
-        monkeypatch.setattr(engine, "enumerate_tableaux", kept)
-        assert all(r.ok for r in run_preset("sbk-core", 4))
-        assert families and all(GeneratorSymbol("t", 1) in f.tables for f in families)
-        assert [f.shape for f in families if "layouts" in vars(f)] == []
+        monkeypatch.setattr(engine, "enumerate_tableaux", watched)
+        gc.disable()
+        try:
+            assert all(r.ok for r in run_preset("sbk-core", 4))
+        finally:
+            gc.enable()
+        assert shapes == engine._straight_shapes() + engine._skew_shapes()
+        assert lines_done and all(lines_done)
+        assert all(ref() is None for ref in refs)
 
     def test_iteration_and_enum_add_nothing_to_a_family(self, monkeypatch, capsys):
         """Iterating a family, and enum, build each member on its key and
@@ -743,27 +756,36 @@ class TestLifetimes:
         assert capsys.readouterr().out.count("\n\n") == len(family) - 1
         assert [set(vars(f)) for f in families] == [built]
 
-    @pytest.mark.parametrize("preset", ["cactus-q", "cactus-eta"])
-    def test_cactus_presets_hold_at_most_two_families(self, monkeypatch, preset):
-        """verify --preset cactus-q and cactus-eta check each family once,
-        so no more than two are alive at once: the one being checked and
-        the next one being enumerated.  The collector is off, so only
-        what holds a family keeps it."""
-        enumerate_real, refs, alive = engine.enumerate_tableaux, [], []
+    @pytest.mark.parametrize("argv", [
+        *(("--preset", preset) for preset in engine.PRESETS),
+        ("--schema", "t{i} t{i} = e"), ("--schema", "t{i} t{i} = e", "--skew")],
+        ids=[*engine.PRESETS, "schema", "schema-skew"])
+    def test_walks_hold_at_most_two_families(self, monkeypatch, argv):
+        """Every preset and verify --schema, straight or --skew, walks its
+        families in turn, each enumerated when the walk reaches it: no
+        more than two are alive at once, the one just checked and the one
+        being enumerated, and none once the command returns.  The
+        collector is off, so only what holds a family keeps it."""
+        refs, alive = [], []
 
-        def watched(shape, n):
-            family = enumerate_real(shape, n)
-            refs.append(weakref.ref(family))
-            alive.append(sum(ref() is not None for ref in refs))
-            return family
+        def watched(module):
+            enumerate_real = module.enumerate_tableaux
 
-        monkeypatch.setattr(engine, "enumerate_tableaux", watched)
+            def enumerate_watched(shape, n):
+                family = enumerate_real(shape, n)
+                refs.append(weakref.ref(family))
+                alive.append(sum(ref() is not None for ref in refs))
+                return family
+            monkeypatch.setattr(module, "enumerate_tableaux", enumerate_watched)
+
+        watched(engine)
+        watched(cli)
         gc.disable()
         try:
-            assert main(["verify", "--preset", preset, "--n", "3"]) == 0
+            assert main(["verify", *argv, "--n", "3"]) == 0
         finally:
             gc.enable()
-        assert len(refs) > 2 and max(alive) == 2
+        assert len(refs) > 2 and max(alive) <= 2
         assert all(ref() is None for ref in refs)
 
 
@@ -792,6 +814,68 @@ class TestSearch:
     def test_exhausts_on_true_relation(self):
         v = search_counterexample(RelationSchema("t1 t1", "e"), 2, 4)
         assert v.holds
+
+
+# the schema lines of sbk-core and non-relations, each with the shapes it
+# takes (True: straight, False: skew, None: all)
+WALK_LINES = [(schema, schema.straight_only or None) for schema in engine.sbk_core_schemas()] + [
+    (RelationSchema("(t1 t2)^6", "e"), True), (RelationSchema("(sigma1 sigma2)^3", "e"), False),
+    (RelationSchema("evacs:{i},{j}", "q:{i},{j}", "i < j"), False),
+    (RelationSchema("(t{i} q:{j},{k})^2", "e", "i+1 < j and j < k"), False)]
+
+
+def walk(lines, shapes, n, exhaustive=False):
+    """The verdicts of one walk of the (schema, straight) lines."""
+    return engine._walk([engine._schema_line(schema, exhaustive, straight)
+                         for schema, straight in lines],
+                        engine._enumerated(shapes, n), exhaustive)
+
+
+@functools.cache
+def walked_alone(k, exhaustive):
+    """The verdict of line k of WALK_LINES walked alone over the n=3 preset
+    shapes."""
+    return walk([WALK_LINES[k]], engine._straight_shapes() + engine._skew_shapes(), 3,
+                exhaustive)[0]
+
+
+class TestWalk:
+    def test_enumerates_only_shapes_an_open_line_takes(self, monkeypatch):
+        """A shape is enumerated only when an open line takes it: the
+        straight line (t1 t2)^6 = e closes at its witness (4,1) at n=3,
+        after which only the skew shapes, which the skew line t1 t1 = e
+        takes to the end, are enumerated; lines that take no shape
+        enumerate nothing."""
+        enumerate_real, shapes = engine.enumerate_tableaux, []
+
+        def spy(shape, n):
+            shapes.append(shape)
+            return enumerate_real(shape, n)
+
+        monkeypatch.setattr(engine, "enumerate_tableaux", spy)
+        order = skew_shapes(6, 4, include_straight=True)
+        braid, square = RelationSchema("(t1 t2)^6", "e"), RelationSchema("t1 t1", "e")
+        v, w = walk([(braid, True), (square, False)], order, 3)
+        witness = v.counterexample.shape
+        assert (not v.holds, witness, w.holds) == (True, ShiftedSkewShape((4, 1)), True)
+        assert shapes == [s for s in order
+                          if not s.straight or order.index(s) <= order.index(witness)]
+        assert any(s.straight for s in order[order.index(witness) + 1:])
+        shapes.clear()
+        assert walk([(square, True)], skew_shapes(6, 4), 3) == [engine.Verdict(True, 0)]
+        assert walk([], order, 3) == [] and shapes == []
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(st.permutations(range(len(WALK_LINES))), st.integers(1, len(WALK_LINES)),
+           st.booleans())
+    def test_no_line_depends_on_its_walk_mates(self, order, size, exhaustive):
+        """Any subset of the sbk-core and non-relations schema lines, in any
+        order, walked together over the n=3 preset shapes, exhaustively or
+        not, gives each line the verdict it has walked alone."""
+        picked = order[:size]
+        together = walk([WALK_LINES[k] for k in picked],
+                        engine._straight_shapes() + engine._skew_shapes(), 3, exhaustive)
+        assert together == [walked_alone(k, exhaustive) for k in picked]
 
 
 class TestOrbits:
@@ -908,28 +992,29 @@ class TestPresets:
             run_preset("nope", 3)
 
     def test_knuth_witness_scan_stops_at_its_witness(self, monkeypatch):
-        """The witness line of non-relations enumerates the skew shapes in
-        order, each family only as the scan reaches it, and none after the
-        counterexample's shape (3,1)/(1)."""
-        enumerate_real, search_real = engine.enumerate_tableaux, engine.search_counterexample
-        shapes, searching = [], []
+        """non-relations is one walk over the skew search shapes with the
+        straight ones: at n=3 and n=4 it enumerates each shape at most
+        once, in walk order, only while an open line takes it (the
+        straight search takes the straight shapes, the other lines the
+        skew ones, and a line closes at its witness's shape), and none
+        after the last witness's shape; the Knuth witness's is (3,1)/(1)."""
+        enumerate_real, shapes = engine.enumerate_tableaux, []
 
-        def spy_enumerate(shape, n):
-            if not searching:
-                shapes.append(shape)
+        def spy(shape, n):
+            shapes.append(shape)
             return enumerate_real(shape, n)
 
-        def spy_search(*args, **kwargs):
-            searching.append(True)
-            try:
-                return search_real(*args, **kwargs)
-            finally:
-                searching.pop()
-
-        monkeypatch.setattr(engine, "enumerate_tableaux", spy_enumerate)
-        monkeypatch.setattr(engine, "search_counterexample", spy_search)
-        witness = run_preset("non-relations", 3)[-1].verdict.counterexample
-        witness_shape = ShiftedSkewShape((3, 1), (1,))
-        assert witness.shape == witness_shape
-        order = skew_shapes(engine.SEARCH_MAX_CELLS, engine.STRAIGHT_MAX_PART)
-        assert shapes == order[:order.index(witness_shape) + 1]
+        monkeypatch.setattr(engine, "enumerate_tableaux", spy)
+        order = skew_shapes(engine.SEARCH_MAX_CELLS, engine.STRAIGHT_MAX_PART,
+                            include_straight=True)
+        for n in (3, 4):
+            shapes.clear()
+            results = run_preset("non-relations", n)
+            witnesses = [r.verdict.counterexample.shape for r in results]
+            assert all(r.ok for r in results)
+            assert witnesses[-1] == ShiftedSkewShape((3, 1), (1,))
+            last = {straight: max(order.index(w) for w in witnesses if w.straight == straight)
+                    for straight in (True, False)}
+            assert shapes == [s for x, s in enumerate(order) if x <= last[s.straight]]
+            assert shapes[-1] == max(witnesses, key=order.index)
+            assert len(shapes) < len(order)

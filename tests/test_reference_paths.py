@@ -29,7 +29,7 @@ from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape,
                                    destandardize, destandardize_map, parse_tableau,
                                    from_json, reading_cells, render_text, standardize,
                                    standardize_map, to_json, weight)
-from shifted_tableaux.engine import (Counterexample, eval_word, parse_word,
+from shifted_tableaux.engine import (Counterexample, Verdict, eval_word, parse_word,
                                      sbk_core_schemas, skew_families, straight_families,
                                      verify_cactus_action, verify_relation_over)
 from shifted_tableaux.enumeration import enumerate_tableaux, skew_shapes
@@ -552,6 +552,18 @@ def test_later_check_failing_at_earlier_member_comes_first(exhaustive):
     assert fields(engine._check(family, checks, {}, exhaustive)) == want
 
 
+def reference_fold(verdicts):
+    """Verdicts of families drawn in turn, folded into one: their
+    instances added up to the first failure, which ends the draw and
+    gives the counterexample and note."""
+    checked = 0
+    for verdict in verdicts:
+        checked += verdict.instances_checked
+        if not verdict.holds:
+            return Verdict(False, checked, verdict.counterexample, verdict.note)
+    return Verdict(True, checked)
+
+
 def route_outcome(check):
     """(holds, instances_checked, counterexample) of a check, or the type
     and message of the error it raises."""
@@ -587,7 +599,7 @@ def test_evac_routes_match_member_loop(monkeypatch, n, wrong, verdict):
     member on both paths."""
     if wrong is not None:
         monkeypatch.setattr(jdt, "_evacuate_standard", wrong())
-    want = route_outcome(lambda: engine._first_failure(
+    want = route_outcome(lambda: reference_fold(
         reference_member_loop(family, switching.evac_switch, jdt.evacuation_jdt)
         for family in straight_families(n)))
     assert want[0] is verdict
