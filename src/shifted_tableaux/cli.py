@@ -44,11 +44,18 @@ def _read_tableau(path: str, n: int | None) -> ShiftedTableau:
 
 
 def _parse_shape(outer: str, inner: str | None) -> ShiftedSkewShape:
-    out = tuple(int(p) for p in outer.split(",") if p)
-    inn = tuple(int(p) for p in inner.split(",") if p) if inner else ()
-    shape = ShiftedSkewShape(out, inn)
+    shape = ShiftedSkewShape(_parts("--outer", outer), _parts("--inner", inner or ""))
     check_cells(shape)
     return shape
+
+
+def _parts(option: str, value: str) -> tuple[int, ...]:
+    """The parts a shape option lists; ValueError, naming the option and
+    its value, when one is not an integer."""
+    try:
+        return tuple(int(p) for p in value.split(",") if p)
+    except ValueError:
+        raise ValueError(f"{option} {value!r} is not a comma-separated list of integers") from None
 
 
 def _max_cells(value: int, skew_search: bool = False) -> int:

@@ -51,7 +51,8 @@ found by _first_difference.
 Every verification, search and preset is one _walk: its lines each take
 the straight shapes, the skew ones or all, and give their verdicts on
 one family; the walk is the one loop over families, and adds up each
-line's verdicts apart.
+line's verdicts apart.  The presets hand it their shape lists
+(_straight_shapes, _skew_shapes), and no list of families is built.
 
 A family is its members' keys, and every check reads tables filled on
 keys, so a verification whose checks all hold builds no tableau.  A
@@ -74,7 +75,7 @@ from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import bender_knuth, jdt, switching
-from .core import CapacityError, Cell, ShiftedSkewShape, ShiftedTableau, _Value
+from .core import CapacityError, Cell, ShiftedSkewShape, ShiftedTableau, _Value, _weight
 from .enumeration import (TableauFamily, enumerate_tableaux, layout_cell, skew_shapes,
                           straight_shapes)
 
@@ -101,10 +102,10 @@ class _Kind(_Value):
     """A generator kind: its token, its number of indices and their valid
     range, its operator on one tableau, and either its letter band and
     the map-level core the family tables run on the band re-indexed to
-    1..k, or its t_k factors in the order they act.  straight: the kind
-    acts on straight shapes only."""
+    1..k, or its t_k factors in the order they act.  skew: for a kind
+    that acts on straight shapes only, the kind to use on skew shapes."""
 
-    __slots__ = ("token", "indices", "valid", "act", "band", "core", "factors", "straight")
+    __slots__ = ("token", "indices", "valid", "act", "band", "core", "factors", "skew")
     token: str
     indices: int
     valid: Callable[..., bool]
@@ -112,15 +113,15 @@ class _Kind(_Value):
     band: Callable[..., tuple[int, int]] | None
     core: Callable[[dict, int, _Memo], Mapping] | None
     factors: Callable[..., tuple[int, ...]] | None
-    straight: bool
+    skew: str | None
 
     def __init__(self, token: str, indices: int, valid: Callable[..., bool],
                  act: Callable[..., ShiftedTableau],
                  band: Callable[..., tuple[int, int]] | None = None,
                  core: Callable[[dict, int, _Memo], Mapping] | None = None,
                  factors: Callable[..., tuple[int, ...]] | None = None,
-                 straight: bool = False):
-        self._assign(token, indices, valid, act, band, core, factors, straight)
+                 skew: str | None = None):
+        self._assign(token, indices, valid, act, band, core, factors, skew)
 
 
 # Each operator on one tableau, and the bk_map and evac_map cores, are
@@ -144,7 +145,7 @@ _KINDS = {
                  factors=bender_knuth.q_interval_word),
     "evac": _Kind("evac", 1, lambda n, i: 1 <= i <= n,
                   lambda t, i: switching.evac_k_switch(t, i),
-                  lambda i: (1, i), _band_evac, straight=True),
+                  lambda i: (1, i), _band_evac, skew="evacs"),
     "evacs": _Kind("evacs", 1, lambda n, i: 1 <= i <= n,
                    lambda t, i: switching.evac_k_skew(t, i), lambda i: (1, i), _band_evac),
     "evacsij": _Kind("evacs", 2, lambda n, i, j: 1 <= i < j <= n,
@@ -265,8 +266,17 @@ def _kind(sym: GeneratorSymbol, n: int) -> _Kind:
     return _KINDS[sym.kind]
 
 
+def _require_straight(sym: GeneratorSymbol, kind: _Kind, shape: ShiftedSkewShape) -> None:
+    """switching.require_straight for a sym that acts on straight shapes
+    only, naming sym and the symbol to use instead."""
+    if kind.skew:
+        switching.require_straight(shape, str(sym), str(GeneratorSymbol(kind.skew, *sym.indices)))
+
+
 def apply_symbol(t: ShiftedTableau, sym: GeneratorSymbol) -> ShiftedTableau:
-    return _kind(sym, t.n).act(t, *sym.indices)
+    kind = _kind(sym, t.n)
+    _require_straight(sym, kind, t.shape)
+    return kind.act(t, *sym.indices)
 
 
 def eval_word(word: Sequence[GeneratorSymbol], t: ShiftedTableau) -> ShiftedTableau:
@@ -293,8 +303,8 @@ def _table(family: TableauFamily, sym: GeneratorSymbol, memo: _Memo
         table = _compose(family, [GeneratorSymbol("t", k)
                                   for k in kind.factors(*sym.indices)], memo)
     else:
-        if kind.straight and family.keys:
-            switching.require_straight(family.shape, "evac_k_switch", "evac_k_skew")
+        if family.keys:
+            _require_straight(sym, kind, family.shape)
         table = _positions(family, sym, *kind.band(*sym.indices), kind.core, memo)
     family.tables[sym] = table
     return table
@@ -412,10 +422,7 @@ def _standard_images(family: TableauFamily, cells: tuple[Cell, ...], memo: _Memo
     index: dict[tuple, int] = {}
     for key, x in positions.items():
         std = jdt.standardize_map(zip(cells, key))
-        wt = [0] * n
-        for k in key:
-            wt[(k - 1) >> 1] += 1
-        if index.setdefault((tuple([std[c] for c in cells]), tuple(wt)), x) != x:
+        if index.setdefault((tuple([std[c] for c in cells]), _weight(key, n)), x) != x:
             raise RuntimeError(f"two members of ShST({family.shape}, {n}) share a "
                                "standardization and a weight")
     ranks = range(1, len(cells) + 1)
@@ -937,15 +944,6 @@ def _skew_shapes(max_cells: int = SKEW_MAX_CELLS, include_straight: bool = False
                  ) -> list[ShiftedSkewShape]:
     """The skew preset shapes: outer parts at most STRAIGHT_MAX_PART."""
     return skew_shapes(max_cells, STRAIGHT_MAX_PART, include_straight)
-
-
-def straight_families(n: int) -> list[TableauFamily]:
-    return [enumerate_tableaux(s, n) for s in _straight_shapes()]
-
-
-def skew_families(n: int, max_cells: int = SKEW_MAX_CELLS,
-                  include_straight: bool = False) -> list[TableauFamily]:
-    return [enumerate_tableaux(s, n) for s in _skew_shapes(max_cells, include_straight)]
 
 
 def _knuth_witness(family: TableauFamily, memo: _Memo) -> Verdict:

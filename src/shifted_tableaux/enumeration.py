@@ -17,6 +17,10 @@ library as a tableau is validated: member(x) builds it with the
 tableau constructor, on the family's own key tuple, and iteration
 builds one member at a time the same way.  count_tableaux runs the same
 search and keeps no key.
+
+The shape lists take every strict partition from one generator,
+_strict_partitions: straight_shapes its shapes, and skew_shapes its
+outers and, under each outer, its inners.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import cached_property
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 from .core import (MAX_MEMBERS, CapacityError, Cell, ShiftedSkewShape, ShiftedTableau,
                    _Value, canonical_pair, check_letters)
@@ -171,62 +175,44 @@ def _search(shape: ShiftedSkewShape, n: int, found: list[tuple[int, ...]] | None
 
 def straight_shapes(max_cells: int, max_part: int | None = None
                     ) -> list[ShiftedSkewShape]:
-    """All straight shifted shapes with at most max_cells cells, ordered by
-    (cells, parts)."""
+    """All straight shifted shapes with at most max_cells cells, parts at
+    most max_part, ordered by (cells, parts)."""
     cap = max_part or max_cells
-    shapes: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], remaining: int, bound: int) -> None:
-        shapes.append(prefix)
-        for p in range(min(remaining, bound), 0, -1):
-            extend(prefix + (p,), remaining - p, p - 1)
-
-    extend((), max_cells, cap)
-    shapes.sort(key=lambda s: (sum(s), s))
+    shapes = _strict_partitions(range(cap, 0, -1), max_cells)
+    shapes.sort()
+    shapes.sort(key=sum)  # stable, so by (cells, parts)
     return [ShiftedSkewShape(s) for s in shapes if s]
 
 
 def skew_shapes(max_cells: int, max_part: int | None = None,
                 include_straight: bool = False) -> list[ShiftedSkewShape]:
     """Skew shapes outer/inner with 1..max_cells cells, outer_1 <= max_part,
-    deduplicated by cell set and ordered by (cells, outer, inner)."""
+    deduplicated by cell set and ordered by (cells, outer, inner).  The
+    outers come in _strict_partitions' order and each one's inners in
+    increasing order, and the first pair of each cell set is kept."""
     cap = max_part or max_cells
-    outers: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], bound: int) -> None:
-        if prefix:
-            outers.append(prefix)
-        for p in range(bound, 0, -1):
-            extend(prefix + (p,), p - 1)
-
-    extend((), cap)
-    # canonical_pair names a cell set, so the first pair of each is kept
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    out: list[ShiftedSkewShape] = []
-    for outer in outers:
-        for inner in _subpartitions(outer):
-            if not include_straight and not inner:
-                continue
-            if not 0 < sum(outer) - sum(inner) <= max_cells:
-                continue
-            pair = canonical_pair(outer, inner)
-            if pair not in seen:
-                seen.add(pair)
-                out.append(ShiftedSkewShape(outer, inner))
-    out.sort(key=lambda s: (s.size, s.outer, s.inner))
-    return out
+    # canonical_pair names a cell set
+    kept: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    for outer in _strict_partitions(range(cap, 0, -1), cap * (cap + 1) // 2):
+        for inner in sorted(_strict_partitions(outer, sum(outer))):
+            if (inner or include_straight) and 0 < sum(outer) - sum(inner) <= max_cells:
+                kept.setdefault(canonical_pair(outer, inner), (outer, inner))
+    pairs = sorted(kept.values(), key=lambda p: (sum(p[0]) - sum(p[1]), p))
+    return [ShiftedSkewShape(outer, inner) for outer, inner in pairs]
 
 
-def _subpartitions(outer: tuple[int, ...]) -> list[tuple[int, ...]]:
-    result: list[tuple[int, ...]] = [()]
+def _strict_partitions(bounds: Sequence[int], budget: int) -> list[tuple[int, ...]]:
+    """The strict partitions p with p[r] <= bounds[r] in each row r and
+    sum(p) <= budget, in preorder: the empty one first, each partition
+    before its extensions, and each next part tried from the largest
+    down."""
+    bounds = (*bounds, 0)  # no part past the last bound
+    found: list[tuple[int, ...]] = []
 
-    def extend(prefix: tuple[int, ...], row: int) -> None:
-        if row == len(outer):
-            return
-        hi = min(outer[row], prefix[-1] - 1 if prefix else outer[0])
-        for p in range(hi, 0, -1):
-            result.append(prefix + (p,))
-            extend(prefix + (p,), row + 1)
+    def extend(prefix: tuple[int, ...], r: int, remaining: int, below: int) -> None:
+        found.append(prefix)
+        for p in range(min(remaining, below, bounds[r]), 0, -1):
+            extend(prefix + (p,), r + 1, remaining - p, p - 1)
 
-    extend((), 0)
-    return sorted(set(result))
+    extend((), 0, budget, budget)
+    return found

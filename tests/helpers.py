@@ -1,14 +1,17 @@
 """Shared test helpers: an enumeration oracle independent of the library's
 backtracking enumerator, a reference t_i on the public switch_pair,
 reference forms of the tableau validator, the text and JSON renderers
-and the cell-token parser, and the member loop the engine's
-verification lines are checked against."""
+and the cell-token parser, the member loop the engine's verification
+lines are checked against, and the preset families enumerated all at
+once."""
 
 import itertools
 import json
 
 from shifted_tableaux.core import Entry, InvalidTableauError, ShiftedTableau, TableauError
-from shifted_tableaux.engine import Counterexample, RelationSchema, Verdict
+from shifted_tableaux.engine import (SKEW_MAX_CELLS, Counterexample, RelationSchema, Verdict,
+                                     _skew_shapes, _straight_shapes)
+from shifted_tableaux.enumeration import enumerate_tableaux
 from shifted_tableaux.jdt import complement, rectify
 from shifted_tableaux.switching import PerforatedFilling, evac_skew, switch_pair
 
@@ -123,14 +126,14 @@ def reference_token(e):
 def reference_parse_entry(token):
     """A cell token's entry, parsed character by character with no
     lookup: surrounding blanks are dropped, one trailing ' or ′ primes,
-    and the rest must be the digits of a positive integer."""
+    and the rest must be the decimal digits of a positive integer."""
     if not isinstance(token, str):
         raise TableauError(f"malformed cell token {token!r}")
     tok = token.strip()
     primed = tok.endswith("'") or tok.endswith("′")
     if primed:
         tok = tok[:-1]
-    if not tok.isdigit() or int(tok) < 1:
+    if not tok.isdecimal() or int(tok) < 1:
         raise TableauError(f"malformed cell token {token!r}")
     return Entry(int(tok), primed)
 
@@ -187,3 +190,16 @@ def evac_routes_schema(n):
     in for eta:1,1, and evac_0 is out of range."""
     return RelationSchema(f"evac{n}", f"eta:1,{n}" if n > 1 else "e",
                           name="evac via switching = rectify after complement")
+
+
+def straight_families(n):
+    """ShST(shape, n) for each straight preset shape, in the presets'
+    order, as one list."""
+    return [enumerate_tableaux(s, n) for s in _straight_shapes()]
+
+
+def skew_families(n, max_cells=SKEW_MAX_CELLS, include_straight=False):
+    """ShST(shape, n) for each skew preset shape of at most max_cells
+    cells, the straight ones too if include_straight, in the presets'
+    order, as one list."""
+    return [enumerate_tableaux(s, n) for s in _skew_shapes(max_cells, include_straight)]

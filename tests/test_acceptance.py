@@ -7,7 +7,7 @@ import time
 import pytest
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
-from helpers import brute_force_members  # noqa: E402
+from helpers import brute_force_members, skew_families, straight_families  # noqa: E402
 
 from shifted_tableaux.core import (Entry, ShiftedSkewShape, ShiftedTableau,
                                    parse_tableau, reading_cells, render_text,
@@ -18,8 +18,7 @@ from shifted_tableaux import jdt, switching
 from shifted_tableaux.bender_knuth import bk, promotion, q, q_interval
 from shifted_tableaux.engine import (RelationSchema, eval_word, parse_word,
                                      search_counterexample, sbk_core_schemas,
-                                     components_by_dual_equivalence, skew_families,
-                                     straight_families, verify_cactus_action,
+                                     components_by_dual_equivalence, verify_cactus_action,
                                      verify_relation_over)
 
 

@@ -441,7 +441,21 @@ class TestErrors:
     ], ids=["apply", "verify"])
     def test_straight_evac_on_skew_shape_is_one_line(self, capsys, argv):
         assert run(capsys, *argv) == \
-            (2, "", "error: evac_k_switch requires a straight shape; use evac_k_skew\n")
+            (2, "", "error: evac2 requires a straight shape; use evacs2\n")
+
+    def test_non_decimal_digit_token_is_one_line(self, capsys):
+        """A superscript digit passes str.isdigit but is no decimal digit."""
+        assert run(capsys, "apply", "--op", "e", "--in", "\u00b2") == \
+            (2, "", "error: malformed cell token '\u00b2'\n")
+
+    @pytest.mark.parametrize("argv, option, value", [
+        (("enum", "--outer", "a", "--n", "2"), "--outer", "a"),
+        (("enum", "--outer", "3,1", "--inner", "1,x", "--n", "2"), "--inner", "1,x"),
+        (("verify", "--schema", "t1 = t1", "--n", "2", "--outer", "2.5"), "--outer", "2.5"),
+    ], ids=["outer", "inner", "verify"])
+    def test_shape_that_is_no_integer_list_is_one_line(self, capsys, argv, option, value):
+        assert run(capsys, *argv) == \
+            (2, "", f"error: {option} {value!r} is not a comma-separated list of integers\n")
 
     def test_inner_dots_after_an_entry_is_one_line(self, capsys):
         assert run(capsys, "apply", "--op", "e", "--in", "1 . 2") == \

@@ -36,6 +36,11 @@ class TestEntry:
             Entry.parse("0")
         with pytest.raises(TableauError):
             Entry.parse("x")
+        # digits that are not decimal digits, though str.isdigit holds
+        for token in ("\u00b2", "1\u00b2'"):
+            with pytest.raises(TableauError) as info:
+                Entry.parse(token)
+            assert str(info.value) == f"malformed cell token {token!r}"
         for value in (0, -2):
             with pytest.raises(TableauError) as info:
                 Entry(value)

@@ -22,12 +22,12 @@ from shifted_tableaux.engine import (MAX_ASSIGNMENTS, MAX_WORD_LENGTH,
                                      orbit_graph, parse_symbol, parse_word, run_preset,
                                      search_counterexample, verify_cactus_action,
                                      verify_relation, verify_relation_over,
-                                     straight_families, word_permutation)
+                                     word_permutation)
 from shifted_tableaux.bender_knuth import bk, q_interval
 from shifted_tableaux.jdt import eta, rectify
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
-from helpers import evac_routes_schema  # noqa: E402
+from helpers import evac_routes_schema, skew_families, straight_families  # noqa: E402
 
 
 def rt(t):
@@ -224,7 +224,7 @@ class TestSchemas:
             return instantiations(schema, n)
 
         monkeypatch.setattr(RelationSchema, "instantiations", counted)
-        families = straight_families(3) + engine.skew_families(3) + straight_families(2)
+        families = straight_families(3) + skew_families(3) + straight_families(2)
         for schema in engine.sbk_core_schemas():
             draws.clear()
             assert verify_relation_over(schema, families, exhaustive=True).holds
@@ -332,7 +332,7 @@ class TestFamilyTables:
     def test_tables_are_whole_after_a_check(self):
         """One verify_relation_over call leaves every table it used a
         complete permutation of the member positions."""
-        families = engine.skew_families(3, include_straight=True)
+        families = skew_families(3, include_straight=True)
         schema = RelationSchema("q:{i},{j} eta:{i},{j} p{i}", "p{i} eta:{i},{j} q:{i},{j}",
                                 "i < j")
         verify_relation_over(schema, families, exhaustive=True)
@@ -439,7 +439,7 @@ class TestFamilyTables:
 
         monkeypatch.setattr(jdt, "_reverse_standard", counted_reversal)
         monkeypatch.setattr(jdt, "standardize_map", counted_standardize)
-        assert verify_cactus_action("eta", engine.skew_families(3, include_straight=True)).holds
+        assert verify_cactus_action("eta", skew_families(3, include_straight=True)).holds
         assert len(reversed_bands) == len(set(reversed_bands)) == len(set(standardized))
         assert len(reversed_bands) < len(standardized)
 
@@ -531,7 +531,7 @@ class TestFamilyTables:
             return bk_map(entries, word)
 
         monkeypatch.setattr(bender_knuth, "bk_map", counted_bk_map)
-        families = engine.skew_families(3, include_straight=True)
+        families = skew_families(3, include_straight=True)
         assert verify_relation_over(RelationSchema("t{i} t{i}", "e"), families).holds
         filled = sum(y >= 0 for family in families
                      for sym, table in family.tables.items() if sym.kind == "t"
@@ -559,7 +559,7 @@ class TestFamilyTables:
         counted(bender_knuth, "bk_map", (1,))
         counted(switching, "evac_map", 2)
         schema = RelationSchema("t{i}", "evacs:{i},{i+1}")
-        assert verify_relation_over(schema, engine.skew_families(3)).holds
+        assert verify_relation_over(schema, skew_families(3)).holds
         bk_bands, evac_bands = runs["bk_map"], runs["evac_map"]
         assert bk_bands and set(bk_bands) == set(evac_bands)
         assert len(bk_bands) == len(set(bk_bands)) == len(evac_bands)
@@ -682,7 +682,7 @@ class TestFamilyTables:
 
         monkeypatch.setattr(jdt, "destandardize_map", counted("destandardize", destandardize))
         monkeypatch.setattr(jdt, "_reverse_standard", counted("reverse", reverse))
-        families = engine.skew_families(3, include_straight=True)
+        families = skew_families(3, include_straight=True)
         for family in families:
             word_permutation(family, parse_word("eta:1,3"))
         assert verify_relation_over(evac_routes_schema(3), straight_families(3)).holds

@@ -30,8 +30,7 @@ from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape,
                                    from_json, reading_cells, render_text, standardize,
                                    standardize_map, to_json, weight)
 from shifted_tableaux.engine import (Counterexample, Verdict, eval_word, parse_word,
-                                     sbk_core_schemas, skew_families, straight_families,
-                                     verify_cactus_action, verify_relation_over)
+                                     sbk_core_schemas, verify_cactus_action, verify_relation_over)
 from shifted_tableaux.enumeration import enumerate_tableaux, skew_shapes
 from shifted_tableaux.jdt import (SlideRecord, complement, dual_equivalent, eta,
                                   inner_corners, inner_slide, outer_slide, rectify,
@@ -41,7 +40,8 @@ from shifted_tableaux.switching import evac_interval_skew, evac_k_skew, evac_ske
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 from helpers import (evac_routes_schema, reference_knuth_witness,  # noqa: E402
                      reference_member_loop, reference_parse_entry, reference_render_text,
-                     reference_to_json, reference_validate_filling)
+                     reference_to_json, reference_validate_filling, skew_families,
+                     straight_families)
 
 N = 4
 INTERVALS = [(i, j) for i in range(1, N + 1) for j in range(i + 1, N + 1)]
@@ -815,7 +815,8 @@ def test_entry_parse_matches_full_parse():
     for text in texts:
         assert Entry.parse(text) is reference_parse_entry(text)
         assert Entry.parse(text).text == text
-    odd = ["01", "1\u2032", " 2' ", "0", "1''", "a", "", "'", 1, None, ["1"]]
+    odd = ["01", "1\u2032", " 2' ", "0", "1''", "a", "", "'", "\u00b2", "\u00b23", 1, None,
+           ["1"]]
     for token in odd:
         assert _parsed(Entry.parse, token) == _parsed(reference_parse_entry, token), token
     assert [_parsed(Entry.parse, t) for t in ("01", "1\u2032", " 2' ")] == \

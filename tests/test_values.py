@@ -46,10 +46,10 @@ CASES = [
      "cells=(((2, 2), False),)))"),
     (TraceStep, ("S1", (((1, 1), Entry(1)),), ()), 3, (),
      "TraceStep(rule='S1', moving=(((1, 1), Entry(value=1, primed=False)),), fixed=())"),
-    (_Kind, ("t", 1, abs, len, divmod, max, min, True), 4, (None, None, None, False),
+    (_Kind, ("t", 1, abs, len, divmod, max, min, "evacs"), 4, (None, None, None, None),
      "_Kind(token='t', indices=1, valid=<built-in function abs>, "
      "act=<built-in function len>, band=<built-in function divmod>, "
-     "core=<built-in function max>, factors=<built-in function min>, straight=True)"),
+     "core=<built-in function max>, factors=<built-in function min>, skew='evacs')"),
     (GeneratorSymbol, ("qij", 1, 3), 1, (0, 0), "GeneratorSymbol(kind='qij', i=1, j=3)"),
     (RelationSchema, ("t{i}t{i}", "e", "i > 1", "square", True), 1,
      ("e", "True", "", False),
@@ -74,7 +74,7 @@ FIELDS = {
     PerforatedFilling: ("letter", "cells"),
     PerforatedPair: ("a", "b"),
     TraceStep: ("rule", "moving", "fixed"),
-    _Kind: ("token", "indices", "valid", "act", "band", "core", "factors", "straight"),
+    _Kind: ("token", "indices", "valid", "act", "band", "core", "factors", "skew"),
     GeneratorSymbol: ("kind", "i", "j"),
     RelationSchema: ("left", "right", "constraint", "name", "straight_only"),
     Counterexample: ("tableau", "substitution", "left_result", "right_result", "shape"),
@@ -91,7 +91,7 @@ OTHER = {
     PerforatedFilling: (2, (((1, 1), False), ((1, 2), True))),
     PerforatedPair: (FILLING, FILLING),
     TraceStep: ("S2", (((1, 1), Entry(1)),), ()),
-    _Kind: ("t", 1, abs, len, divmod, max, min, False),
+    _Kind: ("t", 1, abs, len, divmod, max, min, None),
     GeneratorSymbol: ("qij", 1, 4),
     RelationSchema: ("t{i}t{i}", "e", "i > 1", "square", False),
     Counterexample: (T, (("i", 1),), T, U, None),
