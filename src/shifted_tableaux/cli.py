@@ -51,8 +51,11 @@ def _parse_shape(outer: str, inner: str | None) -> ShiftedSkewShape:
 
 def _parts(option: str, value: str) -> tuple[int, ...]:
     """The parts a shape option lists; ValueError, naming the option and
-    its value, when one is not an integer."""
+    its value, when one is not an integer in ASCII digits (int() alone
+    also reads other decimal digits and '_' separators)."""
     try:
+        if not value.isascii() or "_" in value:
+            raise ValueError
         return tuple(int(p) for p in value.split(",") if p)
     except ValueError:
         raise ValueError(f"{option} {value!r} is not a comma-separated list of integers") from None

@@ -159,7 +159,7 @@ class Entry:
     def parse(cls, token: str) -> "Entry":
         """The entry of a cell token: the interned entry whose text is the
         token, else the token parsed in full (surrounding blanks dropped,
-        a trailing ' or ′ primes, the rest the decimal digits of a
+        a trailing ' or ′ primes, the rest the ASCII decimal digits of a
         positive integer)."""
         if not isinstance(token, str):
             raise TableauError(f"malformed cell token {token!r}")
@@ -170,7 +170,7 @@ class Entry:
         primed = tok.endswith("'") or tok.endswith("′")
         if primed:
             tok = tok[:-1]
-        if not tok.isdecimal() or int(tok) < 1:
+        if not (tok.isascii() and tok.isdecimal()) or int(tok) < 1:
             raise TableauError(f"malformed cell token {token!r}")
         # refused before it is interned, so no refused token stays in the table
         check_letters(int(tok))

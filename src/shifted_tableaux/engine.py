@@ -32,7 +32,15 @@ does each word_permutation call; the whole alphabet 1..n is the whole
 member, whose results are not kept.  The cores of eta and sigma are
 jdt.reversal_map itself, given the memo, so that jdt runs one standard
 reversal per standardization; switching evacuation is never
-standardized: it runs on semistandard bands.
+standardized: it runs on semistandard bands.  Its core, _band_evac,
+shares suffixes through the same memo: it expels a band's lowest letter
+low once (switching.expel), and the rest of the run is the evacuation
+of the remaining bands over the letters above low, which are a band
+string under (_band_evac, n-low) once shifted down to letter 1.  The
+evac_k and evacs_k tables of smaller k keep those strings, so a walk
+expels each band's lowest letter and looks the rest up; a rest the memo
+lacks is moved, and joins it.  The whole member keeps no entry of its
+own, as for the other cores.
 
 On the whole alphabet, eta:1,n destandardizes nothing: its fill indexes
 the members by standardization and weight, and a member's image is the
@@ -76,8 +84,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import bender_knuth, jdt, switching
 from .core import CapacityError, Cell, ShiftedSkewShape, ShiftedTableau, _Value, _weight
-from .enumeration import (TableauFamily, enumerate_tableaux, layout_cell, skew_shapes,
-                          straight_shapes)
+from .enumeration import (TableauFamily, enumerate_tableaux, layout_cell, layout_position,
+                          skew_shapes, straight_shapes)
 
 
 class WordError(ValueError):
@@ -95,7 +103,38 @@ def _band_bk(local: dict[Cell, int], n: int, memo: _Memo) -> Mapping[Cell, int]:
 
 
 def _band_evac(local: dict[Cell, int], n: int, memo: _Memo) -> Mapping[Cell, int]:
-    return switching.evac_map(local, n)
+    """Switching evacuation of a band over the alphabet 1..n by its shared
+    suffix: switching.expel moves its lowest letter low out, and the rest
+    of the run is the evacuation over n-low letters of the remaining
+    bands, shifted down to letter 1 (keys less 2*low).  That rest is
+    looked up in the band memo under its band string, as _Moves keys it,
+    and a miss moves it (_move), so it joins the memo.  The rest's labels
+    n-k+1 are the same before and after the shift, so its moved keys are
+    written back as they are.  A rest of one letter is expelled at once.
+    Bands over one or two letters, and the empty band, run
+    switching.evac_map itself."""
+    if n <= 2 or not local:
+        return switching.evac_map(local, n)
+    bands = dict(sorted(switching._bands(local.items()).items()))
+    low = next(iter(bands))
+    out: dict[Cell, int] = {}
+    switching.expel(bands, n, out)
+    if len(bands) == 1:  # one letter left has no band to move through
+        switching.expel(bands, n, out)
+    if not bands:
+        return out
+    rest = switching._merge(bands)
+    # its band string: each key less 2*low at its cell's layout_position
+    positions = list(map(layout_position, rest))
+    chars = ["\0"] * (max(positions) + 1)
+    for p, key in zip(positions, rest.values()):
+        chars[p] = chr(key - 2 * low)
+    band = "".join(chars)
+    moved = memo.setdefault((_band_evac, n - low), {}).get(band) \
+        or _move(band, n - low, _band_evac, memo)
+    if moved is not None:
+        out.update(zip(rest, map(ord, map(moved.__getitem__, positions))))
+    return out
 
 
 class _Kind(_Value):
@@ -124,8 +163,8 @@ class _Kind(_Value):
         self._assign(token, indices, valid, act, band, core, factors, skew)
 
 
-# Each operator on one tableau, and the bk_map and evac_map cores, are
-# looked up on their module at call time, so that a patched module
+# Each operator on one tableau, and the bk_map, expel and evac_map cores,
+# are looked up on their module at call time, so that a patched module
 # function is the one that runs.  bk_map is the one t_k kernel: the t
 # core runs it on the word (1,), the operators t, p, q and q:i,j run it
 # on their words, and the p and q tables compose t tables.  The core of
@@ -184,7 +223,7 @@ class GeneratorSymbol(_Value):
 
 
 _GENERATOR_NAMES = tuple(dict.fromkeys(kind.token for kind in _KINDS.values()))
-_TOKEN_RE = re.compile(rf"^({'|'.join(_GENERATOR_NAMES)})(?::?(\d+)(?:,(\d+))?)?$")
+_TOKEN_RE = re.compile(rf"^({'|'.join(_GENERATOR_NAMES)})(?::?([0-9]+)(?:,([0-9]+))?)?$")
 # (token, number of indices) -> kind
 _TOKEN_KINDS = {(kind.token, kind.indices): name for name, kind in _KINDS.items()}
 
@@ -227,7 +266,7 @@ def parse_word(text: str) -> Word:
 
 
 def _tokenize(text: str) -> list[str]:
-    return re.findall(r"\(|\)|\^\d*|[^()\s^]+", text)
+    return re.findall(r"\(|\)|\^[0-9]*|[^()\s^]+", text)
 
 
 def _parse_seq(tokens: list[str], pos: int) -> tuple[list[GeneratorSymbol], int]:
@@ -388,21 +427,29 @@ class _Moves(dict):
         known = results.keys() & bands
         super().__init__(zip(known, map(results.__getitem__, known)))
         self[""] = ""
-        self.size, self.core, self.memo, self.results = size, core, memo, results
+        self.size, self.core, self.memo = size, core, memo
 
     def __missing__(self, band: str) -> str | None:
-        # the band's (cell, position) pairs in sorted cell order
-        slots = sorted([(layout_cell(p), p) for p, k in enumerate(band) if k != "\0"])
-        local = {cell: ord(band[p]) for cell, p in slots}
-        out = self.core(local, self.size, self.memo)
-        moved = None
-        if out.keys() == local.keys():
-            chars = list(band)
-            for cell, p in slots:
-                chars[p] = chr(out[cell])
-            moved = self.results[band] = "".join(chars)
-        self[band] = moved
+        moved = self[band] = _move(band, self.size, self.core, self.memo)
         return moved
+
+
+def _move(band: str, size: int, core: Callable, memo: _Memo) -> str | None:
+    """The band string of core(band, size, memo), run on the band's cell ->
+    order key map in sorted cell order, or None where the result is on
+    other cells; a move on the same cells joins the memo under (core,
+    size)."""
+    # the band's (cell, position) pairs in sorted cell order
+    slots = sorted([(layout_cell(p), p) for p, k in enumerate(band) if k != "\0"])
+    local = {cell: ord(band[p]) for cell, p in slots}
+    out = core(local, size, memo)
+    if out.keys() != local.keys():
+        return None
+    chars = list(band)
+    for cell, p in slots:
+        chars[p] = chr(out[cell])
+    moved = memo[core, size][band] = "".join(chars)
+    return moved
 
 
 def _standard_images(family: TableauFamily, cells: tuple[Cell, ...], memo: _Memo
@@ -467,7 +514,7 @@ _VAR_RE = re.compile(r"\{([^{}]*)\}")
 # token such as t:1, q:1,3 or evacs:{i},{j}, i.e. not a ':' that directly
 # follows a generator name and directly precedes an index
 _CONSTRAINT_RE = re.compile(
-    "".join(rf"(?<!\b{name})" for name in _GENERATOR_NAMES) + r":|:(?![\d{])")
+    "".join(rf"(?<!\b{name})" for name in _GENERATOR_NAMES) + r":|:(?![0-9{])")
 
 
 class RelationSchema(_Value):

@@ -16,6 +16,13 @@ relabelled bands are written back as _run leaves them and nothing
 re-canonicalizes the map; a result that broke canonical form would be
 rejected by the ShiftedTableau constructor, and by a family table fill
 as out of its family.
+
+Switching evacuation is one step repeated: expel moves the lowest band
+out through every higher band and relabels it, and evac_map expels
+until no band is left.  Once the lowest band k is out, the rest of the
+run is the evacuation of the remaining bands over the letters above k;
+the verification engine takes that rest from its band memo instead of
+expelling it again (engine._band_evac).
 """
 
 from __future__ import annotations
@@ -272,19 +279,28 @@ def full_switch(s: ShiftedTableau, t: ShiftedTableau
 # ---------------------------------------------------------------------------
 # evacuation via switching
 
+def expel(bands: dict[int, Band], n: int, out: dict[Cell, int]) -> None:
+    """One expulsion step of switching evacuation over the alphabet 1..n,
+    on bands listed by increasing letter: the lowest band k leaves bands,
+    moves outward through every higher band in turn, and is written into
+    out as the letter n-k+1, as _run leaves it, its first reading cell
+    unprimed.  The higher bands are left switched in place."""
+    k = next(iter(bands))
+    band = bands.pop(k)
+    for higher in bands.values():
+        _run(band, higher, None)
+    _relabel(out, band, n - k + 1)
+
+
 def evac_map(entries: Mapping[Cell, int], n: int) -> dict[Cell, int]:
     """Switching evacuation of a canonical cell -> order key map over the
-    alphabet 1..n: expel bands 1..n-1 outward in turn; the k-th expelled
-    band is relabelled to letter n-k+1 (the auxiliary-alphabet
-    bookkeeping) as _run leaves it, its first reading cell unprimed."""
-    bands = _bands(entries.items())
-    letters = sorted(bands)
+    alphabet 1..n: expel the bands outward one after another, lowest
+    first, each relabelled by expel (the auxiliary-alphabet
+    bookkeeping)."""
+    bands = dict(sorted(_bands(entries.items()).items()))
     out: dict[Cell, int] = {}
-    for x, k in enumerate(letters):
-        band = bands[k]
-        for j in letters[x + 1:]:  # the letters above k
-            _run(band, bands[j], None)
-        _relabel(out, band, n - k + 1)
+    while bands:
+        expel(bands, n, out)
     return out
 
 

@@ -34,15 +34,6 @@ def report(capsys, num, label, ok, note=""):
     assert ok, f"criterion {num}: {label}{suffix}"
 
 
-def straight_families_n4():
-    return [enumerate_tableaux(s, 4) for s in straight_shapes(10, 4)]
-
-
-def skew_families_4(n=4, max_cells=5):
-    return [enumerate_tableaux(s, n)
-            for s in skew_shapes(max_cells, 4, include_straight=False)]
-
-
 def test_criterion_1_golden_examples(capsys):
     start = time.time()
     ok = True
@@ -105,8 +96,8 @@ def test_criterion_1_golden_examples(capsys):
 
 def test_criterion_2_sbk_relations(capsys):
     start = time.time()
-    straight = straight_families_n4()
-    mixed = straight + skew_families_4()
+    straight = straight_families(4)
+    mixed = straight + skew_families(4)
     ok = True
     notes = []
     for schema in sbk_core_schemas():
@@ -127,7 +118,7 @@ def test_criterion_2_sbk_relations(capsys):
                           "(4,2)/(2)")
 def test_criterion_2_skew_tq_relation(capsys):
     schema = RelationSchema("(t{i} q:{j},{k})^2", "e", "i+1 < j and j < k")
-    v = verify_relation_over(schema, skew_families_4())
+    v = verify_relation_over(schema, skew_families(4))
     if not v.holds:
         ce = v.counterexample
         with capsys.disabled():
@@ -139,7 +130,7 @@ def test_criterion_2_skew_tq_relation(capsys):
 
 def test_criterion_3_evacuation_routes(capsys):
     ok = True
-    for fam in straight_families_n4():
+    for fam in straight_families(4):
         for t in fam:
             via_switch = switching.evac_switch(t)
             ok &= via_switch == jdt.evacuation_jdt(t)
@@ -155,10 +146,9 @@ def test_criterion_4_cactus_suites(capsys):
     ok = True
     eta_fams = []
     for n in (2, 3, 4):
-        eta_fams += [enumerate_tableaux(s, n)
-                     for s in skew_shapes(5, 4, include_straight=True)]
+        eta_fams += skew_families(n, 5, include_straight=True)
     v_eta = verify_cactus_action("eta", eta_fams)
-    v_q = verify_cactus_action("q", straight_families_n4())
+    v_q = verify_cactus_action("q", straight_families(4))
     ok &= v_eta.holds and v_q.holds
     report(capsys, 4, "cactus-action suites",
            ok, f"eta {v_eta.instances_checked}, q {v_q.instances_checked}")
@@ -173,7 +163,7 @@ def promotion_product(t, i):
 
 def test_criterion_5_evac_is_promotion_product(capsys):
     ok = True
-    for fam in straight_families_n4():
+    for fam in straight_families(4):
         for t in fam:
             for i in range(1, t.n):
                 ok &= switching.evac_k_switch(t, i + 1) == promotion_product(t, i)
@@ -188,7 +178,7 @@ def test_criterion_6_involutions(capsys):
     ok = True
     # switch_pair on letter-band pairs extracted from enumerated tableaux
     from shifted_tableaux.switching import PerforatedFilling, switch_pair
-    for fam in skew_families_4(3, 5):
+    for fam in skew_families(3, 5):
         for t in fam:
             a = {c: e.primed for c, e in t.entries if e.value == 1}
             b = {c: e.primed for c, e in t.entries if e.value == 2}
@@ -210,7 +200,7 @@ def test_criterion_6_involutions(capsys):
                 back_s, back_t, _ = switching.full_switch(rt_, rs_)
                 ok &= (back_s, back_t) == (s, t)
     # pointwise involutions over skew families
-    for fam in skew_families_4(3, 5) + [enumerate_tableaux(s, 3)
+    for fam in skew_families(3, 5) + [enumerate_tableaux(s, 3)
                                         for s in straight_shapes(6, 3)]:
         for t in fam:
             ok &= jdt.reversal(jdt.reversal(t)) == t
@@ -269,7 +259,7 @@ def test_criterion_7_non_relation_witnesses(capsys):
 
 def test_criterion_8_structural_checks(capsys):
     ok = True
-    fams = skew_families_4(3, 5) + skew_families_4(4, 5) + \
+    fams = skew_families(3, 5) + skew_families(4, 5) + \
         [enumerate_tableaux(s, 3) for s in straight_shapes(6, 3)]
     for fam in fams:
         for t in fam:

@@ -448,11 +448,26 @@ class TestErrors:
         assert run(capsys, "apply", "--op", "e", "--in", "\u00b2") == \
             (2, "", "error: malformed cell token '\u00b2'\n")
 
+    @pytest.mark.parametrize("token", ["\u0663", "\u0663'", "\uff13"],
+                             ids=["arabic-indic", "primed", "fullwidth"])
+    def test_non_ascii_digit_token_is_one_line(self, capsys, token):
+        """A decimal digit outside ASCII is no digit of a cell token, so
+        the token is not read, and rendered back, as another number."""
+        assert run(capsys, "apply", "--op", "e", "--in", f"{token} {token}") == \
+            (2, "", f"error: malformed cell token {token!r}\n")
+
+    @pytest.mark.parametrize("token", ["t\u0661", "t:\u0661", "eta:1,\u0663"])
+    def test_non_ascii_generator_index_is_one_line(self, capsys, token):
+        assert run(capsys, "apply", "--op", token, "--in", "1 2") == \
+            (2, "", f"error: cannot parse generator token {token!r}\n")
+
     @pytest.mark.parametrize("argv, option, value", [
         (("enum", "--outer", "a", "--n", "2"), "--outer", "a"),
         (("enum", "--outer", "3,1", "--inner", "1,x", "--n", "2"), "--inner", "1,x"),
         (("verify", "--schema", "t1 = t1", "--n", "2", "--outer", "2.5"), "--outer", "2.5"),
-    ], ids=["outer", "inner", "verify"])
+        (("enum", "--outer", "1_0", "--n", "1"), "--outer", "1_0"),
+        (("enum", "--outer", "3,\u0661", "--n", "2"), "--outer", "3,\u0661"),
+    ], ids=["outer", "inner", "verify", "underscore", "arabic-indic"])
     def test_shape_that_is_no_integer_list_is_one_line(self, capsys, argv, option, value):
         assert run(capsys, *argv) == \
             (2, "", f"error: {option} {value!r} is not a comma-separated list of integers\n")

@@ -582,19 +582,21 @@ class TestFamilyTables:
     @pytest.mark.parametrize("preset, module, name, runs", [
         ("cactus-q", bender_knuth, "bk_map", 389),
         ("sbk-core", bender_knuth, "bk_map", 412),
-        ("evac-agreement", switching, "evac_map", 6362),
+        ("evac-agreement", switching, "expel", 8942),
     ])
     def test_band_results_are_shared_across_families(self, monkeypatch, preset, module,
                                                      name, runs):
         """A band is moved once per band memo, whatever family it comes
         from: at n=4 the core runs these many times, where a memo kept per
         family would run bk_map about 8,280 times over cactus-q and
-        sbk-core."""
+        sbk-core.  Switching evacuation is counted in expulsion steps,
+        those evac_map takes included, as the rest of a band after its
+        first step comes from the memo."""
         core, calls = getattr(module, name), []
 
-        def counted(entries, k):
+        def counted(*args):
             calls.append(None)
-            return core(entries, k)
+            return core(*args)
 
         monkeypatch.setattr(module, name, counted)
         assert all(r.ok for r in run_preset(preset, 4))
@@ -615,6 +617,15 @@ class TestFamilyTables:
         monkeypatch.setattr(jdt, "_evacuate_standard", counted)
         assert all(r.ok for r in run_preset("evac-agreement", 4))
         assert len(evacuated) == len(set(evacuated)) == 62
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_empty_shape_evacuates_over_three_letters_or_more(self, n):
+        """The empty shape's one member, the empty filling, is its own
+        evacuation also where bands of three letters or more are expelled
+        one letter at a time: the empty band has no lowest letter."""
+        fam = enumerate_tableaux(ShiftedSkewShape(()), n)
+        for text in (f"evac{n}", f"evacs{n}", f"evacs:1,{n}"):
+            assert word_permutation(fam, parse_word(text)) == (0,), text
 
     @pytest.mark.parametrize("outer, n, size", [((2, 1), 0, 0), ((2,), 1, 1)])
     def test_empty_and_one_member_families(self, outer, n, size):
@@ -648,23 +659,41 @@ class TestFamilyTables:
         """A preset is one walk, and all its lines fill their tables with
         the walk's one band memo: over evac-agreement at n=4 every check
         is handed the same memo, and switching evacuation runs once per
-        band across all the lines."""
+        band across all the lines, 6,362 bands in all.  A band over three
+        letters or more is expelled by the engine, its first step with
+        nothing written out yet, and the rest comes from the memo; a band
+        over one or two letters is handed to evac_map whole, and the
+        expulsion steps evac_map takes are its own."""
         check, memos = engine._check, []
-        evac_map, bands = switching.evac_map, []
+        expel, evac_map = switching.expel, switching.evac_map
+        expelled, evacuated, inside = [], [], []
 
         def spy(family, checks, memo, exhaustive=False):
             memos.append(memo)
             return check(family, checks, memo, exhaustive)
 
+        def counted_expel(bands, n, out):
+            if not inside and not out:
+                expelled.append((frozenset((cell, letter, p) for letter, band in bands.items()
+                                           for cell, p in band.items()), n))
+            return expel(bands, n, out)
+
         def counted_evac_map(entries, n):
-            bands.append((frozenset(entries.items()), n))
-            return evac_map(entries, n)
+            evacuated.append((frozenset(entries.items()), n))
+            inside.append(None)
+            try:
+                return evac_map(entries, n)
+            finally:
+                inside.pop()
 
         monkeypatch.setattr(engine, "_check", spy)
+        monkeypatch.setattr(switching, "expel", counted_expel)
         monkeypatch.setattr(switching, "evac_map", counted_evac_map)
         assert all(r.ok for r in run_preset("evac-agreement", 4))
         assert memos and all(memo is memos[0] for memo in memos)
-        assert len(bands) == len(set(bands)) == 6362
+        assert all(n >= 3 for _, n in expelled) and all(n <= 2 for _, n in evacuated)
+        assert (len(expelled), len(evacuated)) == (5984, 378)
+        assert len(set(expelled)) == len(expelled) and len(set(evacuated)) == len(evacuated)
 
     def test_whole_member_images_destandardize_nothing(self, monkeypatch):
         """eta:1,n, on its own and in the routes line of evac-agreement,

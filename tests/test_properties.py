@@ -14,8 +14,10 @@ from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape,
                                    entry_of_key, standardize_map, weight)
 from shifted_tableaux.bender_knuth import (bk, bk_map, bk_trace, promotion, promotion_word, q,
                                            q_interval, q_interval_word, q_word)
-from shifted_tableaux.engine import (GeneratorSymbol, _band_bk, _band_evac, _images, apply_symbol,
-                                     eval_word, word_permutation)
+from shifted_tableaux import switching
+from shifted_tableaux.engine import (GeneratorSymbol, _band_bk, _band_evac, _images,
+                                     _skew_shapes, _straight_shapes, apply_symbol, eval_word,
+                                     word_permutation)
 from shifted_tableaux.enumeration import enumerate_tableaux
 from shifted_tableaux.jdt import (dual_equivalent, eta, evacuation_jdt, rectify, rectify_map,
                                   reversal, reversal_map)
@@ -28,7 +30,7 @@ from helpers import reference_bk_map  # noqa: E402
 MAX_CELLS = 10
 MAX_N = 5
 
-# one memo shared across all draws of the memo property
+# one memo shared across all draws of the memo properties
 SHARED_MEMO = {}
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None,
@@ -345,6 +347,48 @@ def test_memoized_reversal_and_evacuation_equal_the_memo_free_ones(t):
         std = {c: 2 * v for c, v in standardize_map(u.key_map.items()).items()}
         for entries, n in ((u.key_map, u.n), (std, len(std))):
             assert reversal_map(entries, n, SHARED_MEMO) == reversal_map(entries, n)
+
+
+@PROPERTY
+@given(tableaux())
+def test_memoized_band_evacuation_is_evac_map(t):
+    """_band_evac, which expels a band's lowest letter and takes the rest
+    from a band memo shared across all draws, gives what evac_map gives
+    on every letter band lo..hi of a straight or skew tableau and of its
+    rectification, the band re-indexed to start at 1."""
+    for u in (t, rectify(t)[0]):
+        for lo, hi in intervals(u.n):
+            shift = 2 * (lo - 1)
+            local = {c: k - shift for c, k in u.key_map.items() if shift < k <= 2 * hi}
+            assert _band_evac(local, hi - lo + 1, SHARED_MEMO) == evac_map(local, hi - lo + 1)
+
+
+def test_post_expulsion_states_are_canonical_tableaux():
+    """What the band memo is asked for after one expulsion step is a band
+    in its own right: on the members of the preset families at n <= 4,
+    each distinct letter band lo..hi of two letters or more, once
+    switching.expel has moved its lowest letter low out, leaves its other
+    letters, shifted down to start at letter 1, as a canonical tableau
+    over the hi-lo+1-low letters left."""
+    seen, checked = set(), 0
+    for n in range(2, 5):
+        for shape in _straight_shapes() + _skew_shapes():
+            cells = shape.sorted_cells
+            for key in enumerate_tableaux(shape, n).keys:
+                for lo, hi in intervals(n):
+                    shift = 2 * (lo - 1)
+                    local = {c: k - shift for c, k in zip(cells, key) if shift < k <= 2 * hi}
+                    band = frozenset(local.items())
+                    bands = dict(sorted(switching._bands(local.items()).items()))
+                    if band in seen or len(bands) < 2:
+                        continue
+                    seen.add(band)
+                    low = next(iter(bands))
+                    switching.expel(bands, hi - lo + 1, {})
+                    rest = {c: k - 2 * low for c, k in switching._merge(bands).items()}
+                    ShiftedTableau.from_keys(rest, hi - lo + 1 - low)
+                    checked += 1
+    assert checked > 1000
 
 
 @settings(PROPERTY, max_examples=40)

@@ -615,9 +615,12 @@ def test_knuth_witness_matches_member_loop(monkeypatch, evac_map):
     member loop that rectifies evac_skew and complement of each member,
     on every family of skew_shapes(7, 4) at n=0..4; also with the
     identity in place of switching evacuation, where the witness is
-    found elsewhere."""
+    found elsewhere.  The engine evacuates bands of three letters or
+    more through its band memo, not through evac_map, so the identity
+    replaces its evacuation core too."""
     if evac_map is not None:
         monkeypatch.setattr(switching, "evac_map", evac_map)
+        monkeypatch.setattr(engine, "_band_evac", lambda local, n, memo: evac_map(local, n))
     shapes = skew_shapes(7, 4)
     for n in range(5):
         memo = {}
