@@ -14,6 +14,11 @@ that order of priority.  from_keys builds a tableau from a cell -> order
 key map, and from_map from a cell -> entry map through it; both refuse a
 map on other cells than the shape's.
 
+A family stores each member as a layout string over one global cell
+numbering, layout_position: a shape's slots pair each sorted cell with
+its position there, and every reader of a layout decodes it through
+them.
+
 Entries are interned: Entry(k, p) returns the one instance of its letter,
 which stores its order key and its text, and entry_of_key maps an order
 key back to that instance; a tableau's entries and entry_map are views
@@ -37,6 +42,7 @@ directly.
 from __future__ import annotations
 
 import json
+import math
 from functools import cached_property, total_ordering
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -80,12 +86,24 @@ MAX_SKEW_CELLS = 10
 # n=200 and n=300 the tests use; the validator and the enumerator keep a
 # list indexed by letter, so a larger n is refused before it is allocated
 MAX_LETTERS = 1_000
+# the most digits of an integer read from text: int() converts that many
+# under every setting of the interpreter's limit, which
+# sys.set_int_max_str_digits sets to 0 (none) or at least 640
+MAX_DIGITS = 640
 
 
 def check_cells(shape: "ShiftedSkewShape") -> None:
     """Raise CapacityError when the shape has more than MAX_CELLS cells."""
     if shape.size > MAX_CELLS:
         raise CapacityError(f"shape has {shape.size} cells, more than {MAX_CELLS}")
+
+
+def parse_digits(digits: str, what: str) -> int:
+    """int() of a string of ASCII decimal digits; TableauError, naming
+    what, when it has more than MAX_DIGITS digits."""
+    if len(digits) > MAX_DIGITS:
+        raise TableauError(f"{what} has {len(digits)} digits, more than {MAX_DIGITS}")
+    return int(digits)
 
 
 def check_letters(n: int) -> None:
@@ -170,7 +188,7 @@ class Entry:
         primed = tok.endswith("'") or tok.endswith("′")
         if primed:
             tok = tok[:-1]
-        if not (tok.isascii() and tok.isdecimal()) or int(tok) < 1:
+        if not (tok.isascii() and tok.isdecimal()) or parse_digits(tok, "cell token") < 1:
             raise TableauError(f"malformed cell token {token!r}")
         # refused before it is interned, so no refused token stays in the table
         check_letters(int(tok))
@@ -376,6 +394,12 @@ class ShiftedSkewShape(_Value):
         return tuple(out)
 
     @cached_property
+    def slots(self) -> tuple[tuple[Cell, int], ...]:
+        """For each cell in sorted order, the cell and its layout_position:
+        where a family's layout string holds the cell's order key."""
+        return tuple([(cell, layout_position(cell)) for cell in self.sorted_cells])
+
+    @cached_property
     def row_slices(self) -> tuple[slice, ...]:
         """For each row, the slice of sorted_cells that holds its cells."""
         inner = self.inner + (0,) * (len(self.outer) - len(self.inner))
@@ -425,6 +449,21 @@ class ShiftedSkewShape(_Value):
         if self.inner:
             return f"{'/'.join([str(list(self.outer)), str(list(self.inner))])}"
         return str(list(self.outer))
+
+
+def layout_position(cell: Cell) -> int:
+    """The position of cell (r, c) in the global cell numbering of layout
+    strings: column by column, each from the top, c(c-1)/2 + r - 1.
+    Column c holds c cells, so the numbering needs no bound on the
+    shapes."""
+    r, c = cell
+    return c * (c - 1) // 2 + r - 1
+
+
+def layout_cell(p: int) -> Cell:
+    """The cell at position p of the global cell numbering."""
+    c = (1 + math.isqrt(8 * p + 1)) // 2
+    return p - c * (c - 1) // 2 + 1, c
 
 
 def reading_cells(shape: ShiftedSkewShape) -> list[Cell]:

@@ -18,20 +18,21 @@ sigma and the evac variants run their map-level core on their letter
 band alone, and their result is looked up among the family's members,
 which the enumerator makes exactly the valid canonical fillings.  On a
 band that is not the whole alphabet, the table is filled by string
-operations: each member's key, laid out once per family as a string
-over one global cell numbering (TableauFamily.layouts), splits into its
-band and its rest by two str.translate calls, and the image is the
-member with that rest and the moved band.  Each band is moved once per
-band memo, under its band string, which names the same cells and
-letters in every family.  Every core runs on a cell -> order key map:
-a band the memo misses is handed over as its cells and keys, a whole
-member as its key over the shape's cells (_whole_image), and no fill
-builds an Entry.  p, q and q_{i,j} compose the t_i tables.  Every
-walk (below) keeps one band memo, which all its lines share, and so
-does each word_permutation call; the whole alphabet 1..n is the whole
-member, whose results are not kept.  The cores of eta and sigma are
-jdt.reversal_map itself, given the memo, so that jdt runs one standard
-reversal per standardization; switching evacuation is never
+operations: each member's layout, the one string over the global cell
+numbering that the family stores it as (TableauFamily.layouts), splits
+into its band and its rest by two str.translate calls, and the image is
+the member with that rest and the moved band.  Each band is moved once
+per band memo, under its band string, which names the same cells and
+letters in every family.  Every core runs on a cell -> order key map,
+which _whole_image reads off a string through (cell, position) slots,
+writing the result back at the same positions: a band the memo misses
+through its own slots, a whole member through its shape's, as a
+layout; no fill builds an Entry.  p, q and q_{i,j} compose the t_i
+tables.  Every walk (below) keeps one band memo, which all its lines
+share, and so does each word_permutation call; the whole alphabet 1..n
+is the whole member, whose results are not kept.  The cores of eta and
+sigma are jdt.reversal_map itself, given the memo, so that jdt runs one
+standard reversal per standardization; switching evacuation is never
 standardized: it runs on semistandard bands.  Its core, _band_evac,
 shares suffixes through the same memo: it expels a band's lowest letter
 low once (switching.expel), and the rest of the run is the evacuation
@@ -62,15 +63,15 @@ one family; the walk is the one loop over families, and adds up each
 line's verdicts apart.  The presets hand it their shape lists
 (_straight_shapes, _skew_shapes), and no list of families is built.
 
-A family is its members' keys, and every check reads tables filled on
-keys, so a verification whose checks all hold builds no tableau.  A
+A family is its members' layouts, and every check reads tables filled
+on them, so a verification whose checks all hold builds no tableau.  A
 failing check builds, through family.member, only the member its
 counterexample prints, and then the two sides from it.  A family holds
-its keys, its tables and the two views every fill reads (positions and
-layouts), no more.  A walk enumerates a family only when an open line
-takes its shape, and every open line checks it before the next is
-drawn, so a family lives for its turn in the walk, and its tables and
-views with it; the walk's band memo lives as long as the walk.
+its layouts, its tables and positions, no more.  A walk enumerates a
+family only when an open line takes its shape, and every open line
+checks it before the next is drawn, so a family lives for its turn in
+the walk, and its tables and positions with it; the walk's band memo
+lives as long as the walk.
 """
 
 from __future__ import annotations
@@ -83,9 +84,9 @@ from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import bender_knuth, jdt, switching
-from .core import CapacityError, Cell, ShiftedSkewShape, ShiftedTableau, _Value, _weight
-from .enumeration import (TableauFamily, enumerate_tableaux, layout_cell, layout_position,
-                          skew_shapes, straight_shapes)
+from .core import (CapacityError, Cell, ShiftedSkewShape, ShiftedTableau, _Value, _weight,
+                   layout_cell, layout_position, parse_digits)
+from .enumeration import TableauFamily, enumerate_tableaux, skew_shapes, straight_shapes
 
 
 class WordError(ValueError):
@@ -240,7 +241,7 @@ def parse_symbol(token: str) -> GeneratorSymbol:
         if j is not None:
             raise WordError(f"generator {token!r} does not take two indices")
         raise WordError(f"{name} takes two indices, e.g. {name}:1,3")
-    return GeneratorSymbol(kind, int(i), int(j or 0))
+    return GeneratorSymbol(kind, *[parse_digits(d or "0", "generator index") for d in (i, j)])
 
 
 Word = tuple[GeneratorSymbol, ...]
@@ -291,7 +292,7 @@ def _parse_seq(tokens: list[str], pos: int) -> tuple[list[GeneratorSymbol], int]
             if tokens[pos] == "^":
                 raise WordError("power without an exponent")
             # capped, so that a chain of powers stays a small integer
-            power = min(power * int(tokens[pos][1:]), MAX_WORD_LENGTH + 1)
+            power = min(power * parse_digits(tokens[pos][1:], "power"), MAX_WORD_LENGTH + 1)
             pos += 1
         _check_length(len(word) + len(atom) * power)
         word.extend(atom * power)
@@ -342,7 +343,7 @@ def _table(family: TableauFamily, sym: GeneratorSymbol, memo: _Memo
         table = _compose(family, [GeneratorSymbol("t", k)
                                   for k in kind.factors(*sym.indices)], memo)
     else:
-        if family.keys:
+        if family.layouts:
             _require_straight(sym, kind, family.shape)
         table = _positions(family, sym, *kind.band(*sym.indices), kind.core, memo)
     family.tables[sym] = table
@@ -373,22 +374,28 @@ def _images(family: TableauFamily, lo: int, hi: int, core: Callable, memo: _Memo
     the member's cell -> order key map (_whole_image)."""
     if (lo, hi) != (1, family.n):
         return _band_images(family, lo, hi, core, memo)
-    cells, positions = family.shape.sorted_cells, family.positions
     if core is jdt.reversal_map:
-        return _standard_images(family, cells, memo)
-    return (positions.get(_whole_image(cells, key, core, family.n, memo))
-            for key in family.keys)
+        return _standard_images(family, memo)
+    return (family.positions.get(_whole_image(family.shape.slots, s, core, family.n, memo))
+            for s in family.layouts)
 
 
-def _whole_image(cells: tuple[Cell, ...], key: tuple[int, ...], core: Callable, n: int,
-                 memo: _Memo) -> tuple[int, ...] | None:
-    """The key of core(member, n, memo) on the whole member with this key
-    over cells, or None where the result is on other cells."""
-    local = dict(zip(cells, key))
+def _whole_image(slots: Sequence[tuple[Cell, int]], layout: str, core: Callable, n: int,
+                 memo: _Memo) -> str | None:
+    """The layout of core(local, n, memo) on the filling the layout holds
+    at the (cell, position) slots, decoded in slot order into the cell ->
+    order key map local, and its result written back at the same
+    positions; None where the result is on other cells.  A member is
+    read through its shape's slots, a band string (_move) through its
+    own."""
+    local = {c: ord(layout[p]) for c, p in slots}
     out = core(local, n, memo)
     if out.keys() != local.keys():
         return None
-    return tuple([out[c] for c in cells])
+    chars = list(layout)
+    for c, p in slots:
+        chars[p] = chr(out[c])
+    return "".join(chars)
 
 
 def _band_images(family: TableauFamily, lo: int, hi: int, core: Callable, memo: _Memo
@@ -435,25 +442,18 @@ class _Moves(dict):
 
 
 def _move(band: str, size: int, core: Callable, memo: _Memo) -> str | None:
-    """The band string of core(band, size, memo), run on the band's cell ->
-    order key map in sorted cell order, or None where the result is on
-    other cells; a move on the same cells joins the memo under (core,
-    size)."""
-    # the band's (cell, position) pairs in sorted cell order
+    """The band string of core(band, size, memo), run by _whole_image on
+    the band's own slots in sorted cell order, or None where the result
+    is on other cells; a move on the same cells joins the memo under
+    (core, size)."""
     slots = sorted([(layout_cell(p), p) for p, k in enumerate(band) if k != "\0"])
-    local = {cell: ord(band[p]) for cell, p in slots}
-    out = core(local, size, memo)
-    if out.keys() != local.keys():
-        return None
-    chars = list(band)
-    for cell, p in slots:
-        chars[p] = chr(out[cell])
-    moved = memo[core, size][band] = "".join(chars)
+    moved = _whole_image(slots, band, core, size, memo)
+    if moved is not None:
+        memo[core, size][band] = moved
     return moved
 
 
-def _standard_images(family: TableauFamily, cells: tuple[Cell, ...], memo: _Memo
-                     ) -> Iterator[int | None]:
+def _standard_images(family: TableauFamily, memo: _Memo) -> Iterator[int | None]:
     """_images of jdt.reversal_map on whole members: the image of a
     member of weight wt is the member whose standardization is jdt's
     standard reversal of the member's, and whose weight is wt reversed;
@@ -465,16 +465,18 @@ def _standard_images(family: TableauFamily, cells: tuple[Cell, ...], memo: _Memo
     that no member has runs jdt.reversal_map on its member (_whole_image),
     as the whole alphabet does for other cores, so its error or its None
     is the one the member gets there."""
-    n, positions = family.n, family.positions
+    n, positions, slots = family.n, family.positions, family.shape.slots
+    cells = family.shape.sorted_cells
     index: dict[tuple, int] = {}
-    for key, x in positions.items():
+    for s, x in positions.items():
+        key = [ord(s[p]) for _, p in slots]
         std = jdt.standardize_map(zip(cells, key))
         if index.setdefault((tuple([std[c] for c in cells]), _weight(key, n)), x) != x:
             raise RuntimeError(f"two members of ShST({family.shape}, {n}) share a "
                                "standardization and a weight")
     ranks = range(1, len(cells) + 1)
     by_value = [None] * len(cells)
-    for key, (values, wt) in zip(family.keys, index):
+    for s, (values, wt) in zip(family.layouts, index):
         # the member's standardization, its cells listed by value again
         for c, v in zip(cells, values):
             by_value[v - 1] = c
@@ -482,7 +484,7 @@ def _standard_images(family: TableauFamily, cells: tuple[Cell, ...], memo: _Memo
         image = jdt.standard_result(jdt._reverse_standard, std, memo)
         y = index.get((tuple([image[c] for c in cells]), wt[::-1]))
         yield y if y is not None else \
-            positions.get(_whole_image(cells, key, jdt.reversal_map, n, memo))
+            positions.get(_whole_image(slots, s, jdt.reversal_map, n, memo))
 
 
 def _compose(family: TableauFamily, syms: Iterable[GeneratorSymbol], memo: _Memo
@@ -958,11 +960,12 @@ def components_by_dual_equivalence(family: TableauFamily
 
 
 def _rectifications(family: TableauFamily) -> list[tuple]:
-    """jdt.rectify_map of each member's key, in member order: its straight
-    map, outer partition and (corner, exit) slides; no tableau is built."""
+    """jdt.rectify_map of each member's layout, decoded, in member order:
+    its straight map, outer partition and (corner, exit) slides; no
+    tableau is built."""
     shape = family.shape
-    return [jdt.rectify_map(dict(zip(shape.sorted_cells, key)), shape.outer, shape.inner,
-                            family.n) for key in family.keys]
+    return [jdt.rectify_map({c: ord(s[p]) for c, p in shape.slots}, shape.outer, shape.inner,
+                            family.n) for s in family.layouts]
 
 # ---------------------------------------------------------------------------
 # bundled verification suites

@@ -11,12 +11,16 @@ already occurs in the prefix.  Keys are tried in increasing order, so
 the family comes out in reading-word lexicographic order, which keeps
 golden outputs byte-stable.
 
-A family is its members' order keys: the search builds no tableau, and
-membership by key rests on it alone.  Every member that leaves the
-library as a tableau is validated: member(x) builds it with the
-tableau constructor, on the family's own key tuple, and iteration
-builds one member at a time the same way.  count_tableaux runs the same
-search and keeps no key.
+A family is its members' layout strings, which the search writes as it
+places each key: chr(order key) at each cell's position in the global
+cell numbering (core.layout_position, read off the shape's slots), and
+chr(0) at every other position up to one past the last cell.  The
+search builds no tableau, and membership by layout rests on it alone.
+Every member that leaves the library as a tableau is validated:
+member(x) decodes its layout through the shape's slots and builds it
+with the tableau constructor, and iteration builds one member at a time
+the same way.  count_tableaux runs the same search and keeps no
+layout.
 
 The shape lists take every strict partition from one generator,
 _strict_partitions: straight_shapes its shapes, and skew_shapes its
@@ -25,124 +29,96 @@ outers and, under each outer, its inners.
 
 from __future__ import annotations
 
-import math
-import operator
 from functools import cached_property
 from typing import Any, Iterator, Sequence
 
-from .core import (MAX_MEMBERS, CapacityError, Cell, ShiftedSkewShape, ShiftedTableau,
-                   _Value, canonical_pair, check_letters)
+from .core import (MAX_MEMBERS, CapacityError, ShiftedSkewShape, ShiftedTableau, _Value,
+                   canonical_pair, check_letters)
 
 
 class TableauFamily(_Value):
     """The complete family ShST(shape, n), deterministically ordered, as
-    its members' keys: keys[x] is the tuple of member x's order keys
-    2*value - primed over the shape's sorted cells.  member(x) builds and
-    validates member x as a tableau, and is how the library builds one;
-    iteration builds the members in order by member and keeps none.
+    its members' layout strings, one per member: layouts[x] holds member
+    x's order keys 2*value - primed as characters, each at its cell's
+    position in the global cell numbering (the shape's slots), and
+    chr(0) at every other position up to one past the last cell.  So a
+    band string cut out of a layout names the same cells and letters in
+    every family.  member(x) decodes layout x into its key, and builds
+    and validates member x as a tableau on it; it is how the library
+    builds one.  Iteration builds the members in order by member and
+    keeps none.
 
     Every generator keeps the cell set, so on a family it is a permutation
     of the member positions; tables maps a generator to that permutation
     as a tuple of positions, computed whole by the engine the first time
     the generator is used, and composed with other tables by itemgetter
-    gathers.  positions and layouts are the two views every table fill
-    reads: layouts holds each member's key as a string over the global
-    cell numbering, encoded the first time a table on a partial letter
-    band needs it; the engine cuts each band out of it by str.translate.
-    The tables and both views live and die with the family; any other
-    index a fill needs is its own, dropped with it."""
+    gathers.  positions maps each layout back to its member, on the
+    layouts' own strings.  The tables and positions live and die with the
+    family; any other index a fill needs is its own, dropped with it."""
 
-    # tables lives in __dict__, beside the two views: no field, so it is
+    # tables lives in __dict__, beside positions: no field, so it is
     # neither compared nor shown
-    __slots__ = ("shape", "n", "keys", "__dict__")
+    __slots__ = ("shape", "n", "layouts", "__dict__")
     shape: ShiftedSkewShape
     n: int
-    keys: tuple[tuple[int, ...], ...]
+    layouts: tuple[str, ...]
     tables: dict[Any, tuple[int, ...]]
 
-    def __init__(self, shape: ShiftedSkewShape, n: int, keys: tuple[tuple[int, ...], ...]):
-        self._assign(shape, n, keys)
+    def __init__(self, shape: ShiftedSkewShape, n: int, layouts: tuple[str, ...]):
+        self._assign(shape, n, layouts)
         object.__setattr__(self, "tables", {})
 
     @cached_property
-    def positions(self) -> dict[tuple[int, ...], int]:
-        """Member key -> position: a map on the family's cells is a member
-        exactly when its key is here."""
-        return {k: x for x, k in enumerate(self.keys)}
-
-    @cached_property
-    def layouts(self) -> tuple[str, ...]:
-        """Each member's key as a string over the global cell numbering
-        (layout_position): order key k as chr(k) at its cell's position,
-        and chr(0) at every other position up to one past the last cell.
-        So one band string names the same cells and letters in every
-        family."""
-        cells = self.shape.sorted_cells
-        # the sorted-cell index each position takes its letter from, and
-        # len(cells), the 0 appended to each key, where no cell is; the
-        # position past the last cell gives itemgetter two indices at least
-        source = [len(cells)] * (max(map(layout_position, cells), default=0) + 2)
-        for s, cell in enumerate(cells):
-            source[layout_position(cell)] = s
-        take = operator.itemgetter(*source)
-        return tuple(["".join(map(chr, take(key + (0,)))) for key in self.keys])
+    def positions(self) -> dict[str, int]:
+        """Layout -> position: a filling of the family's cells is a member
+        exactly when its layout is here."""
+        return {s: x for x, s in enumerate(self.layouts)}
 
     def member(self, x: int) -> ShiftedTableau:
-        """Member x, built and validated as a tableau on its key."""
-        return ShiftedTableau(self.shape, self.keys[x], self.n)
+        """Member x, its layout decoded into its key and validated as a
+        tableau."""
+        s, slots = self.layouts[x], self.shape.slots
+        return ShiftedTableau(self.shape, tuple([ord(s[p]) for _, p in slots]), self.n)
 
     def __iter__(self) -> Iterator[ShiftedTableau]:
-        return map(self.member, range(len(self.keys)))
+        return map(self.member, range(len(self.layouts)))
 
     def __len__(self) -> int:
-        return len(self.keys)
-
-
-def layout_position(cell: Cell) -> int:
-    """The position of cell (r, c) in the global cell numbering of the
-    layouts: column by column, each from the top, c(c-1)/2 + r - 1.
-    Column c holds c cells, so the numbering needs no bound on the
-    shapes."""
-    r, c = cell
-    return c * (c - 1) // 2 + r - 1
-
-
-def layout_cell(p: int) -> Cell:
-    """The cell at position p of the global cell numbering."""
-    c = (1 + math.isqrt(8 * p + 1)) // 2
-    return p - c * (c - 1) // 2 + 1, c
+        return len(self.layouts)
 
 
 def enumerate_tableaux(shape: ShiftedSkewShape, n: int) -> TableauFamily:
     """All members of ShST(shape, n) in reading-word lexicographic order;
     CapacityError, before the member past MAX_MEMBERS is kept."""
-    found: list[tuple[int, ...]] = []
+    found: list[str] = []
     _search(shape, n, found)
     return TableauFamily(shape, n, tuple(found))
 
 
 def count_tableaux(shape: ShiftedSkewShape, n: int) -> int:
     """The number of members of ShST(shape, n), by enumerate_tableaux's
-    search keeping no key.  The search stops past MAX_MEMBERS as there,
+    search keeping no layout.  The search stops past MAX_MEMBERS as there,
     which here bounds its time."""
     return _search(shape, n, None)
 
 
-def _search(shape: ShiftedSkewShape, n: int, found: list[tuple[int, ...]] | None) -> int:
+def _search(shape: ShiftedSkewShape, n: int, found: list[str] | None) -> int:
     """Backtrack over the members of ShST(shape, n) in reading-word
-    lexicographic order, append each one's key to found unless found is
-    None, and return their number; CapacityError when a member comes
+    lexicographic order, append each one's layout to found unless found
+    is None, and return their number; CapacityError when a member comes
     past MAX_MEMBERS; check_letters' error at once when n is negative or
     exceeds MAX_LETTERS."""
     check_letters(n)
     m = shape.size
-    nbrs = shape.neighbours
+    nbrs, slots = shape.neighbours, shape.slots
     # the sorted positions in reading order, each with the positions of
-    # its south and west neighbours, both placed before it
-    plan = [(i, nbrs[i][1], nbrs[i][2])
+    # its south and west neighbours, both placed before it, and its
+    # layout position
+    plan = [(i, nbrs[i][1], nbrs[i][2], slots[i][1])
             for s in reversed(shape.row_slices) for i in range(s.start, s.stop)]
     top = 2 * n
     keys = [0] * m + [top + 1, 0]  # keys[-2] off the south edge, keys[-1] off the west
+    layout = ["\0"] * (max([p for _, p in slots], default=-1) + 2)
     seen = [0] * (n + 1)           # occurrences of each letter so far
     count = 0                      # members found so far
 
@@ -153,9 +129,9 @@ def _search(shape: ShiftedSkewShape, n: int, found: list[tuple[int, ...]] | None
                 raise CapacityError(f"ShST({shape}, {n}) has more than {MAX_MEMBERS:,} members")
             count += 1
             if found is not None:
-                found.append(tuple(keys[:m]))
+                found.append("".join(layout))
             return
-        i, south, west = plan[d]
+        i, south, west, p = plan[d]
         low, high = keys[west], keys[south]
         for k in range(low or 1, min(high, top) + 1):
             v = (k + 1) >> 1
@@ -166,6 +142,7 @@ def _search(shape: ShiftedSkewShape, n: int, found: list[tuple[int, ...]] | None
                 continue
             seen[v] += 1
             keys[i] = k
+            layout[p] = chr(k)
             place(d + 1)
             seen[v] -= 1
 

@@ -1,7 +1,7 @@
 """Shared test helpers: an enumeration oracle independent of the library's
 backtracking enumerator, a reference t_i on the public switch_pair,
-reference forms of the tableau validator, the text and JSON renderers
-and the cell-token parser, the member loop the engine's verification
+reference forms of the tableau validator, the text and JSON renderers,
+the cell-token parser and a family's layout strings, the member loop the engine's verification
 lines are checked against, and the preset families enumerated all at
 once."""
 
@@ -14,6 +14,23 @@ from shifted_tableaux.engine import (SKEW_MAX_CELLS, Counterexample, RelationSch
 from shifted_tableaux.enumeration import enumerate_tableaux
 from shifted_tableaux.jdt import complement, rectify
 from shifted_tableaux.switching import PerforatedFilling, evac_skew, switch_pair
+
+
+def layout_of(t):
+    """The layout string a family stores for its member t: chr of each
+    cell's order key at the cell's place in the global numbering, column
+    by column, each from the top ((r, c) at c(c-1)/2 + r - 1), and chr(0)
+    at every other place up to one past the last cell."""
+    places = {(r, c): c * (c - 1) // 2 + r - 1 for r, c in t.shape.cells}
+    chars = ["\0"] * (max(places.values(), default=-1) + 2)
+    for cell, k in t.key_map.items():
+        chars[places[cell]] = chr(k)
+    return "".join(chars)
+
+
+def key_positions(family):
+    """Member key -> position, read off the members family.member builds."""
+    return {t.key: x for x, t in enumerate(family)}
 
 
 def row_cells(shape, r):

@@ -13,8 +13,8 @@ import pytest
 import shifted_tableaux
 from shifted_tableaux import cli, core, engine, enumeration
 from shifted_tableaux.cli import main
-from shifted_tableaux.core import (MAX_CELLS, MAX_LETTERS, MAX_MEMBERS, MAX_SKEW_CELLS,
-                                   CapacityError)
+from shifted_tableaux.core import (MAX_CELLS, MAX_DIGITS, MAX_LETTERS, MAX_MEMBERS,
+                                   MAX_SKEW_CELLS, CapacityError)
 
 
 def run(capsys, *argv):
@@ -798,6 +798,22 @@ class TestErrors:
         assert run(capsys, "apply", "--op", "e", "--in", "1 2000", "--n", "5") == \
             (2, "", f"error: alphabet bound n=2000 is more than {MAX_LETTERS}\n")
         assert len(core._INTERNED) == before
+
+    @pytest.mark.parametrize("op, text, message", [
+        ("t1^{digits}", "1 2", "power has 5000 digits"),
+        ("t{digits}", "1 2", "generator index has 5000 digits"),
+        ("t1", "{digits}", "cell token has 5000 digits"),
+    ], ids=["power", "generator-index", "cell-token"])
+    def test_long_digit_strings_are_one_line(self, capsys, op, text, message):
+        """A power, a generator index or a cell token of more digits than
+        int() converts under every digit limit is the library's one error
+        line, not the interpreter's; MAX_DIGITS digits are read."""
+        digits = "9" * 5000
+        assert run(capsys, "apply", "--op", op.format(digits=digits),
+                   "--in", text.format(digits=digits)) == \
+            (2, "", f"error: {message}, more than {MAX_DIGITS}\n")
+        assert run(capsys, "apply", "--op", "e^" + "9" * MAX_DIGITS, "--in", "1 2") == \
+            (0, "1 2\n", "")
 
     def test_alphabet_at_the_bound_is_accepted(self, capsys):
         n = str(MAX_LETTERS)

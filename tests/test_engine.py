@@ -465,8 +465,8 @@ class TestFamilyTables:
     @pytest.mark.parametrize("preset", ["sbk-core", "cactus-q", "cactus-eta",
                                         "evac-agreement"])
     def test_preset_builds_no_tableau(self, monkeypatch, preset):
-        """A family is its members' keys, and every table is filled on
-        keys: a preset whose lines all hold builds no tableau at all, its
+        """A family is its members' layouts, and every table is filled on
+        them: a preset whose lines all hold builds no tableau at all, its
         enumeration included."""
         built = built_tableaux(monkeypatch)
         results = run_preset(preset, 4)
@@ -724,8 +724,8 @@ class TestFamilyTables:
 class TestLifetimes:
     @pytest.mark.parametrize("preset", engine.PRESETS)
     def test_families_hold_only_keys_tables_and_views(self, monkeypatch, preset):
-        """After a preset, each family it enumerated holds its keys, its
-        tables and the two views the fills read, and no index."""
+        """After a preset, each family it enumerated holds its layouts,
+        its tables and positions, and no index."""
         enumerate_real, families = engine.enumerate_tableaux, []
 
         def kept(shape, n):
@@ -735,7 +735,7 @@ class TestLifetimes:
         monkeypatch.setattr(engine, "enumerate_tableaux", kept)
         run_preset(preset, 3)
         assert families
-        allowed = {"shape", "n", "keys", "tables", "positions", "layouts"}
+        allowed = {"shape", "n", "layouts", "tables", "positions"}
         for family in families:
             assert set(vars(family)) <= allowed, (family.shape, set(vars(family)) - allowed)
 

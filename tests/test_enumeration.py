@@ -7,7 +7,8 @@ import sys
 import pytest
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
-from helpers import brute_force_members, skew_families, straight_families  # noqa: E402
+from helpers import (brute_force_members, layout_of, skew_families,  # noqa: E402
+                     straight_families)
 
 from shifted_tableaux.core import ShiftedSkewShape, reading_word, render_text
 from shifted_tableaux.enumeration import (enumerate_tableaux, skew_shapes,
@@ -30,11 +31,12 @@ def test_reading_word_lex_order():
 
 @pytest.mark.parametrize("n", range(5))
 def test_keys_are_valid_canonical_fillings(n):
-    """Every enumerated key is the key of the validated tableau member
-    builds from it, over the preset families: membership by key, which
-    verification relies on, rests on the enumerator alone."""
+    """Every enumerated layout is the layout of the validated tableau
+    member builds from it, over the preset families: membership by
+    layout, which verification relies on, rests on the enumerator
+    alone."""
     for family in straight_families(n) + skew_families(n, include_straight=True):
-        assert tuple(t.key for t in family) == family.keys, family.shape
+        assert [layout_of(t) for t in family] == list(family.layouts), family.shape
 
 
 def test_oracle_equivalence_small():
@@ -115,9 +117,13 @@ def test_empty_shape_has_one_member():
 
 
 def test_member_is_built_on_the_family_key():
-    fam = enumerate_tableaux(ShiftedSkewShape((3, 1), (1,)), 3)
+    """member(x)'s key is read off layout x at its cells' places in the
+    global numbering, (r, c) at c(c-1)/2 + r - 1."""
+    shape = ShiftedSkewShape((3, 1), (1,))
+    fam = enumerate_tableaux(shape, 3)
+    places = [c * (c - 1) // 2 + r - 1 for r, c in shape.sorted_cells]
     for x in range(len(fam)):
-        assert fam.member(x).key is fam.keys[x]
+        assert fam.member(x).key == tuple(ord(fam.layouts[x][p]) for p in places)
 
 
 def test_no_letters_no_members():

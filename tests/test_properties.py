@@ -4,7 +4,7 @@ exhaustive checks."""
 
 import random
 import sys
-from functools import reduce
+from functools import cache, reduce
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -25,7 +25,7 @@ from shifted_tableaux.switching import (PerforatedFilling, evac_map, evac_skew, 
                                         switch_pair)
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
-from helpers import reference_bk_map  # noqa: E402
+from helpers import key_positions, layout_of, reference_bk_map  # noqa: E402
 
 MAX_CELLS = 10
 MAX_N = 5
@@ -373,11 +373,10 @@ def test_post_expulsion_states_are_canonical_tableaux():
     seen, checked = set(), 0
     for n in range(2, 5):
         for shape in _straight_shapes() + _skew_shapes():
-            cells = shape.sorted_cells
-            for key in enumerate_tableaux(shape, n).keys:
+            for t in enumerate_tableaux(shape, n):
                 for lo, hi in intervals(n):
                     shift = 2 * (lo - 1)
-                    local = {c: k - shift for c, k in zip(cells, key) if shift < k <= 2 * hi}
+                    local = {c: k - shift for c, k in t.key_map.items() if shift < k <= 2 * hi}
                     band = frozenset(local.items())
                     bands = dict(sorted(switching._bands(local.items()).items()))
                     if band in seen or len(bands) < 2:
@@ -402,22 +401,54 @@ def test_word_permutation_is_member_by_member_evaluation(shape, n, data):
     perm = word_permutation(family, word)
     assert type(perm) is tuple and len(perm) == len(family)
     for x, member in enumerate(family):
-        assert perm[x] == family.positions[eval_word(word, member).key]
+        assert perm[x] == family.positions[layout_of(eval_word(word, member))]
 
 
 @settings(PROPERTY, max_examples=40)
 @given(shapes(max_cells=8), st.integers(0, 4), st.data())
 def test_members_are_built_from_the_keys(shape, n, data):
-    """positions is a bijection from the family's keys onto
+    """positions is a bijection from the family's layouts onto
     range(len(family)), and member(x), drawn before members is built,
     is members[x]."""
     family = enumerate_tableaux(shape, n)
-    assert list(family.positions) == list(family.keys)
+    assert list(family.positions) == list(family.layouts)
     assert list(family.positions.values()) == list(range(len(family)))
     drawn = data.draw(st.lists(st.integers(0, len(family) - 1), max_size=5)) \
         if len(family) else []
     singles = [family.member(x) for x in drawn]
     assert singles == [tuple(family)[x] for x in drawn]
+
+
+# two shapes that leave holes in the global cell numbering ((r, c) at
+# c(c-1)/2 + r - 1): (3)/(2) is the cell (1, 3) alone, at place 3, and
+# (3, 1)/(2) adds (2, 2), at place 2; each family over 200 letters is
+# enumerated once, on first use
+HOLED = (ShiftedSkewShape((3,), (2,)), ShiftedSkewShape((3, 1), (2,)))
+
+
+@cache
+def holed_family(shape):
+    return enumerate_tableaux(shape, 200)
+
+
+@settings(PROPERTY, max_examples=20)
+@given(st.sampled_from(HOLED), st.data())
+def test_layouts_past_ascii_on_a_shape_with_holes(shape, data):
+    """At n=200 the order keys run to 400, far past chr(127): a drawn
+    member's stored layout is the layout of the tableau member(x) builds,
+    positions finds it there, and a drawn t_i's or evacs_k's table, cut
+    out of the layouts or, for evacs_200, run on whole members, sends it
+    where eval_word sends it."""
+    family = holed_family(shape)
+    assert ord(max(family.layouts[-1])) == 400
+    x = data.draw(st.integers(0, len(family) - 1))
+    member = family.member(x)
+    assert family.layouts[x] == layout_of(member) and family.positions[family.layouts[x]] == x
+    sym = data.draw(st.one_of(st.builds(GeneratorSymbol, st.just("t"), st.integers(1, 199)),
+                              st.builds(GeneratorSymbol, st.just("evacs"),
+                                        st.sampled_from([2, 3, 150, 200]))))
+    perm = word_permutation(family, (sym,))
+    assert perm[x] == family.positions[layout_of(apply_symbol(member, sym))]
 
 
 # the most cells a band-table family is drawn with, by n
@@ -440,9 +471,10 @@ def test_band_tables_are_band_keys_member_by_member(n, data):
     for _ in range(2):
         shape = data.draw(shapes(max_cells=BAND_TABLE_CELLS[n]))
         family = enumerate_tableaux(shape, n)
+        positions = key_positions(family)
         for core in (_band_bk, _band_evac, reversal_map):
             for lo, hi in intervals(n):
-                want = [family.positions.get(band_keys(shape.sorted_cells, key, lo, hi, core,
-                                                       standard))
-                        for key in family.keys]
+                want = [positions.get(band_keys(shape.sorted_cells, t.key, lo, hi, core,
+                                                standard))
+                        for t in family]
                 assert list(_images(family, lo, hi, core, memo)) == want, (shape, core, lo, hi)

@@ -38,7 +38,7 @@ from shifted_tableaux.jdt import (SlideRecord, complement, dual_equivalent, eta,
 from shifted_tableaux.switching import evac_interval_skew, evac_k_skew, evac_skew
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
-from helpers import (evac_routes_schema, reference_knuth_witness,  # noqa: E402
+from helpers import (evac_routes_schema, key_positions, reference_knuth_witness,  # noqa: E402
                      reference_member_loop, reference_parse_entry, reference_render_text,
                      reference_to_json, reference_validate_filling, skew_families,
                      straight_families)
@@ -644,9 +644,9 @@ def member_loop(family, op):
     """The position of op(member) for each member, op run on the member's
     cell -> order key map with no memo and its result's key looked up
     among the members."""
-    cells = sorted(family.shape.cells)
+    cells, positions = sorted(family.shape.cells), key_positions(family)
     images = (op(t.key_map, family.n) for t in family)
-    return [family.positions[tuple(out[c] for c in cells)] for out in images]
+    return [positions[tuple(out[c] for c in cells)] for out in images]
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -667,8 +667,9 @@ def test_whole_member_tables_match_member_loop(n):
                   for t in family}
         assert len(labels) == len(family), family.shape
     for family in straight:
+        positions = key_positions(family)
         assert list(engine.word_permutation(family, eta_1n)) == \
-            [family.positions[rectify(complement(t))[0].key] for t in family], family.shape
+            [positions[rectify(complement(t))[0].key] for t in family], family.shape
 
 
 # -- validation messages -----------------------------------------------------

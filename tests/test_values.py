@@ -35,8 +35,8 @@ CASES = [
     (StrictPartition, ((3, 1),), 0, ((),), "StrictPartition(parts=(3, 1))"),
     (ShiftedSkewShape, ((3, 1), (1,)), 0, ((), ()),
      "ShiftedSkewShape(outer=(3, 1), inner=(1,))"),
-    (TableauFamily, (SHAPE, 2, FAMILY.keys), 3, (),
-     f"TableauFamily(shape={SHAPE!r}, n=2, keys={FAMILY.keys!r})"),
+    (TableauFamily, (SHAPE, 2, FAMILY.layouts), 3, (),
+     f"TableauFamily(shape={SHAPE!r}, n=2, layouts={FAMILY.layouts!r})"),
     (SlideRecord, ((((1, 2), (2, 3)),),), 0, ((),),
      "SlideRecord(slides=(((1, 2), (2, 3)),))"),
     (PerforatedFilling, (1, (((1, 1), False), ((1, 2), True))), 2, (),
@@ -69,7 +69,7 @@ CASES = [
 FIELDS = {
     StrictPartition: ("parts",),
     ShiftedSkewShape: ("outer", "inner"),
-    TableauFamily: ("shape", "n", "keys"),
+    TableauFamily: ("shape", "n", "layouts"),
     SlideRecord: ("slides",),
     PerforatedFilling: ("letter", "cells"),
     PerforatedPair: ("a", "b"),
@@ -86,7 +86,7 @@ FIELDS = {
 OTHER = {
     StrictPartition: ((3, 2),),
     ShiftedSkewShape: ((3, 1), ()),
-    TableauFamily: (SHAPE, 3, FAMILY.keys),
+    TableauFamily: (SHAPE, 3, FAMILY.layouts),
     SlideRecord: ((),),
     PerforatedFilling: (2, (((1, 1), False), ((1, 2), True))),
     PerforatedPair: (FILLING, FILLING),
@@ -204,14 +204,14 @@ class TestTableauFamily:
     def test_tables_are_not_compared_or_shown(self):
         a, b = enumerate_tableaux(SHAPE, 2), enumerate_tableaux(SHAPE, 2)
         a.tables["x"] = (0,)
-        assert a == b and hash(a) == hash(b) == hash((SHAPE, 2, a.keys))
+        assert a == b and hash(a) == hash(b) == hash((SHAPE, 2, a.layouts))
         assert "tables" not in repr(a)
         assert b.tables == {} and a.tables is not b.tables
 
     def test_tables_are_its_own(self):
-        assert TableauFamily(SHAPE, 2, FAMILY.keys).tables == {}
+        assert TableauFamily(SHAPE, 2, FAMILY.layouts).tables == {}
         with pytest.raises(TypeError):
-            TableauFamily(SHAPE, 2, FAMILY.keys, {})
+            TableauFamily(SHAPE, 2, FAMILY.layouts, {})
 
 
 def test_post_init_checks_run_in_the_constructor():
