@@ -866,12 +866,18 @@ def to_json(t: ShiftedTableau) -> str:
     return json.dumps(doc)
 
 
+def _json_int(literal: str) -> int:
+    """A JSON integer literal, its digits read by parse_digits."""
+    value = parse_digits(literal.lstrip("-"), "JSON integer")
+    return -value if literal.startswith("-") else value
+
+
 def from_json(text: str) -> ShiftedTableau:
     """The tableau of to_json's form: an object with the integer lists
     outer and inner (optional), rows of cell tokens, and n.  A malformed
     document raises TableauError, a shape of more than MAX_CELLS cells
     CapacityError."""
-    doc = json.loads(text)
+    doc = json.loads(text, parse_int=_json_int)
     if not isinstance(doc, dict):
         raise TableauError("a JSON tableau must be an object")
     missing = [k for k in ("outer", "rows", "n") if k not in doc]

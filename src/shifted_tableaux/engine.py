@@ -44,10 +44,11 @@ lacks is moved, and joins it.  The whole member keeps no entry of its
 own, as for the other cores.
 
 On the whole alphabet, eta:1,n destandardizes nothing: its fill indexes
-the members by standardization and weight, and a member's image is the
-member whose standardization is jdt's standard reversal of the member's
-and whose weight is the member's reversed; the index is dropped with the
-fill.  The evacuation-routes line of evac-agreement is the schema
+the members by standardization and letters in standard order, both
+sized by the cells, and a member's image is the member whose
+standardization is jdt's standard reversal of the member's and whose
+weight is the member's reversed; the index is dropped with the fill.
+The evacuation-routes line of evac-agreement is the schema
 evac_n = eta:1,n once more (on a straight shape the reversal is
 rectification after the complement), and reads two tables the
 evac_n = eta_1n line has filled.
@@ -84,8 +85,8 @@ from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import bender_knuth, jdt, switching
-from .core import (CapacityError, Cell, ShiftedSkewShape, ShiftedTableau, _Value, _weight,
-                   layout_cell, layout_position, parse_digits)
+from .core import (CapacityError, Cell, ShiftedSkewShape, ShiftedTableau, _Value, layout_cell,
+                   layout_position, parse_digits)
 from .enumeration import TableauFamily, enumerate_tableaux, skew_shapes, straight_shapes
 
 
@@ -455,12 +456,14 @@ def _move(band: str, size: int, core: Callable, memo: _Memo) -> str | None:
 
 def _standard_images(family: TableauFamily, memo: _Memo) -> Iterator[int | None]:
     """_images of jdt.reversal_map on whole members: the image of a
-    member of weight wt is the member whose standardization is jdt's
-    standard reversal of the member's, and whose weight is wt reversed;
-    nothing is destandardized.  The members are first indexed by
-    (values of jdt.standardize_map in sorted-cell order, weight), each
-    to its position's own int, in member order; two members with one
-    index key are an error, as jdt's destandardization would be
+    member is the member whose standardization is jdt's standard
+    reversal of the member's, and whose letters in standard order are
+    the member's reversed, each letter l taken to n+1-l (so its weight
+    is the member's reversed); nothing is destandardized.  The members
+    are first indexed by (values of jdt.standardize_map in sorted-cell
+    order, letters in standard order), both sized by the cells, not by
+    n, each to its position's own int, in member order; two members with
+    one index key are an error, as jdt's destandardization would be
     ambiguous there.  The index lives as long as the iterator.  A result
     that no member has runs jdt.reversal_map on its member (_whole_image),
     as the whole alphabet does for other cores, so its error or its None
@@ -471,18 +474,21 @@ def _standard_images(family: TableauFamily, memo: _Memo) -> Iterator[int | None]
     for s, x in positions.items():
         key = [ord(s[p]) for _, p in slots]
         std = jdt.standardize_map(zip(cells, key))
-        if index.setdefault((tuple([std[c] for c in cells]), _weight(key, n)), x) != x:
+        # standard order sorts by key first, so its letters are sorted
+        letters = tuple(sorted([(k + 1) >> 1 for k in key]))
+        if index.setdefault((tuple([std[c] for c in cells]), letters), x) != x:
             raise RuntimeError(f"two members of ShST({family.shape}, {n}) share a "
                                "standardization and a weight")
     ranks = range(1, len(cells) + 1)
     by_value = [None] * len(cells)
-    for s, (values, wt) in zip(family.layouts, index):
+    for s, (values, letters) in zip(family.layouts, index):
         # the member's standardization, its cells listed by value again
         for c, v in zip(cells, values):
             by_value[v - 1] = c
         std = dict(zip(by_value, ranks))
         image = jdt.standard_result(jdt._reverse_standard, std, memo)
-        y = index.get((tuple([image[c] for c in cells]), wt[::-1]))
+        y = index.get((tuple([image[c] for c in cells]),
+                       tuple([n + 1 - l for l in reversed(letters)])))
         yield y if y is not None else \
             positions.get(_whole_image(slots, s, jdt.reversal_map, n, memo))
 

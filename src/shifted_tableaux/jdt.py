@@ -11,7 +11,14 @@ single slide.  dual_equivalent compares the slide records of two
 rectifications: by Haiman (1992), two tableaux of one shape are dual
 equivalent exactly when one rectifying slide order takes them through
 the same shapes.  Reversal and evacuation are standard-map cores
-(_reverse_standard, _evacuate_standard).  standard_result runs one on a
+(_reverse_standard, _evacuate_standard), and neither keeps track of
+shapes.  Evacuation is Schuetzenberger's delta steps: slides into (1, 1)
+alone, with no complement.  The reversal is unique (Haiman 1992: the
+tableau dual equivalent to T and Knuth equivalent to the evacuation of
+its rectification), so it slides into the inner cells in one order
+fixed up front, bottom row first, and replays the vacated cells
+outward.  Only rectify_map, whose slide record is output, picks its
+corners by strategy (_rectify_standard).  standard_result runs one on a
 standard map and checks its result; given a memo, it runs the core once
 per standardization.  reversal_map standardizes, takes standard_result
 of _reverse_standard and destandardizes with the reversed weight.  On a
@@ -146,32 +153,39 @@ def _rectify_standard(std: dict[Cell, int], outer: tuple[int, ...],
     return outer
 
 
-def _evacuate_standard(std: Mapping[Cell, int], memo: dict | None = None
+def _evacuate_standard(std: dict[Cell, int], memo: dict | None = None
                        ) -> dict[Cell, int]:
-    """Evacuation of the nonempty standard map std of a straight shape:
-    the complement in the staircase of width outer[0] (each cell
-    reflected in the anti-diagonal, each value v sent to N+1-v),
-    rectified.  memo is unused: evacuation runs no other standard core."""
-    outer = pair_of_cells(std)[0]
-    w, top = outer[0], len(std) + 1
-    comp = {(w + 1 - c, w + 1 - r): top - v for (r, c), v in std.items()}
-    _rectify_standard(comp, tuple(range(w, 0, -1)),
-                      StrictPartition(outer).complement(w).parts)
-    return comp
+    """Evacuation of the nonempty standard map std of a straight shape,
+    by Schuetzenberger's delta steps: N times, delete the entry at (1, 1),
+    the least one left, and slide into (1, 1); the cell the k-th slide
+    vacates gets N+1-k.  std is emptied.  memo is unused: evacuation runs
+    no other standard core."""
+    out: dict[Cell, int] = {}
+    for v in range(len(std), 0, -1):
+        del std[1, 1]
+        out[_slide_standard(std, (1, 1), outer=False)] = v
+    return out
 
 
 def _reverse_standard(std: dict[Cell, int], memo: dict | None = None
                       ) -> dict[Cell, int]:
-    """Reversal of the nonempty standard map std: rectify it in place,
-    evacuate, then replay the recorded slides outward in reverse.  The
-    evacuation is standard_result's with memo, its cells listed by value,
-    so that it is shared with every other evacuation of the same
-    rectification."""
-    record: list[tuple[Cell, Cell]] = []
-    _rectify_standard(std, *pair_of_cells(std), record=record)
+    """Reversal of the nonempty standard map std, in place: slide into
+    every cell of the inner partition of its canonical pair, bottom row
+    first and each row right to left, so that each cell is an inner
+    corner when its turn comes; evacuate; then replay the vacated cells
+    as outer slides in reverse.  By Haiman (1992) the reversal is the
+    one tableau dual equivalent to std and Knuth equivalent to the
+    evacuation of its rectification, so any rectifying slide order gives
+    it.  The evacuation is standard_result's with memo, its cells listed
+    by value, so that it is shared with every other evacuation of the
+    same rectification."""
+    inner = pair_of_cells(std)[1]
+    exits = [_slide_standard(std, (r, c), outer=False)
+             for r in range(len(inner), 0, -1)
+             for c in range(r + inner[r - 1] - 1, r - 1, -1)]
     std = standard_result(_evacuate_standard,
                           dict(sorted(std.items(), key=lambda item: item[1])), memo)
-    for _, exit_cell in reversed(record):
+    for exit_cell in reversed(exits):
         _slide_standard(std, exit_cell, outer=True)
     return std
 

@@ -2,17 +2,21 @@
 backtracking enumerator, a reference t_i on the public switch_pair,
 reference forms of the tableau validator, the text and JSON renderers,
 the cell-token parser and a family's layout strings, the member loop the engine's verification
-lines are checked against, and the preset families enumerated all at
-once."""
+lines are checked against, the preset families enumerated all at once,
+and the step-by-step jeu de taquin (one validated tableau per slide) that
+rectification and reversal are checked against."""
 
 import itertools
 import json
 
-from shifted_tableaux.core import Entry, InvalidTableauError, ShiftedTableau, TableauError
+from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape, ShiftedTableau,
+                                   TableauError, destandardize, render_text, standardize,
+                                   weight)
 from shifted_tableaux.engine import (SKEW_MAX_CELLS, Counterexample, RelationSchema, Verdict,
                                      _skew_shapes, _straight_shapes)
 from shifted_tableaux.enumeration import enumerate_tableaux
-from shifted_tableaux.jdt import complement, rectify
+from shifted_tableaux.jdt import (SlideRecord, complement, inner_slide, outer_slide,
+                                  rectify)
 from shifted_tableaux.switching import PerforatedFilling, evac_skew, switch_pair
 
 
@@ -220,3 +224,97 @@ def skew_families(n, max_cells=SKEW_MAX_CELLS, include_straight=False):
     cells, the straight ones too if include_straight, in the presets'
     order, as one list."""
     return [enumerate_tableaux(s, n) for s in _skew_shapes(max_cells, include_straight)]
+
+
+# -- the step-by-step jeu de taquin ---------------------------------------
+
+def same(a, b):
+    """Equal as tableaux and in their (outer, inner) representation."""
+    return (a == b and render_text(a) == render_text(b)
+            and (a.shape.outer, a.shape.inner) == (b.shape.outer, b.shape.inner))
+
+
+def probing_inner_corners(shape):
+    """Every empty position next to the region, with no region cell west
+    or north of it, that extends the region to a valid shifted skew
+    shape, found by trying to build that shape."""
+    cells = shape.cells
+    if not cells:
+        return []
+    out = []
+    for r in range(1, max(r for r, _ in cells) + 1):
+        for c in range(r, max(c for _, c in cells) + 1):
+            p = (r, c)
+            if p in cells:
+                continue
+            if ((r, c + 1) in cells or (r + 1, c) in cells) \
+                    and (r, c - 1) not in cells and (r - 1, c) not in cells:
+                try:
+                    ShiftedSkewShape.from_cells(cells | {p})
+                except TableauError:
+                    continue
+                out.append(p)
+    return out
+
+
+def standard_slide(std, cell, outer):
+    """One slide of a standard tableau, rebuilt as a validated tableau."""
+    entries = dict(std.entry_map)
+    r, c = cell
+    while True:
+        if outer:
+            west = entries.get((r, c - 1)) if c - 1 >= r else None
+            north = entries.get((r - 1, c))
+            if west is None and north is None:
+                break
+            if north is None or (west is not None and west > north):
+                entries[(r, c)] = entries.pop((r, c - 1))
+                c -= 1
+            else:
+                entries[(r, c)] = entries.pop((r - 1, c))
+                r -= 1
+        else:
+            east = entries.get((r, c + 1))
+            south = entries.get((r + 1, c))
+            if east is None and south is None:
+                break
+            if south is None or (east is not None and east < south):
+                entries[(r, c)] = entries.pop((r, c + 1))
+                c += 1
+            else:
+                entries[(r, c)] = entries.pop((r + 1, c))
+                r += 1
+    return ShiftedTableau.from_map(entries, std.n), (r, c)
+
+
+def reference_slide(t, cell, outer):
+    """standardize -> slide -> destandardize, a tableau at every stage."""
+    slid, end = standard_slide(standardize(t), cell, outer)
+    return destandardize(slid, weight(t)), end
+
+
+def reference_rectify(t, strategy):
+    """Slide by slide; the first slide is also checked against inner_slide."""
+    cur, record = t, []
+    while corners := probing_inner_corners(cur.shape):
+        corner = min(corners) if strategy == "first" else max(corners)
+        nxt, exit_cell = reference_slide(cur, corner, outer=False)
+        if not record:
+            assert same(inner_slide(cur, corner), nxt)
+        record.append((corner, exit_cell))
+        cur = nxt
+    return cur, SlideRecord(tuple(record))
+
+
+def reference_reversal(t, strategy="first"):
+    """Slide by slide, rectification and evacuation included, each
+    rectification picking its corners by strategy; the first outer slide
+    is also checked against outer_slide."""
+    rect, record = reference_rectify(t, strategy)
+    cur = reference_rectify(complement(rect), strategy)[0]
+    for k, (_, exit_cell) in enumerate(reversed(record.slides)):
+        nxt = reference_slide(cur, exit_cell, outer=True)[0]
+        if k == 0:
+            assert same(outer_slide(cur, exit_cell), nxt)
+        cur = nxt
+    return cur

@@ -803,11 +803,14 @@ class TestErrors:
         ("t1^{digits}", "1 2", "power has 5000 digits"),
         ("t{digits}", "1 2", "generator index has 5000 digits"),
         ("t1", "{digits}", "cell token has 5000 digits"),
-    ], ids=["power", "generator-index", "cell-token"])
+        ("e", '{{"outer": [1], "rows": [["1"]], "n": {digits}}}',
+         "JSON integer has 5000 digits"),
+    ], ids=["power", "generator-index", "cell-token", "json-integer"])
     def test_long_digit_strings_are_one_line(self, capsys, op, text, message):
-        """A power, a generator index or a cell token of more digits than
-        int() converts under every digit limit is the library's one error
-        line, not the interpreter's; MAX_DIGITS digits are read."""
+        """A power, a generator index, a cell token or an integer of a
+        JSON tableau of more digits than int() converts under every digit
+        limit is the library's one error line, not the interpreter's;
+        MAX_DIGITS digits are read."""
         digits = "9" * 5000
         assert run(capsys, "apply", "--op", op.format(digits=digits),
                    "--in", text.format(digits=digits)) == \

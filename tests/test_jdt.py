@@ -3,9 +3,9 @@ and the interval restrictions of the full involution."""
 
 import pytest
 
-from shifted_tableaux.core import (ShiftedSkewShape, TableauError, parse_tableau,
-                                   render_text, weight)
-from shifted_tableaux.enumeration import enumerate_tableaux, skew_shapes
+from shifted_tableaux.core import (ShiftedSkewShape, ShiftedTableau, TableauError,
+                                   parse_tableau, render_text, weight)
+from shifted_tableaux.enumeration import enumerate_tableaux, skew_shapes, straight_shapes
 from shifted_tableaux.jdt import (complement, dual_equivalent, eta,
                                   evacuation_jdt, inner_corners, inner_slide,
                                   knuth_equivalent, outer_slide, rectify,
@@ -19,6 +19,24 @@ def rt(t):
 def skew_family_sample(max_cells=5, n=3):
     for shape in skew_shapes(max_cells, 3, include_straight=True):
         yield from enumerate_tableaux(shape, n)
+
+
+def standard_fillings(shape):
+    """Every standard filling of a straight shape, as a cell -> value map,
+    grown one value at a time into the cells whose west and north
+    neighbours in the shape are filled."""
+    cells, filling = shape.cells, {}
+
+    def grow():
+        if len(filling) == len(cells):
+            yield dict(filling)
+            return
+        for r, c in sorted(cells - filling.keys()):
+            if all(p in filling or p not in cells for p in ((r, c - 1), (r - 1, c))):
+                filling[r, c] = len(filling) + 1
+                yield from grow()
+                del filling[r, c]
+    return grow()
 
 
 class TestSlides:
@@ -99,6 +117,19 @@ class TestEvacuation:
     def test_skew_rejected(self):
         with pytest.raises(TableauError):
             evacuation_jdt(parse_tableau(". 1", 1))
+
+    def test_is_the_rectified_complement_on_standard_fillings(self):
+        """Evacuation by delta steps equals the complement rectified by
+        inner slides, on every standard filling of every straight shape
+        of at most 11 cells."""
+        count = 0
+        for shape in straight_shapes(11):
+            for filling in standard_fillings(shape):
+                t = ShiftedTableau.from_keys({c: 2 * v for c, v in filling.items()},
+                                             len(filling), shape)
+                assert evacuation_jdt(t) == rectify(complement(t))[0], rt(t)
+                count += 1
+        assert count == 1722
 
 
 class TestReversal:

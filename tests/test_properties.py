@@ -1,6 +1,7 @@
 """Property tests on random shapes of at most 10 cells and n <= 5 (12
-cells and n <= 6 for the Bender-Knuth kernel), beyond the reach of the
-exhaustive checks."""
+cells and n <= 6 for the Bender-Knuth kernel, 10 to 12 skew cells for
+the slide order of the reversal), beyond the reach of the exhaustive
+checks."""
 
 import random
 import sys
@@ -25,7 +26,8 @@ from shifted_tableaux.switching import (PerforatedFilling, evac_map, evac_skew, 
                                         switch_pair)
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
-from helpers import key_positions, layout_of, reference_bk_map  # noqa: E402
+from helpers import (key_positions, layout_of, reference_bk_map,  # noqa: E402
+                     reference_reversal, same)
 
 MAX_CELLS = 10
 MAX_N = 5
@@ -42,15 +44,17 @@ INNERS = ((), (1,), (2,), (2, 1), (3,), (3, 1), (3, 2), (4, 1))
 
 
 @st.composite
-def shapes(draw, max_cells=MAX_CELLS):
-    """A shifted shape of 1..max_cells cells, its size drawn first: an
-    inner strict partition from INNERS, and an outer one grown from it
+def shapes(draw, max_cells=MAX_CELLS, min_cells=None, inners=INNERS):
+    """A shifted shape of min_cells..max_cells cells (without min_cells,
+    1..max_cells, half the draws from 6 up), its size drawn first: an
+    inner strict partition from inners, and an outer one grown from it
     one cell at a time, each cell put at the end of a row where the
     parts stay strict (row 0 always qualifies, and a new row when the
     last part exceeds 1)."""
     size = draw(st.one_of(st.integers(min(6, max_cells), max_cells),
-                          st.integers(1, max_cells)))
-    inner = draw(st.sampled_from(INNERS))
+                          st.integers(1, max_cells)) if min_cells is None
+                else st.integers(min_cells, max_cells))
+    inner = draw(st.sampled_from(inners))
     outer = list(inner)
     for _ in range(size):
         rows = [r for r in range(len(outer) + 1)
@@ -91,8 +95,8 @@ def random_filling(shape, n, rng):
 
 
 @st.composite
-def tableaux(draw, max_cells=MAX_CELLS, max_n=MAX_N):
-    shape = draw(shapes(max_cells))
+def tableaux(draw, max_cells=MAX_CELLS, max_n=MAX_N, **shape_options):
+    shape = draw(shapes(max_cells, **shape_options))
     n = draw(st.integers(2, max_n))
     filling = random_filling(shape, n, random.Random(draw(st.integers(0, 2**32))))
     assume(filling is not None)
@@ -159,6 +163,18 @@ def test_q_and_reversal_are_involutions_reversing_their_band_weight(t, data):
         out = op(t)
         assert op(out) == t
         assert weight(out) == before[:top][::-1] + before[top:]
+
+
+@settings(PROPERTY, max_examples=100)
+@given(tableaux(max_cells=12, min_cells=10, inners=INNERS[1:]))
+def test_reversal_is_free_of_the_slide_order(t):
+    """The reversal, which rectifies bottom row first, is the
+    slide-by-slide reference, one validated tableau per slide, with
+    either corner strategy for its rectifications: by Haiman (1992) no
+    slide order changes it."""
+    got = reversal(t)
+    for strategy in ("first", "last"):
+        assert same(got, reference_reversal(t, strategy))
 
 
 @PROPERTY

@@ -27,21 +27,21 @@ from shifted_tableaux import engine, jdt, switching
 from shifted_tableaux.core import (Entry, InvalidTableauError, ShiftedSkewShape,
                                    ShiftedTableau, TableauError, _validate_filling,
                                    destandardize, destandardize_map, parse_tableau,
-                                   from_json, reading_cells, render_text, standardize,
-                                   standardize_map, to_json, weight)
+                                   from_json, reading_cells, render_text, standardize_map,
+                                   to_json, weight)
 from shifted_tableaux.engine import (Counterexample, Verdict, eval_word, parse_word,
                                      sbk_core_schemas, verify_cactus_action, verify_relation_over)
 from shifted_tableaux.enumeration import enumerate_tableaux, skew_shapes
-from shifted_tableaux.jdt import (SlideRecord, complement, dual_equivalent, eta,
-                                  inner_corners, inner_slide, outer_slide, rectify,
+from shifted_tableaux.jdt import (complement, dual_equivalent, eta, inner_corners, rectify,
                                   reversal, reversal_map)
 from shifted_tableaux.switching import evac_interval_skew, evac_k_skew, evac_skew
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
-from helpers import (evac_routes_schema, key_positions, reference_knuth_witness,  # noqa: E402
-                     reference_member_loop, reference_parse_entry, reference_render_text,
-                     reference_to_json, reference_validate_filling, skew_families,
-                     straight_families)
+from helpers import (evac_routes_schema, key_positions, probing_inner_corners,  # noqa: E402
+                     reference_knuth_witness, reference_member_loop, reference_parse_entry,
+                     reference_rectify, reference_render_text, reference_reversal,
+                     reference_slide, reference_to_json, reference_validate_filling, same,
+                     skew_families, straight_families)
 
 N = 4
 INTERVALS = [(i, j) for i in range(1, N + 1) for j in range(i + 1, N + 1)]
@@ -53,98 +53,7 @@ def members():
             for t in enumerate_tableaux(shape, N)]
 
 
-def same(a, b):
-    """Equal as tableaux and in their (outer, inner) representation."""
-    return (a == b and render_text(a) == render_text(b)
-            and (a.shape.outer, a.shape.inner) == (b.shape.outer, b.shape.inner))
-
-
 # -- the step-by-step reference ---------------------------------------------
-
-def probing_inner_corners(shape):
-    """Every empty position next to the region, with no region cell west
-    or north of it, that extends the region to a valid shifted skew
-    shape, found by trying to build that shape."""
-    cells = shape.cells
-    if not cells:
-        return []
-    out = []
-    for r in range(1, max(r for r, _ in cells) + 1):
-        for c in range(r, max(c for _, c in cells) + 1):
-            p = (r, c)
-            if p in cells:
-                continue
-            if ((r, c + 1) in cells or (r + 1, c) in cells) \
-                    and (r, c - 1) not in cells and (r - 1, c) not in cells:
-                try:
-                    ShiftedSkewShape.from_cells(cells | {p})
-                except TableauError:
-                    continue
-                out.append(p)
-    return out
-
-
-def standard_slide(std, cell, outer):
-    """One slide of a standard tableau, rebuilt as a validated tableau."""
-    entries = dict(std.entry_map)
-    r, c = cell
-    while True:
-        if outer:
-            west = entries.get((r, c - 1)) if c - 1 >= r else None
-            north = entries.get((r - 1, c))
-            if west is None and north is None:
-                break
-            if north is None or (west is not None and west > north):
-                entries[(r, c)] = entries.pop((r, c - 1))
-                c -= 1
-            else:
-                entries[(r, c)] = entries.pop((r - 1, c))
-                r -= 1
-        else:
-            east = entries.get((r, c + 1))
-            south = entries.get((r + 1, c))
-            if east is None and south is None:
-                break
-            if south is None or (east is not None and east < south):
-                entries[(r, c)] = entries.pop((r, c + 1))
-                c += 1
-            else:
-                entries[(r, c)] = entries.pop((r + 1, c))
-                r += 1
-    return ShiftedTableau.from_map(entries, std.n), (r, c)
-
-
-def reference_slide(t, cell, outer):
-    """standardize -> slide -> destandardize, a tableau at every stage."""
-    slid, end = standard_slide(standardize(t), cell, outer)
-    return destandardize(slid, weight(t)), end
-
-
-def reference_rectify(t, strategy):
-    """Slide by slide; the first slide is also checked against inner_slide."""
-    cur, record = t, []
-    while corners := probing_inner_corners(cur.shape):
-        corner = min(corners) if strategy == "first" else max(corners)
-        nxt, exit_cell = reference_slide(cur, corner, outer=False)
-        if not record:
-            assert same(inner_slide(cur, corner), nxt)
-        record.append((corner, exit_cell))
-        cur = nxt
-    return cur, SlideRecord(tuple(record))
-
-
-def reference_reversal(t):
-    """Slide by slide, rectification and evacuation included; the first
-    outer slide is also checked against outer_slide."""
-    rect, record = reference_rectify(t, "first")
-    cur = reference_rectify(complement(rect), "first")[0]
-    for k, (_, exit_cell) in enumerate(reversed(record.slides)):
-        nxt = reference_slide(cur, exit_cell, outer=True)[0]
-        if k == 0:
-            assert same(outer_slide(cur, exit_cell), nxt)
-        cur = nxt
-    return cur
-
 
 def reference_dual_equivalent(t1, t2, slide=reference_slide,
                               corners=probing_inner_corners):
